@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import subprocess
@@ -90,6 +91,7 @@ def _require(params: dict, key: str, types, what: str):
     return value
 
 
+@functools.cache
 def _git_hash() -> str:
     try:
         out = subprocess.run(

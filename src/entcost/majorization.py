@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import TailSumTable, von_neumann_entropy
+from .entropy import tail_sums, von_neumann_entropy
 from .rng import stream
 from .spectra import (
     BipartiteState,
@@ -108,12 +108,9 @@ def completeness_operator(inst: ProductKrausInstrument) -> CompletenessOperator:
 
 
 def spectrum_tail_sums(spec: Spectrum, n_max: int) -> np.ndarray:
-    """tail_sum(spec, N) for N = 0..n_max, padding beyond the length with 0."""
-    table = TailSumTable.build(spec).tails
-    out = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        out[n] = table[n] if n < table.size else spec.tail_mass
-    return out
+    """tail_sum(spec, N) for N = 0..n_max, padding beyond the length with
+    the spectrum's tail mass."""
+    return tail_sums(spec, n_max + 1)
 
 
 def schur_horn_check(matrix: np.ndarray, vectors, atol: float = MARGIN_ATOL) -> bool:

@@ -1,12 +1,11 @@
 """Weak and strong typical sets over finite alphabets.
 
-Exact set masses and cardinalities are computed by enumerating empirical
-types (compositions of n into K parts): every sequence of a type has the
-same probability, so the mass of a typical set is a sum of
-multinomial(n; counts) * prod_i p_i^counts_i over the typical types.
-Multinomial weights are handled in log space; cardinalities are exact
-integers.  A Monte Carlo mode with a 99% Clopper-Pearson interval covers
-parameter ranges where the type count is too large to enumerate.
+Exact masses and cardinalities come from one census of the empirical types
+(compositions of n into K parts), built as integer count matrices in bounded
+blocks.  Every sequence of a type has the same probability, so a set's mass
+is the sum over its types of multinomial(n; c) * prod_i p_i^c_i, taken in log
+space; its cardinality is an exact integer.  A Monte Carlo mode with a 99%
+Clopper-Pearson interval covers type counts too large to enumerate.
 """
 
 from __future__ import annotations
@@ -16,12 +15,13 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-from scipy import stats
+from scipy.special import betaincinv, gammaln
 
 from .rng import stream
 from .spectra import InvariantViolation
 
 DEFAULT_MAX_TYPES = 2_000_000
+_BLOCK_ROWS = 1 << 15  # census rows per block
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class SourceDistribution:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=float).reshape(-1)
-        if p.size == 0 or np.any(p < 0.0):
-            raise InvariantViolation("probabilities must be non-negative and non-empty")
+        if p.size == 0 or not np.all(np.isfinite(p)) or np.any(p < 0.0):
+            raise InvariantViolation("probabilities must be finite, non-negative and non-empty")
         if abs(float(np.sum(p)) - 1.0) > 1e-12:
             raise InvariantViolation(f"probabilities sum to {float(np.sum(p))!r}")
         p.setflags(write=False)
@@ -91,109 +91,110 @@ def is_weakly_typical(dist: SourceDistribution, x_seq, delta: float) -> bool:
     return math.isfinite(r) and abs(r - dist.entropy_bits) <= delta
 
 
-def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    # lexicographic over (c_0, ..., c_{k-1}) with sum n; deterministic order
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
 def type_count(n: int, k: int) -> int:
     return math.comb(n + k - 1, k - 1)
-
-
-def _exact_multinomial(n: int, counts: tuple[int, ...]) -> int:
-    c, rem = 1, n
-    for t in counts:
-        c *= math.comb(rem, t)
-        rem -= t
-    return c
 
 
 def _log2_bigint(m: int) -> float:
     if m <= 0:
         return -math.inf
-    bits = m.bit_length()
-    if bits <= 900:
-        return math.log2(m)
-    shift = bits - 900
+    shift = max(0, m.bit_length() - 900)
     return math.log2(m >> shift) + shift
 
 
-@dataclass(frozen=True)
-class _TypeRecord:
-    counts: tuple[int, ...]
-    log2_seq_prob: float  # -inf for types touching zero-probability symbols
-    ln_multiplicity: float
-    multiplicity: int
+def _prefix_blocks(n: int, width: int) -> Iterator[np.ndarray]:
+    """Every tuple of ``width`` non-negative ints summing to at most n, in
+    lexicographic order and in int64 blocks of at most max(_BLOCK_ROWS, n + 1)
+    rows, so memory does not grow with the count."""
+    if width == 0:
+        yield np.zeros((1, 0), dtype=np.int64)
+        return
+    step = max(1, _BLOCK_ROWS // (n + 1))  # a row extends to at most n + 1 rows
+    for head in _prefix_blocks(n, width - 1):
+        for part in np.split(head, range(step, len(head), step)):
+            room = n + 1 - part.sum(axis=1)
+            starts = np.repeat(np.cumsum(room) - room, room)
+            yield np.column_stack([np.repeat(part, room, axis=0),
+                                   np.arange(starts.size) - starts])
 
 
-def _iter_type_records(dist: SourceDistribution, n: int,
-                       max_types: int) -> Iterator[_TypeRecord]:
-    k = len(dist)
-    total = type_count(n, k)
+def _type_blocks(dist: SourceDistribution, n: int,
+                 max_types: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(counts, log2 p(x^n) per sequence, ln multiplicity) per block of types;
+    log2 p is summed symbol by symbol (a matrix product rounds differently and
+    moves types on the window edge) and is -inf on zero-probability types."""
+    total = type_count(n, len(dist))
     if total > max_types:
         raise InvariantViolation(
             f"{total} empirical types exceed the exact-mode limit {max_types}; "
             "use Monte Carlo mode")
-    p = dist.probs
-    log2p = np.where(p > 0.0, np.log2(np.where(p > 0.0, p, 1.0)), -math.inf)
-    lg_n1 = math.lgamma(n + 1)
-    if k == 2:
-        # binary alphabets walk the binomial row incrementally; the exact
-        # division keeps the multiplicity an exact integer at any n
-        mult = 1
-        l2p0, l2p1 = float(log2p[0]), float(log2p[1])
-        for c0 in range(n + 1):
-            c1 = n - c0
-            l2 = (c0 * l2p0 if c0 else 0.0) + (c1 * l2p1 if c1 else 0.0)
-            ln_mult = lg_n1 - math.lgamma(c0 + 1) - math.lgamma(c1 + 1)
-            yield _TypeRecord((c0, c1), l2, ln_mult, mult)
-            mult = mult * (n - c0) // (c0 + 1)
-        return
-    for counts in _compositions(n, k):
-        c = np.asarray(counts)
-        used = c > 0
-        if np.any(used & (p <= 0.0)):
-            l2 = -math.inf
-        else:
-            l2 = float(np.sum(c[used] * log2p[used]))
-        ln_mult = lg_n1 - float(sum(math.lgamma(t + 1) for t in counts))
-        yield _TypeRecord(counts, l2, ln_mult, _exact_multinomial(n, counts))
+    pos = dist.probs > 0.0
+    log2p = np.log2(np.where(pos, dist.probs, 1.0))
+    ln_fact = gammaln(np.arange(1.0, n + 2.0))
+    for head in _prefix_blocks(n, len(dist) - 1):
+        counts = np.column_stack([head, n - head.sum(axis=1)])
+        log2_prob = np.zeros(len(counts))
+        # ln n! is shared by every term, so its rounding (1e-12 at n = 2000)
+        # scales the mass; math.lgamma keeps perfbench's stored masses to 1e-13
+        ln_mult = np.full(len(counts), math.lgamma(n + 1))
+        for i, c in enumerate(counts.T):
+            if pos[i]:
+                log2_prob += c * log2p[i]
+            ln_mult -= ln_fact[c]
+        log2_prob[np.any(counts[:, ~pos] > 0, axis=1)] = -math.inf
+        yield counts, log2_prob, ln_mult
+
+
+def _members(dist: SourceDistribution, n: int, delta: float, kind: str,
+             counts: np.ndarray, log2_prob: np.ndarray) -> np.ndarray:
+    """Weak or strong membership mask; types of zero probability are never members."""
+    if kind == "weak":
+        return np.isfinite(log2_prob) & (np.abs(-log2_prob / n - dist.entropy_bits) <= delta)
+    dev = np.abs(counts / n - dist.probs)[:, dist.probs > 0.0]
+    return np.isfinite(log2_prob) & np.all(dev <= delta, axis=1)
+
+
+def _member_count(n: int, counts: np.ndarray) -> int:
+    """Exact sum of multinomial(n; c) over the rows of one block: a run of rows
+    sharing c_0..c_{K-3} walks one binomial row in exact integer steps."""
+    total, head = 0, None
+    for row in counts.tolist():
+        if row[:-2] != head:
+            head, prefix, rem = row[:-2], 1, n
+            for c in head:
+                prefix *= math.comb(rem, c)
+                rem -= c
+            j, binom = row[-2], math.comb(rem, row[-2])
+        while j < row[-2]:
+            binom = binom * (rem - j) // (j + 1)
+            j += 1
+        total += prefix * binom
+    return total
 
 
 def _census(dist: SourceDistribution, n: int, delta: float, kind: str,
-            max_types: int) -> tuple[float, int, bool]:
-    """(mass, exact cardinality, any_excluded) of the typical set."""
-    h = dist.entropy_bits
-    p = dist.probs
-    mass = 0.0
-    card = 0
-    excluded = False
-    for rec in _iter_type_records(dist, n, max_types):
-        if kind == "weak":
-            ok = math.isfinite(rec.log2_seq_prob) and \
-                abs(-rec.log2_seq_prob / n - h) <= delta
-        else:
-            c = np.asarray(rec.counts, dtype=float)
-            ok = math.isfinite(rec.log2_seq_prob) and \
-                bool(np.all(np.abs(c / n - p)[p > 0.0] <= delta))
-        if ok:
-            mass += math.exp(rec.ln_multiplicity + rec.log2_seq_prob * math.log(2.0))
-            card += rec.multiplicity
-        elif math.isfinite(rec.log2_seq_prob):
-            excluded = True  # a mass-bearing type was cut
+            max_types: int) -> tuple[float, int]:
+    """(mass, exact cardinality) of the weak or strong typical set."""
+    mass, excluded, blocks = 0.0, False, 0
+    for counts, log2_prob, ln_mult in _type_blocks(dist, n, max_types):
+        ok = _members(dist, n, delta, kind, counts, log2_prob)
+        excluded = excluded or bool(np.any(np.isfinite(log2_prob) & ~ok))
+        mass += float(np.sum(np.exp(ln_mult[ok] + log2_prob[ok] * math.log(2.0))))
+        members, blocks = counts[ok], blocks + 1
     if not excluded:
-        mass = 1.0  # no mass-bearing type was cut, so the mass is exactly 1
-    return min(mass, 1.0), card, excluded
+        # no type that carries mass was cut: mass 1 and count K_+^n, exactly
+        return 1.0, int(np.count_nonzero(dist.probs)) ** n
+    if blocks == 1:
+        return min(mass, 1.0), _member_count(n, members)
+    # a table of several blocks is read again once a cut is known
+    return min(mass, 1.0), sum(
+        _member_count(n, counts[_members(dist, n, delta, kind, counts, log2_prob)])
+        for counts, log2_prob, _ in _type_blocks(dist, n, max_types))
 
 
 def _clopper_pearson_99(hits: int, n: int) -> tuple[float, float]:
-    lo = 0.0 if hits == 0 else float(stats.beta.ppf(0.005, hits, n - hits + 1))
-    hi = 1.0 if hits == n else float(stats.beta.ppf(0.995, hits + 1, n - hits))
+    lo = 0.0 if hits == 0 else float(betaincinv(hits, n - hits + 1, 0.005))
+    hi = 1.0 if hits == n else float(betaincinv(hits + 1, n - hits, 0.995))
     return lo, hi
 
 
@@ -236,7 +237,7 @@ def weak_typical_mass(dist: SourceDistribution, n: int, delta: float,
     if n < 1 or delta < 0.0:
         raise ValueError("need n >= 1 and delta >= 0")
     if mode == "exact":
-        mass, card, _ = _census(dist, n, delta, "weak", max_types)
+        mass, card = _census(dist, n, delta, "weak", max_types)
         return TypicalReport(n, delta, mass, _log2_bigint(card), "weak",
                              mode="exact", mass_low=mass, mass_high=mass)
     if mode == "mc":
@@ -255,7 +256,7 @@ def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
     if n < 1 or delta < 0.0:
         raise ValueError("need n >= 1 and delta >= 0")
     if mode == "exact":
-        mass, card, _ = _census(dist, n, delta, "strong", max_types)
+        mass, card = _census(dist, n, delta, "strong", max_types)
         return TypicalReport(n, delta, mass, _log2_bigint(card), "strong",
                              mode="exact", mass_low=mass, mass_high=mass)
     if mode == "mc":
@@ -268,8 +269,9 @@ def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
 def weak_typical_census(dist: SourceDistribution, n: int, delta: float,
                         max_types: int = DEFAULT_MAX_TYPES) -> tuple[float, int]:
     """(exact mass, exact integer cardinality) of the weakly typical set."""
-    mass, card, _ = _census(dist, n, delta, "weak", max_types)
-    return mass, card
+    if n < 1 or delta < 0.0:
+        raise ValueError("need n >= 1 and delta >= 0")
+    return _census(dist, n, delta, "weak", max_types)
 
 
 def aep_bounds_check(dist: SourceDistribution, n: int, delta: float,
@@ -288,11 +290,8 @@ def aep_bounds_check(dist: SourceDistribution, n: int, delta: float,
     slack = rtol * max(1.0, n * (h + max(delta, bound_delta)))
     lo = -n * (h + bound_delta) - slack
     hi = -n * (h - bound_delta) + slack
-    for rec in _iter_type_records(dist, n, max_types):
-        if not math.isfinite(rec.log2_seq_prob):
-            continue
-        if abs(-rec.log2_seq_prob / n - h) > delta:
-            continue
-        if not (lo <= rec.log2_seq_prob <= hi):
+    for counts, log2_prob, _ in _type_blocks(dist, n, max_types):
+        typical = log2_prob[_members(dist, n, delta, "weak", counts, log2_prob)]
+        if not np.all((lo <= typical) & (typical <= hi)):
             return False
     return True

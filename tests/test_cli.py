@@ -73,6 +73,16 @@ def test_invariant_violation_exit_code(tmp_path, capsys):
     assert err["error"]["kind"] == "invariant"
 
 
+def test_non_finite_distribution_is_invariant_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json",
+                 {"command": "typicality",
+                  "params": {"dist": [float("nan"), 0.5], "n": 10, "delta": 0.1}})
+    assert main(["--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "invariant"
+
+
 def test_csv_requires_tabular_command(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json",
                  {"command": "entropy",

@@ -1,11 +1,17 @@
 """Typical-set masses: exact type census, Monte Carlo, and rate bounds."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from entcost import typicality
 from entcost import (
+    InvariantViolation,
     SourceDistribution,
     aep_bounds_check,
     is_weakly_typical,
@@ -20,6 +26,13 @@ from entcost import (
 def test_source_distribution_entropy():
     d = SourceDistribution(np.array([0.9, 0.1]))
     assert d.entropy_bits == pytest.approx(0.4689955935892812, abs=1e-13)
+
+
+@pytest.mark.parametrize("probs", [[math.nan, 0.5], [math.inf, 0.0],
+                                   [0.5, 0.5, math.nan]])
+def test_source_distribution_rejects_non_finite(probs):
+    with pytest.raises(InvariantViolation):
+        SourceDistribution(np.array(probs))
 
 
 def test_sequence_rate_and_membership():
@@ -158,3 +171,104 @@ def test_exact_mode_rejects_huge_type_tables():
     d = SourceDistribution(np.full(12, 1.0 / 12.0))
     with pytest.raises(ValueError):
         weak_typical_mass(d, 64, 0.05, max_types=10_000)
+
+
+def _brute_force(p, n, delta, kind):
+    """(mass, member count, AEP verdicts at delta and delta/2) from all K^n
+    sequences; assumes no sequence sits within 1e-9 of a window edge."""
+    seqs = np.array(list(itertools.product(range(p.size), repeat=n)))
+    prob = np.prod(p[seqs], axis=1)
+    feasible = prob > 0.0
+    h = SourceDistribution(p).entropy_bits
+    rate_dev = np.abs(-np.log2(np.where(feasible, prob, 1.0)) / n - h)[feasible]
+    if kind == "weak":
+        dev = rate_dev
+    else:
+        freq = np.stack([np.sum(seqs == s, axis=1) for s in range(p.size)], axis=1) / n
+        dev = np.max(np.abs(freq - p)[:, p > 0.0], axis=1)[feasible]
+    assume(np.all(np.abs(dev - delta) > 1e-9))
+    member = dev <= delta
+    typical = rate_dev[rate_dev <= delta]
+    assume(np.all(np.abs(typical - delta / 2) > 1e-9))
+    return (math.fsum(prob[feasible][member]), int(np.sum(member)),
+            True, bool(np.all(typical <= delta / 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights=st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+                        min_size=1, max_size=4).filter(lambda w: sum(w) > 0.0),
+       n=st.integers(1, 6), delta=st.floats(0.0, 0.6),
+       kind=st.sampled_from(["weak", "strong"]))
+def test_census_matches_brute_force_enumeration(weights, n, delta, kind):
+    # every K^n sequence of a K <= 4 alphabet, zero-probability symbols
+    # included, against the type census: masses to 1e-12, counts exactly
+    p = np.array(weights) / sum(weights)
+    dist = SourceDistribution(p)
+    mass, count, aep, aep_half = _brute_force(p, n, delta, kind)
+    if kind == "weak":
+        got_mass, got_count = weak_typical_census(dist, n, delta)
+        assert got_count == count
+    else:
+        rep = strong_typical_mass(dist, n, delta)
+        got_mass = rep.mass
+        assert rep.log2_cardinality_bound == (math.log2(count) if count else -math.inf)
+    assert got_mass == pytest.approx(mass, abs=1e-12)
+    assert aep_bounds_check(dist, n, delta) == aep
+    assert aep_bounds_check(dist, n, delta, bound_delta=delta / 2) == aep_half
+
+
+def test_census_counts_are_exact_integers_at_large_n():
+    n = 2000
+    mass, count = weak_typical_census(SourceDistribution(np.array([0.5, 0.5])), n, 0.05)
+    assert (mass, count) == (1.0, 2 ** n)
+    # membership is the bare compare of the symbol-by-symbol log2 probability
+    p = np.array([0.8, 0.2])
+    dist = SourceDistribution(p)
+    log2p = np.log2(p)
+    members = [c0 for c0 in range(n + 1)
+               if abs(-(0.0 + c0 * log2p[0] + (n - c0) * log2p[1]) / n
+                      - dist.entropy_bits) <= 0.05]
+    assert len(members) == 100
+    _, count = weak_typical_census(dist, n, 0.05)
+    assert count == sum(math.comb(n, c0) for c0 in members)
+
+
+@pytest.mark.parametrize("probs, n", [([0.5, 0.3, 0.2], 40),
+                                      ([0.4, 0.3, 0.2, 0.1], 20),
+                                      ([0.6, 0.0, 0.4], 30)])
+def test_census_does_not_depend_on_block_size(monkeypatch, probs, n):
+    dist = SourceDistribution(np.array(probs))
+
+    def census():
+        return ([weak_typical_census(dist, n, d) for d in (0.02, 0.1)],
+                [strong_typical_mass(dist, n, d) for d in (0.05, 0.15)],
+                aep_bounds_check(dist, n, 0.1, bound_delta=0.05))
+
+    want = census()
+    monkeypatch.setattr(typicality, "_BLOCK_ROWS", 5)
+    got = census()
+    assert [c for _, c in got[0]] == [c for _, c in want[0]]
+    assert [r.log2_cardinality_bound for r in got[1]] == \
+        [r.log2_cardinality_bound for r in want[1]]
+    assert got[2] == want[2]
+    for g, w in zip([m for m, _ in got[0]] + [r.mass for r in got[1]],
+                    [m for m, _ in want[0]] + [r.mass for r in want[1]]):
+        assert g == pytest.approx(w, abs=1e-14)
+
+
+def test_census_memory_is_bounded_by_blocks():
+    # 658 008 types; their counts matrix alone would take 31.6 MB
+    dist = SourceDistribution(np.full(6, 1.0 / 6.0))
+    n = 35
+    assert type_count(n, 6) == 658_008
+    tracemalloc.start()
+    try:
+        mass, count = weak_typical_census(dist, n, 0.1)
+        # a strong window of 0.02 admits only c_i = 6, which sums to 36 != 35
+        strong = strong_typical_mass(dist, n, 0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (mass, count) == (1.0, 6 ** n)
+    assert strong.mass == 0.0
+    assert peak < 12 * 2 ** 20
