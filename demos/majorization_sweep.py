@@ -31,7 +31,7 @@ def main() -> None:
     print(f"  condition holds  : {report.passed}")
 
     trials = 1000
-    sweep = majorization_sweep(trials, max_dim=6, seed=2026, threads=4)
+    sweep = majorization_sweep(trials, max_dim=6, seed=2026)
     print(f"\nseeded sweep, {trials} random instruments, dims <= 6:")
     print(f"  failures               = {sweep.failures}")
     print(f"  worst margin           = {sweep.min_margin:.3e}")

@@ -26,7 +26,7 @@ Capabilities, by module:
 - ``majorization``: tail-sum dominance checks for product Kraus
   instruments, Schur-Horn frame tests, and randomized sweeps.
 - ``rng``: counter-based splittable random streams so results never depend
-  on thread count.
+  on call order.
 """
 
 from .dilution import (

@@ -3,8 +3,9 @@
 Each subcommand reads a JSON config, runs one computation, and emits a JSON
 summary (or CSV rows plus a JSON sidecar with ``--format csv``).  Artifacts
 are reproducible: given the same config, seed, and version, reruns are
-byte-identical apart from the top-level ``timestamp`` field, regardless of
-``--threads``.
+byte-identical apart from the top-level ``timestamp`` field.  ``--threads``
+(or ``ENTCOST_THREADS``) is still accepted and validated (>= 1) but no longer
+used: every command runs serially, so no output depends on it.
 
 Exit codes: 0 success, 2 invalid config schema, 3 numeric invariant
 violation, 4 I/O failure.  Failures write a machine-readable JSON record to
@@ -17,6 +18,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -66,7 +68,12 @@ class CliFailure(Exception):
 
 
 def _jsonable(obj):
-    """Reduce numpy scalars/arrays and containers to plain JSON types."""
+    """Reduce numpy scalars/arrays and containers to plain JSON types.
+
+    Infinities are results in their own right (the log2 size of an empty
+    typical set is -inf) and travel as the strings "inf" and "-inf".  NaN is
+    never a result: it is left in place for the strict writer to reject.
+    """
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -75,10 +82,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
+    if isinstance(obj, (float, np.floating)):
+        return repr(float(obj)) if math.isinf(obj) else float(obj)
     return obj
 
 
@@ -110,7 +115,7 @@ def _version_string() -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each takes (params, seed, threads) and returns
+# subcommand handlers: each takes (params, seed) and returns
 # (result_dict, csv_header_or_None, csv_rows)
 # ---------------------------------------------------------------------------
 
@@ -120,7 +125,7 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _run_entropy(params, seed, threads):
+def _run_entropy(params, seed):
     spec = spectrum_from_json(_require(params, "spectrum", dict, "entropy"))
     bits = von_neumann_entropy(spec)
     result = {
@@ -131,7 +136,7 @@ def _run_entropy(params, seed, threads):
     return result, None, []
 
 
-def _run_typicality(params, seed, threads):
+def _run_typicality(params, seed):
     probs = _require(params, "dist", list, "typicality")
     n = _require(params, "n", int, "typicality")
     delta = _require(params, "delta", (int, float), "typicality")
@@ -157,7 +162,7 @@ def _run_typicality(params, seed, threads):
     return result, None, []
 
 
-def _run_eof(params, seed, threads):
+def _run_eof(params, seed):
     rho = state_from_json(_require(params, "state", dict, "eof"))
     kwargs = {"seed": seed}
     for key in ("ensemble_size", "restarts", "iterations"):
@@ -186,7 +191,7 @@ def _dilution_input(params, what):
     raise SchemaError(f"{what}: provide 'schmidt' values or an amplitude matrix")
 
 
-def _run_dilute_pure(params, seed, threads):
+def _run_dilute_pure(params, seed):
     schmidt = _dilution_input(params, "dilute-pure")
     delta = float(_require(params, "delta", (int, float), "dilute-pure"))
     n_grid = _require(params, "n_grid", list, "dilute-pure")
@@ -206,7 +211,7 @@ def _run_dilute_pure(params, seed, threads):
     return result, ["n", "ebits", "cbits", "error", "rate"], rows
 
 
-def _run_dilute_mixed(params, seed, threads):
+def _run_dilute_mixed(params, seed):
     ens = ensemble_from_json(_require(params, "ensemble", dict, "dilute-mixed"))
     grid = _require(params, "n_cut_grid", list, "dilute-mixed")
     points = [mixed_dilution_rate(ens, int(n)) for n in grid]
@@ -217,7 +222,7 @@ def _run_dilute_mixed(params, seed, threads):
     return result, ["n_cut", "rate_bound", "wasteful_term", "delta_n"], rows
 
 
-def _run_converse(params, seed, threads):
+def _run_converse(params, seed):
     rho = state_from_json(_require(params, "state", dict, "converse-bound"))
     ham = hamiltonian_from_json(_require(params, "hamiltonian", dict,
                                          "converse-bound"))
@@ -247,11 +252,10 @@ def _run_converse(params, seed, threads):
     return result, header, rows
 
 
-def _run_majorization(params, seed, threads):
+def _run_majorization(params, seed):
     trials = _require(params, "trials", int, "majorization-check")
     max_dim = params.get("max_dim", 4)
-    report = majorization_sweep(int(trials), max_dim=int(max_dim), seed=seed,
-                                threads=threads)
+    report = majorization_sweep(int(trials), max_dim=int(max_dim), seed=seed)
     result = {"trials": report.trials, "failures": report.failures,
               "min_margin": report.min_margin,
               "max_completeness_defect": report.max_completeness_defect,
@@ -264,7 +268,7 @@ def _run_majorization(params, seed, threads):
     return result, None, []
 
 
-def _run_gibbs(params, seed, threads):
+def _run_gibbs(params, seed):
     ham = hamiltonian_from_json(_require(params, "hamiltonian", dict, "gibbs"))
     if ("beta" in params) == ("energy" in params):
         raise SchemaError("gibbs: provide exactly one of 'beta' or 'energy'")
@@ -345,8 +349,8 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         dest="fmt", help="artifact format")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: ENTCOST_THREADS or 1);"
-                             " results do not depend on it")
+                        help="accepted for compatibility and unused; must be"
+                             " >= 1 (default: ENTCOST_THREADS or 1)")
     parser.add_argument("--version", action="version",
                         version=_version_string())
     args = parser.parse_args(argv)
@@ -373,14 +377,18 @@ def main(argv=None) -> int:
 
         threads = args.threads
         if threads is None:
-            threads = int(os.environ.get("ENTCOST_THREADS", "1"))
+            try:
+                threads = int(os.environ.get("ENTCOST_THREADS", "1"))
+            except ValueError:
+                threads = 0  # reported as out of range below
         if threads < 1:
-            raise CliFailure(EXIT_SCHEMA, "schema", "--threads must be >= 1")
+            raise CliFailure(EXIT_SCHEMA, "schema",
+                             "--threads and ENTCOST_THREADS must be integers >= 1")
 
         out_path = args.out or config.get("output_path")
 
         try:
-            result, header, rows = _HANDLERS[command](params, seed, threads)
+            result, header, rows = _HANDLERS[command](params, seed)
         except SchemaError as exc:
             raise CliFailure(EXIT_SCHEMA, "schema", str(exc)) from exc
         except InvariantViolation as exc:
@@ -398,7 +406,12 @@ def main(argv=None) -> int:
                          .isoformat(),
             "result": _jsonable(result),
         }
-        summary_text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        try:
+            summary_text = json.dumps(summary, sort_keys=True, indent=2,
+                                      allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise CliFailure(EXIT_INVARIANT, "invariant",
+                             "the artifact would hold a NaN value") from exc
 
         if args.fmt == "csv":
             if header is None:

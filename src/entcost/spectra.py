@@ -33,7 +33,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Non-increasing sequence of non-negative reals plus declared tail mass.
+    """Non-increasing sequence of finite non-negative reals plus declared tail mass.
 
     ``tail_mass`` records how much weight lives beyond the truncation point,
     so downstream bounds can account for what was cut off.  A ``normalized``
@@ -49,6 +49,8 @@ class Spectrum:
         v = np.asarray(self.values, dtype=float).reshape(-1)
         if v.size == 0:
             raise InvariantViolation("spectrum needs at least one value")
+        if not np.all(np.isfinite(v)) or not math.isfinite(float(self.tail_mass)):
+            raise InvariantViolation("spectrum values and tail mass must be finite")
         if np.any(v < -PSD_ATOL):
             raise InvariantViolation("spectrum values must be non-negative")
         if np.any(v[:-1] - v[1:] < -1e-12):

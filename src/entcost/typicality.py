@@ -4,8 +4,10 @@ Exact masses and cardinalities come from one census of the empirical types
 (compositions of n into K parts), built as integer count matrices in bounded
 blocks.  Every sequence of a type has the same probability, so a set's mass
 is the sum over its types of multinomial(n; c) * prod_i p_i^c_i, taken in log
-space; its cardinality is an exact integer.  A Monte Carlo mode with a 99%
-Clopper-Pearson interval covers type counts too large to enumerate.
+space; its cardinality is an exact integer.  Where the types are too many to
+enumerate, a Monte Carlo mode draws the types of i.i.d. blocks directly
+(multinomial(n, p)), judges them by the same membership rule, and reports a
+99% Clopper-Pearson interval.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .rng import stream
 from .spectra import InvariantViolation
 
 DEFAULT_MAX_TYPES = 2_000_000
-_BLOCK_ROWS = 1 << 15  # census rows per block
+_BLOCK_ROWS = 1 << 15  # rows per block of census types or Monte Carlo draws
 
 
 @dataclass(frozen=True)
@@ -118,31 +120,36 @@ def _prefix_blocks(n: int, width: int) -> Iterator[np.ndarray]:
                                    np.arange(starts.size) - starts])
 
 
+def _log2_prob(dist: SourceDistribution, counts: np.ndarray) -> np.ndarray:
+    """log2 p(x^n) of one sequence per type row, summed symbol by symbol (a
+    matrix product rounds differently and moves types on the window edge);
+    -inf on types that use a zero-probability symbol."""
+    pos = dist.probs > 0.0
+    log2p = np.log2(np.where(pos, dist.probs, 1.0))
+    log2_prob = np.zeros(len(counts))
+    for i in np.flatnonzero(pos):
+        log2_prob += counts[:, i] * log2p[i]
+    log2_prob[np.any(counts[:, ~pos] > 0, axis=1)] = -math.inf
+    return log2_prob
+
+
 def _type_blocks(dist: SourceDistribution, n: int,
                  max_types: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(counts, log2 p(x^n) per sequence, ln multiplicity) per block of types;
-    log2 p is summed symbol by symbol (a matrix product rounds differently and
-    moves types on the window edge) and is -inf on zero-probability types."""
+    """(counts, log2 p(x^n) per sequence, ln multiplicity) per block of types."""
     total = type_count(n, len(dist))
     if total > max_types:
         raise InvariantViolation(
             f"{total} empirical types exceed the exact-mode limit {max_types}; "
             "use Monte Carlo mode")
-    pos = dist.probs > 0.0
-    log2p = np.log2(np.where(pos, dist.probs, 1.0))
     ln_fact = gammaln(np.arange(1.0, n + 2.0))
     for head in _prefix_blocks(n, len(dist) - 1):
         counts = np.column_stack([head, n - head.sum(axis=1)])
-        log2_prob = np.zeros(len(counts))
         # ln n! is shared by every term, so its rounding (1e-12 at n = 2000)
         # scales the mass; math.lgamma keeps perfbench's stored masses to 1e-13
         ln_mult = np.full(len(counts), math.lgamma(n + 1))
-        for i, c in enumerate(counts.T):
-            if pos[i]:
-                log2_prob += c * log2p[i]
+        for c in counts.T:
             ln_mult -= ln_fact[c]
-        log2_prob[np.any(counts[:, ~pos] > 0, axis=1)] = -math.inf
-        yield counts, log2_prob, ln_mult
+        yield counts, _log2_prob(dist, counts), ln_mult
 
 
 def _members(dist: SourceDistribution, n: int, delta: float, kind: str,
@@ -200,27 +207,18 @@ def _clopper_pearson_99(hits: int, n: int) -> tuple[float, float]:
 
 def _mc_mass(dist: SourceDistribution, n: int, delta: float, kind: str,
              samples: int, seed: int) -> tuple[float, float, float]:
+    """Fraction of ``samples`` i.i.d. length-n blocks inside the set, with its
+    99% interval.  A block's type has the law multinomial(n, p), so types are
+    drawn directly and judged by the census's own membership rule; the draws
+    do not depend on the chunk size."""
+    if samples < 1:
+        raise ValueError("Monte Carlo mode needs samples >= 1")
     rng = stream(seed, 0)
-    k = len(dist)
-    p = dist.probs
-    log2p = np.where(p > 0.0, np.log2(np.where(p > 0.0, p, 1.0)), -np.inf)
     hits = 0
-    done = 0
-    chunk = max(1, min(samples, int(2e7) // max(n, 1)))
-    while done < samples:
-        m = min(chunk, samples - done)
-        seqs = rng.choice(k, size=(m, n), p=p)
-        if kind == "weak":
-            rates = -np.sum(log2p[seqs], axis=1) / n
-            ok = np.abs(rates - dist.entropy_bits) <= delta
-        else:
-            counts = np.stack([np.sum(seqs == s, axis=1) for s in range(k)], axis=1)
-            dev = np.abs(counts / n - p[None, :])
-            ok = np.all(dev[:, p > 0.0] <= delta, axis=1)
-            if np.any(p <= 0.0):
-                ok &= np.all(counts[:, p <= 0.0] == 0, axis=1)
-        hits += int(np.sum(ok))
-        done += m
+    for done in range(0, samples, _BLOCK_ROWS):
+        counts = rng.multinomial(n, dist.probs, size=min(_BLOCK_ROWS, samples - done))
+        hits += int(np.count_nonzero(
+            _members(dist, n, delta, kind, counts, _log2_prob(dist, counts))))
     lo, hi = _clopper_pearson_99(hits, samples)
     return hits / samples, lo, hi
 
@@ -232,7 +230,7 @@ def weak_typical_mass(dist: SourceDistribution, n: int, delta: float,
 
     Exact mode enumerates empirical types (guarded by ``max_types``); the
     reported cardinality is then an exact integer count in log2.  Monte
-    Carlo mode samples i.i.d. blocks and reports a 99% confidence interval.
+    Carlo mode samples i.i.d. types and reports a 99% confidence interval.
     """
     if n < 1 or delta < 0.0:
         raise ValueError("need n >= 1 and delta >= 0")

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from entcost import cli
 from entcost.cli import main
 
 RUN = [sys.executable, "-m", "entcost.cli"]
@@ -81,6 +82,54 @@ def test_non_finite_distribution_is_invariant_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["kind"] == "invariant"
+
+
+def test_non_finite_spectrum_is_invariant_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json",
+                 {"command": "entropy",
+                  "params": {"spectrum": {"values": [float("nan")]}}})
+    assert main(["--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "invariant"
+
+
+def test_nan_result_never_reaches_the_artifact(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "von_neumann_entropy", lambda spec: np.float64("nan"))
+    cfg = _write(tmp_path, "c.json",
+                 {"command": "entropy", "params": {"spectrum": {"values": [1.0]}}})
+    out = tmp_path / "a.json"
+    assert main(["--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["kind"], err["exit_code"]) == ("invariant", 3)
+
+
+def test_infinite_result_is_a_string(tmp_path, capsys):
+    # the (0.8, 0.2) window at n = 2 is empty, so its log2 size is -inf
+    cfg = _write(tmp_path, "c.json",
+                 {"command": "typicality",
+                  "params": {"dist": [0.8, 0.2], "n": 2, "delta": 0.05}})
+    assert main(["--config", cfg]) == 0
+    text = capsys.readouterr().out
+    out = json.loads(text, parse_constant=lambda token: pytest.fail(token))
+    assert out["result"]["log2_cardinality_bound"] == "-inf"
+    assert out["result"]["mass"] == 0.0
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_monte_carlo_non_positive_samples_is_schema_error(tmp_path, capsys, samples):
+    cfg = _write(tmp_path, "c.json",
+                 {"command": "typicality",
+                  "params": {"dist": [0.8, 0.2], "n": 10, "delta": 0.1,
+                             "mode": "mc", "samples": samples}})
+    assert main(["--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["kind"], err["exit_code"]) == ("schema", 2)
 
 
 def test_csv_requires_tabular_command(tmp_path, capsys):
@@ -171,6 +220,15 @@ def test_env_thread_default(tmp_path, monkeypatch, capsys):
     assert main(["--config", cfg]) == 0
     monkeypatch.setenv("ENTCOST_THREADS", "0")
     assert main(["--config", cfg]) == 2
+
+
+def test_non_integer_env_threads_is_schema_error(tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path, "c.json",
+                 {"command": "majorization-check", "seed": 3,
+                  "params": {"trials": 2, "max_dim": 3}})
+    monkeypatch.setenv("ENTCOST_THREADS", "two")
+    assert main(["--config", cfg]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "schema"
 
 
 def test_version_runs_as_module():

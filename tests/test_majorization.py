@@ -189,3 +189,8 @@ def test_sweep_zero_failures_and_thread_invariance():
     assert r1 == r4
     assert r1.min_margin >= -1e-10
     assert r1.max_completeness_defect < 1e-10
+
+
+def test_sweep_report_ignores_threads():
+    reports = [majorization_sweep(12, max_dim=3, seed=5, threads=t) for t in (1, 2, 4)]
+    assert reports[0] == reports[1] == reports[2]

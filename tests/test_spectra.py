@@ -1,5 +1,7 @@
 """State containers: ordering, normalization, Schmidt data, partial traces."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,16 @@ def test_spectrum_rejects_increasing_order():
 def test_spectrum_rejects_bad_total():
     with pytest.raises(InvariantViolation):
         Spectrum(np.array([0.6, 0.3]))
+
+
+@pytest.mark.parametrize("values, tail", [([math.nan], 0.0), ([1.0, math.nan], 0.0),
+                                          ([math.inf, 0.0], 0.0), ([0.5, 0.5], math.nan),
+                                          ([0.5], math.inf)])
+def test_spectrum_rejects_non_finite(values, tail):
+    with pytest.raises(InvariantViolation):
+        Spectrum(np.array(values), tail)
+    with pytest.raises(InvariantViolation):
+        Spectrum(np.array(values), tail, normalized=False)
 
 
 def test_spectrum_from_unsorted_and_stripped():

@@ -13,8 +13,10 @@ from entcost import typicality
 from entcost import (
     InvariantViolation,
     SourceDistribution,
+    Spectrum,
     aep_bounds_check,
     is_weakly_typical,
+    pure_dilution,
     sequence_rate_bits,
     strong_typical_mass,
     type_count,
@@ -153,6 +155,69 @@ def test_monte_carlo_strong_agrees():
     exact = strong_typical_mass(d, 30, 0.1).mass
     mc = strong_typical_mass(d, 30, 0.1, mode="mc", samples=60_000, seed=5)
     assert mc.mass_low <= exact <= mc.mass_high
+
+
+@pytest.mark.parametrize("kind", ["weak", "strong"])
+@pytest.mark.parametrize("probs, n", [([0.7, 0.0, 0.3], 60),
+                                      ([0.5, 0.3, 0.0, 0.2], 40),
+                                      ([0.4, 0.3, 0.0, 0.2, 0.1], 25)])
+def test_monte_carlo_types_agree_with_census(kind, probs, n):
+    # K = 2..4 symbols of positive probability plus one of probability zero
+    dist = SourceDistribution(np.array(probs))
+    fn = weak_typical_mass if kind == "weak" else strong_typical_mass
+    exact = fn(dist, n, 0.08).mass
+    samples = 50_000
+    mc = fn(dist, n, 0.08, mode="mc", samples=samples, seed=11)
+    # the variance floor 4/N covers the Poisson regime near mass 0 or 1
+    se = math.sqrt(max(exact * (1.0 - exact), 4.0 / samples) / samples)
+    assert abs(mc.mass - exact) <= 5.0 * se
+    assert mc.mass_low <= exact <= mc.mass_high
+    assert (mc.mode, mc.samples) == ("mc", samples)
+
+
+def test_monte_carlo_does_not_depend_on_chunk_size(monkeypatch):
+    dist = SourceDistribution(np.array([0.5, 0.3, 0.0, 0.2]))
+
+    def reports():
+        return [weak_typical_mass(dist, 200, 0.05, mode="mc", samples=1003, seed=7),
+                strong_typical_mass(dist, 200, 0.05, mode="mc", samples=1003, seed=7)]
+
+    want = reports()
+    monkeypatch.setattr(typicality, "_BLOCK_ROWS", 5)
+    assert reports() == want
+
+
+def test_monte_carlo_same_seed_same_report():
+    dist = SourceDistribution(np.array([0.8, 0.2]))
+    first = weak_typical_mass(dist, 500, 0.05, mode="mc", samples=20_000, seed=21)
+    assert weak_typical_mass(dist, 500, 0.05, mode="mc", samples=20_000, seed=21) == first
+    assert weak_typical_mass(dist, 500, 0.05, mode="mc", samples=20_000, seed=22) != first
+
+
+def test_monte_carlo_memory_does_not_grow_with_n():
+    # drawing whole sequences would hold at least 200 000 x 100 000 symbols
+    # in chunks of 2e7, 160 MB each; types take K integers per sample
+    dist = SourceDistribution(np.array([0.8, 0.2]))
+    tracemalloc.start()
+    try:
+        rep = weak_typical_mass(dist, 100_000, 0.01, mode="mc", samples=200_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.mass_low <= rep.mass <= rep.mass_high
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_monte_carlo_rejects_non_positive_samples(samples):
+    dist = SourceDistribution(np.array([0.8, 0.2]))
+    with pytest.raises(ValueError):
+        weak_typical_mass(dist, 10, 0.1, mode="mc", samples=samples)
+    with pytest.raises(ValueError):
+        strong_typical_mass(dist, 10, 0.1, mode="mc", samples=samples)
+    with pytest.raises(ValueError):
+        pure_dilution(Spectrum(np.array([0.8, 0.2])), 0.1, 10, mode="mc",
+                      samples=samples)
 
 
 def test_aep_bounds_hold_on_window():
