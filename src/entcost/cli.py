@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dilution import converse_bound, mixed_dilution_rate, pure_dilution
+from .dilution import converse_bound, dilution_sweep, mixed_dilution_rate
 from .entropy import entropy_integral_closed_form, tail_sums, von_neumann_entropy
 from .eof import eof_estimate
 from .gibbs import beta_of_energy, gibbs_point, gibbs_state
@@ -197,10 +197,8 @@ def _run_dilute_pure(params, seed):
     n_grid = _require(params, "n_grid", list, "dilute-pure")
     mode = params.get("mode", "exact")
     samples = int(params.get("samples", 100_000))
-    traces = []
-    for n in n_grid:
-        traces.append(pure_dilution(schmidt, delta, int(n), mode=mode,
-                                    samples=samples, seed=seed))
+    traces = dilution_sweep(schmidt, delta, n_grid, mode=mode,
+                            samples=samples, seed=seed)
     rows = [[t.n, t.ebits, t.cbits, t.error, t.rate] for t in traces]
     result = {
         "delta": delta, "mode": mode,

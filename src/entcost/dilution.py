@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .entropy import g_function, von_neumann_entropy
+from .entropy import von_neumann_entropy
 from .eof import eof_surrogate_for_copies
-from .gibbs import DiagonalHamiltonian, max_entropy_at_energy, mean_energy_density
+from .gibbs import DiagonalHamiltonian, _continuity_terms, mean_energy_density
 from .rng import stream
 from .spectra import (
     BipartiteState,
@@ -85,7 +85,7 @@ def pure_dilution(target: PureBipartite | Spectrum, delta: float, n: int,
     exact.  Monte Carlo mode estimates the mass and books the theoretical
     ceil(n(S + delta)) ebits instead.
     """
-    if delta < 0.0 or n < 1:
+    if not delta >= 0.0 or n < 1:
         raise ValueError("need delta >= 0 and n >= 1")
     dist = SourceDistribution(_schmidt_of(target).stripped().values)
     h = dist.entropy_bits
@@ -247,13 +247,8 @@ def converse_bound(rho: BipartiteState, r: float, epsilon: float,
     if not (0.0 < epsilon <= 1.0):
         raise ValueError("epsilon must lie in (0, 1]")
     energy = mean_energy_density(hamiltonian, partial_trace(rho, "A"))
-    eps_prime = math.sqrt(epsilon * (2.0 - epsilon))
-    if energy > 0.0:
-        cont_per_copy = eps_prime * max_entropy_at_energy(hamiltonian,
-                                                          energy / eps_prime)
-    else:
-        cont_per_copy = eps_prime * math.log2(hamiltonian.ground_degeneracy())
-    g_term = g_function(eps_prime)
+    # a state within PSD tolerance can have an A-energy a hair below 0
+    cont_per_copy, g_term = _continuity_terms(hamiltonian, max(0.0, energy), epsilon)
     ef_total, kind = eof_surrogate_for_copies(rho, n, **estimate_kwargs)
     lhs = math.floor(r * n)
     rate_lower = ef_total / n - cont_per_copy - g_term / n

@@ -37,12 +37,15 @@ def g_function(x: float) -> float:
 
     g(x) = (x+1) log2(x+1) - x log2 x, with g(0) = 0.  Monotone increasing
     and concave; grows like log2(x) + log2(e) for large x, so g(x)/x -> 0.
+    Evaluated as (ln(1+x) + x ln(1 + 1/x)) / ln 2, free of cancellation;
+    ln(1 + 1/x) is log1p(1/x) for x >= 1, else ln(1+x) - ln x.
     """
     if x < 0.0:
         raise ValueError(f"g argument {x!r} is negative")
     if x == 0.0:
         return 0.0
-    return float((x + 1.0) * math.log2(x + 1.0) - x * math.log2(x))
+    log_ratio = math.log1p(1.0 / x) if x >= 1.0 else math.log1p(x) - math.log(x)
+    return float((math.log1p(x) + x * log_ratio) / LN2)
 
 
 def von_neumann_entropy(spectrum: Spectrum) -> float:
@@ -75,6 +78,15 @@ def entropy_tail_uncertainty(spectrum: Spectrum, dim_bound: int | None = None) -
     return float(t * math.log2(dim_bound / t)) if t < dim_bound else 0.0
 
 
+def _suffix_sums(values: np.ndarray, tail: float = 0.0) -> np.ndarray:
+    """out[k] = tail + sum(values[k:]), k = 0..len(values), added one term
+    at a time from the end."""
+    out = np.empty(values.size + 1)
+    out[0] = tail
+    out[1:] = values[::-1]
+    return np.add.accumulate(out, out=out)[::-1]
+
+
 @dataclass(frozen=True)
 class TailSumTable:
     """Suffix sums of a spectrum: tails[k] = mass outside the k largest values.
@@ -90,11 +102,7 @@ class TailSumTable:
 
     @classmethod
     def build(cls, spectrum: Spectrum) -> "TailSumTable":
-        v = spectrum.values
-        t = np.empty(v.size + 1)
-        t[-1] = spectrum.tail_mass
-        for k in range(v.size - 1, -1, -1):
-            t[k] = t[k + 1] + v[k]
+        t = _suffix_sums(spectrum.values, spectrum.tail_mass)
         t.setflags(write=False)
         return cls(spectrum, t)
 
@@ -109,20 +117,16 @@ def tail_sum(spectrum: Spectrum, k: int) -> float:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    table = TailSumTable.build(spectrum)
-    if k >= len(spectrum):
-        return float(spectrum.tail_mass)
-    return float(table.tails[k])
+    return float(_suffix_sums(spectrum.values, spectrum.tail_mass)[min(k, len(spectrum))])
 
 
 def tail_sums(spectrum: Spectrum, count: int) -> np.ndarray:
     """First ``count`` suffix sums tails[0..count-1], starting at the total mass."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    table = TailSumTable.build(spectrum)
+    tails = _suffix_sums(spectrum.values, spectrum.tail_mass)[:count]
     out = np.full(count, spectrum.tail_mass)
-    stop = min(count, table.tails.size)
-    out[:stop] = table.tails[:stop]
+    out[:tails.size] = tails
     return out
 
 
@@ -149,16 +153,11 @@ def entropy_integral_closed_form(spectrum: Spectrum) -> float:
     linear part by the 0*log convention.
     """
     sp = _require_finite_normalized(spectrum)
-    v = sp.values
-    L = v.size
     tails = TailSumTable.build(sp).tails
-    q = np.concatenate(([1.0], v, [0.0]))  # q[n] = p_n with the two pads
-    total = 0.0
-    for n in range(L + 1):
-        hi, lo = q[n], q[n + 1]
-        total += n * (hi - lo)
-        if tails[n] > 0.0 and hi > lo:
-            total += tails[n] * math.log(hi / lo)
+    q = np.concatenate(([1.0], sp.values, [0.0]))  # q[n] = p_n with the two pads
+    hi, lo = q[:-1], q[1:]
+    ratio = np.divide(hi, lo, out=np.ones(hi.size), where=(tails > 0.0) & (hi > lo))
+    total = float(np.sum(np.arange(hi.size) * (hi - lo) + tails * np.log(ratio)))
     return (total - 1.0) / LN2
 
 

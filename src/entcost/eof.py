@@ -27,6 +27,7 @@ from .spectra import (
     PureBipartite,
     Spectrum,
     ensemble_average,
+    partial_trace,
     schmidt_decompose,
     state_trace_distance,
     tensor_pure,
@@ -192,19 +193,14 @@ def eof_estimate(rho: BipartiteState, ensemble_size: int | None = None,
         best_val, best_w = val, w
     ens, bound = _ensemble_from(best_w, frame, rho.dim_a, rho.dim_b, rho)
     marg_a = von_neumann_entropy(Spectrum.from_unsorted(
-        np.clip(np.linalg.eigvalsh(_marginal(rho, "A")), 0.0, None)))
+        np.clip(np.linalg.eigvalsh(partial_trace(rho, "A")), 0.0, None)))
     marg_b = von_neumann_entropy(Spectrum.from_unsorted(
-        np.clip(np.linalg.eigvalsh(_marginal(rho, "B")), 0.0, None)))
+        np.clip(np.linalg.eigvalsh(partial_trace(rho, "B")), 0.0, None)))
     if bound > min(marg_a, marg_b) + 1e-8:
         raise InvariantViolation(
             f"upper bound {bound!r} exceeds the marginal-entropy ceiling")
     converged = (pre_polish - best_val) < 1e-9
     return EofEstimate(bound, ens, restarts, bool(converged))
-
-
-def _marginal(rho: BipartiteState, keep: str) -> np.ndarray:
-    from .spectra import partial_trace
-    return partial_trace(rho, keep)
 
 
 def regularized_probe(rho: BipartiteState, n_max: int = 2,

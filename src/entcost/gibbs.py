@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import LN2, g_function
+from .entropy import LN2, _suffix_sums, g_function
 from .spectra import InvariantViolation, Spectrum
 
 ENERGY_RTOL = 1e-10
+_MAX_NEWTON_STEPS = 100
 DEFAULT_BETA_GRID = (0.1, 0.5, 1.0, 2.0)
 
 
@@ -36,6 +37,8 @@ class AffineTail:
     b: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise InvariantViolation("affine tail needs finite a and b")
         if not (self.a > 0.0):
             raise InvariantViolation("affine tail needs slope a > 0 for convergence")
 
@@ -51,6 +54,8 @@ class DiagonalHamiltonian:
         e = np.asarray(self.energies, dtype=float).reshape(-1)
         if e.size == 0:
             raise InvariantViolation("need at least one level")
+        if not np.all(np.isfinite(e)):
+            raise InvariantViolation("energies must be finite")
         if abs(e[0]) > 1e-9:
             raise InvariantViolation(f"ground energy must be 0, got {e[0]!r}")
         e = e - e[0]
@@ -79,22 +84,29 @@ def harmonic_oscillator(levels: int = 64) -> DiagonalHamiltonian:
     return DiagonalHamiltonian(np.arange(levels, dtype=float), AffineTail(1.0, 0.0))
 
 
-def _partition_sums(h: DiagonalHamiltonian, beta: float) -> tuple[float, float]:
-    """(Z, sum of e_n * exp(-beta e_n)) including the tail model exactly."""
+def _partition_sums(h: DiagonalHamiltonian, beta: float) -> tuple[float, float, float]:
+    """(Z, sum e_n w_n, sum e_n^2 w_n), w_n = exp(-beta e_n), with the tail
+    model summed exactly; its 1 - exp(-beta a) is -expm1(-beta a), which
+    does not cancel as beta -> 0."""
     if not (beta > 0.0) or not math.isfinite(beta):
         raise ValueError("beta must be positive and finite")
     e = h.energies
     w = np.exp(-beta * e)
     z = float(np.sum(w))
     num = float(np.sum(e * w))
+    sq = float(np.sum(e * e * w))
     if h.tail is not None:
         a, b = h.tail.a, h.tail.b
-        e_first = a * h.levels + b
+        e0 = a * h.levels + b
+        w0 = math.exp(-beta * e0)
         x = math.exp(-beta * a)
-        w0 = math.exp(-beta * e_first)
-        z += w0 / (1.0 - x)
-        num += w0 * (e_first / (1.0 - x) + a * x / (1.0 - x) ** 2)
-    return z, num
+        q = -math.expm1(-beta * a)
+        # sum_k x^k = 1/q, sum_k k x^k = x/q^2, sum_k k^2 x^k = x(1+x)/q^3
+        m1 = x / q / q
+        z += w0 / q
+        num += w0 * (e0 / q + a * m1)
+        sq += w0 * (e0 * e0 / q + 2.0 * e0 * a * m1 + a * a * m1 * (1.0 + x) / q)
+    return z, num, sq
 
 
 @dataclass(frozen=True)
@@ -116,17 +128,16 @@ def gibbs_state(h: DiagonalHamiltonian, beta: float) -> Spectrum:
     The mass of the (exactly summed) tail levels is reported as the
     spectrum's tail mass, so the result is normalized including its tail.
     """
-    z, _ = _partition_sums(h, beta)
+    z = _partition_sums(h, beta)[0]
     vals = np.exp(-beta * h.energies) / z
     tail_mass = max(0.0, 1.0 - float(np.sum(vals)))
     return Spectrum(vals, tail_mass, normalized=True)
 
 
 def gibbs_point(h: DiagonalHamiltonian, beta: float) -> GibbsPoint:
-    z, num = _partition_sums(h, beta)
+    z, num, _ = _partition_sums(h, beta)
     energy = num / z
-    entropy_bits = (beta * energy + math.log(z)) / LN2
-    return GibbsPoint(beta, energy, entropy_bits)
+    return GibbsPoint(beta, energy, (beta * energy + math.log(z)) / LN2)
 
 
 def max_mean_energy(h: DiagonalHamiltonian) -> float:
@@ -138,55 +149,56 @@ def max_mean_energy(h: DiagonalHamiltonian) -> float:
 
 def beta_of_energy(h: DiagonalHamiltonian, energy: float,
                    rtol: float = ENERGY_RTOL) -> GibbsPoint:
-    """Invert the (strictly decreasing) energy-vs-beta curve by bisection.
+    """Solve <H>_beta = E by Newton's method on f(u) = ln(<H>_beta / E),
+    u = ln beta, f'(u) = -beta Var_beta(H) / <H>_beta.
 
-    The bracket starts at [1e-6, 1e6] and expands geometrically until it
-    straddles the target.  E = 0 returns the beta = inf endpoint with the
-    ground-space entropy.
+    Each evaluation narrows a bracket on u: a step that leaves it bisects,
+    and while a side is open the step is at most 2.  The start is the
+    ladder value ln(1 + e_1/E) / e_1 (e_1 the first excited level), scaled
+    by 1 - E/mean without a tail.  Stops at |<H> - E| <= rtol * E or a
+    step of a few ulps.  E = 0 gives beta = inf and the ground entropy.
     """
-    if energy < 0.0:
-        raise InvariantViolation("mean energy must be non-negative")
+    if not (math.isfinite(energy) and energy >= 0.0):
+        raise InvariantViolation(
+            f"mean energy must be finite and non-negative, got {energy!r}")
     if energy == 0.0:
         return GibbsPoint(math.inf, 0.0, math.log2(h.ground_degeneracy()))
     if energy >= max_mean_energy(h):
         raise InvariantViolation(
             f"energy {energy!r} is not attained by any Gibbs state of this Hamiltonian")
-
-    def mean_energy(beta: float) -> float:
-        z, num = _partition_sums(h, beta)
-        return num / z
-
-    lo, hi = 1e-6, 1e6
-    for _ in range(200):
-        if mean_energy(lo) > energy:
+    excited = h.energies[h.energies > 0.0]
+    gap = float(excited[0]) if excited.size else h.tail.a
+    beta = math.log1p(gap / energy) / gap
+    if h.tail is None:
+        beta *= 1.0 - energy / max_mean_energy(h)
+    u = math.log(beta)
+    lo, hi = -math.inf, math.inf  # f(lo) > 0 > f(hi)
+    for _ in range(_MAX_NEWTON_STEPS):
+        beta = math.exp(u)
+        z, num, sq = _partition_sums(h, beta)
+        mean = num / z
+        if abs(mean - energy) <= rtol * energy:
             break
-        lo *= 0.1
-        if lo < 1e-280:
-            raise InvariantViolation("failed to bracket the target energy from above")
-    for _ in range(200):
-        if mean_energy(hi) < energy:
-            break
-        hi *= 10.0
-        if hi > 1e280:
-            raise InvariantViolation("failed to bracket the target energy from below")
-    tol = rtol * max(1.0, abs(energy))
-    mid = 0.5 * (lo + hi)
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        e_mid = mean_energy(mid)
-        if abs(e_mid - energy) <= tol:
-            break
-        if e_mid > energy:
-            lo = mid
+        if mean <= energy:
+            hi, side = u, -1.0
+        else:  # also an overflowed (inf or nan) mean: beta is too small
+            lo, side = u, 1.0
+        var = sq / z - mean * mean
+        step = ((math.log(mean) - math.log(energy)) * mean / (beta * var)
+                if 0.0 < mean < math.inf and var > 0.0 else math.nan)
+        if math.isinf(lo) or math.isinf(hi):
+            new = u + side * (min(2.0, side * step) if side * step > 0.0 else 2.0)
+        elif lo < u + step < hi:
+            new = u + step
         else:
-            hi = mid
-        if (hi - lo) <= 1e-16 * hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - u) <= 4.0 * math.ulp(u):
             break
-    point = gibbs_point(h, mid)
-    if abs(point.energy - energy) > 10.0 * tol:
+        u = new
+    if not abs(mean - energy) <= 10.0 * rtol * energy:
         raise InvariantViolation(
-            f"bisection stalled: reached energy {point.energy!r} for target {energy!r}")
-    return point
+            f"Gibbs inversion reached energy {mean!r} for target {energy!r}")
+    return GibbsPoint(beta, mean, (beta * mean + math.log(z)) / LN2)
 
 
 def max_entropy_at_energy(h: DiagonalHamiltonian, energy: float) -> float:
@@ -197,8 +209,6 @@ def max_entropy_at_energy(h: DiagonalHamiltonian, energy: float) -> float:
     the constraint goes inactive; with a tail model every energy is
     attained.
     """
-    if energy < 0.0:
-        raise InvariantViolation("mean energy must be non-negative")
     if h.tail is None and energy >= max_mean_energy(h):
         return math.log2(h.levels)
     return beta_of_energy(h, energy).entropy_bits
@@ -256,10 +266,17 @@ def one_sided_continuity_bound(h: DiagonalHamiltonian, energy: float,
         raise ValueError("epsilon must lie in [0, 1]")
     if epsilon == 0.0:
         return 0.0
-    if energy < 0.0:
-        raise InvariantViolation("energy must be non-negative")
+    return sum(_continuity_terms(h, energy, epsilon))
+
+
+def _continuity_terms(h: DiagonalHamiltonian, energy: float,
+                      epsilon: float) -> tuple[float, float]:
+    """The two terms (eps' F(E/eps'), g(eps')) of ``one_sided_continuity_bound``
+    for 0 < epsilon <= 1, eps' = sqrt(eps (2 - eps)); F(0) = log2 of the
+    ground degeneracy."""
     eps_prime = math.sqrt(epsilon * (2.0 - epsilon))
-    return eps_prime * max_entropy_at_energy(h, energy / eps_prime) + g_function(eps_prime)
+    return (eps_prime * max_entropy_at_energy(h, energy / eps_prime),
+            g_function(eps_prime))
 
 
 @dataclass(frozen=True)
@@ -312,20 +329,12 @@ def series_weights(a, c: float = 5.0) -> SeriesWeights:
     total = float(np.sum(arr))
     if total <= 0.0:
         raise InvariantViolation("series must carry positive mass")
-    tails = np.empty(arr.size)
-    acc = 0.0
-    for i in range(arr.size - 1, -1, -1):
-        acc += arr[i]
-        tails[i] = acc
+    tails = _suffix_sums(arr)[:-1]
+    m = int(np.count_nonzero(tails > 0.0))  # the zero tails trail the support
     b = np.empty(arr.size)
-    last = 1.0
-    for i in range(arr.size):
-        if tails[i] > 0.0:
-            last = 1.0 - math.log2(tails[i] / total)
-            b[i] = last
-        else:
-            last = last + 1.0  # past the support: keep the divergence going
-            b[i] = last
+    b[:m] = 1.0 - np.log2(tails[:m] / total)
+    # past the support: keep the divergence going, one per step
+    b[m - 1:] = np.cumsum(np.concatenate(([b[m - 1]], np.ones(arr.size - m))))
     if c < 5.0:
         p = (5.0 - c) / 4.0
         b = p + (1.0 - p) * b
@@ -378,7 +387,7 @@ def gibbs_hypothesis_check(h: DiagonalHamiltonian,
     temperatures were checked.
     """
     for beta in betas:
-        z, num = _partition_sums(h, float(beta))
+        z, num, _ = _partition_sums(h, float(beta))
         if not (math.isfinite(z) and math.isfinite(num)):
             return False
     return True
@@ -393,6 +402,4 @@ def n_copy_gibbs_entropy(h: DiagonalHamiltonian, n: int, energy_per_copy: float)
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if energy_per_copy == 0.0:
-        return n * math.log2(h.ground_degeneracy())
     return n * beta_of_energy(h, energy_per_copy).entropy_bits

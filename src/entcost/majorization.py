@@ -64,11 +64,8 @@ class ProductKrausInstrument:
         outcomes = tuple(self.outcomes) if self.outcomes else tuple(range(len(ls)))
         if len(outcomes) != len(ls):
             raise InvariantViolation("outcome labels must align with the Kraus pairs")
-        acc = np.zeros((da * db, da * db), dtype=complex)
-        for l, m in zip(ls, ms):
-            acc += np.kron(l.conj().T @ l, m.conj().T @ m)
         defect = float(np.max(np.abs(np.linalg.eigvalsh(
-            (acc + acc.conj().T) / 2.0 - np.eye(da * db)))))
+            _completeness_matrix(ls, ms) - np.eye(da * db)))))
         for arr in ls + ms:
             arr.setflags(write=False)
         object.__setattr__(self, "ls", ls)
@@ -96,12 +93,17 @@ class CompletenessOperator:
     operator_norm: float
 
 
-def completeness_operator(inst: ProductKrausInstrument) -> CompletenessOperator:
-    da, db = inst.dim_a, inst.dim_b
-    acc = np.zeros((da * db, da * db), dtype=complex)
-    for l, m in zip(inst.ls, inst.ms):
+def _completeness_matrix(ls, ms) -> np.ndarray:
+    """Hermitian part of sum_k L_k'L_k (x) M_k'M_k."""
+    d = ls[0].shape[1] * ms[0].shape[1]
+    acc = np.zeros((d, d), dtype=complex)
+    for l, m in zip(ls, ms):
         acc += np.kron(l.conj().T @ l, m.conj().T @ m)
-    acc = (acc + acc.conj().T) / 2.0
+    return (acc + acc.conj().T) / 2.0
+
+
+def completeness_operator(inst: ProductKrausInstrument) -> CompletenessOperator:
+    acc = _completeness_matrix(inst.ls, inst.ms)
     norm = float(np.max(np.abs(np.linalg.eigvalsh(acc))))
     return CompletenessOperator(acc, norm)
 
@@ -110,6 +112,12 @@ def spectrum_tail_sums(spec: Spectrum, n_max: int) -> np.ndarray:
     """tail_sum(spec, N) for N = 0..n_max, padding beyond the length with
     the spectrum's tail mass."""
     return tail_sums(spec, n_max + 1)
+
+
+def _weighted_tail_sums(weights: np.ndarray, spectra, n_max: int) -> np.ndarray:
+    """sum_x w_x tail_sum(spectra[x], N) for N = 0..n_max, summed in order."""
+    table = np.array([spectrum_tail_sums(s, n_max) for s in spectra])
+    return np.sum(weights[:, None] * table, axis=0)
 
 
 def schur_horn_check(matrix: np.ndarray, vectors, atol: float = MARGIN_ATOL) -> bool:
@@ -230,10 +238,8 @@ def majorization_condition_check(psi: PureBipartite, ensemble: Ensemble,
         raise InvariantViolation("majorization margins need pure ensemble members")
     n_max = max(psi.dim_a, ensemble.dim_a)
     lhs = spectrum_tail_sums(psi.schmidt, n_max) * r_norm
-    acc = np.zeros(n_max + 1)
-    for w, member in zip(ensemble.weights, ensemble.members):
-        acc += w * spectrum_tail_sums(member.schmidt, n_max)
-    margins = lhs - acc
+    margins = lhs - _weighted_tail_sums(
+        ensemble.weights, [member.schmidt for member in ensemble.members], n_max)
     return MajorizationReport(margins, r_norm, bool(np.min(margins) >= -atol))
 
 
@@ -263,10 +269,7 @@ def tail_dominance_entropy_check(rho_spectrum: Spectrum, weights,
         raise InvariantViolation("weights must be a probability vector")
     n_max = max(len(rho_spectrum), max(len(s) for s in members))
     lhs = spectrum_tail_sums(rho_spectrum, n_max)
-    acc = np.zeros(n_max + 1)
-    for wx, s in zip(w, members):
-        acc += wx * spectrum_tail_sums(s, n_max)
-    min_tail_margin = float(np.min(lhs - acc))
+    min_tail_margin = float(np.min(lhs - _weighted_tail_sums(w, members, n_max)))
     if min_tail_margin < -MARGIN_ATOL:
         return TailDominanceResult(False, False, math.nan, min_tail_margin)
     entropy_margin = von_neumann_entropy(rho_spectrum) - float(

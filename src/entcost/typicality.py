@@ -87,7 +87,7 @@ def sequence_rate_bits(dist: SourceDistribution, x_seq) -> float:
 
 def is_weakly_typical(dist: SourceDistribution, x_seq, delta: float) -> bool:
     """True iff |rate(x^n) - H| <= delta; zero-probability symbols disqualify."""
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ValueError("delta must be non-negative")
     r = sequence_rate_bits(dist, x_seq)
     return math.isfinite(r) and abs(r - dist.entropy_bits) <= delta
@@ -232,7 +232,7 @@ def weak_typical_mass(dist: SourceDistribution, n: int, delta: float,
     reported cardinality is then an exact integer count in log2.  Monte
     Carlo mode samples i.i.d. types and reports a 99% confidence interval.
     """
-    if n < 1 or delta < 0.0:
+    if n < 1 or not delta >= 0.0:
         raise ValueError("need n >= 1 and delta >= 0")
     if mode == "exact":
         mass, card = _census(dist, n, delta, "weak", max_types)
@@ -251,7 +251,7 @@ def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
                         max_types: int = DEFAULT_MAX_TYPES) -> TypicalReport:
     """Mass of the strongly typical set: every empirical frequency within
     delta of its probability, and zero-probability symbols absent."""
-    if n < 1 or delta < 0.0:
+    if n < 1 or not delta >= 0.0:
         raise ValueError("need n >= 1 and delta >= 0")
     if mode == "exact":
         mass, card = _census(dist, n, delta, "strong", max_types)
@@ -267,7 +267,7 @@ def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
 def weak_typical_census(dist: SourceDistribution, n: int, delta: float,
                         max_types: int = DEFAULT_MAX_TYPES) -> tuple[float, int]:
     """(exact mass, exact integer cardinality) of the weakly typical set."""
-    if n < 1 or delta < 0.0:
+    if n < 1 or not delta >= 0.0:
         raise ValueError("need n >= 1 and delta >= 0")
     return _census(dist, n, delta, "weak", max_types)
 

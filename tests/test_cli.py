@@ -1,6 +1,7 @@
 """Command-line interface: schemas, exit codes, artifact reproducibility."""
 
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -181,6 +182,52 @@ def test_gibbs_energy_query(tmp_path, capsys):
     assert main(["--config", cfg]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["result"]["beta"] == pytest.approx(np.log(2.0), rel=1e-7)
+
+
+_LADDER = {"energies": [float(n) for n in range(64)],
+           "tail_model": {"kind": "affine", "a": 1.0, "b": 0.0}}
+
+
+@pytest.mark.parametrize("energy", [1e9, 1e16])
+def test_gibbs_energy_query_at_high_energy(tmp_path, capsys, energy):
+    # the bisection stalled at 1e9 (exit 3) and divided by zero at 1e16
+    cfg = _write(tmp_path, "c.json", {"command": "gibbs",
+                 "params": {"hamiltonian": _LADDER, "energy": energy}})
+    assert main(["--config", cfg]) == 0
+    text = capsys.readouterr().out
+    out = json.loads(text, parse_constant=lambda token: pytest.fail(token))
+    want = math.log1p(1.0 / energy)
+    assert abs(out["result"]["beta"] - want) <= 1e-13 * want
+    assert abs(out["result"]["energy"] - energy) <= 1e-10 * energy
+
+
+@pytest.mark.parametrize("command, params", [
+    ("gibbs", {"hamiltonian": _LADDER, "energy": math.nan}),
+    ("gibbs", {"hamiltonian": {"energies": [0.0, math.nan, 2.0]}, "beta": 1.0}),
+    ("gibbs", {"hamiltonian": {"energies": [0.0, 1.0], "tail_model":
+               {"kind": "affine", "a": 1.0, "b": math.nan}}, "beta": 1.0}),
+])
+def test_non_finite_gibbs_input_is_invariant_error(tmp_path, capsys, command, params):
+    cfg = _write(tmp_path, "c.json", {"command": command, "params": params})
+    assert main(["--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["kind"], err["exit_code"]) == ("invariant", 3)
+
+
+@pytest.mark.parametrize("command, params", [
+    ("typicality", {"dist": [0.8, 0.2], "n": 10, "delta": math.nan}),
+    ("typicality", {"dist": [0.8, 0.2], "n": 10, "delta": math.nan, "kind": "strong"}),
+    ("dilute-pure", {"schmidt": [0.8, 0.2], "delta": math.nan, "n_grid": [10]}),
+])
+def test_nan_delta_is_schema_error(tmp_path, capsys, command, params):
+    cfg = _write(tmp_path, "c.json", {"command": command, "params": params})
+    assert main(["--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["kind"], err["exit_code"]) == ("schema", 2)
 
 
 def test_eof_round_trip_through_cli(tmp_path, capsys):

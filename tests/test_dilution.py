@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entcost import (
+    BipartiteState,
     DiagonalHamiltonian,
     DilutionTrace,
     Ensemble,
@@ -182,6 +183,15 @@ def test_converse_pure_target_uses_exact_surrogate():
     assert rep.surrogate_kind == "pure-exact"
     assert rep.ef_surrogate_bits == pytest.approx(6.0, abs=1e-9)
     assert rep.lhs_ebits == 6
+
+
+def test_converse_energy_below_zero_within_psd_tolerance():
+    # eigenvalue -1e-13 is inside PSD_ATOL, so the A-energy is -1e-13; the
+    # continuity term is taken at E = 0 (eps' * log2 1 = 0)
+    rho = BipartiteState(2, 2, np.diag([1.0 + 1e-13, 0.0, -1e-13, 0.0]).astype(complex))
+    rep = converse_bound(rho, 1.0, 1e-2, harmonic_oscillator(), 1)
+    assert rep.energy == -1e-13
+    assert rep.continuity_term_bits == 0.0
 
 
 def test_converse_rejects_bad_epsilon():

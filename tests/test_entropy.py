@@ -42,6 +42,21 @@ def test_g_function_sublinear_growth():
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
 
+@pytest.mark.parametrize("x", [1e6, 1e9, 1e12, 1e15])
+def test_g_function_does_not_cancel_at_large_argument(x):
+    # g(x) = log2 x + log2 e + 1/(2x ln 2) + O(1/x^2); the difference form
+    # (x+1) log2(x+1) - x log2 x was off by 1.8e-9 at 1e6 and 1.1e-3 at 1e12
+    asymptote = math.log2(x) + math.log2(math.e) + 1.0 / (2.0 * x * math.log(2.0))
+    assert abs(g_function(x) - asymptote) <= 1e-11
+
+
+def test_g_function_small_argument():
+    # g(x) = x (1 - ln x) / ln 2 + O(x^2) as x -> 0
+    for x in (1e-12, 1e-200):
+        want = x * (1.0 - math.log(x)) / math.log(2.0)
+        assert abs(g_function(x) - want) <= 1e-10 * want
+
+
 def test_von_neumann_entropy_examples():
     assert von_neumann_entropy(Spectrum(np.array([1.0]))) == 0.0
     assert von_neumann_entropy(Spectrum(np.array([0.5, 0.5]))) == pytest.approx(
@@ -74,6 +89,17 @@ def test_tail_sum_table_telescopes_exactly():
     assert np.max(np.abs(diffs - s.values)) < 1e-15
     assert table[0] == pytest.approx(1.0, abs=1e-12)
     assert table[-1] == 0.0
+
+
+def test_tail_sum_table_accumulates_one_term_at_a_time():
+    # the table equals a Python loop from the declared tail upward, bit for
+    # bit, with trailing zeros and a tail mass
+    v = np.array([0.4, 0.2, 0.15, 0.1, 0.05, 0.0, 0.0])
+    s = Spectrum(v, 0.1)
+    want = [0.1]
+    for x in v[::-1]:
+        want.append(want[-1] + x)
+    assert TailSumTable.build(s).tails.tolist() == want[::-1]
 
 
 def test_tail_sum_indexing():

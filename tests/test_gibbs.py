@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from entcost import gibbs
 from entcost import (
     AffineTail,
     DiagonalHamiltonian,
@@ -12,6 +13,7 @@ from entcost import (
     Spectrum,
     beta_of_energy,
     binary_entropy,
+    converse_bound,
     g_function,
     gibbs_hypothesis_check,
     gibbs_point,
@@ -23,10 +25,23 @@ from entcost import (
     mean_energy_density,
     n_copy_gibbs_entropy,
     one_sided_continuity_bound,
+    schmidt_decompose,
     series_weights,
     state_mean_energy,
     sublinearity_probe,
 )
+
+
+def _count_partition_sums(monkeypatch) -> list:
+    calls = []
+    inner = gibbs._partition_sums
+
+    def counted(h, beta):
+        calls.append(beta)
+        return inner(h, beta)
+
+    monkeypatch.setattr(gibbs, "_partition_sums", counted)
+    return calls
 
 
 def test_hamiltonian_invariants():
@@ -39,6 +54,17 @@ def test_hamiltonian_invariants():
     # tail starting below the last stored level is inconsistent
     with pytest.raises(InvariantViolation):
         DiagonalHamiltonian(np.array([0.0, 10.0]), AffineTail(1.0, 0.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DiagonalHamiltonian(np.array([0.0, math.nan, 2.0])),
+    lambda: DiagonalHamiltonian(np.array([0.0, 1.0, math.inf])),
+    lambda: AffineTail(1.0, math.nan),
+    lambda: AffineTail(math.inf, 0.0),
+])
+def test_hamiltonian_rejects_non_finite(make):
+    with pytest.raises(InvariantViolation):
+        make()
 
 
 def test_two_level_gibbs_hand_values():
@@ -57,6 +83,59 @@ def test_beta_of_energy_inverts_two_level():
     point = beta_of_energy(h, 1.0 / 3.0)
     assert point.beta == pytest.approx(math.log(2.0), rel=1e-8)
     assert point.energy == pytest.approx(1.0 / 3.0, rel=1e-9)
+
+
+def test_ladder_inversion_over_27_decades(monkeypatch):
+    # e_n = n has beta = ln(1 + 1/E) and F = g(E) in closed form; the old
+    # bisection stalled at E = 1e8, divided by zero at 1e16, and returned
+    # beta = 5e5, F = 0 at E = 1e-12
+    h = harmonic_oscillator()
+    calls = _count_partition_sums(monkeypatch)
+    for energy in np.logspace(-12, 15, 55):
+        energy = float(energy)
+        del calls[:]
+        point = beta_of_energy(h, energy)
+        assert len(calls) <= 15
+        want = math.log1p(1.0 / energy)
+        assert abs(point.beta - want) <= 1e-13 * want
+        g = g_function(energy)
+        assert abs(point.entropy_bits - g) <= 1e-12 * max(1.0, g)
+
+
+def _bounded_spectra():
+    rng = np.random.default_rng(2024)
+    for _ in range(5):
+        yield DiagonalHamiltonian(np.sort(np.concatenate(
+            ([0.0], rng.exponential(rng.uniform(0.1, 10.0), 20)))))
+
+
+def _offset_ladder(offset: float) -> DiagonalHamiltonian:
+    # ground 0, then n + offset for n >= 1, continued exactly
+    return DiagonalHamiltonian(np.concatenate(([0.0], offset + np.arange(1.0, 16.0))),
+                               AffineTail(1.0, offset))
+
+
+def test_inversion_residual_is_relative(monkeypatch):
+    # no closed form here: the mean energy of the returned point must sit
+    # within rtol * E of the target across nine decades, up to the top of a
+    # bounded spectrum
+    calls = _count_partition_sums(monkeypatch)
+    cases = [(h, float(max_mean_energy(h)) * frac) for h in _bounded_spectra()
+             for frac in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-12)]
+    cases += [(_offset_ladder(s), e) for s in (0.3, 2.0, 10.0)
+              for e in (1e-9, 1e-3, 1.0, 1e3, 1e9)]
+    for h, energy in cases:
+        del calls[:]
+        point = beta_of_energy(h, energy, rtol=1e-12)
+        assert len(calls) <= 15
+        assert abs(point.energy - energy) <= 1e-11 * energy
+        assert point.energy == gibbs_point(h, point.beta).energy
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -1e-3])
+def test_beta_of_energy_rejects_invalid_energy(energy):
+    with pytest.raises(InvariantViolation):
+        beta_of_energy(harmonic_oscillator(), energy)
 
 
 def test_beta_of_energy_zero_energy_sentinel():
@@ -134,6 +213,23 @@ def test_continuity_bound_degenerate_ground_at_zero_energy():
     assert at_zero <= one_sided_continuity_bound(h, 1e-12, eps)
 
 
+def test_continuity_bound_rejects_nan_energy():
+    with pytest.raises(InvariantViolation):
+        one_sided_continuity_bound(harmonic_oscillator(), math.nan, 0.01)
+
+
+def test_converse_reports_the_continuity_terms():
+    # one copy: the converse's two correction terms are the two summands of
+    # the continuity bound at the target's marginal energy (1/2 on the ladder)
+    rho = schmidt_decompose(np.eye(2) / np.sqrt(2.0)).to_density()
+    h = harmonic_oscillator()
+    for eps in (1e-1, 1e-4):
+        rep = converse_bound(rho, 1.0, eps, h, 1)
+        assert rep.energy == pytest.approx(0.5, abs=1e-15)
+        assert (rep.continuity_term_bits + rep.g_term_bits
+                == one_sided_continuity_bound(h, rep.energy, eps))
+
+
 def test_continuity_bound_zero_eps_is_zero():
     h = harmonic_oscillator()
     assert one_sided_continuity_bound(h, 1.0, 0.0) == 0.0
@@ -156,6 +252,17 @@ def test_series_weights_smaller_slack_by_mixing():
     assert float(np.sum(a * b)) <= 3.0 * float(np.sum(a)) + 1e-12
     assert np.all(b >= 1.0 - 1e-12)
     assert b[-1] > b[0]
+
+
+def test_series_weights_past_the_support():
+    # trailing zeros carry no suffix mass: the weights keep growing by one
+    # per step from the last supported index
+    a = np.array([0.5, 0.25, 0.25, 0.0, 0.0, 0.0])
+    b = series_weights(a).b
+    assert list(b[:3]) == [1.0, 2.0, 3.0]
+    assert list(b[3:]) == [4.0, 5.0, 6.0]
+    mixed = series_weights(a, c=3.0).b
+    assert np.all(np.diff(mixed[2:]) == 0.5)
 
 
 def test_series_weights_rejects_tiny_slack():

@@ -208,6 +208,21 @@ def test_monte_carlo_memory_does_not_grow_with_n():
     assert peak < 16 * 2 ** 20
 
 
+def test_nan_delta_is_rejected():
+    # a NaN window used to give mass 0.0 (and error 1.0 in dilution)
+    dist = SourceDistribution(np.array([0.8, 0.2]))
+    with pytest.raises(ValueError):
+        is_weakly_typical(dist, [0, 1], math.nan)
+    with pytest.raises(ValueError):
+        weak_typical_mass(dist, 10, math.nan)
+    with pytest.raises(ValueError):
+        strong_typical_mass(dist, 10, math.nan)
+    with pytest.raises(ValueError):
+        weak_typical_census(dist, 10, math.nan)
+    with pytest.raises(ValueError):
+        pure_dilution(Spectrum(np.array([0.8, 0.2])), math.nan, 10)
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_monte_carlo_rejects_non_positive_samples(samples):
     dist = SourceDistribution(np.array([0.8, 0.2]))
