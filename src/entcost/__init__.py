@@ -19,7 +19,8 @@ Capabilities, by module:
   rate bound combining formation estimates with energy-constrained
   continuity.
 - ``eof``: entanglement of formation upper bounds by annealed search over
-  purification isometries, plus a two-copy regularization probe.
+  decompositions, a two-copy regularization probe, and the exact two-qubit
+  value from Wootters' concurrence.
 - ``gibbs``: diagonal Hamiltonians with exact geometric tails, Gibbs
   spectra, max-entropy-at-energy curves, and the one-sided continuity
   bound they induce.
@@ -60,6 +61,7 @@ from .eof import (
     eof_pure,
     eof_surrogate_for_copies,
     regularized_probe,
+    wootters_eof,
 )
 from .gibbs import (
     AffineTail,
@@ -215,4 +217,5 @@ __all__ = [
     "von_neumann_entropy",
     "weak_typical_census",
     "weak_typical_mass",
+    "wootters_eof",
 ]

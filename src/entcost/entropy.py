@@ -131,7 +131,9 @@ def tail_sums(spectrum: Spectrum, count: int) -> np.ndarray:
 
 
 def _require_finite_normalized(spectrum: Spectrum) -> Spectrum:
-    if spectrum.tail_mass > 1e-12:
+    if spectrum.tail_mass > 0.0:
+        # a positive tail puts mass below the smallest stored value, where the
+        # last cell's log(p_L / 0) diverges
         raise InvariantViolation(
             "integral representation needs the full spectrum (tail mass 0)")
     if abs(spectrum.total_mass - 1.0) > 1e-9:

@@ -2,23 +2,23 @@
 
 The formation value of a mixed state is the infimum, over pure-state
 decompositions, of the mean marginal entropy.  Decompositions of a rank-r
-state correspond to isometries mapping the r-dimensional purification
-ancilla into m >= r ensemble slots, so the search space is the isometry
-manifold.  The optimizer below walks it with random two-slot rotations and
-an annealed acceptance rule; every intermediate point is a valid
-decomposition, so the running best is always a certified UPPER bound.
-Nothing here certifies a lower bound.
+state correspond to isometries W from its r-dimensional purification
+ancilla into m >= r slots.  The search holds the member vectors V = W F^T
+(frame F with columns sqrt(w_i) u_i), rotating two rows of V per step, and
+takes each member's entropy from its min(d_A, d_B)-dimensional Gram matrix.
+Each anneal draws its whole table of moves from its own stream up front.
+Every point visited is a valid decomposition, so the running best is a
+certified UPPER bound; only the two-qubit ``wootters_eof`` is exact.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import von_neumann_entropy
+from .entropy import binary_entropy, von_neumann_entropy
 from .rng import stream
 from .spectra import (
     BipartiteState,
@@ -30,12 +30,13 @@ from .spectra import (
     partial_trace,
     schmidt_decompose,
     state_trace_distance,
-    tensor_pure,
     tensor_state,
 )
 
 MAX_RANK = 16
 RECONSTRUCTION_ATOL = 1e-9
+T0, T1 = 0.2, 1e-5  # annealing temperature at the first and last step
+A0, A1 = math.pi / 2.0, 0.05  # rotation-angle scale at the first and last step
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,19 @@ def eof_pure(psi: PureBipartite) -> float:
     return von_neumann_entropy(psi.schmidt)
 
 
+def wootters_eof(rho: BipartiteState) -> float:
+    """Exact two-qubit formation value from the concurrence (Wootters 1998)."""
+    if (rho.dim_a, rho.dim_b) != (2, 2):
+        raise InvariantViolation("the Wootters closed form needs two qubits")
+    f = _spectral_frame(rho)  # rho = f f^dagger
+    tau = f.conj().T @ np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0])) @ f.conj()
+    # lam = sqrt spec(rho Y rho* Y) = singular values of tau, read with no sqrt of noise
+    h = np.block([[np.zeros_like(tau), tau], [tau.conj().T, np.zeros_like(tau)]])
+    lam = np.linalg.eigvalsh(h)[::-1][:len(tau)]
+    c = min(1.0, max(0.0, float(lam[0] - np.sum(lam[1:]))))
+    return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
+
+
 def dilution_rate_upper_bound(ensemble: Ensemble) -> float:
     """Mean marginal entropy sum_x p(x) S(psi_x_A) of a pure decomposition."""
     if not ensemble.all_pure():
@@ -61,83 +75,85 @@ def dilution_rate_upper_bound(ensemble: Ensemble) -> float:
         [von_neumann_entropy(m.schmidt) for m in ensemble.members])))
 
 
-def _entropy_of_amplitudes(c: np.ndarray) -> float:
-    sq = np.linalg.svd(c, compute_uv=False) ** 2
-    sq = sq[sq > 0.0]
-    return float(-np.sum(sq * np.log2(sq))) if sq.size else 0.0
-
-
 class _DecompositionSearch:
-    """Annealed search over m-slot decompositions of a fixed-rank state."""
+    """Annealed search over m slots, each a never-mutated list of amplitudes."""
 
-    def __init__(self, frame: np.ndarray, dim_a: int, dim_b: int, slots: int):
-        self.frame = frame  # (d, r) columns sqrt(w_i) u_i
-        self.dim_a = dim_a
-        self.dim_b = dim_b
-        self.rank = frame.shape[1]
+    def __init__(self, dim_a: int, dim_b: int, slots: int):
         self.slots = slots
+        flat = np.arange(dim_a * dim_b).reshape(dim_a, dim_b)
+        rows = self.small = flat if dim_a <= dim_b else flat.T  # smaller factor first
+        i, j = np.triu_indices(rows.shape[1], 1)
+        # flat positions (a, b, c, d) of each 2 x 2 minor v_a v_b - v_c v_d
+        self.minors = (np.stack((rows[0, i], rows[1, j], rows[0, j], rows[1, i]), 1).tolist()
+                       if len(rows) == 2 else None)
 
-    def member(self, w_row: np.ndarray) -> tuple[float, float]:
-        vec = self.frame @ w_row
-        p = float(np.real(np.vdot(vec, vec)))
-        if p <= 1e-14:
-            return p, 0.0
-        c = vec.reshape(self.dim_a, self.dim_b)
-        return p, _entropy_of_amplitudes(c / math.sqrt(p))
+    def parts(self, members) -> list[float]:
+        """Weight times marginal entropy, p S = sum_i lam_i log2(p / lam_i)."""
+        spectra = [(lam, sum(lam)) for lam in self.gram_spectra(members)]
+        return [sum([x * math.log2(p / x) for x in lam if x > 0.0]) if p > 1e-14 else 0.0
+                for lam, p in spectra]
 
-    def objective_parts(self, w: np.ndarray) -> np.ndarray:
-        parts = np.empty(self.slots)
-        for j in range(self.slots):
-            p, s = self.member(w[j])
-            parts[j] = p * s
-        return parts
+    def gram_spectra(self, members) -> list:
+        """Eigenvalues of each member's min(d_A, d_B)-dimensional Gram matrix."""
+        if self.minors is None:
+            c = np.array(members, dtype=complex)[:, self.small]
+            return np.linalg.eigvalsh(c @ c.conj().transpose(0, 2, 1)).tolist()
+        out = []
+        for vec in members:
+            p = sum([z.real * z.real + z.imag * z.imag for z in vec])
+            det = 0.0  # by Cauchy-Binet: no cancellation as in |c0|^2 |c1|^2 - |<c0, c1>|^2
+            for a, b, c, d in self.minors:
+                z = vec[a] * vec[b] - vec[c] * vec[d]
+                det += z.real * z.real + z.imag * z.imag
+            hi = 0.5 * (p + math.sqrt(max(0.0, p * p - 4.0 * det)))
+            out.append((hi, det / hi if hi > 0.0 else 0.0))
+        return out
 
-    def anneal(self, w0: np.ndarray, iterations: int,
-               rng: np.random.Generator) -> tuple[float, np.ndarray]:
-        w = w0.copy()
-        parts = self.objective_parts(w)
-        current = float(np.sum(parts))
-        best, best_w = current, w.copy()
-        t0, t1 = 0.2, 1e-5
-        a0, a1 = math.pi / 2.0, 0.05
-        for it in range(iterations):
-            frac = it / max(1, iterations - 1)
-            temp = t0 * (t1 / t0) ** frac
-            scale = a0 * (a1 / a0) ** frac
-            j1, j2 = rng.choice(self.slots, size=2, replace=False)
-            theta = rng.normal(0.0, scale)
-            phase = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-            c, s = math.cos(theta), math.sin(theta)
-            r1 = c * w[j1] - s * phase * w[j2]
-            r2 = s * np.conj(phase) * w[j1] + c * w[j2]
-            p1, s1 = self.member(r1)
-            p2, s2 = self.member(r2)
-            delta = (p1 * s1 + p2 * s2) - (parts[j1] + parts[j2])
-            if delta <= 0.0 or rng.random() < math.exp(-delta / temp):
-                w[j1], w[j2] = r1, r2
-                parts[j1], parts[j2] = p1 * s1, p2 * s2
+    def anneal(self, v0: list, iterations: int,
+               rng: np.random.Generator) -> tuple[float, list]:
+        """Anneal from member vectors v0 along one table of moves drawn from rng."""
+        frac = np.arange(iterations) / max(1, iterations - 1)
+        temps = (T0 * (T1 / T0) ** frac).tolist()
+        theta = rng.normal(0.0, A0 * (A1 / A0) ** frac)
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, iterations))
+        first = rng.integers(0, self.slots, iterations)
+        second = (first + rng.integers(1, self.slots, iterations)) % self.slots
+        accept = rng.random(iterations).tolist()
+        # slots (j1, j2) rotate by [[cos, -twist], [conj(twist), cos]]
+        cos, twist = np.cos(theta).tolist(), (np.sin(theta) * phase).tolist()
+        v = list(v0)
+        parts = self.parts(v)
+        current = sum(parts)
+        best, best_v = current, v[:]
+        for j1, j2, c, s, t, u in zip(first.tolist(), second.tolist(), cos, twist,
+                                      temps, accept):
+            sc = s.conjugate()
+            r1 = [c * x - s * y for x, y in zip(v[j1], v[j2])]
+            r2 = [sc * x + c * y for x, y in zip(v[j1], v[j2])]
+            s1, s2 = self.parts((r1, r2))
+            delta = (s1 + s2) - (parts[j1] + parts[j2])
+            if delta <= 0.0 or u < math.exp(-delta / t):
+                v[j1], v[j2] = r1, r2
+                parts[j1], parts[j2] = s1, s2
                 current += delta
                 if current < best - 1e-15:
-                    best, best_w = current, w.copy()
-        return best, best_w
+                    best, best_v = current, v[:]
+        return best, best_v
 
 
 def _spectral_frame(rho: BipartiteState) -> np.ndarray:
     w, u = np.linalg.eigh(rho.matrix)
-    order = np.argsort(w)[::-1]
-    w, u = w[order], u[:, order]
-    keep = w > 1e-12
-    r = int(np.sum(keep))
+    w, u = w[::-1], u[:, ::-1]  # eigh sorts ascending
+    r = int(np.sum(w > 1e-12))
     if r > MAX_RANK:
         raise InvariantViolation(f"rank {r} exceeds the search limit {MAX_RANK}")
     return u[:, :r] * np.sqrt(np.clip(w[:r], 0.0, None))
 
 
-def _ensemble_from(w: np.ndarray, frame: np.ndarray, dim_a: int, dim_b: int,
+def _ensemble_from(v: list, dim_a: int, dim_b: int,
                    rho: BipartiteState) -> tuple[Ensemble, float]:
     weights, members = [], []
-    for j in range(w.shape[0]):
-        vec = frame @ w[j]
+    for vec in map(np.asarray, v):
         p = float(np.real(np.vdot(vec, vec)))
         if p <= 1e-12:
             continue
@@ -157,11 +173,10 @@ def eof_estimate(rho: BipartiteState, ensemble_size: int | None = None,
                  seed: int = 0) -> EofEstimate:
     """Upper-bound the formation cost of a mixed bipartite state.
 
-    Runs ``restarts`` independent annealed searches (one stream per restart,
-    reduced by minimum, so results are reproducible at any parallelism) plus
-    a deterministic start at the spectral decomposition itself.  The result
-    is always an upper bound; ``converged`` reports whether the final
-    quarter of the best run still improved.
+    Anneals from ``restarts`` random isometries (restart rs on ``stream(seed,
+    rs)``), keeps the best of them and the spectral decomposition, and polishes
+    it with one more anneal on ``stream(seed, restarts)``.  ``converged``
+    reports that the polish improved the bound by less than 1e-9.
     """
     frame = _spectral_frame(rho)
     r = frame.shape[1]
@@ -175,31 +190,26 @@ def eof_estimate(rho: BipartiteState, ensemble_size: int | None = None,
         ens = Ensemble(np.array([1.0]), (member,))
         return EofEstimate(eof_pure(member), ens, 0, True)
 
-    search = _DecompositionSearch(frame, rho.dim_a, rho.dim_b, m)
-    canonical = np.eye(m, r, dtype=complex)
-    best_val = float(np.sum(search.objective_parts(canonical)))
-    best_w = canonical
+    search = _DecompositionSearch(rho.dim_a, rho.dim_b, m)
+    best_v = (np.eye(m, r) @ frame.T).tolist()  # the spectral decomposition
+    best_val = sum(search.parts(best_v))
     for rs in range(restarts):
         rng = stream(seed, rs)
-        g = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-        q, _ = np.linalg.qr(g)
-        val, w = search.anneal(q, iterations, rng)
+        q = np.linalg.qr(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))[0]
+        val, v = search.anneal((q @ frame.T).tolist(), iterations, rng)
         if val < best_val:
-            best_val, best_w = val, w
+            best_val, best_v = val, v
     # polish the winner with a second pass; a flat polish signals convergence
-    pre_polish = best_val
-    val, w = search.anneal(best_w, iterations, stream(seed, restarts))
+    val, v = search.anneal(best_v, iterations, stream(seed, restarts))
+    converged = best_val - val < 1e-9
     if val < best_val:
-        best_val, best_w = val, w
-    ens, bound = _ensemble_from(best_w, frame, rho.dim_a, rho.dim_b, rho)
-    marg_a = von_neumann_entropy(Spectrum.from_unsorted(
-        np.clip(np.linalg.eigvalsh(partial_trace(rho, "A")), 0.0, None)))
-    marg_b = von_neumann_entropy(Spectrum.from_unsorted(
-        np.clip(np.linalg.eigvalsh(partial_trace(rho, "B")), 0.0, None)))
-    if bound > min(marg_a, marg_b) + 1e-8:
+        best_v = v
+    ens, bound = _ensemble_from(best_v, rho.dim_a, rho.dim_b, rho)
+    ceiling = min(von_neumann_entropy(Spectrum.from_unsorted(np.clip(
+        np.linalg.eigvalsh(partial_trace(rho, side)), 0.0, None))) for side in "AB")
+    if bound > ceiling + 1e-8:
         raise InvariantViolation(
             f"upper bound {bound!r} exceeds the marginal-entropy ceiling")
-    converged = (pre_polish - best_val) < 1e-9
     return EofEstimate(bound, ens, restarts, bool(converged))
 
 
@@ -207,27 +217,17 @@ def regularized_probe(rho: BipartiteState, n_max: int = 2,
                       **estimate_kwargs) -> list[float]:
     """Per-copy formation upper bounds for 1..n_max copies (n_max <= 2).
 
-    The two-copy search is seeded with the tensor square of the one-copy
-    winner, whose mean marginal entropy is exactly twice the one-copy bound,
-    so the per-copy sequence can never increase.
+    The tensor square of the one-copy decomposition certifies exactly twice
+    the one-copy bound for two copies, so the two-copy entry is the smaller
+    of that and the direct two-copy search, and the sequence never increases.
     """
     if n_max < 1 or n_max > 2:
         raise ValueError("only 1 or 2 copies are representable here")
-    one = eof_estimate(rho, **estimate_kwargs)
-    bounds = [one.upper_bound_bits]
-    if n_max == 2:
-        two = eof_estimate(tensor_state(rho, rho), **estimate_kwargs)
-        if two.upper_bound_bits < 2.0 * one.upper_bound_bits:
-            bounds.append(two.upper_bound_bits / 2.0)
-        else:
-            # fall back to the product of the one-copy decomposition
-            w1 = one.decomposition.weights
-            m1 = one.decomposition.members
-            ww = np.outer(w1, w1).reshape(-1)
-            mm = tuple(tensor_pure(x, y) for x in m1 for y in m1)
-            prod = Ensemble(ww / np.sum(ww), mm)
-            bounds.append(dilution_rate_upper_bound(prod) / 2.0)
-    return bounds
+    one = eof_estimate(rho, **estimate_kwargs).upper_bound_bits
+    if n_max == 1:
+        return [one]
+    two = eof_estimate(tensor_state(rho, rho), **estimate_kwargs).upper_bound_bits
+    return [one, min(two / 2.0, one)]
 
 
 def eof_surrogate_for_copies(rho: BipartiteState, n: int,

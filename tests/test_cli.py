@@ -95,6 +95,17 @@ def test_non_finite_spectrum_is_invariant_error(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["kind"] == "invariant"
 
 
+def test_spectrum_with_positive_tail_is_invariant_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json",
+                 {"command": "entropy",
+                  "params": {"spectrum": {"values": [0.6, 0.4], "tail_mass": 1e-13}}})
+    assert main(["--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["kind"], err["exit_code"]) == ("invariant", 3)
+
+
 def test_nan_result_never_reaches_the_artifact(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "von_neumann_entropy", lambda spec: np.float64("nan"))
     cfg = _write(tmp_path, "c.json",

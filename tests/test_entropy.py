@@ -166,6 +166,14 @@ def test_integral_requires_normalized_no_tail():
             Spectrum(np.array([0.6, 0.3]), tail_mass=0.1))
 
 
+@pytest.mark.parametrize("integral", [entropy_integral_closed_form,
+                                      entropy_integral_quadrature])
+def test_integral_rejects_any_positive_tail(integral):
+    # within the total-mass tolerance, yet log(p_L / 0) would diverge
+    with pytest.raises(InvariantViolation):
+        integral(Spectrum(np.array([0.6, 0.4]), tail_mass=1e-13))
+
+
 def test_pointwise_min_convention():
     # at mu = 1 the k = 0 term (total mass) must win: min is tails[0] = 1,
     # pinning the 0-indexed convention of the representation
