@@ -96,6 +96,17 @@ def _require(params: dict, key: str, types, what: str):
     return value
 
 
+def _optional_int(params: dict, key: str, default: int, what: str) -> int:
+    return _require(params, key, int, what) if key in params else default
+
+
+def _int_list(params: dict, key: str, what: str) -> list:
+    values = _require(params, key, list, what)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise SchemaError(f"{what}: every entry of '{key}' must be an integer")
+    return values
+
+
 @functools.cache
 def _git_hash() -> str:
     try:
@@ -142,14 +153,14 @@ def _run_typicality(params, seed):
     delta = _require(params, "delta", (int, float), "typicality")
     kind = params.get("kind", "weak")
     mode = params.get("mode", "exact")
-    samples = params.get("samples", 100_000)
+    samples = _optional_int(params, "samples", 100_000, "typicality")
     if kind not in ("weak", "strong"):
         raise SchemaError("typicality: 'kind' must be 'weak' or 'strong'")
     if mode not in ("exact", "mc"):
         raise SchemaError("typicality: 'mode' must be 'exact' or 'mc'")
     dist = SourceDistribution(np.asarray(probs, dtype=float))
     fn = weak_typical_mass if kind == "weak" else strong_typical_mass
-    report = fn(dist, n, float(delta), mode=mode, samples=int(samples), seed=seed)
+    report = fn(dist, n, float(delta), mode=mode, samples=samples, seed=seed)
     result = {
         "n": report.n, "delta": report.delta, "kind": report.kind,
         "mode": report.mode, "mass": report.mass,
@@ -194,9 +205,9 @@ def _dilution_input(params, what):
 def _run_dilute_pure(params, seed):
     schmidt = _dilution_input(params, "dilute-pure")
     delta = float(_require(params, "delta", (int, float), "dilute-pure"))
-    n_grid = _require(params, "n_grid", list, "dilute-pure")
+    n_grid = _int_list(params, "n_grid", "dilute-pure")
     mode = params.get("mode", "exact")
-    samples = int(params.get("samples", 100_000))
+    samples = _optional_int(params, "samples", 100_000, "dilute-pure")
     traces = dilution_sweep(schmidt, delta, n_grid, mode=mode,
                             samples=samples, seed=seed)
     rows = [[t.n, t.ebits, t.cbits, t.error, t.rate] for t in traces]
@@ -211,8 +222,8 @@ def _run_dilute_pure(params, seed):
 
 def _run_dilute_mixed(params, seed):
     ens = ensemble_from_json(_require(params, "ensemble", dict, "dilute-mixed"))
-    grid = _require(params, "n_cut_grid", list, "dilute-mixed")
-    points = [mixed_dilution_rate(ens, int(n)) for n in grid]
+    grid = _int_list(params, "n_cut_grid", "dilute-mixed")
+    points = [mixed_dilution_rate(ens, n) for n in grid]
     rows = [[p.n_cut, p.rate_bound, p.wasteful_term, p.delta_n] for p in points]
     result = {"points": [{"n_cut": p.n_cut, "rate_bound": p.rate_bound,
                           "wasteful_term": p.wasteful_term,
@@ -252,8 +263,8 @@ def _run_converse(params, seed):
 
 def _run_majorization(params, seed):
     trials = _require(params, "trials", int, "majorization-check")
-    max_dim = params.get("max_dim", 4)
-    report = majorization_sweep(int(trials), max_dim=int(max_dim), seed=seed)
+    max_dim = _optional_int(params, "max_dim", 4, "majorization-check")
+    report = majorization_sweep(trials, max_dim=max_dim, seed=seed)
     result = {"trials": report.trials, "failures": report.failures,
               "min_margin": report.min_margin,
               "max_completeness_defect": report.max_completeness_defect,
@@ -279,8 +290,10 @@ def _run_gibbs(params, seed):
     if not np.isfinite(point.beta):
         raise SchemaError("gibbs: the requested point sits at beta = inf; "
                           "query a positive energy instead")
+    head = _optional_int(params, "spectrum_head", 8, "gibbs")
+    if head < 0:
+        raise SchemaError("gibbs: 'spectrum_head' must be >= 0")
     spec = gibbs_state(ham, point.beta)
-    head = min(len(spec), int(params.get("spectrum_head", 8)))
     result = {"beta": point.beta, "energy": point.energy,
               "entropy_bits": point.entropy_bits,
               "spectrum_head": list(spec.values[:head]),

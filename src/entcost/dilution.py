@@ -85,30 +85,42 @@ def pure_dilution(target: PureBipartite | Spectrum, delta: float, n: int,
     exact.  Monte Carlo mode estimates the mass and books the theoretical
     ceil(n(S + delta)) ebits instead.
     """
-    if not delta >= 0.0 or n < 1:
-        raise ValueError("need delta >= 0 and n >= 1")
-    dist = SourceDistribution(_schmidt_of(target).stripped().values)
-    h = dist.entropy_bits
-    cap = math.ceil(n * (h + delta)) if h + delta > 0.0 else 0
-    if mode == "exact":
-        mass, count = weak_typical_census(dist, n, delta, max_types)
-        ebits = min((count - 1).bit_length(), cap) if count > 0 else 0
-        error = 0.0 if mass >= 1.0 else math.sqrt(max(0.0, 1.0 - mass))
-        kind = "exact"
-    elif mode == "mc":
-        report = weak_typical_mass(dist, n, delta, mode="mc",
-                                   samples=samples, seed=seed)
-        ebits = cap
-        error = math.sqrt(max(0.0, 1.0 - report.mass))
-        kind = "mc-estimate"
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return DilutionTrace(n, ebits, 2 * ebits, min(1.0, error), ebits / n, kind)
+    return _dilute(target, delta, [n], mode, samples, seed, max_types)[0]
 
 
 def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
                    **kwargs) -> list[DilutionTrace]:
-    return [pure_dilution(target, delta, int(n), **kwargs) for n in n_grid]
+    return _dilute(target, delta, [int(n) for n in n_grid], **kwargs)
+
+
+def _dilute(target: PureBipartite | Spectrum, delta: float, ns,
+            mode: str = "exact", samples: int = 100_000, seed: int = 0,
+            max_types: int = DEFAULT_MAX_TYPES) -> list[DilutionTrace]:
+    """Dilution traces at each block length in ``ns``; the source
+    distribution of the target is built once for all of them."""
+    if not delta >= 0.0 or any(n < 1 for n in ns):
+        raise ValueError("need delta >= 0 and n >= 1")
+    dist = SourceDistribution(_schmidt_of(target).stripped().values)
+    h = dist.entropy_bits
+    traces = []
+    for n in ns:
+        cap = math.ceil(n * (h + delta)) if h + delta > 0.0 else 0
+        if mode == "exact":
+            mass, count = weak_typical_census(dist, n, delta, max_types)
+            ebits = min((count - 1).bit_length(), cap) if count > 0 else 0
+            error = 0.0 if mass >= 1.0 else math.sqrt(max(0.0, 1.0 - mass))
+            kind = "exact"
+        elif mode == "mc":
+            report = weak_typical_mass(dist, n, delta, mode="mc",
+                                       samples=samples, seed=seed)
+            ebits = cap
+            error = math.sqrt(max(0.0, 1.0 - report.mass))
+            kind = "mc-estimate"
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+        traces.append(DilutionTrace(n, ebits, 2 * ebits, min(1.0, error),
+                                    ebits / n, kind))
+    return traces
 
 
 @dataclass(frozen=True)

@@ -40,34 +40,37 @@ OUTCOME_PROB_FLOOR = 1e-15
 class ProductKrausInstrument:
     """Finite family of product Kraus pairs (L_k, M_k) with outcome labels.
 
+    ``ls`` and ``ms`` are read-only stacks of shape (k, r_A, d_A) and
+    (k, r_B, d_B): all L_k share one shape and all M_k share one shape.
     ``outcomes[k]`` names the measurement record branch k feeds into
     (coarse-graining); the finest graining gives every branch its own
     outcome.  ``completeness_defect`` is the operator-norm distance of
     sum_k L_k'L_k (x) M_k'M_k from the identity.
     """
 
-    ls: tuple
-    ms: tuple
+    ls: np.ndarray
+    ms: np.ndarray
     outcomes: tuple
     completeness_defect: float = math.nan
 
     def __post_init__(self) -> None:
-        ls = tuple(np.asarray(l, dtype=complex) for l in self.ls)
-        ms = tuple(np.asarray(m, dtype=complex) for m in self.ms)
-        if not ls or len(ls) != len(ms):
+        try:
+            ls = np.array(self.ls, dtype=complex)
+            ms = np.array(self.ms, dtype=complex)
+        except ValueError as exc:
+            raise InvariantViolation("Kraus operators have inconsistent shapes") from exc
+        if ls.ndim != 3 or ms.ndim != 3:
+            raise InvariantViolation("Kraus operators have inconsistent shapes")
+        if len(ls) == 0 or len(ls) != len(ms):
             raise InvariantViolation("need equally many L and M operators")
-        da = ls[0].shape[1]
-        db = ms[0].shape[1]
-        for l, m in zip(ls, ms):
-            if l.ndim != 2 or m.ndim != 2 or l.shape[1] != da or m.shape[1] != db:
-                raise InvariantViolation("Kraus operators have inconsistent shapes")
         outcomes = tuple(self.outcomes) if self.outcomes else tuple(range(len(ls)))
         if len(outcomes) != len(ls):
             raise InvariantViolation("outcome labels must align with the Kraus pairs")
+        d = ls.shape[2] * ms.shape[2]
         defect = float(np.max(np.abs(np.linalg.eigvalsh(
-            _completeness_matrix(ls, ms) - np.eye(da * db)))))
-        for arr in ls + ms:
-            arr.setflags(write=False)
+            _completeness_matrix(ls, ms) - np.eye(d)))))
+        ls.setflags(write=False)
+        ms.setflags(write=False)
         object.__setattr__(self, "ls", ls)
         object.__setattr__(self, "ms", ms)
         object.__setattr__(self, "outcomes", outcomes)
@@ -75,11 +78,11 @@ class ProductKrausInstrument:
 
     @property
     def dim_a(self) -> int:
-        return int(self.ls[0].shape[1])
+        return int(self.ls.shape[2])
 
     @property
     def dim_b(self) -> int:
-        return int(self.ms[0].shape[1])
+        return int(self.ms.shape[2])
 
     def is_channel(self, atol: float = COMPLETENESS_ATOL) -> bool:
         return self.completeness_defect <= atol
@@ -93,12 +96,12 @@ class CompletenessOperator:
     operator_norm: float
 
 
-def _completeness_matrix(ls, ms) -> np.ndarray:
-    """Hermitian part of sum_k L_k'L_k (x) M_k'M_k."""
-    d = ls[0].shape[1] * ms[0].shape[1]
-    acc = np.zeros((d, d), dtype=complex)
-    for l, m in zip(ls, ms):
-        acc += np.kron(l.conj().T @ l, m.conj().T @ m)
+def _completeness_matrix(ls: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """Hermitian part of sum_k L_k'L_k (x) M_k'M_k for stacked L_k and M_k."""
+    a = ls.conj().transpose(0, 2, 1) @ ls
+    b = ms.conj().transpose(0, 2, 1) @ ms
+    d = a.shape[1] * b.shape[1]
+    acc = np.einsum("kij,kab->iajb", a, b).reshape(d, d)
     return (acc + acc.conj().T) / 2.0
 
 
@@ -181,34 +184,29 @@ def apply_instrument(inst: ProductKrausInstrument, psi: PureBipartite) -> Ensemb
     if not inst.is_channel():
         raise InvariantViolation(
             f"completeness defect {inst.completeness_defect!r} exceeds tolerance")
-    c = psi.amplitudes
-    by_outcome: dict = {}
-    for l, m, x in zip(inst.ls, inst.ms, inst.outcomes):
-        by_outcome.setdefault(x, []).append(l @ c @ m.T)
+    branches = inst.ls @ psi.amplitudes @ inst.ms.transpose(0, 2, 1)
+    shape = branches.shape[1:]
+    vecs = branches.reshape(len(branches), -1)
+    norms2 = np.linalg.norm(vecs, axis=1) ** 2
+    keys = sorted(set(inst.outcomes))
+    labels = np.array([keys.index(x) for x in inst.outcomes])
     weights = []
     members = []
     dropped = 0
-    for x in sorted(by_outcome):
-        branches = by_outcome[x]
-        p = float(sum(np.linalg.norm(br) ** 2 for br in branches))
+    for i in range(len(keys)):
+        mask = labels == i
+        p = float(np.sum(norms2[mask]))
         if p <= OUTCOME_PROB_FLOOR:
             dropped += 1
             continue
-        vecs = [br.reshape(-1) for br in branches]
-        principal = max(vecs, key=lambda v: np.linalg.norm(v))
-        pn2 = float(np.linalg.norm(principal) ** 2)
-        pure = all(
-            abs(np.vdot(principal, v)) ** 2 >= (1.0 - 1e-10) * pn2 * np.linalg.norm(v) ** 2
-            for v in vecs)
-        if pure:
-            da, db = branches[0].shape
-            members.append(schmidt_decompose(principal.reshape(da, db)))
+        group = vecs[mask]
+        n2 = norms2[mask]
+        top = int(np.argmax(n2))
+        overlaps = np.abs(group @ group[top].conj()) ** 2
+        if np.all(overlaps >= (1.0 - 1e-10) * n2[top] * n2):
+            members.append(schmidt_decompose(group[top].reshape(shape)))
         else:
-            d = vecs[0].size
-            rho = np.zeros((d, d), dtype=complex)
-            for v in vecs:
-                rho += np.outer(v, v.conj())
-            members.append(BipartiteState(inst.dim_a, inst.dim_b, rho / p))
+            members.append(BipartiteState(*shape, group.T @ group.conj() / p))
         weights.append(p)
     if dropped:
         logger.info("dropped %d probability-zero outcomes", dropped)
@@ -297,12 +295,11 @@ def _inverse_sqrt_psd(m: np.ndarray) -> np.ndarray:
 
 
 def _random_local_instrument(rng: np.random.Generator, dim: int,
-                             branches: int) -> list[np.ndarray]:
-    gs = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-          for _ in range(branches)]
-    total = sum(g.conj().T @ g for g in gs)
-    corr = _inverse_sqrt_psd(total)
-    return [g @ corr for g in gs]
+                             branches: int) -> np.ndarray:
+    z = rng.standard_normal((branches, 2, dim, dim))
+    gs = z[:, 0] + 1j * z[:, 1]
+    corr = _inverse_sqrt_psd(np.sum(gs.conj().transpose(0, 2, 1) @ gs, axis=0))
+    return gs @ corr
 
 
 def random_product_instrument(rng: np.random.Generator, dim_a: int, dim_b: int,
@@ -317,19 +314,14 @@ def random_product_instrument(rng: np.random.Generator, dim_a: int, dim_b: int,
     complete since each conditional block sums to the identity on B.
     """
     ls_local = _random_local_instrument(rng, dim_a, branches_a)
-    ls, ms = [], []
     if conditioned:
-        for l in ls_local:
-            for m in _random_local_instrument(rng, dim_b, branches_b):
-                ls.append(l)
-                ms.append(m)
+        ms = np.concatenate([_random_local_instrument(rng, dim_b, branches_b)
+                             for _ in range(branches_a)])
     else:
-        ms_local = _random_local_instrument(rng, dim_b, branches_b)
-        for l in ls_local:
-            for m in ms_local:
-                ls.append(l)
-                ms.append(m)
-    return ProductKrausInstrument(tuple(ls), tuple(ms), tuple(range(len(ls))))
+        ms = np.tile(_random_local_instrument(rng, dim_b, branches_b),
+                     (branches_a, 1, 1))
+    ls = np.repeat(ls_local, branches_b, axis=0)
+    return ProductKrausInstrument(ls, ms, tuple(range(len(ls))))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ PSD_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 NORMALIZED_ATOL = 1e-12
 WEIGHT_ATOL = 1e-10
-RECONSTRUCTION_ATOL = 1e-10
 
 
 class InvariantViolation(ValueError):
@@ -112,7 +111,6 @@ class BipartiteState:
         if self.dim_a < 1 or self.dim_b < 1:
             raise InvariantViolation("dimensions must be positive")
         m = _check_square(self.matrix, d, "state matrix")
-        herm_defect = np.max(np.abs(m - m.conj().T)) if d > 1 else abs(m[0, 0].imag)
         m = (m + m.conj().T) / 2.0
         eig = np.linalg.eigvalsh(m)
         if eig[0] < -PSD_ATOL:
@@ -121,7 +119,6 @@ class BipartiteState:
         if abs(tr - 1.0) > TRACE_ATOL:
             raise InvariantViolation(f"state trace is {tr!r}")
         object.__setattr__(self, "matrix", _readonly(m))
-        object.__setattr__(self, "_herm_defect", float(herm_defect))
 
     @property
     def dim(self) -> int:
@@ -137,12 +134,13 @@ class PureBipartite:
     """Pure bipartite state stored as its amplitude matrix.
 
     ``amplitudes[i, j]`` is the coefficient of |i>_A |j>_B; the Frobenius
-    norm must be 1.  ``schmidt`` caches the squared singular values of the
-    amplitude matrix, sorted non-increasing.
+    norm must be 1 within 1e-9.  ``schmidt`` is derived on construction from
+    one SVD: the squared singular values of the amplitude matrix, sorted
+    non-increasing and normalized to sum 1.
     """
 
     amplitudes: np.ndarray
-    schmidt: Spectrum
+    schmidt: Spectrum = field(init=False)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.amplitudes, dtype=complex)
@@ -151,16 +149,9 @@ class PureBipartite:
         norm = float(np.linalg.norm(c))
         if abs(norm - 1.0) > 1e-9:
             raise InvariantViolation(f"amplitude matrix has norm {norm!r}")
-        sv = np.linalg.svd(c, compute_uv=False)
-        sq = np.clip(sv, 0.0, None) ** 2
-        pad = max(len(self.schmidt), sq.size)
-        a = np.zeros(pad)
-        a[:sq.size] = sq
-        b = np.zeros(pad)
-        b[:len(self.schmidt)] = self.schmidt.values
-        if np.max(np.abs(a - b)) > RECONSTRUCTION_ATOL:
-            raise InvariantViolation("schmidt spectrum does not match amplitudes")
+        sq = np.clip(np.linalg.svd(c, compute_uv=False), 0.0, None) ** 2
         object.__setattr__(self, "amplitudes", _readonly(c))
+        object.__setattr__(self, "schmidt", Spectrum(sq / np.sum(sq), 0.0, normalized=True))
 
     @property
     def dim_a(self) -> int:
@@ -198,11 +189,7 @@ def schmidt_decompose(amplitudes) -> PureBipartite:
     norm = float(np.linalg.norm(c))
     if norm <= 0.0 or not math.isfinite(norm):
         raise InvariantViolation("amplitude matrix must be nonzero and finite")
-    c = c / norm
-    sv = np.linalg.svd(c, compute_uv=False)
-    sq = np.clip(sv, 0.0, None) ** 2
-    sq = sq / np.sum(sq)
-    return PureBipartite(c, Spectrum(sq, 0.0, normalized=True))
+    return PureBipartite(c / norm)
 
 
 @dataclass(frozen=True)
@@ -277,8 +264,11 @@ def ensemble_average(ensemble: Ensemble) -> BipartiteState:
     d = ensemble.dim_a * ensemble.dim_b
     acc = np.zeros((d, d), dtype=complex)
     for w, m in zip(ensemble.weights, ensemble.members):
-        rho = m.to_density().matrix if isinstance(m, PureBipartite) else m.matrix
-        acc += w * rho
+        if isinstance(m, PureBipartite):
+            v = m.vector()
+            acc += w * np.outer(v, v.conj())
+        else:
+            acc += w * m.matrix
     return BipartiteState(ensemble.dim_a, ensemble.dim_b, acc)
 
 

@@ -144,6 +144,40 @@ def test_monte_carlo_non_positive_samples_is_schema_error(tmp_path, capsys, samp
     assert (err["kind"], err["exit_code"]) == ("schema", 2)
 
 
+_EBIT_ENSEMBLE = {"weights": [1.0], "members": [{
+    "dim_a": 2, "dim_b": 2,
+    "amplitudes": [[0.5 ** 0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5 ** 0.5, 0.0]]}]}
+
+
+@pytest.mark.parametrize("command, params", [
+    ("gibbs", {"hamiltonian": {"energies": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]},
+               "beta": 1.0, "spectrum_head": -3}),
+    ("gibbs", {"hamiltonian": {"energies": [0.0, 1.0]}, "beta": 1.0,
+               "spectrum_head": 2.0}),
+    ("gibbs", {"hamiltonian": {"energies": [0.0, 1.0]}, "beta": 1.0,
+               "spectrum_head": True}),
+    ("typicality", {"dist": [0.8, 0.2], "n": 10, "delta": 0.1, "mode": "mc",
+                    "samples": 1.9}),
+    ("typicality", {"dist": [0.8, 0.2], "n": 10, "delta": 0.1, "mode": "mc",
+                    "samples": "100"}),
+    ("dilute-pure", {"schmidt": [0.8, 0.2], "delta": 0.05, "n_grid": [10],
+                     "mode": "mc", "samples": 10.5}),
+    ("dilute-pure", {"schmidt": [0.8, 0.2], "delta": 0.05, "n_grid": [5, 10.5]}),
+    ("dilute-pure", {"schmidt": [0.8, 0.2], "delta": 0.05, "n_grid": [True]}),
+    ("dilute-mixed", {"ensemble": _EBIT_ENSEMBLE, "n_cut_grid": [0, 1.5]}),
+    ("dilute-mixed", {"ensemble": _EBIT_ENSEMBLE, "n_cut_grid": [False]}),
+    ("majorization-check", {"trials": 2, "max_dim": 2.9}),
+    ("majorization-check", {"trials": 2, "max_dim": True}),
+])
+def test_optional_integers_must_be_json_integers(tmp_path, capsys, command, params):
+    cfg = _write(tmp_path, "c.json", {"command": command, "params": params})
+    assert main(["--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["kind"], err["exit_code"]) == ("schema", 2)
+
+
 def test_csv_requires_tabular_command(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json",
                  {"command": "entropy",

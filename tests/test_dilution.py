@@ -25,6 +25,7 @@ from entcost import (
     schmidt_decompose,
     tensor_power_state,
 )
+from entcost import dilution
 
 
 def _geometric_pure_ensemble(members: int = 24) -> Ensemble:
@@ -83,6 +84,24 @@ def test_dilution_error_decreases_down_the_sweep():
     errors = [t.error for t in dilution_sweep(spec, 0.05,
                                               [200, 400, 800, 1600])]
     assert all(a > b for a, b in zip(errors, errors[1:]))
+
+
+def test_sweep_builds_the_source_once_and_matches_single_calls(monkeypatch):
+    spec = Spectrum(np.array([0.6, 0.3, 0.1, 0.0]))
+    grid = [1, 7, 40, 120]
+    for kwargs in ({}, {"mode": "mc", "samples": 2_000, "seed": 3}):
+        singles = [pure_dilution(spec, 0.05, n, **kwargs) for n in grid]
+        built = []
+        source = dilution.SourceDistribution
+
+        def counting_source(*args):
+            built.append(args)
+            return source(*args)
+
+        monkeypatch.setattr(dilution, "SourceDistribution", counting_source)
+        assert dilution_sweep(spec, 0.05, grid, **kwargs) == singles
+        monkeypatch.undo()
+        assert len(built) == 1
 
 
 def test_monte_carlo_mode_tracks_exact():

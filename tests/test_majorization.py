@@ -21,6 +21,7 @@ from entcost import (
     tail_dominance_entropy_check,
     tail_sum_operator_inequality,
 )
+from entcost.majorization import _completeness_matrix
 
 
 def _ebit():
@@ -194,3 +195,102 @@ def test_sweep_zero_failures_and_thread_invariance():
 def test_sweep_report_ignores_threads():
     reports = [majorization_sweep(12, max_dim=3, seed=5, threads=t) for t in (1, 2, 4)]
     assert reports[0] == reports[1] == reports[2]
+
+
+def _reference_outcomes(inst, psi):
+    """Per-branch loop: (weight, Schmidt spectrum or None, density or None)."""
+    by_outcome = {}
+    for l, m, x in zip(inst.ls, inst.ms, inst.outcomes):
+        by_outcome.setdefault(x, []).append(l @ psi.amplitudes @ m.T)
+    out = []
+    for x in sorted(by_outcome):
+        branches = by_outcome[x]
+        p = sum(np.linalg.norm(br) ** 2 for br in branches)
+        if p <= 1e-15:
+            continue
+        vecs = [br.reshape(-1) for br in branches]
+        principal = max(vecs, key=np.linalg.norm)
+        pn2 = np.linalg.norm(principal) ** 2
+        if all(abs(np.vdot(principal, v)) ** 2
+               >= (1.0 - 1e-10) * pn2 * np.linalg.norm(v) ** 2 for v in vecs):
+            sv = np.linalg.svd(principal.reshape(branches[0].shape), compute_uv=False)
+            out.append((p, sv ** 2 / np.sum(sv ** 2), None))
+        else:
+            out.append((p, None, sum(np.outer(v, v.conj()) for v in vecs) / p))
+    total = sum(p for p, _, _ in out)
+    return [(p / total, schmidt, rho) for p, schmidt, rho in out]
+
+
+def _instruments_with_labels():
+    rng = stream(21, 8)
+    for t in range(12):
+        da = int(rng.integers(2, 5))
+        db = int(rng.integers(2, 5))
+        psi = random_pure_state(rng, da, db)
+        fine = random_product_instrument(
+            rng, da, db, branches_a=int(rng.integers(2, 4)),
+            branches_b=int(rng.integers(2, 4)), conditioned=bool(t % 2))
+        k = len(fine.ls)
+        yield psi, fine
+        yield psi, ProductKrausInstrument(fine.ls, fine.ms, tuple(i // 2 for i in range(k)))
+        yield psi, ProductKrausInstrument(fine.ls, fine.ms, tuple(i % 2 for i in range(k)))
+    # two parallel branches share a label (a pure member), and a
+    # probability-zero outcome is dropped
+    p0, p1, eye = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)
+    yield _ebit(), ProductKrausInstrument((0.6 * p0, 0.8 * p0, p1), (eye, eye, eye),
+                                          ("x", "x", "y"))
+    product = schmidt_decompose(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    yield product, ProductKrausInstrument((p0, p1), (eye, eye), (0, 1))
+
+
+def test_apply_instrument_matches_per_branch_loop():
+    kinds = set()
+    for psi, inst in _instruments_with_labels():
+        ens = apply_instrument(inst, psi)
+        want = _reference_outcomes(inst, psi)
+        assert len(ens.members) == len(want)
+        for w, member, (p, schmidt, rho) in zip(ens.weights, ens.members, want):
+            assert abs(w - p) <= 1e-15
+            if schmidt is None:
+                kinds.add("mixed")
+                assert np.max(np.abs(member.matrix - rho)) <= 1e-14
+            else:
+                kinds.add("pure")
+                got = member.schmidt.values
+                assert got.shape == schmidt.shape
+                assert np.max(np.abs(got - schmidt)) <= 1e-14
+    assert kinds == {"pure", "mixed"}
+
+
+def test_completeness_matrix_matches_kron_sum():
+    rng = stream(21, 9)
+    for shape_a, shape_b in [((2, 2), (3, 3)), ((3, 2), (1, 4)), ((2, 4), (3, 2))]:
+        k = int(rng.integers(1, 6))
+        ls = rng.standard_normal((k, *shape_a)) + 1j * rng.standard_normal((k, *shape_a))
+        ms = rng.standard_normal((k, *shape_b)) + 1j * rng.standard_normal((k, *shape_b))
+        acc = sum(np.kron(l.conj().T @ l, m.conj().T @ m) for l, m in zip(ls, ms))
+        want = (acc + acc.conj().T) / 2.0
+        got = _completeness_matrix(ls, ms)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("ls, ms", [
+    ((np.eye(2), np.eye(3)), (np.eye(2), np.eye(2))),
+    ((np.eye(2), np.ones((1, 2))), (np.eye(2), np.eye(2))),
+    ((np.eye(2), np.eye(2)), (np.eye(2), np.ones((2, 3)))),
+    ((np.eye(2), np.eye(2)), (np.eye(2),)),
+    ((np.ones(2),), (np.eye(2),)),
+    ((), ()),
+])
+def test_ragged_kraus_shapes_are_invariant_violations(ls, ms):
+    with pytest.raises(InvariantViolation):
+        ProductKrausInstrument(ls, ms, ())
+
+
+def test_instrument_stacks_are_read_only_copies():
+    ls = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    inst = ProductKrausInstrument(ls, (np.eye(2), np.eye(2)), (0, 1))
+    assert inst.ls.shape == (2, 2, 2) and inst.ms.shape == (2, 2, 2)
+    assert not inst.ls.flags.writeable and not inst.ms.flags.writeable
+    assert ls.flags.writeable

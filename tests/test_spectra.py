@@ -178,5 +178,20 @@ def test_tensor_power_marginal_factorizes():
 
 def test_pure_norm_enforced():
     with pytest.raises(InvariantViolation):
-        PureBipartite(np.array([[1.0, 0.0], [0.0, 1.0]]),
-                      Spectrum(np.array([0.5, 0.5])))
+        PureBipartite(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+
+def test_schmidt_decompose_takes_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    c = np.array([[3.0, 1.0j, 0.0], [0.5, 2.0, 1.0]])
+    psi = schmidt_decompose(c)
+    assert calls == [(2, 3)]
+    sv = svd(c / np.linalg.norm(c), compute_uv=False)
+    assert np.allclose(psi.schmidt.values, sv ** 2, atol=1e-15)
