@@ -125,6 +125,26 @@ def _version_string() -> str:
     return f"entcost {__version__} ({_git_hash()})"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as the schema failure record (exit 2),
+    not as argparse's usage text."""
+
+    def error(self, message):
+        raise CliFailure(EXIT_SCHEMA, "schema", f"{self.prog}: {message}")
+
+
+class _VersionAction(argparse.Action):
+    """``--version``: the git hash is resolved only when it is asked for."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0,
+                         help="show the version and exit", **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(_version_string() + "\n")
+        parser.exit()
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes (params, seed) and returns
 # (result_dict, csv_header_or_None, csv_rows)
@@ -347,7 +367,7 @@ def _write_artifact(path: str, text: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entcost",
         description="Finite-truncation entanglement cost toolkit.")
     parser.add_argument("command", nargs="?", choices=sorted(COMMANDS),
@@ -362,11 +382,10 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=None,
                         help="accepted for compatibility and unused; must be"
                              " >= 1 (default: ENTCOST_THREADS or 1)")
-    parser.add_argument("--version", action="version",
-                        version=_version_string())
-    args = parser.parse_args(argv)
+    parser.add_argument("--version", action=_VersionAction)
 
     try:
+        args = parser.parse_args(argv)
         if args.config is None:
             raise CliFailure(EXIT_SCHEMA, "schema", "--config is required")
         config = _load_config(args.config)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .entropy import von_neumann_entropy
 from .eof import eof_surrogate_for_copies
@@ -38,6 +37,7 @@ from .spectra import (
 from .typicality import (
     DEFAULT_MAX_TYPES,
     SourceDistribution,
+    _ln_factorials,
     weak_typical_census,
     weak_typical_mass,
 )
@@ -173,7 +173,8 @@ def _curtailed_support(p0: float, xi: float, n: int) -> np.ndarray:
 
 
 def _binomial_log_pmf(ks: np.ndarray, p0: float, n: int) -> np.ndarray:
-    return (gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+    ln_fact = _ln_factorials(n)
+    return (ln_fact[n] - ln_fact[ks] - ln_fact[n - ks]
             + ks * math.log(p0) + (n - ks) * math.log1p(-p0))
 
 

@@ -85,28 +85,41 @@ def harmonic_oscillator(levels: int = 64) -> DiagonalHamiltonian:
 
 
 def _partition_sums(h: DiagonalHamiltonian, beta: float) -> tuple[float, float, float]:
-    """(Z, sum e_n w_n, sum e_n^2 w_n), w_n = exp(-beta e_n), with the tail
-    model summed exactly; its 1 - exp(-beta a) is -expm1(-beta a), which
+    """(Z, <beta H>, Var(beta H)) under the weights w_n = exp(-beta e_n).
+
+    The stored levels and the tail model are each reduced to a weight, a
+    mean and a variance of beta e_n, then combined as a two-part mixture.
+    The raw tail sums sum_n e_n^k w_n grow like beta^-(k+1) and overflow
+    once beta a < 1e-154; in units of 1/beta the tail's moments stay of
+    order 1 as beta -> 0.  Its 1 - exp(-beta a) is -expm1(-beta a), which
     does not cancel as beta -> 0."""
     if not (beta > 0.0) or not math.isfinite(beta):
         raise ValueError("beta must be positive and finite")
-    e = h.energies
-    w = np.exp(-beta * e)
+    t = beta * h.energies
+    w = np.exp(-t)
+    keep = w > 0.0  # a level whose weight underflows carries nothing
+    t, w = t[keep], w[keep]
     z = float(np.sum(w))
-    num = float(np.sum(e * w))
-    sq = float(np.sum(e * e * w))
-    if h.tail is not None:
-        a, b = h.tail.a, h.tail.b
-        e0 = a * h.levels + b
-        w0 = math.exp(-beta * e0)
-        x = math.exp(-beta * a)
-        q = -math.expm1(-beta * a)
-        # sum_k x^k = 1/q, sum_k k x^k = x/q^2, sum_k k^2 x^k = x(1+x)/q^3
-        m1 = x / q / q
-        z += w0 / q
-        num += w0 * (e0 / q + a * m1)
-        sq += w0 * (e0 * e0 / q + 2.0 * e0 * a * m1 + a * a * m1 * (1.0 + x) / q)
-    return z, num, sq
+    mean = float(np.sum(w * t)) / z
+    var = float(np.sum(w * (t - mean) ** 2)) / z
+    if h.tail is None:
+        return z, mean, var
+    step = beta * h.tail.a
+    q = -math.expm1(-step)
+    t0 = beta * (h.tail.a * h.levels + h.tail.b)
+    z_tail = math.exp(-t0) / q
+    if z_tail == 0.0:
+        return z, mean, var
+    # the tail is t0 + k * step with weights ~ x^k, x = exp(-step): its
+    # mean is t0 + r x and its variance r^2 x, with r = step / q
+    x, r = math.exp(-step), step / q
+    mean_tail, var_tail = t0 + r * x, r * r * x
+    total = z + z_tail
+    p, p_tail = z / total, z_tail / total
+    both = p * mean + p_tail * mean_tail
+    var = (p * (var + (mean - both) ** 2)
+           + p_tail * (var_tail + (mean_tail - both) ** 2))
+    return total, both, var
 
 
 @dataclass(frozen=True)
@@ -135,9 +148,8 @@ def gibbs_state(h: DiagonalHamiltonian, beta: float) -> Spectrum:
 
 
 def gibbs_point(h: DiagonalHamiltonian, beta: float) -> GibbsPoint:
-    z, num, _ = _partition_sums(h, beta)
-    energy = num / z
-    return GibbsPoint(beta, energy, (beta * energy + math.log(z)) / LN2)
+    z, mean, _ = _partition_sums(h, beta)
+    return GibbsPoint(beta, mean / beta, (mean + math.log(z)) / LN2)
 
 
 def max_mean_energy(h: DiagonalHamiltonian) -> float:
@@ -175,16 +187,15 @@ def beta_of_energy(h: DiagonalHamiltonian, energy: float,
     lo, hi = -math.inf, math.inf  # f(lo) > 0 > f(hi)
     for _ in range(_MAX_NEWTON_STEPS):
         beta = math.exp(u)
-        z, num, sq = _partition_sums(h, beta)
-        mean = num / z
+        z, reduced, var = _partition_sums(h, beta)
+        mean = reduced / beta
         if abs(mean - energy) <= rtol * energy:
             break
         if mean <= energy:
             hi, side = u, -1.0
         else:  # also an overflowed (inf or nan) mean: beta is too small
             lo, side = u, 1.0
-        var = sq / z - mean * mean
-        step = ((math.log(mean) - math.log(energy)) * mean / (beta * var)
+        step = ((math.log(mean) - math.log(energy)) * reduced / var
                 if 0.0 < mean < math.inf and var > 0.0 else math.nan)
         if math.isinf(lo) or math.isinf(hi):
             new = u + side * (min(2.0, side * step) if side * step > 0.0 else 2.0)
@@ -198,7 +209,7 @@ def beta_of_energy(h: DiagonalHamiltonian, energy: float,
     if not abs(mean - energy) <= 10.0 * rtol * energy:
         raise InvariantViolation(
             f"Gibbs inversion reached energy {mean!r} for target {energy!r}")
-    return GibbsPoint(beta, mean, (beta * mean + math.log(z)) / LN2)
+    return GibbsPoint(beta, mean, (reduced + math.log(z)) / LN2)
 
 
 def max_entropy_at_energy(h: DiagonalHamiltonian, energy: float) -> float:
@@ -387,8 +398,8 @@ def gibbs_hypothesis_check(h: DiagonalHamiltonian,
     temperatures were checked.
     """
     for beta in betas:
-        z, num, _ = _partition_sums(h, float(beta))
-        if not (math.isfinite(z) and math.isfinite(num)):
+        z, mean, _ = _partition_sums(h, float(beta))
+        if not (math.isfinite(z) and math.isfinite(mean)):
             return False
     return True
 

@@ -143,7 +143,7 @@ class PureBipartite:
     schmidt: Spectrum = field(init=False)
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.amplitudes, dtype=complex)
+        c = np.array(self.amplitudes, dtype=complex)
         if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
             raise InvariantViolation("amplitudes must be a 2-D matrix")
         norm = float(np.linalg.norm(c))

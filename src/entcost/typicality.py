@@ -17,13 +17,29 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-from scipy.special import betaincinv, gammaln
 
 from .rng import stream
 from .spectra import InvariantViolation
 
 DEFAULT_MAX_TYPES = 2_000_000
 _BLOCK_ROWS = 1 << 15  # rows per block of census types or Monte Carlo draws
+_LN_FACT = np.empty(0)  # ln k! for k < size; replaced when grown, never written
+
+
+def _ln_factorials(n: int) -> np.ndarray:
+    """Read-only ln k! for k = 0..n, a view of one table of math.lgamma
+    values.  The table depends on k alone, so it is grown (at least
+    doubled) on demand and shared by every call instead of rebuilt."""
+    global _LN_FACT
+    table = _LN_FACT  # one read, so a concurrent growth cannot shorten it
+    if n >= table.size:
+        grown = np.empty(max(n + 1, 2 * table.size))
+        grown[:table.size] = table
+        grown[table.size:] = [math.lgamma(k + 1.0)
+                              for k in range(table.size, grown.size)]
+        grown.setflags(write=False)
+        table = _LN_FACT = grown
+    return table[:n + 1]
 
 
 @dataclass(frozen=True)
@@ -34,7 +50,7 @@ class SourceDistribution:
     entropy_bits: float = field(default=math.nan)
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float).reshape(-1)
+        p = np.array(self.probs, dtype=float).reshape(-1)
         if p.size == 0 or not np.all(np.isfinite(p)) or np.any(p < 0.0):
             raise InvariantViolation("probabilities must be finite, non-negative and non-empty")
         if abs(float(np.sum(p)) - 1.0) > 1e-12:
@@ -141,12 +157,10 @@ def _type_blocks(dist: SourceDistribution, n: int,
         raise InvariantViolation(
             f"{total} empirical types exceed the exact-mode limit {max_types}; "
             "use Monte Carlo mode")
-    ln_fact = gammaln(np.arange(1.0, n + 2.0))
+    ln_fact = _ln_factorials(n)
     for head in _prefix_blocks(n, len(dist) - 1):
         counts = np.column_stack([head, n - head.sum(axis=1)])
-        # ln n! is shared by every term, so its rounding (1e-12 at n = 2000)
-        # scales the mass; math.lgamma keeps perfbench's stored masses to 1e-13
-        ln_mult = np.full(len(counts), math.lgamma(n + 1))
+        ln_mult = np.full(len(counts), ln_fact[n])
         for c in counts.T:
             ln_mult -= ln_fact[c]
         yield counts, _log2_prob(dist, counts), ln_mult
@@ -200,6 +214,10 @@ def _census(dist: SourceDistribution, n: int, delta: float, kind: str,
 
 
 def _clopper_pearson_99(hits: int, n: int) -> tuple[float, float]:
+    # imported here: SciPy costs most of the package's import time, and
+    # only Monte Carlo intervals need it
+    from scipy.special import betaincinv
+
     lo = 0.0 if hits == 0 else float(betaincinv(hits, n - hits + 1, 0.005))
     hi = 1.0 if hits == n else float(betaincinv(hits + 1, n - hits, 0.995))
     return lo, hi

@@ -323,6 +323,54 @@ def test_non_integer_env_threads_is_schema_error(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "schema"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bogus", "--config", "x.json"],
+    ["--config", "x.json", "--threads", "abc"],
+    ["--config", "x.json", "--format", "xml"],
+    ["--config", "x.json", "--no-such-flag"],
+    ["--config"],
+])
+def test_bad_command_line_is_schema_record(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["kind"], err["exit_code"]) == ("schema", 2)
+
+
+def test_bad_command_line_as_module_prints_only_the_record():
+    proc = subprocess.run(RUN + ["bogus", "--config", "x.json"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["kind"] == "schema"
+
+
+def test_version_string_is_built_only_when_used(tmp_path, monkeypatch, capsys):
+    calls = []
+    inner = cli._version_string
+    monkeypatch.setattr(cli, "_version_string",
+                        lambda: calls.append(1) or inner())
+    cfg = _write(tmp_path, "c.json",
+                 {"command": "entropy",
+                  "params": {"spectrum": {"values": [0.5, 0.5]}}})
+    assert main(["--config", cfg]) == 0
+    assert len(calls) == 1  # the artifact's "version" field
+    assert json.loads(capsys.readouterr().out)["version"] == inner()
+
+
+def test_cli_import_does_not_load_scipy():
+    # SciPy is most of the import cost of a CLI launch; only Monte Carlo
+    # intervals load it, on first use
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, entcost.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_version_runs_as_module():
     proc = subprocess.run(RUN + ["--version"], capture_output=True, text=True)
     assert proc.returncode == 0

@@ -154,6 +154,16 @@ def test_binary_mixing_hand_oracles():
     assert binary_mixing_error(0.3, 0.05, 10_000) < 1e-2
 
 
+def test_binomial_log_pmf_matches_exact_coefficients():
+    for p0, n in ((0.3, 1000), (0.8, 2000), (0.5, 7)):
+        ks = np.arange(n + 1)
+        got = dilution._binomial_log_pmf(ks, p0, n)
+        for k in (0, 1, n // 3, n // 2, n - 1, n):
+            want = (math.log(math.comb(n, k)) + k * math.log(p0)
+                    + (n - k) * math.log1p(-p0))
+            assert got[k] == pytest.approx(want, rel=1e-13, abs=1e-12)
+
+
 def test_binary_mixing_error_non_increasing_in_blocks():
     errors = [binary_mixing_error(0.3, 0.05, n) for n in (10, 100, 1000, 10_000)]
     assert all(a >= b for a, b in zip(errors, errors[1:]))

@@ -102,6 +102,37 @@ def test_ladder_inversion_over_27_decades(monkeypatch):
         assert abs(point.entropy_bits - g) <= 1e-12 * max(1.0, g)
 
 
+@pytest.mark.parametrize("beta", [1e-300, 1e-160, 1e-3, 0.5, 5.0, 50.0])
+def test_partition_moments_match_the_ladder_closed_form(beta):
+    # e_n = n: Z = 1/q, <beta H> = beta x/q and Var(beta H) = beta^2 x/q^2,
+    # x = exp(-beta), q = 1 - x; 64 stored levels plus the tail must sum to it
+    x, q = math.exp(-beta), -math.expm1(-beta)
+    z, mean, var = gibbs._partition_sums(harmonic_oscillator(), beta)
+    assert z == pytest.approx(1.0 / q, rel=1e-13)
+    assert mean == pytest.approx(beta * x / q, rel=1e-13)
+    assert var == pytest.approx((beta / q) ** 2 * x, rel=1e-12)
+
+
+def test_partition_moments_skip_underflowed_levels():
+    # beta e_n = 1e160 has weight 0; its squared deviation would overflow
+    h = DiagonalHamiltonian(np.array([0.0, 1.0, 1e10]))
+    assert gibbs._partition_sums(h, 1e150) == (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("energy", [1e160, 1e300])
+def test_ladder_inversion_past_raw_tail_overflow(energy):
+    # the raw tail sums sum_n e_n^k w_n overflowed once 1 - exp(-beta) <
+    # 1e-154, and the inversion reached energy inf
+    h = harmonic_oscillator()
+    point = beta_of_energy(h, energy)
+    want = math.log1p(1.0 / energy)
+    assert abs(point.beta - want) <= 1e-13 * want
+    assert abs(point.energy - energy) <= gibbs.ENERGY_RTOL * energy
+    assert abs(point.entropy_bits - g_function(energy)) <= 1e-12 * g_function(energy)
+    assert gibbs_point(h, point.beta).energy == point.energy
+    assert gibbs_hypothesis_check(h, (point.beta,))
+
+
 def _bounded_spectra():
     rng = np.random.default_rng(2024)
     for _ in range(5):

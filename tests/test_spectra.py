@@ -181,6 +181,14 @@ def test_pure_norm_enforced():
         PureBipartite(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
+def test_pure_bipartite_copies_its_input():
+    amplitudes = np.eye(2, dtype=complex) / np.sqrt(2.0)
+    psi = PureBipartite(amplitudes)
+    amplitudes[0, 0] = 1.0
+    assert psi.amplitudes[0, 0] == pytest.approx(1.0 / math.sqrt(2.0))
+    assert not psi.amplitudes.flags.writeable
+
+
 def test_schmidt_decompose_takes_one_svd(monkeypatch):
     calls = []
     svd = np.linalg.svd

@@ -37,6 +37,29 @@ def test_source_distribution_rejects_non_finite(probs):
         SourceDistribution(np.array(probs))
 
 
+def test_source_distribution_copies_its_input():
+    probs = np.array([0.5, 0.5])
+    d = SourceDistribution(probs)
+    probs[0] = 0.9
+    assert d.probs.tolist() == [0.5, 0.5]
+
+
+def test_ln_factorials_match_exact_logs():
+    table = typicality._ln_factorials(3000)
+    for k, value in enumerate(table.tolist()):
+        want = math.log(math.factorial(k))
+        assert abs(value - want) <= 4 * math.ulp(want)
+
+
+def test_ln_factorials_are_a_read_only_shared_prefix():
+    large = typicality._ln_factorials(5000).copy()
+    small = typicality._ln_factorials(7)
+    assert small.tolist() == large[:8].tolist()
+    assert typicality._ln_factorials(9000)[:5001].tolist() == large.tolist()
+    with pytest.raises(ValueError):
+        small[3] = 0.0
+
+
 def test_sequence_rate_and_membership():
     d = SourceDistribution(np.array([0.9, 0.1]))
     # the all-zeros block has rate -log2(0.9) = 0.152, far below H
