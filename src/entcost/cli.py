@@ -15,6 +15,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import json
@@ -37,8 +38,9 @@ from .jsonio import (
     hamiltonian_from_json,
     pure_from_json,
     pure_to_json,
+    read,
+    read_list,
     spectrum_from_json,
-    spectrum_to_json,
     state_from_json,
 )
 from .majorization import majorization_sweep
@@ -87,26 +89,6 @@ def _jsonable(obj):
     return obj
 
 
-def _require(params: dict, key: str, types, what: str):
-    if key not in params:
-        raise SchemaError(f"{what}: missing required key '{key}'")
-    value = params[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise SchemaError(f"{what}: key '{key}' has the wrong type")
-    return value
-
-
-def _optional_int(params: dict, key: str, default: int, what: str) -> int:
-    return _require(params, key, int, what) if key in params else default
-
-
-def _int_list(params: dict, key: str, what: str) -> list:
-    values = _require(params, key, list, what)
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-        raise SchemaError(f"{what}: every entry of '{key}' must be an integer")
-    return values
-
-
 @functools.cache
 def _git_hash() -> str:
     try:
@@ -147,7 +129,8 @@ class _VersionAction(argparse.Action):
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes (params, seed) and returns
-# (result_dict, csv_header_or_None, csv_rows)
+# (result_dict, csv_header_or_None, reports); the CSV rows are the
+# header's fields of each report
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
@@ -156,8 +139,14 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _fields(report, drop=()) -> dict:
+    """A report dataclass as {field name: value}, less the names in ``drop``."""
+    return {f.name: getattr(report, f.name)
+            for f in dataclasses.fields(report) if f.name not in drop}
+
+
 def _run_entropy(params, seed):
-    spec = spectrum_from_json(_require(params, "spectrum", dict, "entropy"))
+    spec = spectrum_from_json(read(params, "spectrum", "entropy", dict))
     bits = von_neumann_entropy(spec)
     result = {
         "entropy_bits": bits,
@@ -168,25 +157,22 @@ def _run_entropy(params, seed):
 
 
 def _run_typicality(params, seed):
-    probs = _require(params, "dist", list, "typicality")
-    n = _require(params, "n", int, "typicality")
-    delta = _require(params, "delta", (int, float), "typicality")
-    kind = params.get("kind", "weak")
-    mode = params.get("mode", "exact")
-    samples = _optional_int(params, "samples", 100_000, "typicality")
+    what = "typicality"
+    probs = read_list(params, "dist", what, float)
+    n = read(params, "n", what, int)
+    delta = read(params, "delta", what, float)
+    kind = read(params, "kind", what, str, "weak")
+    mode = read(params, "mode", what, str, "exact")
+    samples = read(params, "samples", what, int, 100_000)
     if kind not in ("weak", "strong"):
         raise SchemaError("typicality: 'kind' must be 'weak' or 'strong'")
     if mode not in ("exact", "mc"):
         raise SchemaError("typicality: 'mode' must be 'exact' or 'mc'")
-    dist = SourceDistribution(np.asarray(probs, dtype=float))
+    dist = SourceDistribution(probs)
     fn = weak_typical_mass if kind == "weak" else strong_typical_mass
-    report = fn(dist, n, float(delta), mode=mode, samples=samples, seed=seed)
-    result = {
-        "n": report.n, "delta": report.delta, "kind": report.kind,
-        "mode": report.mode, "mass": report.mass,
-        "log2_cardinality_bound": report.log2_cardinality_bound,
-        "entropy_bits": dist.entropy_bits,
-    }
+    report = fn(dist, n, delta, mode=mode, samples=samples, seed=seed)
+    result = _fields(report, drop=("samples", "mass_low", "mass_high"))
+    result["entropy_bits"] = dist.entropy_bits
     if report.mode == "mc":
         result["samples"] = report.samples
         result["mass_ci99"] = [report.mass_low, report.mass_high]
@@ -194,130 +180,94 @@ def _run_typicality(params, seed):
 
 
 def _run_eof(params, seed):
-    rho = state_from_json(_require(params, "state", dict, "eof"))
-    kwargs = {"seed": seed}
-    for key in ("ensemble_size", "restarts", "iterations"):
-        if key in params:
-            kwargs[key] = _require(params, key, int, "eof")
-    est = eof_estimate(rho, **kwargs)
-    result = {
-        "upper_bound_bits": est.upper_bound_bits,
-        "restarts": est.restarts,
-        "converged": est.converged,
-        "decomposition": {
-            "weights": list(est.decomposition.weights),
-            "members": [pure_to_json(m) for m in est.decomposition.members],
-        },
+    rho = state_from_json(read(params, "state", "eof", dict))
+    kwargs = {key: read(params, key, "eof", int)
+              for key in ("ensemble_size", "restarts", "iterations") if key in params}
+    est = eof_estimate(rho, seed=seed, **kwargs)
+    result = _fields(est, drop=("decomposition",))
+    result["decomposition"] = {
+        "weights": list(est.decomposition.weights),
+        "members": [pure_to_json(m) for m in est.decomposition.members],
     }
     return result, None, []
 
 
-def _dilution_input(params, what):
-    if "schmidt" in params:
-        vals = _require(params, "schmidt", list, what)
-        return Spectrum(np.asarray(vals, dtype=float))
-    if "amplitudes" in params:
-        psi = pure_from_json(params)
-        return psi.schmidt
-    raise SchemaError(f"{what}: provide 'schmidt' values or an amplitude matrix")
-
-
 def _run_dilute_pure(params, seed):
-    schmidt = _dilution_input(params, "dilute-pure")
-    delta = float(_require(params, "delta", (int, float), "dilute-pure"))
-    n_grid = _int_list(params, "n_grid", "dilute-pure")
-    mode = params.get("mode", "exact")
-    samples = _optional_int(params, "samples", 100_000, "dilute-pure")
-    traces = dilution_sweep(schmidt, delta, n_grid, mode=mode,
-                            samples=samples, seed=seed)
-    rows = [[t.n, t.ebits, t.cbits, t.error, t.rate] for t in traces]
-    result = {
-        "delta": delta, "mode": mode,
-        "points": [{"n": t.n, "ebits": t.ebits, "cbits": t.cbits,
-                    "error": t.error, "rate": t.rate,
-                    "error_kind": t.error_kind} for t in traces],
-    }
-    return result, ["n", "ebits", "cbits", "error", "rate"], rows
+    what = "dilute-pure"
+    if "schmidt" in params:
+        schmidt = Spectrum(read_list(params, "schmidt", what, float))
+    elif "amplitudes" in params:
+        schmidt = pure_from_json(params).schmidt
+    else:
+        raise SchemaError(f"{what}: provide 'schmidt' values or an amplitude matrix")
+    delta = read(params, "delta", what, float)
+    n_grid = read_list(params, "n_grid", what, int)
+    mode = read(params, "mode", what, str, "exact")
+    samples = read(params, "samples", what, int, 100_000)
+    traces = dilution_sweep(schmidt, delta, n_grid, mode=mode, samples=samples,
+                            seed=seed)
+    result = {"delta": delta, "mode": mode, "points": [_fields(t) for t in traces]}
+    return result, ("n", "ebits", "cbits", "error", "rate"), traces
 
 
 def _run_dilute_mixed(params, seed):
-    ens = ensemble_from_json(_require(params, "ensemble", dict, "dilute-mixed"))
-    grid = _int_list(params, "n_cut_grid", "dilute-mixed")
-    points = [mixed_dilution_rate(ens, n) for n in grid]
-    rows = [[p.n_cut, p.rate_bound, p.wasteful_term, p.delta_n] for p in points]
-    result = {"points": [{"n_cut": p.n_cut, "rate_bound": p.rate_bound,
-                          "wasteful_term": p.wasteful_term,
-                          "delta_n": p.delta_n} for p in points]}
-    return result, ["n_cut", "rate_bound", "wasteful_term", "delta_n"], rows
+    what = "dilute-mixed"
+    ens = ensemble_from_json(read(params, "ensemble", what, dict))
+    points = [mixed_dilution_rate(ens, n)
+              for n in read_list(params, "n_cut_grid", what, int)]
+    result = {"points": [_fields(p) for p in points]}
+    return result, ("n_cut", "rate_bound", "wasteful_term", "delta_n"), points
 
 
 def _run_converse(params, seed):
-    rho = state_from_json(_require(params, "state", dict, "converse-bound"))
-    ham = hamiltonian_from_json(_require(params, "hamiltonian", dict,
-                                         "converse-bound"))
-    r = float(_require(params, "r", (int, float), "converse-bound"))
-    n = _require(params, "n", int, "converse-bound")
-    eps_grid = _require(params, "epsilon_grid", list, "converse-bound")
-    est_kwargs = {"seed": seed}
-    for key in ("restarts", "iterations"):
-        if key in params:
-            est_kwargs[key] = _require(params, key, int, "converse-bound")
-    reports = [converse_bound(rho, r, float(eps), ham, int(n), **est_kwargs)
-               for eps in eps_grid]
-    rows = [[rep.epsilon, rep.n, rep.lhs_ebits, rep.ef_surrogate_bits,
-             rep.continuity_term_bits, rep.g_term_bits,
-             rep.rate_lower_bound, rep.slack_bits] for rep in reports]
-    result = {"r": r, "n": int(n), "points": [{
-        "epsilon": rep.epsilon, "lhs_ebits": rep.lhs_ebits,
-        "ef_surrogate_bits": rep.ef_surrogate_bits,
-        "surrogate_kind": rep.surrogate_kind,
-        "continuity_term_bits": rep.continuity_term_bits,
-        "g_term_bits": rep.g_term_bits,
-        "rate_lower_bound": rep.rate_lower_bound,
-        "slack_bits": rep.slack_bits} for rep in reports]}
-    header = ["epsilon", "n", "lhs_ebits", "ef_surrogate_bits",
-              "continuity_term_bits", "g_term_bits", "rate_lower_bound",
-              "slack_bits"]
-    return result, header, rows
+    what = "converse-bound"
+    rho = state_from_json(read(params, "state", what, dict))
+    ham = hamiltonian_from_json(read(params, "hamiltonian", what, dict))
+    r = read(params, "r", what, float)
+    n = read(params, "n", what, int)
+    est_kwargs = {key: read(params, key, what, int)
+                  for key in ("restarts", "iterations") if key in params}
+    reports = [converse_bound(rho, r, eps, ham, n, seed=seed, **est_kwargs)
+               for eps in read_list(params, "epsilon_grid", what, float)]
+    # r and n are the same at every point, so they are reported once
+    result = {"r": r, "n": n,
+              "points": [_fields(rep, drop=("n", "r", "energy")) for rep in reports]}
+    header = ("epsilon", "n", "lhs_ebits", "ef_surrogate_bits", "continuity_term_bits",
+              "g_term_bits", "rate_lower_bound", "slack_bits")
+    return result, header, reports
 
 
 def _run_majorization(params, seed):
-    trials = _require(params, "trials", int, "majorization-check")
-    max_dim = _optional_int(params, "max_dim", 4, "majorization-check")
+    what = "majorization-check"
+    trials = read(params, "trials", what, int)
+    max_dim = read(params, "max_dim", what, int, 4)
     report = majorization_sweep(trials, max_dim=max_dim, seed=seed)
-    result = {"trials": report.trials, "failures": report.failures,
-              "min_margin": report.min_margin,
-              "max_completeness_defect": report.max_completeness_defect,
-              "seed": report.seed}
     if report.failures:
         raise CliFailure(EXIT_INVARIANT, "invariant",
                          f"majorization condition violated in "
                          f"{report.failures} of {report.trials} trials "
                          f"(min margin {report.min_margin:.3e})")
-    return result, None, []
+    return _fields(report), None, []
 
 
 def _run_gibbs(params, seed):
-    ham = hamiltonian_from_json(_require(params, "hamiltonian", dict, "gibbs"))
+    ham = hamiltonian_from_json(read(params, "hamiltonian", "gibbs", dict))
     if ("beta" in params) == ("energy" in params):
         raise SchemaError("gibbs: provide exactly one of 'beta' or 'energy'")
     if "beta" in params:
-        beta = float(_require(params, "beta", (int, float), "gibbs"))
-        point = gibbs_point(ham, beta)
+        point = gibbs_point(ham, read(params, "beta", "gibbs", float))
     else:
-        energy = float(_require(params, "energy", (int, float), "gibbs"))
-        point = beta_of_energy(ham, energy)
+        point = beta_of_energy(ham, read(params, "energy", "gibbs", float))
     if not np.isfinite(point.beta):
         raise SchemaError("gibbs: the requested point sits at beta = inf; "
                           "query a positive energy instead")
-    head = _optional_int(params, "spectrum_head", 8, "gibbs")
+    head = read(params, "spectrum_head", "gibbs", int, 8)
     if head < 0:
         raise SchemaError("gibbs: 'spectrum_head' must be >= 0")
     spec = gibbs_state(ham, point.beta)
-    result = {"beta": point.beta, "energy": point.energy,
-              "entropy_bits": point.entropy_bits,
-              "spectrum_head": list(spec.values[:head]),
-              "tail_mass_beyond_head": float(1.0 - np.sum(spec.values[:head]))}
+    result = _fields(point)
+    result["spectrum_head"] = list(spec.values[:head])
+    result["tail_mass_beyond_head"] = float(1.0 - np.sum(spec.values[:head]))
     return result, None, []
 
 
@@ -352,10 +302,10 @@ def _load_config(path: str) -> dict:
     return obj
 
 
-def _csv_text(header, rows) -> str:
+def _csv_text(header, reports) -> str:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    for report in reports:
+        lines.append(",".join(_fmt(getattr(report, name)) for name in header))
     return "\n".join(lines) + "\n"
 
 
@@ -390,20 +340,16 @@ def main(argv=None) -> int:
             raise CliFailure(EXIT_SCHEMA, "schema", "--config is required")
         config = _load_config(args.config)
 
-        command = args.command or config.get("command")
+        command = args.command or read(config, "command", "config", str, None)
         if command not in _HANDLERS:
             raise CliFailure(EXIT_SCHEMA, "schema",
                              f"unknown or missing command {command!r}")
-        params = config.get("params", config if "command" not in config
-                            else {})
-        if not isinstance(params, dict):
-            raise CliFailure(EXIT_SCHEMA, "schema", "'params' must be an object")
-
+        # a config without a "command" key is the params object itself
+        params = read(config, "params", "config", dict,
+                      config if "command" not in config else {})
         seed = args.seed
         if seed is None:
-            seed = config.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise CliFailure(EXIT_SCHEMA, "schema", "'seed' must be an integer")
+            seed = read(config, "seed", "config", int, 0)
 
         threads = args.threads
         if threads is None:
@@ -415,17 +361,8 @@ def main(argv=None) -> int:
             raise CliFailure(EXIT_SCHEMA, "schema",
                              "--threads and ENTCOST_THREADS must be integers >= 1")
 
-        out_path = args.out or config.get("output_path")
-
-        try:
-            result, header, rows = _HANDLERS[command](params, seed)
-        except SchemaError as exc:
-            raise CliFailure(EXIT_SCHEMA, "schema", str(exc)) from exc
-        except InvariantViolation as exc:
-            raise CliFailure(EXIT_INVARIANT, "invariant", str(exc)) from exc
-        except (TypeError, ValueError) as exc:
-            raise CliFailure(EXIT_SCHEMA, "schema",
-                             f"bad parameter value: {exc}") from exc
+        out_path = args.out or read(config, "output_path", "config", str, None)
+        result, header, reports = _HANDLERS[command](params, seed)
 
         summary = {
             "command": command,
@@ -448,7 +385,7 @@ def main(argv=None) -> int:
                 raise CliFailure(EXIT_SCHEMA, "schema",
                                  f"'{command}' has no tabular output; "
                                  "use --format json")
-            csv_text = _csv_text(header, rows)
+            csv_text = _csv_text(header, reports)
             if out_path:
                 _write_artifact(out_path, csv_text)
                 _write_artifact(out_path + ".json", summary_text)
@@ -460,13 +397,19 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(summary_text)
         return EXIT_OK
-
-    except CliFailure as fail:
-        record = {"error": {"kind": fail.kind, "message": str(fail),
-                            "exit_code": fail.code},
-                  "version": _version_string()}
-        sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
-        return fail.code
+    except SchemaError as exc:
+        fail = CliFailure(EXIT_SCHEMA, "schema", str(exc))
+    except InvariantViolation as exc:
+        fail = CliFailure(EXIT_INVARIANT, "invariant", str(exc))
+    except (TypeError, ValueError) as exc:
+        fail = CliFailure(EXIT_SCHEMA, "schema", f"bad parameter value: {exc}")
+    except CliFailure as exc:
+        fail = exc
+    record = {"error": {"kind": fail.kind, "message": str(fail),
+                        "exit_code": fail.code},
+              "version": _version_string()}
+    sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
+    return fail.code
 
 
 if __name__ == "__main__":

@@ -255,8 +255,9 @@ def converse_bound(rho: BipartiteState, r: float, epsilon: float,
     continuity term is n * eps' F(E/eps') while g(eps') is paid once.  At
     E = 0 the per-copy term is eps' * log2 of the ground degeneracy.
     """
-    if n < 1 or r < 0.0:
-        raise ValueError("need n >= 1 and r >= 0")
+    # r * n must be finite for floor(r n) to exist; NaN fails r >= 0
+    if n < 1 or not (r >= 0.0 and math.isfinite(r * n)):
+        raise ValueError("need n >= 1, r >= 0 and r * n finite")
     if not (0.0 < epsilon <= 1.0):
         raise ValueError("epsilon must lie in (0, 1]")
     energy = mean_energy_density(hamiltonian, partial_trace(rho, "A"))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .spectra import InvariantViolation, Spectrum
 ENERGY_RTOL = 1e-10
 _MAX_NEWTON_STEPS = 100
 DEFAULT_BETA_GRID = (0.1, 0.5, 1.0, 2.0)
+# exp(-t) is exactly 0 for every t beyond 745.14
+_UNDERFLOW_EXPONENT = 746.0
 
 
 @dataclass(frozen=True)
@@ -84,42 +87,64 @@ def harmonic_oscillator(levels: int = 64) -> DiagonalHamiltonian:
     return DiagonalHamiltonian(np.arange(levels, dtype=float), AffineTail(1.0, 0.0))
 
 
-def _partition_sums(h: DiagonalHamiltonian, beta: float) -> tuple[float, float, float]:
-    """(Z, <beta H>, Var(beta H)) under the weights w_n = exp(-beta e_n).
+class _Sums(NamedTuple):
+    """Partition sums at one beta; ``weights`` are exp(-beta e_n) over the
+    stored levels, 0 where they underflow."""
+
+    z: float
+    log_z: float
+    mean: float  # <beta H>
+    var: float  # Var(beta H)
+    weights: np.ndarray
+
+
+def _partition_sums(h: DiagonalHamiltonian, beta: float) -> _Sums:
+    """Z, ln Z, <beta H> and Var(beta H) under the weights w_n = exp(-beta e_n).
 
     The stored levels and the tail model are each reduced to a weight, a
     mean and a variance of beta e_n, then combined as a two-part mixture.
     The raw tail sums sum_n e_n^k w_n grow like beta^-(k+1) and overflow
     once beta a < 1e-154; in units of 1/beta the tail's moments stay of
     order 1 as beta -> 0.  Its 1 - exp(-beta a) is -expm1(-beta a), which
-    does not cancel as beta -> 0."""
+    does not cancel as beta -> 0.
+
+    Levels whose weight underflows are dropped before beta e_n is formed,
+    which could overflow.  ln Z is ln g + log1p(X / g), with g the number of
+    levels of weight exactly 1 and X the rest of Z: at low energy Z = g + X
+    rounds X away, and ln Z with it."""
     if not (beta > 0.0) or not math.isfinite(beta):
         raise ValueError("beta must be positive and finite")
-    t = beta * h.energies
+    weights = np.zeros(h.levels)
+    reach = h.energies <= _UNDERFLOW_EXPONENT / beta
+    t = beta * h.energies[reach]
     w = np.exp(-t)
+    weights[reach] = w
     keep = w > 0.0  # a level whose weight underflows carries nothing
     t, w = t[keep], w[keep]
     z = float(np.sum(w))
     mean = float(np.sum(w * t)) / z
     var = float(np.sum(w * (t - mean) ** 2)) / z
-    if h.tail is None:
-        return z, mean, var
-    step = beta * h.tail.a
-    q = -math.expm1(-step)
-    t0 = beta * (h.tail.a * h.levels + h.tail.b)
-    z_tail = math.exp(-t0) / q
-    if z_tail == 0.0:
-        return z, mean, var
-    # the tail is t0 + k * step with weights ~ x^k, x = exp(-step): its
-    # mean is t0 + r x and its variance r^2 x, with r = step / q
-    x, r = math.exp(-step), step / q
-    mean_tail, var_tail = t0 + r * x, r * r * x
-    total = z + z_tail
-    p, p_tail = z / total, z_tail / total
-    both = p * mean + p_tail * mean_tail
-    var = (p * (var + (mean - both) ** 2)
-           + p_tail * (var_tail + (mean_tail - both) ** 2))
-    return total, both, var
+    ground = int(np.count_nonzero(t == 0.0))
+    excited = float(np.sum(w[t != 0.0]))
+    z_tail = 0.0
+    if h.tail is not None:
+        step = beta * h.tail.a
+        q = -math.expm1(-step)
+        t0 = beta * (h.tail.a * h.levels + h.tail.b)
+        z_tail = math.exp(-t0) / q
+    if z_tail > 0.0:
+        # the tail is t0 + k * step with weights ~ x^k, x = exp(-step): its
+        # mean is t0 + r x and its variance r^2 x, with r = step / q
+        x, r = math.exp(-step), step / q
+        mean_tail, var_tail = t0 + r * x, r * r * x
+        total = z + z_tail
+        p, p_tail = z / total, z_tail / total
+        both = p * mean + p_tail * mean_tail
+        var = (p * (var + (mean - both) ** 2)
+               + p_tail * (var_tail + (mean_tail - both) ** 2))
+        z, mean, excited = total, both, excited + z_tail
+    return _Sums(z, math.log(ground) + math.log1p(excited / ground), mean, var,
+                 weights)
 
 
 @dataclass(frozen=True)
@@ -141,15 +166,15 @@ def gibbs_state(h: DiagonalHamiltonian, beta: float) -> Spectrum:
     The mass of the (exactly summed) tail levels is reported as the
     spectrum's tail mass, so the result is normalized including its tail.
     """
-    z = _partition_sums(h, beta)[0]
-    vals = np.exp(-beta * h.energies) / z
+    sums = _partition_sums(h, beta)
+    vals = sums.weights / sums.z
     tail_mass = max(0.0, 1.0 - float(np.sum(vals)))
     return Spectrum(vals, tail_mass, normalized=True)
 
 
 def gibbs_point(h: DiagonalHamiltonian, beta: float) -> GibbsPoint:
-    z, mean, _ = _partition_sums(h, beta)
-    return GibbsPoint(beta, mean / beta, (mean + math.log(z)) / LN2)
+    sums = _partition_sums(h, beta)
+    return GibbsPoint(beta, sums.mean / beta, (sums.mean + sums.log_z) / LN2)
 
 
 def max_mean_energy(h: DiagonalHamiltonian) -> float:
@@ -187,7 +212,8 @@ def beta_of_energy(h: DiagonalHamiltonian, energy: float,
     lo, hi = -math.inf, math.inf  # f(lo) > 0 > f(hi)
     for _ in range(_MAX_NEWTON_STEPS):
         beta = math.exp(u)
-        z, reduced, var = _partition_sums(h, beta)
+        sums = _partition_sums(h, beta)
+        reduced, var = sums.mean, sums.var
         mean = reduced / beta
         if abs(mean - energy) <= rtol * energy:
             break
@@ -209,7 +235,7 @@ def beta_of_energy(h: DiagonalHamiltonian, energy: float,
     if not abs(mean - energy) <= 10.0 * rtol * energy:
         raise InvariantViolation(
             f"Gibbs inversion reached energy {mean!r} for target {energy!r}")
-    return GibbsPoint(beta, mean, (reduced + math.log(z)) / LN2)
+    return GibbsPoint(beta, mean, (reduced + sums.log_z) / LN2)
 
 
 def max_entropy_at_energy(h: DiagonalHamiltonian, energy: float) -> float:
@@ -398,8 +424,8 @@ def gibbs_hypothesis_check(h: DiagonalHamiltonian,
     temperatures were checked.
     """
     for beta in betas:
-        z, mean, _ = _partition_sums(h, float(beta))
-        if not (math.isfinite(z) and math.isfinite(mean)):
+        sums = _partition_sums(h, float(beta))
+        if not (math.isfinite(sums.z) and math.isfinite(sums.mean)):
             return False
     return True
 

@@ -1,8 +1,14 @@
-"""JSON encodings of the value types used by the command-line interface.
+"""JSON encodings of the value types used by the command-line interface,
+and the one reader of config values.
 
 Complex matrices travel as flat row-major lists of [re, im] pairs next to
 their dimensions; spectra as value lists plus tail mass; Hamiltonians as
 energy lists plus an optional affine tail model.
+
+Every config value is read through ``read`` or ``read_list``, which check
+its JSON type and coerce nothing: a bool is never a number, a string never
+a number, and a number with a fraction never an integer.  Asking for
+``float`` accepts any JSON number and only then converts it to a float.
 """
 
 from __future__ import annotations
@@ -17,6 +23,45 @@ class SchemaError(ValueError):
     """Input does not match the documented JSON layout."""
 
 
+_REQUIRED = object()
+# the JSON values each requested type accepts, and its name in messages
+_ACCEPTS = {int: (int, "an integer"), float: ((int, float), "a number"),
+            str: (str, "a string"), list: (list, "a list"), dict: (dict, "an object")}
+
+
+def _typed(value, kind, where: str):
+    accepted, name = _ACCEPTS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise SchemaError(f"{where} must be {name}")
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise SchemaError(f"{where} is out of range") from exc
+
+
+def read(obj, key: str, what: str, kind, default=_REQUIRED):
+    """``obj[key]`` checked to be a ``kind`` (int, float, str, list or dict).
+
+    A missing key returns ``default``, or fails if none is given.  ``what``
+    names the object in the error message.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} must be an object")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise SchemaError(f"{what}: missing required key '{key}'")
+        return default
+    return _typed(obj[key], kind, f"{what}: '{key}'")
+
+
+def read_list(obj, key: str, what: str, kind) -> list:
+    """``obj[key]``, a required list whose every entry is a ``kind``."""
+    return [_typed(v, kind, f"{what}: every entry of '{key}'")
+            for v in read(obj, key, what, list)]
+
+
 def matrix_to_pairs(m: np.ndarray) -> list:
     flat = np.asarray(m, dtype=complex).reshape(-1)
     return [[float(z.real), float(z.imag)] for z in flat]
@@ -25,11 +70,12 @@ def matrix_to_pairs(m: np.ndarray) -> list:
 def pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
     if not isinstance(pairs, list) or len(pairs) != rows * cols:
         raise SchemaError(f"matrix needs {rows * cols} [re, im] pairs")
-    try:
-        flat = np.array([complex(p[0], p[1]) for p in pairs])
-    except (TypeError, IndexError) as exc:
-        raise SchemaError("matrix entries must be [re, im] pairs") from exc
-    return flat.reshape(rows, cols)
+    flat = []
+    for p in pairs:
+        if not (isinstance(p, list) and len(p) == 2):
+            raise SchemaError("matrix entries must be [re, im] pairs")
+        flat.append(complex(*(_typed(x, float, "a matrix entry") for x in p)))
+    return np.array(flat).reshape(rows, cols)
 
 
 def spectrum_to_json(s: Spectrum) -> dict:
@@ -37,14 +83,12 @@ def spectrum_to_json(s: Spectrum) -> dict:
             "tail_mass": float(s.tail_mass)}
 
 
-def spectrum_from_json(obj, normalized: bool = True) -> Spectrum:
-    if not isinstance(obj, dict) or "values" not in obj:
-        raise SchemaError("spectrum needs a 'values' list")
-    values = obj["values"]
-    if not isinstance(values, list) or not values:
+def spectrum_from_json(obj) -> Spectrum:
+    values = read_list(obj, "values", "spectrum", float)
+    if not values:
         raise SchemaError("spectrum 'values' must be a non-empty list")
     return Spectrum(np.asarray(values, dtype=float),
-                    float(obj.get("tail_mass", 0.0)), normalized=normalized)
+                    read(obj, "tail_mass", "spectrum", float, 0.0))
 
 
 def state_to_json(s: BipartiteState) -> dict:
@@ -53,13 +97,9 @@ def state_to_json(s: BipartiteState) -> dict:
 
 
 def state_from_json(obj) -> BipartiteState:
-    if not isinstance(obj, dict):
-        raise SchemaError("state must be an object")
-    for key in ("dim_a", "dim_b", "matrix"):
-        if key not in obj:
-            raise SchemaError(f"state needs '{key}'")
-    da, db = int(obj["dim_a"]), int(obj["dim_b"])
-    return BipartiteState(da, db, pairs_to_matrix(obj["matrix"], da * db, da * db))
+    da, db = read(obj, "dim_a", "state", int), read(obj, "dim_b", "state", int)
+    matrix = pairs_to_matrix(read(obj, "matrix", "state", list), da * db, da * db)
+    return BipartiteState(da, db, matrix)
 
 
 def pure_to_json(p: PureBipartite) -> dict:
@@ -68,13 +108,9 @@ def pure_to_json(p: PureBipartite) -> dict:
 
 
 def pure_from_json(obj) -> PureBipartite:
-    if not isinstance(obj, dict):
-        raise SchemaError("pure state must be an object")
-    for key in ("dim_a", "dim_b", "amplitudes"):
-        if key not in obj:
-            raise SchemaError(f"pure state needs '{key}'")
-    da, db = int(obj["dim_a"]), int(obj["dim_b"])
-    return schmidt_decompose(pairs_to_matrix(obj["amplitudes"], da, db))
+    what = "pure state"
+    da, db = read(obj, "dim_a", what, int), read(obj, "dim_b", what, int)
+    return schmidt_decompose(pairs_to_matrix(read(obj, "amplitudes", what, list), da, db))
 
 
 def ensemble_to_json(e: Ensemble) -> dict:
@@ -86,14 +122,10 @@ def ensemble_to_json(e: Ensemble) -> dict:
 
 
 def ensemble_from_json(obj) -> Ensemble:
-    if not isinstance(obj, dict) or "weights" not in obj or "members" not in obj:
-        raise SchemaError("ensemble needs 'weights' and 'members'")
-    members = []
-    for m in obj["members"]:
-        if not isinstance(m, dict):
-            raise SchemaError("ensemble members must be objects")
-        members.append(pure_from_json(m) if "amplitudes" in m else state_from_json(m))
-    return Ensemble(np.asarray(obj["weights"], dtype=float), tuple(members))
+    weights = read_list(obj, "weights", "ensemble", float)
+    members = [pure_from_json(m) if "amplitudes" in m else state_from_json(m)
+               for m in read_list(obj, "members", "ensemble", dict)]
+    return Ensemble(np.asarray(weights, dtype=float), tuple(members))
 
 
 def hamiltonian_to_json(h: DiagonalHamiltonian) -> dict:
@@ -103,18 +135,14 @@ def hamiltonian_to_json(h: DiagonalHamiltonian) -> dict:
 
 
 def hamiltonian_from_json(obj) -> DiagonalHamiltonian:
-    if not isinstance(obj, dict) or "energies" not in obj:
-        raise SchemaError("hamiltonian needs an 'energies' list")
-    tail_obj = obj.get("tail_model", {"kind": "none"})
-    if not isinstance(tail_obj, dict) or "kind" not in tail_obj:
-        raise SchemaError("tail_model needs a 'kind'")
-    if tail_obj["kind"] == "none":
+    energies = read_list(obj, "energies", "hamiltonian", float)
+    tail_obj = read(obj, "tail_model", "hamiltonian", dict, {"kind": "none"})
+    kind = read(tail_obj, "kind", "tail_model", str)
+    if kind == "none":
         tail = None
-    elif tail_obj["kind"] == "affine":
-        try:
-            tail = AffineTail(float(tail_obj["a"]), float(tail_obj["b"]))
-        except KeyError as exc:
-            raise SchemaError("affine tail needs 'a' and 'b'") from exc
+    elif kind == "affine":
+        tail = AffineTail(read(tail_obj, "a", "affine tail", float),
+                          read(tail_obj, "b", "affine tail", float))
     else:
-        raise SchemaError(f"unknown tail model {tail_obj['kind']!r}")
-    return DiagonalHamiltonian(np.asarray(obj["energies"], dtype=float), tail)
+        raise SchemaError(f"unknown tail model {kind!r}")
+    return DiagonalHamiltonian(np.asarray(energies, dtype=float), tail)

@@ -229,6 +229,15 @@ def test_converse_rejects_bad_epsilon():
         converse_bound(bell.to_density(), 1.0, 0.0, harmonic_oscillator(), 2)
 
 
+@pytest.mark.parametrize("r, n", [(math.inf, 1), (1e308, 10), (math.nan, 1),
+                                  (-1.0, 1), (1.0, 0)])
+def test_converse_rejects_r_n_without_a_finite_floor(r, n):
+    # floor(r n) overflowed for r = inf and for r n = 1e309
+    bell = schmidt_decompose(np.eye(2) / np.sqrt(2.0))
+    with pytest.raises(ValueError):
+        converse_bound(bell.to_density(), r, 1e-2, harmonic_oscillator(), n)
+
+
 def test_additivity_of_pure_rate():
     psi = schmidt_decompose(np.diag([np.sqrt(0.7), np.sqrt(0.3)]))
     rho = psi.to_density()

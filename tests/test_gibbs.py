@@ -1,6 +1,7 @@
 """Gibbs spectra, max-entropy curves, continuity bounds, series weights."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,8 +108,9 @@ def test_partition_moments_match_the_ladder_closed_form(beta):
     # e_n = n: Z = 1/q, <beta H> = beta x/q and Var(beta H) = beta^2 x/q^2,
     # x = exp(-beta), q = 1 - x; 64 stored levels plus the tail must sum to it
     x, q = math.exp(-beta), -math.expm1(-beta)
-    z, mean, var = gibbs._partition_sums(harmonic_oscillator(), beta)
+    z, log_z, mean, var, _ = gibbs._partition_sums(harmonic_oscillator(), beta)
     assert z == pytest.approx(1.0 / q, rel=1e-13)
+    assert log_z == pytest.approx(-math.log(q), rel=1e-13)
     assert mean == pytest.approx(beta * x / q, rel=1e-13)
     assert var == pytest.approx((beta / q) ** 2 * x, rel=1e-12)
 
@@ -116,7 +118,29 @@ def test_partition_moments_match_the_ladder_closed_form(beta):
 def test_partition_moments_skip_underflowed_levels():
     # beta e_n = 1e160 has weight 0; its squared deviation would overflow
     h = DiagonalHamiltonian(np.array([0.0, 1.0, 1e10]))
-    assert gibbs._partition_sums(h, 1e150) == (1.0, 0.0, 0.0)
+    sums = gibbs._partition_sums(h, 1e150)
+    assert (sums.z, sums.log_z, sums.mean, sums.var) == (1.0, 0.0, 0.0, 0.0)
+
+
+def test_gibbs_state_and_point_at_overflowing_beta_e():
+    # beta e_n = 1e310 overflowed to inf with a RuntimeWarning
+    h = DiagonalHamiltonian(np.array([0.0, 1.0, 1e10]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = gibbs_state(h, 1e300)
+        point = gibbs_point(h, 1e300)
+    assert spec.values.tolist() == [1.0, 0.0, 0.0]
+    assert spec.tail_mass == 0.0
+    assert (point.energy, point.entropy_bits) == (0.0, 0.0)
+
+
+def test_ladder_entropy_is_relative_at_low_energy():
+    # Z = 1 + x rounded x away: F(E)/E read 1.4e-3 low at E = 1e-300,
+    # 1.4 % low at 1e-30 and 3e-6 low at 1e-12
+    h = harmonic_oscillator()
+    for energy in np.logspace(-300, -6, 50):
+        g = g_function(float(energy))
+        assert abs(max_entropy_at_energy(h, float(energy)) - g) <= 1e-12 * g
 
 
 @pytest.mark.parametrize("energy", [1e160, 1e300])
