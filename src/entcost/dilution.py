@@ -98,8 +98,9 @@ def _dilute(target: PureBipartite | Spectrum, delta: float, ns,
             max_types: int = DEFAULT_MAX_TYPES) -> list[DilutionTrace]:
     """Dilution traces at each block length in ``ns``; the source
     distribution of the target is built once for all of them."""
-    if not delta >= 0.0 or any(n < 1 for n in ns):
-        raise ValueError("need delta >= 0 and n >= 1")
+    # an infinite delta has no ebit cap ceil(n (S + delta))
+    if not 0.0 <= delta < math.inf or any(n < 1 for n in ns):
+        raise ValueError("need a finite delta >= 0 and n >= 1")
     dist = SourceDistribution(_schmidt_of(target).stripped().values)
     h = dist.entropy_bits
     traces = []

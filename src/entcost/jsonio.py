@@ -8,7 +8,8 @@ energy lists plus an optional affine tail model.
 Every config value is read through ``read`` or ``read_list``, which check
 its JSON type and coerce nothing: a bool is never a number, a string never
 a number, and a number with a fraction never an integer.  Asking for
-``float`` accepts any JSON number and only then converts it to a float.
+``float`` accepts any JSON number and only then converts it to a float;
+asking for ``int`` accepts a JSON integer in the signed 64-bit range.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ def _typed(value, kind, where: str):
     accepted, name = _ACCEPTS[kind]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise SchemaError(f"{where} must be {name}")
+    if kind is int and not -2 ** 63 <= value < 2 ** 63:
+        # counts and sizes reach NumPy as int64; a seed is masked to 64 bits
+        raise SchemaError(f"{where} is out of the 64-bit integer range")
     if kind is not float:
         return value
     try:
@@ -74,7 +78,8 @@ def pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
     for p in pairs:
         if not (isinstance(p, list) and len(p) == 2):
             raise SchemaError("matrix entries must be [re, im] pairs")
-        flat.append(complex(*(_typed(x, float, "a matrix entry") for x in p)))
+        re, im = (_typed(x, float, "a matrix entry") for x in p)
+        flat.append(complex(re, im))
     return np.array(flat).reshape(rows, cols)
 
 
@@ -87,8 +92,7 @@ def spectrum_from_json(obj) -> Spectrum:
     values = read_list(obj, "values", "spectrum", float)
     if not values:
         raise SchemaError("spectrum 'values' must be a non-empty list")
-    return Spectrum(np.asarray(values, dtype=float),
-                    read(obj, "tail_mass", "spectrum", float, 0.0))
+    return Spectrum(values, read(obj, "tail_mass", "spectrum", float, 0.0))
 
 
 def state_to_json(s: BipartiteState) -> dict:
@@ -125,7 +129,7 @@ def ensemble_from_json(obj) -> Ensemble:
     weights = read_list(obj, "weights", "ensemble", float)
     members = [pure_from_json(m) if "amplitudes" in m else state_from_json(m)
                for m in read_list(obj, "members", "ensemble", dict)]
-    return Ensemble(np.asarray(weights, dtype=float), tuple(members))
+    return Ensemble(weights, tuple(members))
 
 
 def hamiltonian_to_json(h: DiagonalHamiltonian) -> dict:
@@ -145,4 +149,4 @@ def hamiltonian_from_json(obj) -> DiagonalHamiltonian:
                           read(tail_obj, "b", "affine tail", float))
     else:
         raise SchemaError(f"unknown tail model {kind!r}")
-    return DiagonalHamiltonian(np.asarray(energies, dtype=float), tail)
+    return DiagonalHamiltonian(energies, tail)

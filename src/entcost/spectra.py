@@ -90,6 +90,8 @@ def _check_square(m: np.ndarray, dim: int, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (dim, dim):
         raise InvariantViolation(f"{what} must be {dim}x{dim}, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvariantViolation(f"{what} must be finite")
     return m
 
 
@@ -210,8 +212,8 @@ class Ensemble:
         members = tuple(self.members)
         if w.size != len(members) or w.size == 0:
             raise InvariantViolation("weights and members must align and be non-empty")
-        if np.any(w < -WEIGHT_ATOL):
-            raise InvariantViolation("weights must be non-negative")
+        if not np.all(np.isfinite(w)) or np.any(w < -WEIGHT_ATOL):
+            raise InvariantViolation("weights must be finite and non-negative")
         if abs(float(np.sum(w)) - 1.0) > WEIGHT_ATOL:
             raise InvariantViolation(f"weights sum to {float(np.sum(w))!r}")
         dims = {(m.dim_a, m.dim_b) for m in members}

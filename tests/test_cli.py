@@ -1,16 +1,25 @@
 """Command-line interface: schemas, exit codes, artifact reproducibility."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entcost import cli
 from entcost.cli import main
+from entcost.jsonio import matrix_to_pairs
 
 RUN = [sys.executable, "-m", "entcost.cli"]
 
@@ -388,3 +397,139 @@ def test_installed_entry_point_if_present(tmp_path):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["entropy_bits"] == pytest.approx(
         1.0, abs=1e-12)
+
+
+_BELL = np.zeros((4, 4))
+_BELL[np.ix_([0, 3], [0, 3])] = 0.5
+# half a Bell state, half |01>: rank 2, so the convex-roof search runs
+_STATE = {"dim_a": 2, "dim_b": 2,
+          "matrix": matrix_to_pairs(0.5 * _BELL + 0.5 * np.diag([0, 1, 0, 0]))}
+_SMALL_LADDER = {"energies": [0.0, 1.0], "tail_model": {"kind": "affine", "a": 1.0, "b": 0.0}}
+_PRODUCT = {"dim_a": 2, "dim_b": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+
+# one small valid config per command, and per gibbs query
+_FUZZ_BASES = {name: {"command": name.split(":")[0], "seed": 1, "params": params}
+               for name, params in [
+    ("entropy", {"spectrum": {"values": [0.5, 0.3, 0.2], "tail_mass": 0.0}}),
+    ("typicality", {"dist": [0.8, 0.2], "n": 6, "delta": 0.1, "kind": "strong",
+                    "mode": "mc", "samples": 32}),
+    ("eof", {"state": _STATE, "ensemble_size": 3, "restarts": 1, "iterations": 3}),
+    ("dilute-pure", dict(_PRODUCT, schmidt=[0.8, 0.2], delta=0.1, n_grid=[2, 4],
+                         mode="mc", samples=32)),
+    ("dilute-mixed", {"ensemble": {"weights": [0.5, 0.5],
+                                   "members": [_EBIT_ENSEMBLE["members"][0], _PRODUCT]},
+                      "n_cut_grid": [0, 1]}),
+    ("converse-bound", {"state": _STATE, "hamiltonian": _SMALL_LADDER, "r": 1.0, "n": 1,
+                        "epsilon_grid": [0.01], "restarts": 1, "iterations": 3}),
+    ("majorization-check", {"trials": 1, "max_dim": 2}),
+    ("gibbs:beta", {"hamiltonian": _SMALL_LADDER, "beta": 1.0, "spectrum_head": 2}),
+    ("gibbs:energy", {"hamiltonian": {"energies": [0.0, 1.0, 2.0]}, "energy": 0.5}),
+]}
+_JUNK = [True, "1", 1.5, -1, 0, math.inf, -math.inf, math.nan, [], {}, None]
+
+
+def _paths(node, prefix=()):
+    """Every (path to a container, key or index in it) below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _with(config: dict, path: tuple, value) -> dict:
+    """A copy of ``config`` with the value at ``path`` replaced."""
+    config = copy.deepcopy(config)
+    node = config
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return config
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    """A base config with one key deleted or one value replaced by junk."""
+    config = copy.deepcopy(draw(st.sampled_from(list(_FUZZ_BASES.values()))))
+    prefix, key = draw(st.sampled_from(list(_paths(config))))
+    parent = config
+    for step in prefix:
+        parent = parent[step]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = copy.deepcopy(draw(st.sampled_from(_JUNK)))
+    return config
+
+
+def _run_main(config: dict) -> tuple:
+    """(exit code, stdout, stderr, warning messages) of one in-process run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["--config", str(path)])
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+_EOF, _CONVERSE = _FUZZ_BASES["eof"], _FUZZ_BASES["converse-bound"]
+_OVERFLOWING_GIBBS = {"command": "gibbs", "params": {
+    "hamiltonian": {"energies": [0.0, 1.0, 1e10]}, "beta": 1e300}}
+
+
+@settings(max_examples=400, deadline=None)
+@given(config=_fuzzed_configs())
+# each of these printed a traceback or a RuntimeWarning
+@example(_with(_EOF, ("params", "state", "matrix", 0), {}))
+@example(_with(_EOF, ("params", "state", "dim_a"), math.inf))
+@example(_with(_CONVERSE, ("params", "r"), math.inf))
+@example(_with(_with(_CONVERSE, ("params", "r"), 1e308), ("params", "n"), 10))
+@example(_with(_FUZZ_BASES["entropy"], ("command",), []))
+@example(_with(_FUZZ_BASES["dilute-pure"], ("params", "delta"), math.inf))
+@example(_with(_EOF, ("params", "state", "matrix", 3, 0), math.inf))
+@example(_with(_FUZZ_BASES["dilute-mixed"], ("params", "ensemble", "weights", 1), math.nan))
+@example(_OVERFLOWING_GIBBS)
+def test_fuzzed_config_exits_cleanly(config):
+    # exit 0 with strict JSON, or 2/3/4 with one error record; never a
+    # traceback, never a warning
+    code, out, err, caught = _run_main(config)
+    assert caught == []
+    if code == 0:
+        assert err == ""
+        json.loads(out, parse_constant=lambda token: pytest.fail(token))
+    else:
+        assert code in (2, 3, 4)
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["exit_code"] == code
+
+
+@pytest.mark.parametrize("config", [
+    {"command": "dilute-pure", "params": {"dim_a": 1.9, "dim_b": 2, "delta": 0.1,
+                                          "amplitudes": [[0.6, 0.0], [0.8, 0.0]],
+                                          "n_grid": [2]}},
+    _with(_EOF, ("params", "state", "dim_a"), "2"),
+    _with(_CONVERSE, ("params", "hamiltonian", "tail_model", "a"), "1"),
+    _with(_CONVERSE, ("params", "hamiltonian", "tail_model", "b"), True),
+    _with(_CONVERSE, ("params", "epsilon_grid"), ["0.01"]),
+    _with(_CONVERSE, ("params", "r"), math.inf),
+    _with(_with(_CONVERSE, ("params", "r"), 1e308), ("params", "n"), 10),
+    _with(_CONVERSE, ("params", "n"), 10 ** 400),
+    _with(_FUZZ_BASES["typicality"], ("params", "n"), 10 ** 400),
+    _with(_FUZZ_BASES["dilute-pure"], ("params", "n_grid"), [10 ** 400]),
+    _with(_FUZZ_BASES["entropy"], ("params", "spectrum", "values"), ["0.5", "0.3", "0.2"]),
+    _with(_FUZZ_BASES["typicality"], ("params", "dist"), ["0.8", "0.2"]),
+    _with(_FUZZ_BASES["gibbs:energy"], ("params", "hamiltonian", "energies"), 0),
+    _with(_FUZZ_BASES["entropy"], ("output_path",), 1.5),
+])
+def test_config_value_of_wrong_type_or_range_is_schema_error(config):
+    # each of these ran on a coerced value (1.9 as 1, "1" as 1.0, a scalar
+    # as a one-level list) or raised a traceback (r n = inf, an integer
+    # beyond the float range, a number as output_path)
+    code, out, err, _ = _run_main(config)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["kind"] == "schema"
+

@@ -58,6 +58,13 @@ def test_ebit_dilutes_at_rate_one_with_zero_error():
         assert t.cbits == 2 * n
 
 
+@pytest.mark.parametrize("delta", [math.inf, math.nan, -0.1])
+def test_dilution_rejects_delta_without_a_finite_cap(delta):
+    # delta = inf overflowed in ceil(n (S + delta))
+    with pytest.raises(ValueError):
+        pure_dilution(Spectrum(np.array([0.8, 0.2])), delta, 10)
+
+
 def test_product_state_needs_no_entanglement():
     t = pure_dilution(Spectrum(np.array([1.0])), 0.05, 20)
     assert t.ebits == 0

@@ -114,6 +114,15 @@ def test_density_state_symmetrized_and_unit_trace():
     assert rho.spectrum().total_mass == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_density_state_rejects_non_finite_entries(bad):
+    # an infinite entry reached eigvalsh and warned "invalid value"
+    m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    m[0, 3] = m[3, 0] = bad
+    with pytest.raises(InvariantViolation):
+        BipartiteState(2, 2, m)
+
+
 def test_trace_distance_basic():
     x = np.diag([1.0, 0.0])
     y = np.diag([0.0, 1.0])
@@ -135,6 +144,13 @@ def test_ensemble_weights_must_normalize():
     m = random_pure_state(rng, 2, 2)
     with pytest.raises(InvariantViolation):
         Ensemble(np.array([0.5, 0.4]), (m, m))
+
+
+def test_ensemble_rejects_nan_weight():
+    # a NaN weight passed both the sign and the sum check
+    m = random_pure_state(stream(7, 6), 2, 2)
+    with pytest.raises(InvariantViolation):
+        Ensemble(np.array([1.0, math.nan]), (m, m))
 
 
 def test_ensemble_average_reconstructs_mixture():
