@@ -61,6 +61,13 @@ def von_neumann_entropy(spectrum: Spectrum) -> float:
     return float(-np.sum(nz * np.log2(nz)) + 0.0)
 
 
+def _row_entropies(rows: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of a 2-D array of probabilities;
+    zeros contribute 0."""
+    logs = np.log2(rows, out=np.zeros(rows.shape), where=rows > 0.0)
+    return -(rows * logs).sum(axis=1) + 0.0
+
+
 def entropy_tail_uncertainty(spectrum: Spectrum, dim_bound: int | None = None) -> float:
     """Upper bound on entropy carried by the declared tail mass.
 
@@ -78,13 +85,16 @@ def entropy_tail_uncertainty(spectrum: Spectrum, dim_bound: int | None = None) -
     return float(t * math.log2(dim_bound / t)) if t < dim_bound else 0.0
 
 
-def _suffix_sums(values: np.ndarray, tail: float = 0.0) -> np.ndarray:
-    """out[k] = tail + sum(values[k:]), k = 0..len(values), added one term
-    at a time from the end."""
-    out = np.empty(values.size + 1)
-    out[0] = tail
-    out[1:] = values[::-1]
-    return np.add.accumulate(out, out=out)[::-1]
+def _suffix_sums(values: np.ndarray, tail=0.0) -> np.ndarray:
+    """out[..., k] = tail + sum(values[..., k:]), k = 0..values.shape[-1],
+    added one term at a time from the end of the last axis.
+
+    ``values`` is one spectrum or a 2-D stack of them (one per row), and
+    ``tail`` a scalar or one tail mass per row."""
+    out = np.empty(values.shape[:-1] + (values.shape[-1] + 1,))
+    out[..., 0] = tail
+    out[..., 1:] = values[..., ::-1]
+    return np.add.accumulate(out, axis=-1, out=out)[..., ::-1]
 
 
 @dataclass(frozen=True)

@@ -105,13 +105,15 @@ def _partition_sums(h: DiagonalHamiltonian, beta: float) -> _Sums:
     mean and a variance of beta e_n, then combined as a two-part mixture.
     The raw tail sums sum_n e_n^k w_n grow like beta^-(k+1) and overflow
     once beta a < 1e-154; in units of 1/beta the tail's moments stay of
-    order 1 as beta -> 0.  Its 1 - exp(-beta a) is -expm1(-beta a), which
-    does not cancel as beta -> 0.
+    order 1 as beta -> 0.  Its q = 1 - exp(-beta a) is -expm1(-beta a),
+    which does not cancel as beta -> 0.  The mixture weights are the
+    ratio z q : exp(-t0), finite even where the tail's sum exp(-t0) / q
+    overflows or q underflows to 0 (Z is inf there, ln Z is not).
 
     Levels whose weight underflows are dropped before beta e_n is formed,
-    which could overflow.  ln Z is ln g + log1p(X / g), with g the number of
-    levels of weight exactly 1 and X the rest of Z: at low energy Z = g + X
-    rounds X away, and ln Z with it."""
+    which could overflow.  ln Z of the stored levels is ln g + log1p(X / g),
+    with g the number of levels of weight exactly 1 and X the rest: at low
+    energy Z = g + X rounds X away, and ln Z with it."""
     if not (beta > 0.0) or not math.isfinite(beta):
         raise ValueError("beta must be positive and finite")
     weights = np.zeros(h.levels)
@@ -126,25 +128,30 @@ def _partition_sums(h: DiagonalHamiltonian, beta: float) -> _Sums:
     var = float(np.sum(w * (t - mean) ** 2)) / z
     ground = int(np.count_nonzero(t == 0.0))
     excited = float(np.sum(w[t != 0.0]))
-    z_tail = 0.0
+    log_z = math.log(ground) + math.log1p(excited / ground)
+    head = 0.0
     if h.tail is not None:
         step = beta * h.tail.a
-        q = -math.expm1(-step)
         t0 = beta * (h.tail.a * h.levels + h.tail.b)
-        z_tail = math.exp(-t0) / q
-    if z_tail > 0.0:
-        # the tail is t0 + k * step with weights ~ x^k, x = exp(-step): its
-        # mean is t0 + r x and its variance r^2 x, with r = step / q
-        x, r = math.exp(-step), step / q
+        head = math.exp(-t0)
+    if head > 0.0:
+        # the tail is t0 + k * step with weights exp(-t0) x^k, x = exp(-step):
+        # its sum is exp(-t0) / q, its mean t0 + r x and its variance r^2 x,
+        # with r = step / q -> 1 as beta -> 0, where step and q underflow
+        q = -math.expm1(-step)
+        x, r = math.exp(-step), step / q if q > 0.0 else 1.0
         mean_tail, var_tail = t0 + r * x, r * r * x
-        total = z + z_tail
-        p, p_tail = z / total, z_tail / total
+        # the two parts weigh z q : exp(-t0), finite where exp(-t0) / q overflows
+        total = z * q + head
+        p, p_tail = z * q / total, head / total
         both = p * mean + p_tail * mean_tail
         var = (p * (var + (mean - both) ** 2)
                + p_tail * (var_tail + (mean_tail - both) ** 2))
-        z, mean, excited = total, both, excited + z_tail
-    return _Sums(z, math.log(ground) + math.log1p(excited / ground), mean, var,
-                 weights)
+        # ln Z = ln(z + exp(-t0) / q), with ln q = ln(step / r) formed from logs
+        log_tail = -t0 - (math.log(beta) + math.log(h.tail.a) - math.log(r))
+        log_z = float(np.logaddexp(log_z, log_tail))
+        z, mean = z + head / q if q > 0.0 else math.inf, both
+    return _Sums(z, log_z, mean, var, weights)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import tail_sums, von_neumann_entropy
+from .entropy import _row_entropies, _suffix_sums, tail_sums, von_neumann_entropy
 from .rng import stream
 from .spectra import (
+    NORMALIZED_ATOL,
     BipartiteState,
     Ensemble,
     InvariantViolation,
@@ -117,10 +119,26 @@ def spectrum_tail_sums(spec: Spectrum, n_max: int) -> np.ndarray:
     return tail_sums(spec, n_max + 1)
 
 
-def _weighted_tail_sums(weights: np.ndarray, spectra, n_max: int) -> np.ndarray:
-    """sum_x w_x tail_sum(spectra[x], N) for N = 0..n_max, summed in order."""
-    table = np.array([spectrum_tail_sums(s, n_max) for s in spectra])
-    return np.sum(weights[:, None] * table, axis=0)
+def _weighted_tail_sums(weights: np.ndarray, rows: np.ndarray, n_max: int,
+                        tails=0.0) -> np.ndarray:
+    """sum_x w_x tail_sum(rows[x], N) for N = 0..n_max, summed in row order.
+
+    ``rows`` holds one non-increasing spectrum per row, at most n_max wide;
+    it is zero-padded to width n_max, so indices past a row's length give
+    its tail mass ``tails[x]`` (a scalar applies to every row).
+    """
+    padded = np.zeros((rows.shape[0], n_max))
+    padded[:, :rows.shape[1]] = rows
+    table = _suffix_sums(padded, tails)
+    return (weights[:, None] * table).sum(axis=0)
+
+
+def _spectrum_rows(spectra) -> np.ndarray:
+    """Values of Spectrum objects as the rows of one zero-padded array."""
+    rows = np.zeros((len(spectra), max(len(s) for s in spectra)))
+    for x, s in enumerate(spectra):
+        rows[x, :len(s)] = s.values
+    return rows
 
 
 def schur_horn_check(matrix: np.ndarray, vectors, atol: float = MARGIN_ATOL) -> bool:
@@ -171,6 +189,66 @@ def tail_sum_operator_inequality(a: np.ndarray, b: np.ndarray, k: np.ndarray,
     return lhs <= rhs + atol * (trace + 1.0)
 
 
+class _Outcomes(NamedTuple):
+    """Outcomes of an instrument on a pure input, one row per outcome kept.
+
+    ``probs`` are the outcome probabilities above ``OUTCOME_PROB_FLOOR``
+    (not renormalized), ``pure`` marks outcomes whose branches are pairwise
+    parallel, ``heads`` holds each outcome's largest branch and ``spectra``
+    the Schmidt spectrum of each head (meaningful where ``pure``).
+    ``groups[x, k]`` says whether branch k feeds outcome x, and ``vecs`` are
+    the branches flattened.
+    """
+
+    probs: np.ndarray
+    pure: np.ndarray
+    heads: np.ndarray
+    spectra: np.ndarray
+    groups: np.ndarray
+    vecs: np.ndarray
+    dropped: int
+
+
+def _outcomes(inst: ProductKrausInstrument, psi: PureBipartite) -> _Outcomes:
+    """Every outcome's weight and Schmidt spectrum from one stacked SVD.
+
+    Branch k maps the amplitude matrix C to L_k C M_k^T.  Branches sharing
+    an outcome label form one outcome; it is pure when every branch is
+    parallel to its largest one, and its spectrum is that of the largest
+    branch.
+    """
+    if (inst.dim_a, inst.dim_b) != (psi.dim_a, psi.dim_b):
+        raise InvariantViolation("instrument and state dimensions differ")
+    if not inst.is_channel():
+        raise InvariantViolation(
+            f"completeness defect {inst.completeness_defect!r} exceeds tolerance")
+    branches = inst.ls @ psi.amplitudes @ inst.ms.transpose(0, 2, 1)
+    vecs = branches.reshape(len(branches), -1)
+    norms = np.linalg.norm(vecs, axis=1)
+    norms2 = norms ** 2
+    keys = sorted(set(inst.outcomes))
+    index = {x: i for i, x in enumerate(keys)}
+    labels = np.array([index[x] for x in inst.outcomes])
+    groups = labels == np.arange(len(keys))[:, None]
+    probs = np.where(groups, norms2, 0.0).sum(axis=1)
+    # largest branch of each outcome, the first one on a tie
+    tops = np.where(groups, norms2, -1.0).argmax(axis=1)
+    head = tops[labels]
+    overlaps = np.abs(np.einsum("ki,ki->k", vecs, vecs[head].conj())) ** 2
+    parallel = overlaps >= (1.0 - 1e-10) * norms2[head] * norms2
+    pure = ~(groups & ~parallel).any(axis=1)
+    keep = probs > OUTCOME_PROB_FLOOR
+    tops = tops[keep]
+    sq = np.maximum(np.linalg.svd(branches[tops] / norms[tops, None, None],
+                                  compute_uv=False), 0.0) ** 2
+    spectra = sq / sq.sum(axis=1, keepdims=True)
+    # a NaN or inf entry fails the comparison as well
+    if not (np.abs(spectra.sum(axis=1) - 1.0) <= NORMALIZED_ATOL).all():
+        raise InvariantViolation("outcome Schmidt spectra must be finite and normalized")
+    return _Outcomes(probs[keep], pure[keep], branches[tops], spectra, groups[keep],
+                     vecs, len(keys) - len(tops))
+
+
 def apply_instrument(inst: ProductKrausInstrument, psi: PureBipartite) -> Ensemble:
     """Outcome ensemble of a product-Kraus instrument on a pure input.
 
@@ -179,39 +257,27 @@ def apply_instrument(inst: ProductKrausInstrument, psi: PureBipartite) -> Ensemb
     whose branches are pairwise parallel are stored as pure states.
     Probability-zero outcomes are dropped with a log notice.
     """
-    if (inst.dim_a, inst.dim_b) != (psi.dim_a, psi.dim_b):
-        raise InvariantViolation("instrument and state dimensions differ")
-    if not inst.is_channel():
-        raise InvariantViolation(
-            f"completeness defect {inst.completeness_defect!r} exceeds tolerance")
-    branches = inst.ls @ psi.amplitudes @ inst.ms.transpose(0, 2, 1)
-    shape = branches.shape[1:]
-    vecs = branches.reshape(len(branches), -1)
-    norms2 = np.linalg.norm(vecs, axis=1) ** 2
-    keys = sorted(set(inst.outcomes))
-    labels = np.array([keys.index(x) for x in inst.outcomes])
-    weights = []
+    out = _outcomes(inst, psi)
+    if out.dropped:
+        logger.info("dropped %d probability-zero outcomes", out.dropped)
     members = []
-    dropped = 0
-    for i in range(len(keys)):
-        mask = labels == i
-        p = float(np.sum(norms2[mask]))
-        if p <= OUTCOME_PROB_FLOOR:
-            dropped += 1
-            continue
-        group = vecs[mask]
-        n2 = norms2[mask]
-        top = int(np.argmax(n2))
-        overlaps = np.abs(group @ group[top].conj()) ** 2
-        if np.all(overlaps >= (1.0 - 1e-10) * n2[top] * n2):
-            members.append(schmidt_decompose(group[top].reshape(shape)))
+    for x, p in enumerate(out.probs):
+        if out.pure[x]:
+            members.append(schmidt_decompose(out.heads[x]))
         else:
-            members.append(BipartiteState(*shape, group.T @ group.conj() / p))
-        weights.append(p)
-    if dropped:
-        logger.info("dropped %d probability-zero outcomes", dropped)
-    w = np.asarray(weights)
-    return Ensemble(w / np.sum(w), tuple(members))
+            group = out.vecs[out.groups[x]]
+            members.append(BipartiteState(*out.heads.shape[1:], group.T @ group.conj() / p))
+    return Ensemble(out.probs / np.sum(out.probs), tuple(members))
+
+
+def _pure_outcomes(inst: ProductKrausInstrument,
+                   psi: PureBipartite) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized outcome weights and Schmidt spectrum rows of an instrument
+    whose outcomes must all be pure."""
+    out = _outcomes(inst, psi)
+    if not out.pure.all():
+        raise InvariantViolation("tail sums and entropies need pure outcome states")
+    return out.probs / out.probs.sum(), out.spectra
 
 
 @dataclass(frozen=True)
@@ -234,11 +300,17 @@ def majorization_condition_check(psi: PureBipartite, ensemble: Ensemble,
     """
     if not ensemble.all_pure():
         raise InvariantViolation("majorization margins need pure ensemble members")
-    n_max = max(psi.dim_a, ensemble.dim_a)
-    lhs = spectrum_tail_sums(psi.schmidt, n_max) * r_norm
-    margins = lhs - _weighted_tail_sums(
-        ensemble.weights, [member.schmidt for member in ensemble.members], n_max)
+    rows = _spectrum_rows([member.schmidt for member in ensemble.members])
+    margins = _margins(psi, ensemble.weights, rows, max(psi.dim_a, ensemble.dim_a), r_norm)
     return MajorizationReport(margins, r_norm, bool(np.min(margins) >= -atol))
+
+
+def _margins(psi: PureBipartite, weights: np.ndarray, rows: np.ndarray, n_max: int,
+             r_norm: float = 1.0) -> np.ndarray:
+    """tail_sum(psi_A, N) * r_norm minus the weighted tail sums of the
+    Schmidt spectra in ``rows``, for N = 0..n_max."""
+    lhs = spectrum_tail_sums(psi.schmidt, n_max) * r_norm
+    return lhs - _weighted_tail_sums(weights, rows, n_max)
 
 
 @dataclass(frozen=True)
@@ -267,7 +339,9 @@ def tail_dominance_entropy_check(rho_spectrum: Spectrum, weights,
         raise InvariantViolation("weights must be a probability vector")
     n_max = max(len(rho_spectrum), max(len(s) for s in members))
     lhs = spectrum_tail_sums(rho_spectrum, n_max)
-    min_tail_margin = float(np.min(lhs - _weighted_tail_sums(w, members, n_max)))
+    weighted = _weighted_tail_sums(w, _spectrum_rows(members), n_max,
+                                   np.array([s.tail_mass for s in members]))
+    min_tail_margin = float(np.min(lhs - weighted))
     if min_tail_margin < -MARGIN_ATOL:
         return TailDominanceResult(False, False, math.nan, min_tail_margin)
     entropy_margin = von_neumann_entropy(rho_spectrum) - float(
@@ -280,26 +354,27 @@ def entropy_monotonicity_check(psi: PureBipartite, inst: ProductKrausInstrument,
                                atol: float = 1e-9) -> bool:
     """Marginal entropy never grows on average under a product-Kraus instrument
     with pure outcomes: S(psi_A) >= sum_x p(x) S(phi_x_A) - atol."""
-    ens = apply_instrument(inst, psi)
-    if not ens.all_pure():
-        raise InvariantViolation("monotonicity check needs pure outcome states")
-    avg = float(np.sum(ens.weights * np.array(
-        [von_neumann_entropy(m.schmidt) for m in ens.members])))
+    weights, spectra = _pure_outcomes(inst, psi)
+    avg = float((weights * _row_entropies(spectra)).sum())
     return von_neumann_entropy(psi.schmidt) >= avg - atol
 
 
 def _inverse_sqrt_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    w = np.clip(w, 1e-300, None)
-    return (v / np.sqrt(w)) @ v.conj().T
+    """Inverse square root of each PSD matrix in a stack (..., d, d)."""
+    w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    w = np.maximum(w, 1e-300)
+    return (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _random_local_instrument(rng: np.random.Generator, dim: int,
-                             branches: int) -> np.ndarray:
-    z = rng.standard_normal((branches, 2, dim, dim))
-    gs = z[:, 0] + 1j * z[:, 1]
-    corr = _inverse_sqrt_psd(np.sum(gs.conj().transpose(0, 2, 1) @ gs, axis=0))
-    return gs @ corr
+def _random_local_instruments(rng: np.random.Generator, dim: int, branches: int,
+                              copies: int = 1) -> np.ndarray:
+    """``copies`` independent random local instruments of ``branches`` Kraus
+    operators each, stacked as (copies * branches, dim, dim).  One draw
+    fills them in order, so the values match ``copies`` successive draws."""
+    z = rng.standard_normal((copies, branches, 2, dim, dim))
+    gs = z[:, :, 0] + 1j * z[:, :, 1]
+    corr = _inverse_sqrt_psd((gs.conj().swapaxes(-1, -2) @ gs).sum(axis=1))
+    return (gs @ corr[:, None]).reshape(-1, dim, dim)
 
 
 def random_product_instrument(rng: np.random.Generator, dim_a: int, dim_b: int,
@@ -313,12 +388,11 @@ def random_product_instrument(rng: np.random.Generator, dim_a: int, dim_b: int,
     instrument differs per A-branch, which leaves the family product-Kraus
     complete since each conditional block sums to the identity on B.
     """
-    ls_local = _random_local_instrument(rng, dim_a, branches_a)
+    ls_local = _random_local_instruments(rng, dim_a, branches_a)
     if conditioned:
-        ms = np.concatenate([_random_local_instrument(rng, dim_b, branches_b)
-                             for _ in range(branches_a)])
+        ms = _random_local_instruments(rng, dim_b, branches_b, copies=branches_a)
     else:
-        ms = np.tile(_random_local_instrument(rng, dim_b, branches_b),
+        ms = np.tile(_random_local_instruments(rng, dim_b, branches_b),
                      (branches_a, 1, 1))
     ls = np.repeat(ls_local, branches_b, axis=0)
     return ProductKrausInstrument(ls, ms, tuple(range(len(ls))))
@@ -326,28 +400,40 @@ def random_product_instrument(rng: np.random.Generator, dim_a: int, dim_b: int,
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Aggregate of a randomized instrument sweep."""
+    """Aggregate of a randomized instrument sweep.
+
+    ``worst_trial`` is the index of the first trial whose smallest margin
+    equals ``min_margin``.
+    """
 
     trials: int
     failures: int
     min_margin: float
+    worst_trial: int
     max_completeness_defect: float
     seed: int
 
 
-def _majorization_trial(seed: int, trial: int, max_dim: int) -> tuple[float, float]:
+def _trial_inputs(seed: int, trial: int,
+                  max_dim: int) -> tuple[PureBipartite, ProductKrausInstrument]:
+    """Pure state and instrument of one sweep trial, from stream (seed, trial)."""
     rng = stream(seed, trial)
     da = int(rng.integers(2, max_dim + 1))
     db = int(rng.integers(2, max_dim + 1))
     psi = random_pure_state(rng, da, db)
-    inst = random_product_instrument(
+    return psi, random_product_instrument(
         rng, da, db,
         branches_a=int(rng.integers(2, 4)),
         branches_b=int(rng.integers(2, 4)),
         conditioned=bool(rng.integers(0, 2)))
-    ens = apply_instrument(inst, psi)
-    report = majorization_condition_check(psi, ens)
-    return float(np.min(report.margins)), inst.completeness_defect
+
+
+def _majorization_trial(seed: int, trial: int, max_dim: int) -> tuple[float, float]:
+    """Smallest tail-sum margin and completeness defect of one sweep trial."""
+    psi, inst = _trial_inputs(seed, trial, max_dim)
+    weights, spectra = _pure_outcomes(inst, psi)
+    margins = _margins(psi, weights, spectra, max(psi.dim_a, inst.ls.shape[1]))
+    return float(np.min(margins)), inst.completeness_defect
 
 
 def majorization_sweep(trials: int, max_dim: int, seed: int,
@@ -360,9 +446,9 @@ def majorization_sweep(trials: int, max_dim: int, seed: int,
     """
     if trials < 1 or max_dim < 2:
         raise ValueError("need trials >= 1 and max_dim >= 2")
-    results = [_majorization_trial(seed, t, max_dim) for t in range(trials)]
-    margins = np.array([r[0] for r in results])
-    defects = np.array([r[1] for r in results])
+    results = np.array([_majorization_trial(seed, t, max_dim) for t in range(trials)])
+    margins, defects = results[:, 0], results[:, 1]
+    worst = int(np.argmin(margins))
     failures = int(np.sum(margins < -MARGIN_ATOL))
-    return SweepReport(trials, failures, float(np.min(margins)),
+    return SweepReport(trials, failures, float(margins[worst]), worst,
                        float(np.max(defects)), seed)

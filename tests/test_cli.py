@@ -507,6 +507,21 @@ def test_fuzzed_config_exits_cleanly(config):
         assert json.loads(err)["error"]["exit_code"] == code
 
 
+@pytest.mark.parametrize("hamiltonian, beta", [
+    ({"energies": [0.0, 1.0], "tail_model": {"kind": "affine", "a": 0.1, "b": 2.0}}, 5e-324),
+    ({"energies": [0.0, 1.0, 2.0], "tail_model": {"kind": "affine", "a": 1.0, "b": 0.0}},
+     1e-310),
+])
+def test_gibbs_at_subnormal_beta_exits_cleanly(hamiltonian, beta):
+    # a ZeroDivisionError traceback, and exit 3 for a NaN energy and entropy
+    code, out, err, caught = _run_main({"command": "gibbs", "params": {
+        "hamiltonian": hamiltonian, "beta": beta}})
+    assert (code, err, caught) == (0, "", [])
+    result = json.loads(out, parse_constant=lambda token: pytest.fail(token))["result"]
+    assert math.isfinite(result["entropy_bits"]) and result["entropy_bits"] > 1000.0
+    assert result["energy"] == "inf"
+
+
 @pytest.mark.parametrize("config", [
     {"command": "dilute-pure", "params": {"dim_a": 1.9, "dim_b": 2, "delta": 0.1,
                                           "amplitudes": [[0.6, 0.0], [0.8, 0.0]],

@@ -19,6 +19,7 @@ from entcost import (
     tail_sums,
     von_neumann_entropy,
 )
+from entcost.entropy import _row_entropies, _suffix_sums
 
 
 def test_binary_entropy_known_values():
@@ -100,6 +101,30 @@ def test_tail_sum_table_accumulates_one_term_at_a_time():
     for x in v[::-1]:
         want.append(want[-1] + x)
     assert TailSumTable.build(s).tails.tolist() == want[::-1]
+
+
+def test_suffix_sums_of_rows_match_each_row():
+    # a 2-D stack accumulates along its last axis, bit for bit as each row
+    # alone, with one tail mass per row
+    rng = stream(11, 1)
+    rows = np.sort(rng.uniform(0.0, 1.0, (6, 9)), axis=1)[:, ::-1]
+    rows[:, 6:] = 0.0
+    tails = rng.uniform(0.0, 0.1, 6)
+    got = _suffix_sums(rows, tails)
+    assert got.shape == (6, 10)
+    for row, tail, want in zip(rows, tails, got):
+        assert _suffix_sums(row, tail).tolist() == want.tolist()
+
+
+def test_row_entropies_match_von_neumann_entropy():
+    rng = stream(11, 2)
+    rows = np.sort(rng.dirichlet(np.ones(5), 8), axis=1)[:, ::-1]
+    rows[:3, 3:] = 0.0
+    rows[:3] /= np.sum(rows[:3], axis=1, keepdims=True)
+    rows[3] = [1.0, 0.0, 0.0, 0.0, 0.0]
+    for row, got in zip(rows, _row_entropies(rows)):
+        assert got == von_neumann_entropy(Spectrum(row))
+    assert _row_entropies(rows)[3] == 0.0 and not np.signbit(_row_entropies(rows)[3])
 
 
 def test_tail_sum_indexing():

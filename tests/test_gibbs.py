@@ -157,6 +157,39 @@ def test_ladder_inversion_past_raw_tail_overflow(energy):
     assert gibbs_hypothesis_check(h, (point.beta,))
 
 
+@pytest.mark.parametrize("energy", [1e303, 1e305, 1e306, 1e307])
+def test_ladder_inversion_near_the_float_range(energy):
+    # the tail's q = 1 - exp(-beta) is about 1/E here, so the subnormal-beta
+    # handling must not reject a small q; a guard at q < 1e-300 broke these
+    point = beta_of_energy(harmonic_oscillator(), energy)
+    want = math.log1p(1.0 / energy)
+    assert abs(point.beta - want) <= 1e-13 * want
+    assert abs(point.entropy_bits - g_function(energy)) <= 1e-12 * g_function(energy)
+
+
+@pytest.mark.parametrize("h, beta, log_q", [
+    # ln q = ln(beta a) in closed form; beta a underflows to 0 at 5e-324
+    (DiagonalHamiltonian(np.array([0.0, 1.0]), AffineTail(0.1, 2.0)), 5e-324,
+     math.log(5e-324) + math.log(0.1)),
+    (harmonic_oscillator(), 1e-310, math.log(1e-310)),
+])
+def test_partition_sums_at_subnormal_beta_a(h, beta, log_q):
+    # 1 - exp(-beta a) was 0 (a ZeroDivisionError) or subnormal, and the
+    # tail's weight exp(-t0) / q overflowed to a NaN mixture.  Every stored
+    # weight and the tail head are 1 to within 1e-300 here, so ln Z is
+    # ln(levels q + 1) - ln q and <beta H> is 1 to within 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sums = gibbs._partition_sums(h, beta)
+        point = gibbs_point(h, beta)
+        spec = gibbs_state(h, beta)
+    assert sums.log_z == pytest.approx(-log_q, rel=1e-15)
+    assert (sums.mean, sums.var) == (1.0, 1.0)
+    assert point.entropy_bits == pytest.approx((1.0 - log_q) / math.log(2.0), rel=1e-15)
+    assert point.energy > 1e300
+    assert spec.tail_mass == 1.0
+
+
 def _bounded_spectra():
     rng = np.random.default_rng(2024)
     for _ in range(5):

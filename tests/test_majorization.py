@@ -21,7 +21,14 @@ from entcost import (
     tail_dominance_entropy_check,
     tail_sum_operator_inequality,
 )
-from entcost.majorization import _completeness_matrix
+from entcost import majorization
+from entcost.majorization import (
+    _completeness_matrix,
+    _inverse_sqrt_psd,
+    _majorization_trial,
+    _outcomes,
+    _trial_inputs,
+)
 
 
 def _ebit():
@@ -152,6 +159,8 @@ def test_coarse_grained_outcomes_can_be_mixed():
     ens = apply_instrument(coarse, psi)
     assert len(ens.members) == 1
     assert not ens.all_pure()
+    with pytest.raises(InvariantViolation):
+        entropy_monotonicity_check(psi, coarse)
 
 
 def test_tail_dominance_entropy_conversion():
@@ -243,9 +252,78 @@ def _instruments_with_labels():
     yield product, ProductKrausInstrument((p0, p1), (eye, eye), (0, 1))
 
 
+def _local_kraus(rng, k, r, d):
+    """k complete Kraus operators of shape (r, d)."""
+    g = rng.standard_normal((k, r, d)) + 1j * rng.standard_normal((k, r, d))
+    return g @ _inverse_sqrt_psd(np.sum(g.conj().transpose(0, 2, 1) @ g, axis=0))
+
+
+def _non_square_instruments():
+    # Kraus operators of shape (r, d) with r != d: outcome states live on
+    # (r_A, r_B), not on the input's (d_A, d_B)
+    rng = stream(21, 10)
+    for (ra, da), (rb, db) in [((3, 2), (2, 2)), ((2, 3), (4, 2)), ((1, 3), (2, 3))]:
+        la, mb = _local_kraus(rng, 3, ra, da), _local_kraus(rng, 2, rb, db)
+        inst = ProductKrausInstrument(np.repeat(la, 2, axis=0), np.tile(mb, (3, 1, 1)), ())
+        yield random_pure_state(rng, da, db), inst
+
+
+def _largest_branches(inst, psi):
+    """Largest branch of each outcome above the probability floor, by a
+    per-branch loop."""
+    by_outcome = {}
+    for l, m, x in zip(inst.ls, inst.ms, inst.outcomes):
+        by_outcome.setdefault(x, []).append(l @ psi.amplitudes @ m.T)
+    return [max(branches, key=np.linalg.norm) for _, branches in sorted(by_outcome.items())
+            if sum(np.linalg.norm(br) ** 2 for br in branches) > 1e-15]
+
+
+def test_outcome_spectra_match_schmidt_decompose():
+    dropped = 0
+    for psi, inst in [*_instruments_with_labels(), *_non_square_instruments()]:
+        out = _outcomes(inst, psi)
+        heads = _largest_branches(inst, psi)
+        dropped += out.dropped
+        assert len(out.spectra) == len(heads)
+        for row, head in zip(out.spectra, heads):
+            want = schmidt_decompose(head).schmidt.values
+            assert row.shape == want.shape
+            assert np.max(np.abs(row - want)) <= 1e-14
+    assert dropped == 1
+
+
+def test_sweep_trial_margins_match_the_public_check():
+    for t in range(100):
+        psi, inst = _trial_inputs(31, t, 6)
+        want = majorization_condition_check(psi, apply_instrument(inst, psi)).margins
+        margin, defect = _majorization_trial(31, t, 6)
+        assert abs(margin - float(np.min(want))) <= 1e-15
+        assert defect == inst.completeness_defect
+
+
+def test_sweep_and_monotonicity_build_no_state_per_outcome(monkeypatch):
+    def refuse(amplitudes):
+        raise AssertionError("an outcome state was built")
+
+    monkeypatch.setattr(majorization, "schmidt_decompose", refuse)
+    assert majorization_sweep(40, max_dim=5, seed=17).failures == 0
+    rng = stream(21, 11)
+    for _ in range(20):
+        psi = random_pure_state(rng, 3, 4)
+        assert entropy_monotonicity_check(psi, random_product_instrument(rng, 3, 4))
+
+
+def test_sweep_worst_trial_is_the_argmin_of_trial_margins():
+    margins = [_majorization_trial(13, t, 4)[0] for t in range(60)]
+    reports = [majorization_sweep(60, max_dim=4, seed=13, threads=t) for t in (1, 2, 4)]
+    assert reports[0].worst_trial == int(np.argmin(margins))
+    assert reports[0].min_margin == margins[reports[0].worst_trial]
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_apply_instrument_matches_per_branch_loop():
     kinds = set()
-    for psi, inst in _instruments_with_labels():
+    for psi, inst in [*_instruments_with_labels(), *_non_square_instruments()]:
         ens = apply_instrument(inst, psi)
         want = _reference_outcomes(inst, psi)
         assert len(ens.members) == len(want)
