@@ -267,7 +267,9 @@ def _run_gibbs(params, seed):
     spec = gibbs_state(ham, point.beta)
     result = _fields(point)
     result["spectrum_head"] = list(spec.values[:head])
-    result["tail_mass_beyond_head"] = float(1.0 - np.sum(spec.values[:head]))
+    # the tail's own mass plus the stored levels past the head, correctly
+    # rounded; 1 minus the head would cancel to 0 when the head holds nearly all
+    result["tail_mass_beyond_head"] = math.fsum([spec.tail_mass, *spec.values[head:]])
     return result, None, []
 
 

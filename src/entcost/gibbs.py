@@ -89,13 +89,15 @@ def harmonic_oscillator(levels: int = 64) -> DiagonalHamiltonian:
 
 class _Sums(NamedTuple):
     """Partition sums at one beta; ``weights`` are exp(-beta e_n) over the
-    stored levels, 0 where they underflow."""
+    stored levels, 0 where they underflow; ``tail`` is the tail model's
+    share of Z, formed without subtracting from 1."""
 
     z: float
     log_z: float
     mean: float  # <beta H>
     var: float  # Var(beta H)
     weights: np.ndarray
+    tail: float
 
 
 def _partition_sums(h: DiagonalHamiltonian, beta: float) -> _Sums:
@@ -129,7 +131,7 @@ def _partition_sums(h: DiagonalHamiltonian, beta: float) -> _Sums:
     ground = int(np.count_nonzero(t == 0.0))
     excited = float(np.sum(w[t != 0.0]))
     log_z = math.log(ground) + math.log1p(excited / ground)
-    head = 0.0
+    head = p_tail = 0.0
     if h.tail is not None:
         step = beta * h.tail.a
         t0 = beta * (h.tail.a * h.levels + h.tail.b)
@@ -151,7 +153,7 @@ def _partition_sums(h: DiagonalHamiltonian, beta: float) -> _Sums:
         log_tail = -t0 - (math.log(beta) + math.log(h.tail.a) - math.log(r))
         log_z = float(np.logaddexp(log_z, log_tail))
         z, mean = z + head / q if q > 0.0 else math.inf, both
-    return _Sums(z, log_z, mean, var, weights)
+    return _Sums(z, log_z, mean, var, weights, p_tail)
 
 
 @dataclass(frozen=True)
@@ -172,11 +174,12 @@ def gibbs_state(h: DiagonalHamiltonian, beta: float) -> Spectrum:
 
     The mass of the (exactly summed) tail levels is reported as the
     spectrum's tail mass, so the result is normalized including its tail.
+    That mass is the tail's share of the mixture in ``_partition_sums``,
+    exp(-t0) / (z q + exp(-t0)), not 1 minus the stored values, which
+    cancels to 0 once it falls below the rounding of their sum.
     """
     sums = _partition_sums(h, beta)
-    vals = sums.weights / sums.z
-    tail_mass = max(0.0, 1.0 - float(np.sum(vals)))
-    return Spectrum(vals, tail_mass, normalized=True)
+    return Spectrum(sums.weights / sums.z, sums.tail, normalized=True)
 
 
 def gibbs_point(h: DiagonalHamiltonian, beta: float) -> GibbsPoint:

@@ -7,7 +7,10 @@ is the sum over its types of multinomial(n; c) * prod_i p_i^c_i, taken in log
 space; its cardinality is an exact integer.  Where the types are too many to
 enumerate, a Monte Carlo mode draws the types of i.i.d. blocks directly
 (multinomial(n, p)), judges them by the same membership rule, and reports a
-99% Clopper-Pearson interval.
+99% Clopper-Pearson interval.  Its bounds solve exact binomial tail
+equations by safeguarded Newton steps in logit p; each tail is a sum over
+the O(sqrt(samples)) terms near the mode, so memory does not grow with the
+sample count.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ from .spectra import InvariantViolation
 DEFAULT_MAX_TYPES = 2_000_000
 _BLOCK_ROWS = 1 << 15  # rows per block of census types or Monte Carlo draws
 _LN_FACT = np.empty(0)  # ln k! for k < size; replaced when grown, never written
+_ALPHA = 0.005  # each side of the 99% Clopper-Pearson interval
+_LN_ALPHA = math.log(_ALPHA)
+_Z99 = 2.5758293035489004  # the standard normal 0.995 quantile
+_MAX_NEWTON_STEPS = 100
 
 
 def _ln_factorials(n: int) -> np.ndarray:
@@ -213,14 +220,88 @@ def _census(dist: SourceDistribution, n: int, delta: float, kind: str,
         for counts, log2_prob, _ in _type_blocks(dist, n, max_types))
 
 
-def _clopper_pearson_99(hits: int, n: int) -> tuple[float, float]:
-    # imported here: SciPy costs most of the package's import time, and
-    # only Monte Carlo intervals need it
-    from scipy.special import betaincinv
+def _expit(u: float) -> float:
+    """1 / (1 + e^-u); near 1 it is 1 minus the small side, rounded once."""
+    if u > 0.0:
+        return 1.0 - 1.0 / (1.0 + math.exp(u))
+    return 1.0 / (1.0 + math.exp(-u))
 
-    lo = 0.0 if hits == 0 else float(betaincinv(hits, n - hits + 1, 0.005))
-    hi = 1.0 if hits == n else float(betaincinv(hits + 1, n - hits, 0.995))
-    return lo, hi
+
+def _log_upper_tail(k: int, n: int, u: float) -> tuple[float, float]:
+    """ln P(X >= k) for X ~ Bin(n, p), p = expit(u), and its derivative in u,
+    k (1 - p) pmf(k) / P(X >= k).
+
+    Consecutive terms have the ratio (n - j) / (j + 1) * e^u, so every term
+    is the mode's times a cumulative product of ratios, summed outward from
+    the mode.  The terms within 12 standard deviations and 40 steps of the
+    mode carry all the mass to double precision, and their sum is 1: that
+    normalizes the tail without ln n!, whose rounding is about ulp(n ln n).
+    A tail that starts outside that window reads 0 or 1."""
+    p, q = _expit(u), _expit(-u)
+    mode = min(n, int((n + 1) * p))
+    reach = int(12.0 * math.sqrt(n * p * q)) + 40
+    a, b = max(0, mode - reach), min(n, mode + reach)
+    j = np.arange(a, b, dtype=float)
+    log_ratio = np.log((n - j) / (j + 1.0)) + u  # ln(t_{j+1} / t_j)
+    weights = np.exp(np.concatenate((  # t_j / t_mode
+        -np.cumsum(log_ratio[:mode - a][::-1])[::-1], [0.0],
+        np.cumsum(log_ratio[mode - a:]))))
+    tail = float(np.sum(weights[max(k - a, 0):]))
+    if tail == 0.0:  # the tail starts past the window, or underflows
+        return -math.inf, math.nan
+    slope = k * q * float(weights[k - a]) / tail if k >= a else 0.0
+    return math.log(tail) - math.log(float(np.sum(weights))), slope
+
+
+def _lower_logit(k: int, n: int) -> float:
+    """logit of the p with P(X >= k) = 0.005 for X ~ Bin(n, p), 0 < k < n.
+
+    Newton's method on u = logit p inside a bracket that every evaluation
+    narrows; a step that leaves the bracket bisects it, and while a side is
+    open the step is at most 2.  It starts from the Wilson score bound at
+    k - 1/2, a few steps from the root, and stops once a step is below
+    1e-12 in u: Newton's error after such a step is far below the tail's
+    own rounding."""
+    # the smaller root of (n + z^2) p^2 - (2x + z^2) p + x^2 / n, x = k - 1/2,
+    # as the product of the roots over the larger one, which does not cancel
+    x = k - 0.5
+    start = (x * x / n) / (x + 0.5 * _Z99 ** 2
+                           + _Z99 * math.sqrt(x * (n - x) / n + 0.25 * _Z99 ** 2))
+    u = math.log(start) - math.log1p(-start)
+    lo, hi = -math.inf, math.inf  # P(X >= k) < alpha at lo, > alpha at hi
+    for _ in range(_MAX_NEWTON_STEPS):
+        log_tail, slope = _log_upper_tail(k, n, u)
+        f = log_tail - _LN_ALPHA
+        if f == 0.0:
+            break
+        if f < 0.0:
+            lo, side = u, 1.0
+        else:
+            hi, side = u, -1.0
+        step = -f / slope if slope > 0.0 else math.nan
+        if abs(step) <= 1e-12 * max(1.0, abs(u)):
+            return u + step
+        if math.isinf(lo) or math.isinf(hi):
+            u += side * (min(2.0, side * step) if side * step > 0.0 else 2.0)
+        elif lo < u + step < hi:
+            u += step
+        else:
+            u = 0.5 * (lo + hi)
+    return u
+
+
+def _clopper_pearson_99(hits: int, n: int) -> tuple[float, float]:
+    """The 99% Clopper-Pearson interval for ``hits`` successes in n trials,
+    solved from exact binomial tails.  The lower bound solves
+    P(X >= hits) = 0.005; it is 0 at hits = 0 and 0.005^(1/n) at hits = n.
+    The upper bound is 1 - lower(n - hits, n), taken as expit(-u) from the
+    logit u of that lower bound so that a small bound keeps its relative
+    precision; 1 - 0.005^(1/n) at hits = 0 goes through expm1."""
+    if hits == 0:
+        return 0.0, -math.expm1(_LN_ALPHA / n)
+    if hits == n:
+        return _ALPHA ** (1.0 / n), 1.0
+    return _expit(_lower_logit(hits, n)), _expit(-_lower_logit(n - hits, n))
 
 
 def _mc_mass(dist: SourceDistribution, n: int, delta: float, kind: str,
@@ -241,6 +322,31 @@ def _mc_mass(dist: SourceDistribution, n: int, delta: float, kind: str,
     return hits / samples, lo, hi
 
 
+def _check_block(n: int, delta: float) -> None:
+    if n < 1 or not delta >= 0.0:
+        raise ValueError("need n >= 1 and delta >= 0")
+
+
+def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
+                    mode: str, samples: int, seed: int,
+                    max_types: int) -> TypicalReport:
+    """The weak or strong report: exact census or Monte Carlo estimate.  In
+    Monte Carlo mode the cardinality is the theoretical bound, n (H + delta)
+    for the weak set and n log2 K for the strong one."""
+    _check_block(n, delta)
+    if mode == "exact":
+        mass, card = _census(dist, n, delta, kind, max_types)
+        return TypicalReport(n, delta, mass, _log2_bigint(card), kind,
+                             mode="exact", mass_low=mass, mass_high=mass)
+    if mode == "mc":
+        mass, lo, hi = _mc_mass(dist, n, delta, kind, samples, seed)
+        bound = (n * (dist.entropy_bits + delta) if kind == "weak"
+                 else n * math.log2(len(dist)))
+        return TypicalReport(n, delta, mass, bound, kind, mode="mc",
+                             samples=samples, mass_low=lo, mass_high=hi)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def weak_typical_mass(dist: SourceDistribution, n: int, delta: float,
                       mode: str = "exact", samples: int = 100_000, seed: int = 0,
                       max_types: int = DEFAULT_MAX_TYPES) -> TypicalReport:
@@ -250,18 +356,7 @@ def weak_typical_mass(dist: SourceDistribution, n: int, delta: float,
     reported cardinality is then an exact integer count in log2.  Monte
     Carlo mode samples i.i.d. types and reports a 99% confidence interval.
     """
-    if n < 1 or not delta >= 0.0:
-        raise ValueError("need n >= 1 and delta >= 0")
-    if mode == "exact":
-        mass, card = _census(dist, n, delta, "weak", max_types)
-        return TypicalReport(n, delta, mass, _log2_bigint(card), "weak",
-                             mode="exact", mass_low=mass, mass_high=mass)
-    if mode == "mc":
-        mass, lo, hi = _mc_mass(dist, n, delta, "weak", samples, seed)
-        bound = n * (dist.entropy_bits + delta)
-        return TypicalReport(n, delta, mass, bound, "weak", mode="mc",
-                             samples=samples, mass_low=lo, mass_high=hi)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _typical_report(dist, n, delta, "weak", mode, samples, seed, max_types)
 
 
 def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
@@ -269,24 +364,13 @@ def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
                         max_types: int = DEFAULT_MAX_TYPES) -> TypicalReport:
     """Mass of the strongly typical set: every empirical frequency within
     delta of its probability, and zero-probability symbols absent."""
-    if n < 1 or not delta >= 0.0:
-        raise ValueError("need n >= 1 and delta >= 0")
-    if mode == "exact":
-        mass, card = _census(dist, n, delta, "strong", max_types)
-        return TypicalReport(n, delta, mass, _log2_bigint(card), "strong",
-                             mode="exact", mass_low=mass, mass_high=mass)
-    if mode == "mc":
-        mass, lo, hi = _mc_mass(dist, n, delta, "strong", samples, seed)
-        return TypicalReport(n, delta, mass, n * math.log2(len(dist)), "strong",
-                             mode="mc", samples=samples, mass_low=lo, mass_high=hi)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _typical_report(dist, n, delta, "strong", mode, samples, seed, max_types)
 
 
 def weak_typical_census(dist: SourceDistribution, n: int, delta: float,
                         max_types: int = DEFAULT_MAX_TYPES) -> tuple[float, int]:
     """(exact mass, exact integer cardinality) of the weakly typical set."""
-    if n < 1 or not delta >= 0.0:
-        raise ValueError("need n >= 1 and delta >= 0")
+    _check_block(n, delta)
     return _census(dist, n, delta, "weak", max_types)
 
 

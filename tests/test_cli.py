@@ -238,6 +238,18 @@ def test_gibbs_energy_query(tmp_path, capsys):
     assert out["result"]["beta"] == pytest.approx(np.log(2.0), rel=1e-7)
 
 
+def test_gibbs_tail_mass_beyond_head_does_not_cancel(tmp_path, capsys):
+    # 1 minus the head read 0.0 here
+    cfg = _write(tmp_path, "c.json", {"command": "gibbs", "params": {
+        "hamiltonian": {"energies": [float(n) for n in range(8)],
+                        "tail_model": {"kind": "affine", "a": 1.0, "b": 0.0}},
+        "beta": 10.0, "spectrum_head": 4}})
+    assert main(["--config", cfg]) == 0
+    got = json.loads(capsys.readouterr().out)["result"]["tail_mass_beyond_head"]
+    want = math.exp(-40.0)
+    assert abs(got - want) <= 1e-13 * want
+
+
 _LADDER = {"energies": [float(n) for n in range(64)],
            "tail_model": {"kind": "affine", "a": 1.0, "b": 0.0}}
 
@@ -369,8 +381,8 @@ def test_version_string_is_built_only_when_used(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_import_does_not_load_scipy():
-    # SciPy is most of the import cost of a CLI launch; only Monte Carlo
-    # intervals load it, on first use
+    # SciPy would be most of the import cost of a CLI launch, and no
+    # command needs it
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, entcost.cli; "
@@ -378,6 +390,32 @@ def test_cli_import_does_not_load_scipy():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_NO_SCIPY = ("import runpy, sys; sys.modules['scipy'] = None; "
+             "sys.argv = ['entcost'] + sys.argv[1:]; "
+             "runpy.run_module('entcost.cli', run_name='__main__')")
+
+
+@pytest.mark.parametrize("command, params", [
+    ("typicality", {"dist": [0.8, 0.2], "n": 200, "delta": 0.05,
+                    "kind": "weak", "mode": "mc", "samples": 5000}),
+    ("typicality", {"dist": [0.5, 0.3, 0.2], "n": 60, "delta": 0.1,
+                    "kind": "strong", "mode": "mc", "samples": 5000}),
+    ("dilute-pure", {"schmidt": [0.8, 0.2], "delta": 0.1, "n_grid": [100, 200],
+                     "mode": "mc", "samples": 5000}),
+])
+def test_monte_carlo_commands_run_without_scipy(tmp_path, command, params):
+    # importing scipy fails in the child: no command may need it
+    cfg = _write(tmp_path, "c.json", {"command": command, "params": params})
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, "--config", cfg],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout, parse_constant=lambda token: pytest.fail(token))
+    assert out["command"] == command
+    if command == "typicality":
+        low, high = out["result"]["mass_ci99"]
+        assert low <= out["result"]["mass"] <= high
 
 
 def test_version_runs_as_module():

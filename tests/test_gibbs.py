@@ -106,13 +106,15 @@ def test_ladder_inversion_over_27_decades(monkeypatch):
 @pytest.mark.parametrize("beta", [1e-300, 1e-160, 1e-3, 0.5, 5.0, 50.0])
 def test_partition_moments_match_the_ladder_closed_form(beta):
     # e_n = n: Z = 1/q, <beta H> = beta x/q and Var(beta H) = beta^2 x/q^2,
-    # x = exp(-beta), q = 1 - x; 64 stored levels plus the tail must sum to it
+    # x = exp(-beta), q = 1 - x; 64 stored levels plus the tail must sum to
+    # it, and the tail holds x^64
     x, q = math.exp(-beta), -math.expm1(-beta)
-    z, log_z, mean, var, _ = gibbs._partition_sums(harmonic_oscillator(), beta)
+    z, log_z, mean, var, _, tail = gibbs._partition_sums(harmonic_oscillator(), beta)
     assert z == pytest.approx(1.0 / q, rel=1e-13)
     assert log_z == pytest.approx(-math.log(q), rel=1e-13)
     assert mean == pytest.approx(beta * x / q, rel=1e-13)
     assert var == pytest.approx((beta / q) ** 2 * x, rel=1e-12)
+    assert tail == pytest.approx(math.exp(-64.0 * beta), rel=1e-13)
 
 
 def test_partition_moments_skip_underflowed_levels():
@@ -255,6 +257,15 @@ def test_gibbs_spectrum_tail_mass_accounted():
     spec = gibbs_state(h, 0.5)
     assert spec.tail_mass > 0.0
     assert spec.total_mass == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [3.0, 10.0])
+def test_gibbs_tail_mass_does_not_cancel(beta):
+    # the ladder's levels from 8 on hold exp(-8 beta); 1 minus the stored
+    # values read 3.7751136e-11 at beta = 3 and 0.0 at beta = 10
+    spec = gibbs_state(harmonic_oscillator(levels=8), beta)
+    want = math.exp(-8.0 * beta)
+    assert abs(spec.tail_mass - want) <= 1e-13 * want
 
 
 def test_max_mean_energy_bounded_vs_tail():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -228,6 +229,57 @@ def test_monte_carlo_memory_does_not_grow_with_n():
     finally:
         tracemalloc.stop()
     assert rep.mass_low <= rep.mass <= rep.mass_high
+    assert peak < 16 * 2 ** 20
+
+
+def _binomial_tail_at_least(k, n, p):
+    """P(X >= k) for X ~ Bin(n, p), exactly, at the float p = a / b."""
+    a, b = p.as_integer_ratio()
+    return Fraction(sum(math.comb(n, j) * a ** j * (b - a) ** (n - j)
+                        for j in range(k, n + 1)), b ** n)
+
+
+def test_clopper_pearson_solves_exact_rational_tails():
+    # each bound's defining tail, summed in exact rationals at the float bound
+    alpha = Fraction(1, 200)
+    for n in range(1, 41):
+        for k in range(n + 1):
+            lo, hi = typicality._clopper_pearson_99(k, n)
+            if k > 0:  # P(X >= k; lo) = alpha
+                tail = _binomial_tail_at_least(k, n, lo)
+                assert abs(tail / alpha - 1) <= 1e-12, (k, n)
+            if k < n:  # P(X <= k; hi) = alpha
+                tail = 1 - _binomial_tail_at_least(k + 1, n, hi)
+                assert abs(tail / alpha - 1) <= 1e-12, (k, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 1000, 10 ** 6])
+def test_clopper_pearson_closed_forms_at_the_ends(n):
+    assert typicality._clopper_pearson_99(0, n) == (
+        0.0, -math.expm1(math.log(0.005) / n))
+    assert typicality._clopper_pearson_99(n, n) == (0.005 ** (1.0 / n), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 999, 10 ** 5])
+def test_clopper_pearson_upper_is_the_mirrored_lower(n):
+    for k in sorted({1, 2, n // 3, n // 2, n - 2, n - 1} - {0, n}):
+        _, hi = typicality._clopper_pearson_99(k, n)
+        mirrored, _ = typicality._clopper_pearson_99(n - k, n)
+        assert abs(hi - (1.0 - mirrored)) <= math.ulp(1.0)
+
+
+def test_clopper_pearson_at_huge_sample_counts_builds_no_table():
+    # a table of ln k! up to 1e8 would take 800 MB; the tail sums only
+    # the terms near the mode
+    n = 10 ** 8
+    tracemalloc.start()
+    try:
+        lo, hi = typicality._clopper_pearson_99(n // 2, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(lo) and math.isfinite(hi)
+    assert lo < 0.5 < hi
     assert peak < 16 * 2 ** 20
 
 
