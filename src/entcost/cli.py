@@ -51,9 +51,6 @@ from .typicality import (
     weak_typical_mass,
 )
 
-COMMANDS = ("converse-bound", "dilute-mixed", "dilute-pure", "entropy", "eof",
-            "gibbs", "majorization-check", "typicality")
-
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_INVARIANT = 3
@@ -283,6 +280,7 @@ _HANDLERS = {
     "majorization-check": _run_majorization,
     "gibbs": _run_gibbs,
 }
+COMMANDS = tuple(sorted(_HANDLERS))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +320,7 @@ def main(argv=None) -> int:
     parser = _Parser(
         prog="entcost",
         description="Finite-truncation entanglement cost toolkit.")
-    parser.add_argument("command", nargs="?", choices=sorted(COMMANDS),
+    parser.add_argument("command", nargs="?", choices=COMMANDS,
                         help="subcommand; may instead come from the config")
     parser.add_argument("--config", help="path to a JSON config file")
     parser.add_argument("--seed", type=int, default=None,

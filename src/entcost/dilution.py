@@ -11,7 +11,8 @@ Mixed targets are diluted member-by-member from a pure decomposition; the
 rare part beyond a cutoff is prepared wastefully and only contributes
 delta_N * S(omega_N^A), which vanishes as the cutoff grows.  Binary
 mixtures can instead be driven by a curtailed binomial on the mixing
-weight, at cost 2 * (1 - mass) in trace distance.
+weight, at cost 2 * (1 - mass) in trace distance; that cost is summed
+directly over the curtailed counts, not subtracted from 1.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .spectra import (
 from .typicality import (
     DEFAULT_MAX_TYPES,
     SourceDistribution,
-    _ln_factorials,
+    _binomial_weights,
     weak_typical_census,
     weak_typical_mass,
 )
@@ -48,8 +49,11 @@ class DilutionTrace:
     """Resource ledger of one dilution block.
 
     ``error`` is trace distance in [0, 1]; ``error_kind`` records whether it
-    is the exact projection error or a sampled estimate.  ``cbits`` follows
-    the two-classical-bits-per-teleported-qubit convention.
+    is the exact projection error or a sampled estimate.  ``error_high`` is
+    an upper bound on the error: the error itself in exact mode, and
+    sqrt(1 - mass_low) from the 99% interval of the mass in Monte Carlo
+    mode; left out, it is the error.  ``cbits`` follows the
+    two-classical-bits-per-teleported-qubit convention.
     """
 
     n: int
@@ -58,14 +62,18 @@ class DilutionTrace:
     error: float
     rate: float
     error_kind: str = "exact"
+    error_high: float = math.nan
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.ebits < 0:
             raise InvariantViolation("need n >= 1 and ebits >= 0")
         if self.cbits != 2 * self.ebits:
             raise InvariantViolation("classical cost must be 2 bits per ebit")
-        if not (0.0 <= self.error <= 1.0):
-            raise InvariantViolation(f"error {self.error!r} outside [0, 1]")
+        if math.isnan(self.error_high):
+            object.__setattr__(self, "error_high", self.error)
+        if not (0.0 <= self.error <= self.error_high <= 1.0):
+            raise InvariantViolation(
+                f"need 0 <= error {self.error!r} <= error_high {self.error_high!r} <= 1")
         if not math.isclose(self.rate, self.ebits / self.n, rel_tol=0.0, abs_tol=1e-12):
             raise InvariantViolation("rate must equal ebits / n")
 
@@ -110,17 +118,17 @@ def _dilute(target: PureBipartite | Spectrum, delta: float, ns,
             mass, count = weak_typical_census(dist, n, delta, max_types)
             ebits = min((count - 1).bit_length(), cap) if count > 0 else 0
             error = 0.0 if mass >= 1.0 else math.sqrt(max(0.0, 1.0 - mass))
-            kind = "exact"
+            error_high, kind = error, "exact"
         elif mode == "mc":
             report = weak_typical_mass(dist, n, delta, mode="mc",
                                        samples=samples, seed=seed)
             ebits = cap
             error = math.sqrt(max(0.0, 1.0 - report.mass))
-            kind = "mc-estimate"
+            error_high, kind = math.sqrt(1.0 - report.mass_low), "mc-estimate"
         else:
             raise ValueError(f"unknown mode {mode!r}")
         traces.append(DilutionTrace(n, ebits, 2 * ebits, min(1.0, error),
-                                    ebits / n, kind))
+                                    ebits / n, kind, min(1.0, error_high)))
     return traces
 
 
@@ -173,23 +181,14 @@ def _curtailed_support(p0: float, xi: float, n: int) -> np.ndarray:
     return ks[np.abs(ks / n - p0) <= xi]
 
 
-def _binomial_log_pmf(ks: np.ndarray, p0: float, n: int) -> np.ndarray:
-    ln_fact = _ln_factorials(n)
-    return (ln_fact[n] - ln_fact[ks] - ln_fact[n - ks]
-            + ks * math.log(p0) + (n - ks) * math.log1p(-p0))
-
-
 def binary_mixing_error(p0: float, xi: float, n: int) -> float:
     """Raw error bound 2 * (1 - mass) of driving a binary mixture by a
     curtailed binomial count; may exceed 1, cap at 1 when booking it as a
-    trace distance."""
+    trace distance.  1 - mass is summed over the curtailed counts, so a
+    small value keeps its relative precision."""
     ks = _curtailed_support(p0, xi, n)
-    if ks.size == 0:
-        return 2.0
-    if ks.size == n + 1:
-        return 0.0  # nothing curtailed
-    mass = float(np.sum(np.exp(_binomial_log_pmf(ks, p0, n))))
-    return max(0.0, 2.0 * (1.0 - mass))
+    w = _binomial_weights(n, math.log(p0) - math.log1p(-p0), 0, n)
+    return 2.0 * float(np.sum(np.delete(w, ks))) / float(np.sum(w))
 
 
 def curtailed_binomial_pmf(p0: float, xi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,8 +196,7 @@ def curtailed_binomial_pmf(p0: float, xi: float, n: int) -> tuple[np.ndarray, np
     ks = _curtailed_support(p0, xi, n)
     if ks.size == 0:
         raise InvariantViolation("curtailed support is empty; widen xi or grow n")
-    logw = _binomial_log_pmf(ks, p0, n)
-    w = np.exp(logw - np.max(logw))
+    w = _binomial_weights(n, math.log(p0) - math.log1p(-p0), ks[0], ks[-1])
     return ks, w / np.sum(w)
 
 

@@ -54,10 +54,12 @@ def von_neumann_entropy(spectrum: Spectrum) -> float:
     The declared tail mass is not included in the point value.  Use
     ``entropy_tail_uncertainty`` for a bound on what the tail could add.
     """
-    v = spectrum.values
-    nz = v[v > 0.0]
-    if nz.size == 0:
-        return 0.0
+    return _shannon_bits(spectrum.values)
+
+
+def _shannon_bits(p: np.ndarray) -> float:
+    """-sum p log2 p over p > 0; + 0.0 turns a point mass's -0.0 into 0.0."""
+    nz = p[p > 0.0]
     return float(-np.sum(nz * np.log2(nz)) + 0.0)
 
 

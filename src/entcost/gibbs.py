@@ -194,15 +194,31 @@ def max_mean_energy(h: DiagonalHamiltonian) -> float:
     return float(np.mean(h.energies))
 
 
+def _newton_step(u: float, step: float, root_above: bool, lo: float,
+                 hi: float) -> tuple[float, float, float]:
+    """One safeguarded Newton step, returning (next u, lo, hi): u narrows the
+    bracket on the side ``root_above`` names, a move is at most 2 while a
+    side is open (2 for a NaN or wrong-signed step), and a step that would
+    leave a closed bracket bisects it."""
+    if root_above:
+        lo, side = u, 1.0
+    else:
+        hi, side = u, -1.0
+    if math.isinf(lo) or math.isinf(hi):
+        return u + side * (min(2.0, side * step) if side * step > 0.0 else 2.0), lo, hi
+    if lo < u + step < hi:
+        return u + step, lo, hi
+    return 0.5 * (lo + hi), lo, hi
+
+
 def beta_of_energy(h: DiagonalHamiltonian, energy: float,
                    rtol: float = ENERGY_RTOL) -> GibbsPoint:
     """Solve <H>_beta = E by Newton's method on f(u) = ln(<H>_beta / E),
     u = ln beta, f'(u) = -beta Var_beta(H) / <H>_beta.
 
-    Each evaluation narrows a bracket on u: a step that leaves it bisects,
-    and while a side is open the step is at most 2.  The start is the
-    ladder value ln(1 + e_1/E) / e_1 (e_1 the first excited level), scaled
-    by 1 - E/mean without a tail.  Stops at |<H> - E| <= rtol * E or a
+    Each evaluation narrows a bracket on u (``_newton_step``).  The start
+    is the ladder value ln(1 + e_1/E) / e_1 (e_1 the first excited level),
+    scaled by 1 - E/mean without a tail.  Stops at |<H> - E| <= rtol * E or a
     step of a few ulps.  E = 0 gives beta = inf and the ground entropy.
     """
     if not (math.isfinite(energy) and energy >= 0.0):
@@ -227,18 +243,10 @@ def beta_of_energy(h: DiagonalHamiltonian, energy: float,
         mean = reduced / beta
         if abs(mean - energy) <= rtol * energy:
             break
-        if mean <= energy:
-            hi, side = u, -1.0
-        else:  # also an overflowed (inf or nan) mean: beta is too small
-            lo, side = u, 1.0
         step = ((math.log(mean) - math.log(energy)) * reduced / var
                 if 0.0 < mean < math.inf and var > 0.0 else math.nan)
-        if math.isinf(lo) or math.isinf(hi):
-            new = u + side * (min(2.0, side * step) if side * step > 0.0 else 2.0)
-        elif lo < u + step < hi:
-            new = u + step
-        else:
-            new = 0.5 * (lo + hi)
+        # an overflowed (inf or nan) mean also means beta is too small
+        new, lo, hi = _newton_step(u, step, not mean <= energy, lo, hi)
         if abs(new - u) <= 4.0 * math.ulp(u):
             break
         u = new
@@ -444,9 +452,9 @@ def n_copy_gibbs_entropy(h: DiagonalHamiltonian, n: int, energy_per_copy: float)
     """F of n non-interacting copies at total energy n*E, as n * F(E).
 
     For a sum Hamiltonian the Gibbs state factorizes at equal beta, so the
-    n-copy curve satisfies F_n(n*E) = n * F(E) exactly; no tensor power is
-    ever materialized.
+    n-copy curve satisfies F_n(n*E) = n * F(E) exactly (n log2(levels) above
+    the uniform state's energy); no tensor power is ever materialized.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return n * beta_of_energy(h, energy_per_copy).entropy_bits
+    return n * max_entropy_at_energy(h, energy_per_copy)

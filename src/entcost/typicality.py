@@ -10,7 +10,7 @@ enumerate, a Monte Carlo mode draws the types of i.i.d. blocks directly
 99% Clopper-Pearson interval.  Its bounds solve exact binomial tail
 equations by safeguarded Newton steps in logit p; each tail is a sum over
 the O(sqrt(samples)) terms near the mode, so memory does not grow with the
-sample count.
+sample count.  ``dilution``'s curtailed binomial uses the same terms.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .entropy import _shannon_bits
+from .gibbs import _MAX_NEWTON_STEPS, _newton_step
 from .rng import stream
 from .spectra import InvariantViolation
 
@@ -30,7 +32,6 @@ _LN_FACT = np.empty(0)  # ln k! for k < size; replaced when grown, never written
 _ALPHA = 0.005  # each side of the 99% Clopper-Pearson interval
 _LN_ALPHA = math.log(_ALPHA)
 _Z99 = 2.5758293035489004  # the standard normal 0.995 quantile
-_MAX_NEWTON_STEPS = 100
 
 
 def _ln_factorials(n: int) -> np.ndarray:
@@ -63,8 +64,7 @@ class SourceDistribution:
         if abs(float(np.sum(p)) - 1.0) > 1e-12:
             raise InvariantViolation(f"probabilities sum to {float(np.sum(p))!r}")
         p.setflags(write=False)
-        nz = p[p > 0.0]
-        h = float(-np.sum(nz * np.log2(nz)))
+        h = _shannon_bits(p)
         if not math.isnan(self.entropy_bits) and abs(self.entropy_bits - h) > 1e-12:
             raise InvariantViolation("cached entropy does not match the probabilities")
         object.__setattr__(self, "probs", p)
@@ -227,25 +227,35 @@ def _expit(u: float) -> float:
     return 1.0 / (1.0 + math.exp(-u))
 
 
+def _binomial_weights(n: int, u: float, a: int, b: int) -> np.ndarray:
+    """t_j / t_mode for j = a..b: the Bin(n, p) pmf, p = expit(u), relative
+    to its largest term.  Consecutive terms have the ratio
+    (n - j) / (j + 1) * e^u, so every term is the mode's times a cumulative
+    product of ratios, summed outward from the mode.  No ln n! enters,
+    whose rounding is about ulp(n ln n), so a ratio of two sums of weights
+    is a ratio of masses to double precision."""
+    mode = min(n, int((n + 1) * _expit(u)))
+    lo, hi = min(a, mode), max(b, mode)
+    j = np.arange(lo, hi, dtype=float)
+    log_ratio = np.log((n - j) / (j + 1.0)) + u  # ln(t_{j+1} / t_j)
+    weights = np.exp(np.concatenate((
+        -np.cumsum(log_ratio[:mode - lo][::-1])[::-1], [0.0],
+        np.cumsum(log_ratio[mode - lo:]))))
+    return weights[a - lo:b - lo + 1]
+
+
 def _log_upper_tail(k: int, n: int, u: float) -> tuple[float, float]:
     """ln P(X >= k) for X ~ Bin(n, p), p = expit(u), and its derivative in u,
     k (1 - p) pmf(k) / P(X >= k).
 
-    Consecutive terms have the ratio (n - j) / (j + 1) * e^u, so every term
-    is the mode's times a cumulative product of ratios, summed outward from
-    the mode.  The terms within 12 standard deviations and 40 steps of the
-    mode carry all the mass to double precision, and their sum is 1: that
-    normalizes the tail without ln n!, whose rounding is about ulp(n ln n).
-    A tail that starts outside that window reads 0 or 1."""
+    The terms within 12 standard deviations and 40 steps of the mode carry
+    all the mass to double precision, so their sum normalizes the tail.  A
+    tail that starts outside that window reads 0 or 1."""
     p, q = _expit(u), _expit(-u)
     mode = min(n, int((n + 1) * p))
     reach = int(12.0 * math.sqrt(n * p * q)) + 40
     a, b = max(0, mode - reach), min(n, mode + reach)
-    j = np.arange(a, b, dtype=float)
-    log_ratio = np.log((n - j) / (j + 1.0)) + u  # ln(t_{j+1} / t_j)
-    weights = np.exp(np.concatenate((  # t_j / t_mode
-        -np.cumsum(log_ratio[:mode - a][::-1])[::-1], [0.0],
-        np.cumsum(log_ratio[mode - a:]))))
+    weights = _binomial_weights(n, u, a, b)
     tail = float(np.sum(weights[max(k - a, 0):]))
     if tail == 0.0:  # the tail starts past the window, or underflows
         return -math.inf, math.nan
@@ -256,12 +266,10 @@ def _log_upper_tail(k: int, n: int, u: float) -> tuple[float, float]:
 def _lower_logit(k: int, n: int) -> float:
     """logit of the p with P(X >= k) = 0.005 for X ~ Bin(n, p), 0 < k < n.
 
-    Newton's method on u = logit p inside a bracket that every evaluation
-    narrows; a step that leaves the bracket bisects it, and while a side is
-    open the step is at most 2.  It starts from the Wilson score bound at
-    k - 1/2, a few steps from the root, and stops once a step is below
-    1e-12 in u: Newton's error after such a step is far below the tail's
-    own rounding."""
+    Safeguarded Newton steps (``gibbs._newton_step``) on u = logit p.  They
+    start from the Wilson score bound at k - 1/2, a few steps from the
+    root, and stop once a step is below 1e-12 in u: Newton's error after
+    such a step is far below the tail's own rounding."""
     # the smaller root of (n + z^2) p^2 - (2x + z^2) p + x^2 / n, x = k - 1/2,
     # as the product of the roots over the larger one, which does not cancel
     x = k - 0.5
@@ -274,19 +282,10 @@ def _lower_logit(k: int, n: int) -> float:
         f = log_tail - _LN_ALPHA
         if f == 0.0:
             break
-        if f < 0.0:
-            lo, side = u, 1.0
-        else:
-            hi, side = u, -1.0
         step = -f / slope if slope > 0.0 else math.nan
         if abs(step) <= 1e-12 * max(1.0, abs(u)):
             return u + step
-        if math.isinf(lo) or math.isinf(hi):
-            u += side * (min(2.0, side * step) if side * step > 0.0 else 2.0)
-        elif lo < u + step < hi:
-            u += step
-        else:
-            u = 0.5 * (lo + hi)
+        u, lo, hi = _newton_step(u, step, f < 0.0, lo, hi)
     return u
 
 

@@ -209,6 +209,36 @@ def test_dilute_pure_csv_artifact(tmp_path):
     assert len(sidecar["result"]["points"]) == 2
 
 
+@pytest.mark.parametrize("mode, samples", [("exact", 0), ("mc", 1000)])
+def test_dilute_pure_points_carry_an_error_upper_bound(tmp_path, capsys, mode, samples):
+    params = {"schmidt": [0.8, 0.2], "delta": 0.1, "n_grid": [100, 2000], "mode": mode}
+    if samples:
+        params["samples"] = samples
+    cfg = _write(tmp_path, "c.json", {"command": "dilute-pure", "params": params})
+    assert main(["--config", cfg]) == 0
+    points = json.loads(capsys.readouterr().out)["result"]["points"]
+    for point in points:
+        assert point["error"] <= point["error_high"] <= 1.0
+        if mode == "exact":
+            assert point["error_high"] == point["error"]
+    if mode == "mc":
+        # the point estimate at n = 2000 reads 0.0; the bound does not
+        assert points[1]["error"] == 0.0
+        assert points[1]["error_high"] == pytest.approx(0.0726932324188, rel=1e-11)
+
+
+@pytest.mark.parametrize("dist", [[1.0], [1.0, 0.0]])
+def test_point_mass_entropy_prints_no_signed_zero(tmp_path, capsys, dist):
+    cfg = _write(tmp_path, "c.json",
+                 {"command": "typicality",
+                  "params": {"dist": dist, "n": 5, "delta": 0.1}})
+    assert main(["--config", cfg]) == 0
+    text = capsys.readouterr().out
+    assert "-0.0" not in text
+    bits = json.loads(text)["result"]["entropy_bits"]
+    assert bits == 0.0 and math.copysign(1.0, bits) == 1.0
+
+
 def test_seed_flag_overrides_config(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json",
                  {"command": "majorization-check", "seed": 1,

@@ -48,6 +48,27 @@ def test_trace_invariants():
         DilutionTrace(n=4, ebits=3, cbits=6, error=0.1, rate=0.5)
 
 
+def test_error_high_defaults_to_the_error_and_bounds_it():
+    assert DilutionTrace(n=4, ebits=3, cbits=6, error=0.1, rate=0.75).error_high == 0.1
+    with pytest.raises(InvariantViolation):
+        DilutionTrace(n=4, ebits=3, cbits=6, error=0.1, rate=0.75, error_high=0.05)
+    with pytest.raises(InvariantViolation):
+        DilutionTrace(n=4, ebits=3, cbits=6, error=0.1, rate=0.75, error_high=1.5)
+
+
+def test_monte_carlo_error_high_bounds_a_zero_estimate():
+    # all 1000 sampled blocks are typical at n = 2000, so the point estimate
+    # reads 0.0; the 99% interval's mass_low = 0.005^(1/1000) bounds it
+    spec = Spectrum(np.array([0.8, 0.2]))
+    mc = dilution_sweep(spec, 0.1, [100, 2000], mode="mc", samples=1000)
+    assert mc[1].error == 0.0
+    assert mc[1].error_high == pytest.approx(
+        math.sqrt(-math.expm1(math.log(0.005) / 1000)), rel=1e-12)
+    exact = pure_dilution(spec, 0.1, 2000)
+    assert exact.error_high == exact.error <= mc[1].error_high
+    assert all(t.error <= t.error_high <= 1.0 for t in mc)
+
+
 def test_ebit_dilutes_at_rate_one_with_zero_error():
     ebit = Spectrum(np.array([0.5, 0.5]))
     for n in (1, 3, 10, 64):
@@ -161,14 +182,40 @@ def test_binary_mixing_hand_oracles():
     assert binary_mixing_error(0.3, 0.05, 10_000) < 1e-2
 
 
-def test_binomial_log_pmf_matches_exact_coefficients():
-    for p0, n in ((0.3, 1000), (0.8, 2000), (0.5, 7)):
-        ks = np.arange(n + 1)
-        got = dilution._binomial_log_pmf(ks, p0, n)
-        for k in (0, 1, n // 3, n // 2, n - 1, n):
-            want = (math.log(math.comb(n, k)) + k * math.log(p0)
-                    + (n - k) * math.log1p(-p0))
-            assert got[k] == pytest.approx(want, rel=1e-13, abs=1e-12)
+def _dyadic_binomial_terms(p0, n):
+    """Bin(n, p0) terms as exact integers over the common denominator d^n,
+    for a dyadic p0 = a / d."""
+    a, d = p0.as_integer_ratio()
+    return [math.comb(n, k) * a ** k * (d - a) ** (n - k) for k in range(n + 1)], d ** n
+
+
+def test_curtailed_binomial_matches_exact_rationals():
+    # the oracle sums exact integers on the float window _curtailed_support
+    # returns; int / int rounds correctly, so the only error is the kernel's
+    for n in range(1, 41):
+        for p0 in (0.125, 0.5, 0.6875):
+            for xi in (0.05, 0.15, 0.3):
+                terms, total = _dyadic_binomial_terms(p0, n)
+                ks = dilution._curtailed_support(p0, xi, n).tolist()
+                outside = sum(terms) - sum(terms[k] for k in ks)
+                got = binary_mixing_error(p0, xi, n)
+                if outside == 0:
+                    assert got == 0.0
+                else:
+                    assert got == pytest.approx(2 * outside / total, rel=1e-12)
+                if ks:
+                    inside = sum(terms[k] for k in ks)
+                    support, probs = curtailed_binomial_pmf(p0, xi, n)
+                    assert support.tolist() == ks
+                    for k, q in zip(ks, probs):
+                        assert q == pytest.approx(terms[k] / inside, rel=1e-12)
+
+
+def test_binary_mixing_error_keeps_tiny_values():
+    # 1 - mass by subtraction leaves only rounding noise, or 0.0, here
+    assert binary_mixing_error(0.25, 0.15, 2000) == pytest.approx(
+        7.19269539178494e-49, rel=1e-12)
+    assert binary_mixing_error(0.01, 0.005, 10**5) > 0.0
 
 
 def test_binary_mixing_error_non_increasing_in_blocks():

@@ -425,3 +425,11 @@ def test_gibbs_state_maximizes_entropy_at_its_energy():
     for shift in (-0.01, 0.01):
         other = binary_entropy(point.energy + shift)
         assert other <= f + 0.05
+
+
+def test_n_copy_entropy_saturates_on_a_bounded_hamiltonian():
+    # E = 1.5 lies above the uniform state's energy 1, where F(E) = log2 3;
+    # the Gibbs inversion alone reports that energy as not attained
+    h = DiagonalHamiltonian(np.array([0.0, 1.0, 2.0]))
+    assert n_copy_gibbs_entropy(h, 3, 1.5) == pytest.approx(3.0 * math.log2(3.0),
+                                                            rel=1e-15)

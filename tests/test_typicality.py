@@ -31,6 +31,12 @@ def test_source_distribution_entropy():
     assert d.entropy_bits == pytest.approx(0.4689955935892812, abs=1e-13)
 
 
+@pytest.mark.parametrize("probs", [[1.0], [1.0, 0.0]])
+def test_source_entropy_of_a_point_mass_is_positive_zero(probs):
+    h = SourceDistribution(np.array(probs)).entropy_bits
+    assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
+
 @pytest.mark.parametrize("probs", [[math.nan, 0.5], [math.inf, 0.0],
                                    [0.5, 0.5, math.nan]])
 def test_source_distribution_rejects_non_finite(probs):
