@@ -185,10 +185,15 @@ def binary_mixing_error(p0: float, xi: float, n: int) -> float:
     """Raw error bound 2 * (1 - mass) of driving a binary mixture by a
     curtailed binomial count; may exceed 1, cap at 1 when booking it as a
     trace distance.  1 - mass is summed over the curtailed counts, so a
-    small value keeps its relative precision."""
+    small value keeps its relative precision.  It is 0.0 only when no count
+    is curtailed; where counts are curtailed but their sum underflows, it is
+    the smallest positive double, still an upper bound."""
     ks = _curtailed_support(p0, xi, n)
     w = _binomial_weights(n, math.log(p0) - math.log1p(-p0), 0, n)
-    return 2.0 * float(np.sum(np.delete(w, ks))) / float(np.sum(w))
+    error = 2.0 * float(np.sum(np.delete(w, ks))) / float(np.sum(w))
+    if error == 0.0 and ks.size <= n:
+        return math.ulp(0.0)
+    return error
 
 
 def curtailed_binomial_pmf(p0: float, xi: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -241,11 +241,9 @@ def eof_surrogate_for_copies(rho: BipartiteState, n: int,
     """
     if n < 1:
         raise ValueError("n must be positive")
-    top = rho.spectrum().values[0]
-    if top >= 1.0 - 1e-12:
-        w, u = np.linalg.eigh(rho.matrix)
-        vec = u[:, -1]
-        psi = schmidt_decompose(vec.reshape(rho.dim_a, rho.dim_b))
+    w, u = np.linalg.eigh(rho.matrix)
+    if w[-1] >= 1.0 - 1e-12:
+        psi = schmidt_decompose(u[:, -1].reshape(rho.dim_a, rho.dim_b))
         return n * eof_pure(psi), "pure-exact"
     if n == 2:
         return regularized_probe(rho, 2, **estimate_kwargs)[1] * 2.0, "estimate-upper"

@@ -3,8 +3,11 @@
 Exact masses and cardinalities come from one census of the empirical types
 (compositions of n into K parts), built as integer count matrices in bounded
 blocks.  Every sequence of a type has the same probability, so a set's mass
-is the sum over its types of multinomial(n; c) * prod_i p_i^c_i, taken in log
-space; its cardinality is an exact integer.  Where the types are too many to
+is the sum over its types of multinomial(n; c) * prod_i p_i^c_i.  Each
+multinomial is one exact integer, walked along binomial rows: the integers
+sum to the set's cardinality, and a type's mass is exp(ln multinomial +
+ln p(x^n)).  A single sequence is weakly typical exactly when its type is a
+member of the census's weak set.  Where the types are too many to
 enumerate, a Monte Carlo mode draws the types of i.i.d. blocks directly
 (multinomial(n, p)), judges them by the same membership rule, and reports a
 99% Clopper-Pearson interval.  Its bounds solve exact binomial tail
@@ -28,34 +31,18 @@ from .spectra import InvariantViolation
 
 DEFAULT_MAX_TYPES = 2_000_000
 _BLOCK_ROWS = 1 << 15  # rows per block of census types or Monte Carlo draws
-_LN_FACT = np.empty(0)  # ln k! for k < size; replaced when grown, never written
 _ALPHA = 0.005  # each side of the 99% Clopper-Pearson interval
 _LN_ALPHA = math.log(_ALPHA)
 _Z99 = 2.5758293035489004  # the standard normal 0.995 quantile
 
 
-def _ln_factorials(n: int) -> np.ndarray:
-    """Read-only ln k! for k = 0..n, a view of one table of math.lgamma
-    values.  The table depends on k alone, so it is grown (at least
-    doubled) on demand and shared by every call instead of rebuilt."""
-    global _LN_FACT
-    table = _LN_FACT  # one read, so a concurrent growth cannot shorten it
-    if n >= table.size:
-        grown = np.empty(max(n + 1, 2 * table.size))
-        grown[:table.size] = table
-        grown[table.size:] = [math.lgamma(k + 1.0)
-                              for k in range(table.size, grown.size)]
-        grown.setflags(write=False)
-        table = _LN_FACT = grown
-    return table[:n + 1]
-
-
 @dataclass(frozen=True)
 class SourceDistribution:
-    """Probability vector over a finite alphabet with cached entropy."""
+    """Probability vector over a finite alphabet with its entropy, computed
+    once from the probabilities."""
 
     probs: np.ndarray
-    entropy_bits: float = field(default=math.nan)
+    entropy_bits: float = field(init=False)
 
     def __post_init__(self) -> None:
         p = np.array(self.probs, dtype=float).reshape(-1)
@@ -64,11 +51,8 @@ class SourceDistribution:
         if abs(float(np.sum(p)) - 1.0) > 1e-12:
             raise InvariantViolation(f"probabilities sum to {float(np.sum(p))!r}")
         p.setflags(write=False)
-        h = _shannon_bits(p)
-        if not math.isnan(self.entropy_bits) and abs(self.entropy_bits - h) > 1e-12:
-            raise InvariantViolation("cached entropy does not match the probabilities")
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "entropy_bits", h)
+        object.__setattr__(self, "entropy_bits", _shannon_bits(p))
 
     def __len__(self) -> int:
         return int(self.probs.size)
@@ -95,13 +79,18 @@ class TypicalReport:
     mass_high: float = math.nan
 
 
-def sequence_rate_bits(dist: SourceDistribution, x_seq) -> float:
-    """Empirical rate -(1/n) log2 p(x^n); +inf if a zero-probability symbol occurs."""
+def _symbols(dist: SourceDistribution, x_seq) -> np.ndarray:
     x = np.asarray(x_seq, dtype=int).reshape(-1)
     if x.size == 0:
         raise ValueError("sequence must be non-empty")
     if np.any(x < 0) or np.any(x >= len(dist)):
         raise ValueError("sequence contains out-of-alphabet symbols")
+    return x
+
+
+def sequence_rate_bits(dist: SourceDistribution, x_seq) -> float:
+    """Empirical rate -(1/n) log2 p(x^n); +inf if a zero-probability symbol occurs."""
+    x = _symbols(dist, x_seq)
     p = dist.probs[x]
     if np.any(p <= 0.0):
         return math.inf
@@ -109,11 +98,15 @@ def sequence_rate_bits(dist: SourceDistribution, x_seq) -> float:
 
 
 def is_weakly_typical(dist: SourceDistribution, x_seq, delta: float) -> bool:
-    """True iff |rate(x^n) - H| <= delta; zero-probability symbols disqualify."""
+    """True iff |rate(x^n) - H| <= delta; zero-probability symbols disqualify.
+    The sequence's type is judged by the census's own rule, so a sequence is
+    typical exactly when its type is a member of the census's weak set."""
     if not delta >= 0.0:
         raise ValueError("delta must be non-negative")
-    r = sequence_rate_bits(dist, x_seq)
-    return math.isfinite(r) and abs(r - dist.entropy_bits) <= delta
+    x = _symbols(dist, x_seq)
+    counts = np.bincount(x, minlength=len(dist))[None, :]
+    return bool(_members(dist, x.size, delta, "weak", counts,
+                         _log2_prob(dist, counts))[0])
 
 
 def type_count(n: int, k: int) -> int:
@@ -157,20 +150,16 @@ def _log2_prob(dist: SourceDistribution, counts: np.ndarray) -> np.ndarray:
 
 
 def _type_blocks(dist: SourceDistribution, n: int,
-                 max_types: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(counts, log2 p(x^n) per sequence, ln multiplicity) per block of types."""
+                 max_types: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(counts, log2 p(x^n) per sequence) per block of types."""
     total = type_count(n, len(dist))
     if total > max_types:
         raise InvariantViolation(
             f"{total} empirical types exceed the exact-mode limit {max_types}; "
             "use Monte Carlo mode")
-    ln_fact = _ln_factorials(n)
     for head in _prefix_blocks(n, len(dist) - 1):
         counts = np.column_stack([head, n - head.sum(axis=1)])
-        ln_mult = np.full(len(counts), ln_fact[n])
-        for c in counts.T:
-            ln_mult -= ln_fact[c]
-        yield counts, _log2_prob(dist, counts), ln_mult
+        yield counts, _log2_prob(dist, counts)
 
 
 def _members(dist: SourceDistribution, n: int, delta: float, kind: str,
@@ -182,10 +171,12 @@ def _members(dist: SourceDistribution, n: int, delta: float, kind: str,
     return np.isfinite(log2_prob) & np.all(dev <= delta, axis=1)
 
 
-def _member_count(n: int, counts: np.ndarray) -> int:
-    """Exact sum of multinomial(n; c) over the rows of one block: a run of rows
-    sharing c_0..c_{K-3} walks one binomial row in exact integer steps."""
-    total, head = 0, None
+def _member_count(n: int, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[float, int]:
+    """(mass, exact count) of the member rows of one block.  A run of rows
+    sharing c_0..c_{K-3} walks one binomial row in exact integer steps; each
+    row's multiplicity is that exact integer, and its mass is
+    exp(ln mult + log2 p ln 2), where ln of an int is accurate at any size."""
+    total, head, ln_mult = 0, None, []
     for row in counts.tolist():
         if row[:-2] != head:
             head, prefix, rem = row[:-2], 1, n
@@ -196,28 +187,33 @@ def _member_count(n: int, counts: np.ndarray) -> int:
         while j < row[-2]:
             binom = binom * (rem - j) // (j + 1)
             j += 1
-        total += prefix * binom
-    return total
+        mult = prefix * binom
+        total += mult
+        ln_mult.append(math.log(mult))
+    mass = float(np.sum(np.exp(np.array(ln_mult) + log2_prob * math.log(2.0))))
+    return mass, total
 
 
 def _census(dist: SourceDistribution, n: int, delta: float, kind: str,
             max_types: int) -> tuple[float, int]:
     """(mass, exact cardinality) of the weak or strong typical set."""
-    mass, excluded, blocks = 0.0, False, 0
-    for counts, log2_prob, ln_mult in _type_blocks(dist, n, max_types):
+    excluded, blocks = False, 0
+    for counts, log2_prob in _type_blocks(dist, n, max_types):
         ok = _members(dist, n, delta, kind, counts, log2_prob)
         excluded = excluded or bool(np.any(np.isfinite(log2_prob) & ~ok))
-        mass += float(np.sum(np.exp(ln_mult[ok] + log2_prob[ok] * math.log(2.0))))
-        members, blocks = counts[ok], blocks + 1
+        members, blocks = (counts[ok], log2_prob[ok]), blocks + 1
     if not excluded:
         # no type that carries mass was cut: mass 1 and count K_+^n, exactly
         return 1.0, int(np.count_nonzero(dist.probs)) ** n
     if blocks == 1:
-        return min(mass, 1.0), _member_count(n, members)
-    # a table of several blocks is read again once a cut is known
-    return min(mass, 1.0), sum(
-        _member_count(n, counts[_members(dist, n, delta, kind, counts, log2_prob)])
-        for counts, log2_prob, _ in _type_blocks(dist, n, max_types))
+        mass, count = _member_count(n, *members)
+    else:  # a table of several blocks is read again once a cut is known
+        mass, count = 0.0, 0
+        for counts, log2_prob in _type_blocks(dist, n, max_types):
+            ok = _members(dist, n, delta, kind, counts, log2_prob)
+            block_mass, block_count = _member_count(n, counts[ok], log2_prob[ok])
+            mass, count = mass + block_mass, count + block_count
+    return min(mass, 1.0), count
 
 
 def _expit(u: float) -> float:
@@ -389,7 +385,7 @@ def aep_bounds_check(dist: SourceDistribution, n: int, delta: float,
     slack = rtol * max(1.0, n * (h + max(delta, bound_delta)))
     lo = -n * (h + bound_delta) - slack
     hi = -n * (h - bound_delta) + slack
-    for counts, log2_prob, _ in _type_blocks(dist, n, max_types):
+    for counts, log2_prob in _type_blocks(dist, n, max_types):
         typical = log2_prob[_members(dist, n, delta, "weak", counts, log2_prob)]
         if not np.all((lo <= typical) & (typical <= hi)):
             return False

@@ -218,6 +218,14 @@ def test_binary_mixing_error_keeps_tiny_values():
     assert binary_mixing_error(0.01, 0.005, 10**5) > 0.0
 
 
+def test_binary_mixing_error_is_positive_when_counts_are_curtailed():
+    # (0.3, 0.2, 10^4) curtails counts whose 2 (1 - mass) is 3.0e-381, below
+    # the smallest double: the bound reads that double, not 0.0
+    assert binary_mixing_error(0.3, 0.2, 10_000) == math.ulp(0.0)
+    # nothing is curtailed at (0.5, 0.6, 10), so the error is exactly 0.0
+    assert binary_mixing_error(0.5, 0.6, 10) == 0.0
+
+
 def test_binary_mixing_error_non_increasing_in_blocks():
     errors = [binary_mixing_error(0.3, 0.05, n) for n in (10, 100, 1000, 10_000)]
     assert all(a >= b for a, b in zip(errors, errors[1:]))

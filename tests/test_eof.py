@@ -110,6 +110,18 @@ def test_surrogate_pure_is_exactly_additive():
     assert val == pytest.approx(5.0 * eof_pure(psi), abs=1e-9)
 
 
+def test_surrogate_pure_takes_one_eigendecomposition(monkeypatch):
+    rho = schmidt_decompose(np.diag([np.sqrt(0.7), np.sqrt(0.3)])).to_density()
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(m, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _real(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    _, kind = eof_surrogate_for_copies(rho, 3)
+    assert (kind, calls) == ("pure-exact", ["eigh"])
+
+
 def test_surrogate_mixed_scales_single_copy():
     rng = stream(31, 6)
     rho = random_density_state(rng, 2, 2)

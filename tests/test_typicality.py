@@ -51,20 +51,9 @@ def test_source_distribution_copies_its_input():
     assert d.probs.tolist() == [0.5, 0.5]
 
 
-def test_ln_factorials_match_exact_logs():
-    table = typicality._ln_factorials(3000)
-    for k, value in enumerate(table.tolist()):
-        want = math.log(math.factorial(k))
-        assert abs(value - want) <= 4 * math.ulp(want)
-
-
-def test_ln_factorials_are_a_read_only_shared_prefix():
-    large = typicality._ln_factorials(5000).copy()
-    small = typicality._ln_factorials(7)
-    assert small.tolist() == large[:8].tolist()
-    assert typicality._ln_factorials(9000)[:5001].tolist() == large.tolist()
-    with pytest.raises(ValueError):
-        small[3] = 0.0
+def test_source_entropy_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        SourceDistribution(np.array([0.5, 0.5]), entropy_bits=1.0)
 
 
 def test_sequence_rate_and_membership():
@@ -433,3 +422,56 @@ def test_census_memory_is_bounded_by_blocks():
     assert (mass, count) == (1.0, 6 ** n)
     assert strong.mass == 0.0
     assert peak < 12 * 2 ** 20
+
+
+def _census_member_types(dist, n, delta, kind):
+    """Count rows of the types the census itself counts as members."""
+    return [row for counts, log2_prob in typicality._type_blocks(dist, n, type_count(n, len(dist)))
+            for row in counts[typicality._members(dist, n, delta, kind, counts,
+                                                  log2_prob)].tolist()]
+
+
+@pytest.mark.parametrize("numerators, n, delta", [((3, 1), 300, 0.05),
+                                                  ((3, 1), 2000, 0.02),
+                                                  ((4, 3, 1), 120, 0.1)])
+def test_census_masses_match_exact_integer_sums(numerators, n, delta):
+    # dyadic p_i = a_i / d: a type's mass is multinomial(n; c) prod a_i^c_i
+    # over d^n, so a set's mass is one integer over d^n, summed over the
+    # census's own members
+    d = sum(numerators)
+    dist = SourceDistribution(np.array(numerators) / d)
+    for kind, fn in (("weak", weak_typical_mass), ("strong", strong_typical_mass)):
+        exact = 0
+        for c in _census_member_types(dist, n, delta, kind):
+            term, rem = 1, n
+            for a, ci in zip(numerators, c):
+                term *= math.comb(rem, ci) * a ** ci
+                rem -= ci
+            exact += term
+        assert 0 < exact < d ** n, (kind, "the window must cut the set")
+        got = fn(dist, n, delta).mass
+        assert abs(Fraction(got) / Fraction(exact, d ** n) - 1) <= 1e-13, kind
+
+
+def test_sequence_membership_is_the_census_membership():
+    # (0.8, 0.2) at n = 84, delta = 0.1: the type (63, 21) sits on the window
+    # edge; the census counts it as a member, while a rate summed symbol by
+    # symbol along the sequence falls just outside
+    dist = SourceDistribution(np.array([0.8, 0.2]))
+    assert is_weakly_typical(dist, [0] * 63 + [1] * 21, 0.1)
+    # binary: every n <= 120, the end types and the type on each side of
+    # every window edge; K = 3: every type
+    grid = [((0.8, 0.2), n) for n in range(1, 121)]
+    grid += [(probs, n) for probs in ((0.5, 0.3, 0.2), (0.6, 0.0, 0.4)) for n in (6, 10)]
+    for probs, n in grid:
+        dist = SourceDistribution(np.array(probs))
+        (counts, log2_prob), = typicality._type_blocks(dist, n, type_count(n, len(probs)))
+        for delta in (0.05, 0.1):
+            member = typicality._members(dist, n, delta, "weak", counts, log2_prob)
+            rows = range(len(counts))
+            if len(probs) == 2:
+                edges = np.flatnonzero(member[1:] != member[:-1])
+                rows = sorted({0, n, *edges.tolist(), *(edges + 1).tolist()})
+            for i in rows:
+                seq = np.repeat(np.arange(len(probs)), counts[i])
+                assert is_weakly_typical(dist, seq, delta) == member[i], (probs, counts[i], delta)
