@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dilution import converse_bound, dilution_sweep, mixed_dilution_rate
+from .dilution import _converse, dilution_sweep, mixed_dilution_rate
 from .entropy import entropy_integral_closed_form, tail_sums, von_neumann_entropy
 from .eof import eof_estimate
 from .gibbs import beta_of_energy, gibbs_point, gibbs_state
@@ -176,11 +176,15 @@ def _run_typicality(params, seed):
     return result, None, []
 
 
+def _estimate_kwargs(params, what) -> dict:
+    """The ``eof_estimate`` options a config sets, read as ints."""
+    return {key: read(params, key, what, int)
+            for key in ("ensemble_size", "restarts", "iterations") if key in params}
+
+
 def _run_eof(params, seed):
     rho = state_from_json(read(params, "state", "eof", dict))
-    kwargs = {key: read(params, key, "eof", int)
-              for key in ("ensemble_size", "restarts", "iterations") if key in params}
-    est = eof_estimate(rho, seed=seed, **kwargs)
+    est = eof_estimate(rho, seed=seed, **_estimate_kwargs(params, "eof"))
     result = _fields(est, drop=("decomposition",))
     result["decomposition"] = {
         "weights": list(est.decomposition.weights),
@@ -222,10 +226,9 @@ def _run_converse(params, seed):
     ham = hamiltonian_from_json(read(params, "hamiltonian", what, dict))
     r = read(params, "r", what, float)
     n = read(params, "n", what, int)
-    est_kwargs = {key: read(params, key, what, int)
-                  for key in ("restarts", "iterations") if key in params}
-    reports = [converse_bound(rho, r, eps, ham, n, seed=seed, **est_kwargs)
-               for eps in read_list(params, "epsilon_grid", what, float)]
+    est_kwargs = _estimate_kwargs(params, what)
+    reports = _converse(rho, r, read_list(params, "epsilon_grid", what, float), ham, n,
+                        seed=seed, **est_kwargs)
     # r and n are the same at every point, so they are reported once
     result = {"r": r, "n": n,
               "points": [_fields(rep, drop=("n", "r", "energy")) for rep in reports]}
@@ -401,7 +404,8 @@ def main(argv=None) -> int:
         fail = CliFailure(EXIT_SCHEMA, "schema", str(exc))
     except InvariantViolation as exc:
         fail = CliFailure(EXIT_INVARIANT, "invariant", str(exc))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MemoryError) as exc:
+        # a size too large to allocate is a value out of range, not a crash
         fail = CliFailure(EXIT_SCHEMA, "schema", f"bad parameter value: {exc}")
     except CliFailure as exc:
         fail = exc

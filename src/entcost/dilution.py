@@ -5,7 +5,9 @@ one ebit per qubit of the typical subspace, so the ledger of a block is
 ceil(log2 |W_delta|) ebits (capped by ceil(n(S + delta))) and, under the
 teleportation convention adopted here, two classical bits per ebit.  The
 approximation error of projecting onto the typical subspace is exactly
-sqrt(1 - mass(W_delta)) in trace distance.
+sqrt(1 - mass(W_delta)) in trace distance; where 1 - mass is small, the
+mass outside W_delta is summed over its types directly, not subtracted
+from 1.
 
 Mixed targets are diluted member-by-member from a pure decomposition; the
 rare part beyond a cutoff is prepared wastefully and only contributes
@@ -39,9 +41,14 @@ from .typicality import (
     DEFAULT_MAX_TYPES,
     SourceDistribution,
     _binomial_weights,
+    _ln_cut_mass,
     weak_typical_census,
     weak_typical_mass,
 )
+
+# below this 1 - mass, sqrt(1 - mass) keeps fewer than about 8 correct digits,
+# so the exact error is summed over the cut types instead
+_DIRECT_CUT_MASS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -90,8 +97,9 @@ def pure_dilution(target: PureBipartite | Spectrum, delta: float, n: int,
     The target may be the state itself or just its Schmidt spectrum.  Exact
     mode enumerates the Schmidt-coefficient types: the subspace dimension
     |W_delta| is an exact integer and the error sqrt(1 - mass(W_delta)) is
-    exact.  Monte Carlo mode estimates the mass and books the theoretical
-    ceil(n(S + delta)) ebits instead.
+    exact; below 1 - mass = 1e-6 it is the square root of the cut types'
+    mass, summed directly.  Monte Carlo mode estimates the mass and books
+    the theoretical ceil(n(S + delta)) ebits instead.
     """
     return _dilute(target, delta, [n], mode, samples, seed, max_types)[0]
 
@@ -110,14 +118,20 @@ def _dilute(target: PureBipartite | Spectrum, delta: float, ns,
     if not 0.0 <= delta < math.inf or any(n < 1 for n in ns):
         raise ValueError("need a finite delta >= 0 and n >= 1")
     dist = SourceDistribution(_schmidt_of(target).stripped().values)
-    h = dist.entropy_bits
+    h, k_pos = dist.entropy_bits, int(np.count_nonzero(dist.probs))
     traces = []
     for n in ns:
         cap = math.ceil(n * (h + delta)) if h + delta > 0.0 else 0
         if mode == "exact":
             mass, count = weak_typical_census(dist, n, delta, max_types)
             ebits = min((count - 1).bit_length(), cap) if count > 0 else 0
-            error = 0.0 if mass >= 1.0 else math.sqrt(max(0.0, 1.0 - mass))
+            if count == k_pos ** n:  # no type that carries mass is cut
+                error = 0.0
+            elif 1.0 - mass > _DIRECT_CUT_MASS:
+                error = math.sqrt(1.0 - mass)
+            else:  # 1 - mass would cancel: sum the cut types themselves
+                ln_cut = _ln_cut_mass(dist, n, delta, "weak", max_types)
+                error = max(math.exp(0.5 * ln_cut), math.ulp(0.0))
             error_high, kind = error, "exact"
         elif mode == "mc":
             report = weak_typical_mass(dist, n, delta, mode="mc",
@@ -218,10 +232,11 @@ class ConverseReport:
     """Terms of the rate converse chain at one (n, epsilon) point.
 
     floor(r*n) is compared against the formation surrogate of the n-copy
-    target minus the energy-continuity correction n * eps' * F(E/eps') and
-    the offset g(eps').  The surrogate is an UPPER bound on the true
-    formation value (exact for pure targets), so ``slack_bits`` is reliable
-    as a consistency indicator, not as a proof of optimality.
+    target (n times one single-copy estimate) minus the energy-continuity
+    correction n * eps' * F(E/eps') and the offset g(eps').  The surrogate
+    is an UPPER bound on the true formation value (exact for pure targets),
+    so ``slack_bits`` is reliable as a consistency indicator, not as a proof
+    of optimality.
     """
 
     n: int
@@ -246,6 +261,8 @@ def converse_bound(rho: BipartiteState, r: float, epsilon: float,
     eps' = sqrt(epsilon * (2 - epsilon)).  ``epsilon`` is the trace
     distance (1/2)||.||_1 between the protocol output and rho^n, the
     convention of ``spectra.trace_distance`` and ``DilutionTrace.error``.
+    The formation term is ``eof_surrogate_for_copies(rho, n)``: n times one
+    ``eof_estimate`` of rho, exact for pure targets.
 
     The chain: an LOCC protocol turns floor(rn) ebits into sigma_n with
     (1/2)||sigma_n - rho^n||_1 <= epsilon.  E_F does not grow under LOCC,
@@ -259,20 +276,32 @@ def converse_bound(rho: BipartiteState, r: float, epsilon: float,
     continuity term is n * eps' F(E/eps') while g(eps') is paid once.  At
     E = 0 the per-copy term is eps' * log2 of the ground degeneracy.
     """
+    return _converse(rho, r, [epsilon], hamiltonian, n, **estimate_kwargs)[0]
+
+
+def _converse(rho: BipartiteState, r: float, epsilons, hamiltonian: DiagonalHamiltonian,
+              n: int, **estimate_kwargs) -> list[ConverseReport]:
+    """Converse reports at each epsilon in ``epsilons``.  Only the continuity
+    terms depend on epsilon, so the A-energy and the formation term are
+    taken once for the whole grid, and not at all for an empty one."""
     # r * n must be finite for floor(r n) to exist; NaN fails r >= 0
     if n < 1 or not (r >= 0.0 and math.isfinite(r * n)):
         raise ValueError("need n >= 1, r >= 0 and r * n finite")
-    if not (0.0 < epsilon <= 1.0):
+    if not all(0.0 < epsilon <= 1.0 for epsilon in epsilons):
         raise ValueError("epsilon must lie in (0, 1]")
+    if not epsilons:
+        return []
     energy = mean_energy_density(hamiltonian, partial_trace(rho, "A"))
     # a state within PSD tolerance can have an A-energy a hair below 0
-    cont_per_copy, g_term = _continuity_terms(hamiltonian, max(0.0, energy), epsilon)
+    terms = [_continuity_terms(hamiltonian, max(0.0, energy), epsilon)
+             for epsilon in epsilons]
     ef_total, kind = eof_surrogate_for_copies(rho, n, **estimate_kwargs)
     lhs = math.floor(r * n)
-    rate_lower = ef_total / n - cont_per_copy - g_term / n
-    slack = lhs - (ef_total - n * cont_per_copy - g_term)
-    return ConverseReport(n, r, epsilon, energy, lhs, ef_total, kind,
-                          n * cont_per_copy, g_term, rate_lower, slack)
+    return [ConverseReport(n, r, epsilon, energy, lhs, ef_total, kind,
+                           n * cont_per_copy, g_term,
+                           ef_total / n - cont_per_copy - g_term / n,
+                           lhs - (ef_total - n * cont_per_copy - g_term))
+            for epsilon, (cont_per_copy, g_term) in zip(epsilons, terms)]
 
 
 def additivity_check(rate_fn, rho: BipartiteState, n: int,

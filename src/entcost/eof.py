@@ -219,7 +219,9 @@ def regularized_probe(rho: BipartiteState, n_max: int = 2,
 
     The tensor square of the one-copy decomposition certifies exactly twice
     the one-copy bound for two copies, so the two-copy entry is the smaller
-    of that and the direct two-copy search, and the sequence never increases.
+    of that and the direct 4 x 4 two-copy search, and the sequence never
+    increases.  The converse chain does not call it: its formation term is
+    ``eof_surrogate_for_copies``.
     """
     if n_max < 1 or n_max > 2:
         raise ValueError("only 1 or 2 copies are representable here")
@@ -234,18 +236,14 @@ def eof_surrogate_for_copies(rho: BipartiteState, n: int,
                              **estimate_kwargs) -> tuple[float, str]:
     """(upper bound on formation of n copies in bits, provenance flag).
 
-    Pure states use the exact additive value.  Mixed states use a direct
-    two-copy search for n <= 2 and otherwise scale the one-copy upper bound,
-    which stays a valid upper bound by subadditivity of the convex roof
-    under tensoring decompositions.
+    n times one ``eof_estimate`` of a single copy: the n-fold tensor power of
+    its decomposition decomposes rho^n, so the product stays an upper bound.
+    The flag is "pure-exact" when the estimate's decomposition has one
+    member, which happens exactly for rank-1 states; their formation value
+    is additive, so the product is exact.  Otherwise it is "estimate-upper".
     """
     if n < 1:
         raise ValueError("n must be positive")
-    w, u = np.linalg.eigh(rho.matrix)
-    if w[-1] >= 1.0 - 1e-12:
-        psi = schmidt_decompose(u[:, -1].reshape(rho.dim_a, rho.dim_b))
-        return n * eof_pure(psi), "pure-exact"
-    if n == 2:
-        return regularized_probe(rho, 2, **estimate_kwargs)[1] * 2.0, "estimate-upper"
-    one = eof_estimate(rho, **estimate_kwargs)
-    return n * one.upper_bound_bits, "estimate-upper"
+    est = eof_estimate(rho, **estimate_kwargs)
+    kind = "pure-exact" if len(est.decomposition.members) == 1 else "estimate-upper"
+    return n * est.upper_bound_bits, kind

@@ -171,11 +171,12 @@ def _members(dist: SourceDistribution, n: int, delta: float, kind: str,
     return np.isfinite(log2_prob) & np.all(dev <= delta, axis=1)
 
 
-def _member_count(n: int, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[float, int]:
-    """(mass, exact count) of the member rows of one block.  A run of rows
-    sharing c_0..c_{K-3} walks one binomial row in exact integer steps; each
-    row's multiplicity is that exact integer, and its mass is
-    exp(ln mult + log2 p ln 2), where ln of an int is accurate at any size."""
+def _type_terms(n: int, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[np.ndarray, int]:
+    """(ln of each row's mass, exact total multiplicity) of the rows of one
+    block.  A run of rows sharing c_0..c_{K-3} walks one binomial row in
+    exact integer steps; each row's multiplicity is that exact integer, and
+    its ln mass is ln mult + log2 p ln 2, where ln of an int is accurate at
+    any size."""
     total, head, ln_mult = 0, None, []
     for row in counts.tolist():
         if row[:-2] != head:
@@ -190,8 +191,13 @@ def _member_count(n: int, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[fl
         mult = prefix * binom
         total += mult
         ln_mult.append(math.log(mult))
-    mass = float(np.sum(np.exp(np.array(ln_mult) + log2_prob * math.log(2.0))))
-    return mass, total
+    return np.array(ln_mult) + log2_prob * math.log(2.0), total
+
+
+def _member_count(n: int, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[float, int]:
+    """(mass, exact count) of the member rows of one block."""
+    ln_mass, total = _type_terms(n, counts, log2_prob)
+    return float(np.sum(np.exp(ln_mass))), total
 
 
 def _census(dist: SourceDistribution, n: int, delta: float, kind: str,
@@ -214,6 +220,25 @@ def _census(dist: SourceDistribution, n: int, delta: float, kind: str,
             block_mass, block_count = _member_count(n, counts[ok], log2_prob[ok])
             mass, count = mass + block_mass, count + block_count
     return min(mass, 1.0), count
+
+
+def _ln_cut_mass(dist: SourceDistribution, n: int, delta: float, kind: str,
+                 max_types: int) -> float:
+    """ln of the mass of the types that carry probability but are not members
+    of the weak or strong set; -inf if there are none.  It is summed over
+    those types directly with the census's exact-integer walk, scaled by the
+    largest term, so it keeps its relative precision where 1 - mass would
+    cancel and where the mass itself would underflow."""
+    top, scaled = -math.inf, 0.0  # the mass is e^top * scaled
+    for counts, log2_prob in _type_blocks(dist, n, max_types):
+        cut = np.isfinite(log2_prob) & ~_members(dist, n, delta, kind, counts, log2_prob)
+        if not np.any(cut):
+            continue
+        ln_mass = _type_terms(n, counts[cut], log2_prob[cut])[0]
+        new_top = max(top, float(np.max(ln_mass)))
+        scaled = scaled * math.exp(top - new_top) + float(np.sum(np.exp(ln_mass - new_top)))
+        top = new_top
+    return top + math.log(scaled) if scaled > 0.0 else -math.inf
 
 
 def _expit(u: float) -> float:

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entcost import cli
+from entcost import cli, dilution, eof
 from entcost.cli import main
-from entcost.jsonio import matrix_to_pairs
+from entcost.jsonio import hamiltonian_from_json, matrix_to_pairs, state_from_json
 
 RUN = [sys.executable, "-m", "entcost.cli"]
 
@@ -607,12 +607,48 @@ def test_gibbs_at_subnormal_beta_exits_cleanly(hamiltonian, beta):
     _with(_FUZZ_BASES["typicality"], ("params", "dist"), ["0.8", "0.2"]),
     _with(_FUZZ_BASES["gibbs:energy"], ("params", "hamiltonian", "energies"), 0),
     _with(_FUZZ_BASES["entropy"], ("output_path",), 1.5),
+    _with(_EOF, ("params", "ensemble_size"), 2 ** 50),
+    _with(_EOF, ("params", "iterations"), 2 ** 50),
+    _with(_CONVERSE, ("params", "iterations"), 2 ** 50),
 ])
 def test_config_value_of_wrong_type_or_range_is_schema_error(config):
     # each of these ran on a coerced value (1.9 as 1, "1" as 1.0, a scalar
     # as a one-level list) or raised a traceback (r n = inf, an integer
-    # beyond the float range, a number as output_path)
+    # beyond the float range, a number as output_path, a size of 2^50
+    # elements, which no address space holds, so nothing is allocated)
     code, out, err, _ = _run_main(config)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["kind"] == "schema"
 
+
+
+@pytest.mark.parametrize("config", [_EOF, _CONVERSE])
+def test_ensemble_size_below_the_rank_is_invariant_error(config):
+    # both estimate commands read ensemble_size; converse-bound ignored it
+    code, out, err, _ = _run_main(_with(config, ("params", "ensemble_size"), 1))
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["kind"] == "invariant"
+
+
+def test_converse_grid_takes_one_estimate(monkeypatch):
+    # the formation term does not depend on epsilon: one estimate serves the
+    # whole grid, and each point is the single-epsilon converse_bound
+    grid = [1e-2, 1e-3, 1e-4]
+    config = _with(_with(_CONVERSE, ("params", "epsilon_grid"), grid), ("params", "n"), 2)
+    estimate, calls = eof.eof_estimate, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+    monkeypatch.setattr(eof, "eof_estimate", counted)
+    code, out, _, _ = _run_main(config)
+    monkeypatch.undo()
+    assert (code, len(calls)) == (0, 1)
+    params = config["params"]
+    rho = state_from_json(params["state"])
+    ham = hamiltonian_from_json(params["hamiltonian"])
+    points = json.loads(out)["result"]["points"]
+    assert points == [cli._jsonable(cli._fields(
+        dilution.converse_bound(rho, params["r"], eps, ham, params["n"], seed=config["seed"],
+                                restarts=params["restarts"], iterations=params["iterations"]),
+        drop=("n", "r", "energy"))) for eps in grid]

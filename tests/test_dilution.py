@@ -1,6 +1,7 @@
 """Dilution ledgers, mixing-driven convexity, and the converse chain."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from entcost import (
     tensor_power_state,
 )
 from entcost import dilution
+from entcost.typicality import SourceDistribution, _log2_prob, _members
 
 
 def _geometric_pure_ensemble(members: int = 24) -> Ensemble:
@@ -112,6 +114,26 @@ def test_dilution_error_decreases_down_the_sweep():
     errors = [t.error for t in dilution_sweep(spec, 0.05,
                                               [200, 400, 800, 1600])]
     assert all(a > b for a, b in zip(errors, errors[1:]))
+
+
+def test_exact_error_sums_the_cut_types_when_the_mass_rounds_near_one():
+    # (3/4, 1/4) at n = 300, delta = 0.3 cuts a mass of 6.4e-13, of which
+    # 1 - mass keeps about 4 digits; the squared error must be the exact
+    # rational mass of the census's own non-members
+    n, delta = 300, 0.3
+    dist = SourceDistribution([0.75, 0.25])
+    c0 = np.arange(n + 1)
+    counts = np.column_stack([c0, n - c0])
+    member = _members(dist, n, delta, "weak", counts, _log2_prob(dist, counts))
+    cut = Fraction(sum(math.comb(n, int(c)) * 3 ** int(c) for c in c0[~member]), 4 ** n)
+    error = pure_dilution(Spectrum(np.array([0.75, 0.25])), delta, n).error
+    assert error ** 2 == pytest.approx(float(cut), rel=1e-12, abs=0.0)
+    # types are cut at both points but the member mass rounds to 1, which
+    # printed 0.0; the exact errors are rational sums over the cut types of
+    # the float inputs
+    traces = dilution_sweep(Spectrum(np.array([0.8, 0.2])), 0.3, [1000, 2000])
+    for t, exact in zip(traces, (1.3219055272517313e-14, 6.642432056364038e-28)):
+        assert t.error_high == t.error == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_sweep_builds_the_source_once_and_matches_single_calls(monkeypatch):

@@ -23,6 +23,7 @@ from entcost import (
     von_neumann_entropy,
     wootters_eof,
 )
+from entcost import eof
 from entcost.eof import _DecompositionSearch
 
 
@@ -122,15 +123,22 @@ def test_surrogate_pure_takes_one_eigendecomposition(monkeypatch):
     assert (kind, calls) == ("pure-exact", ["eigh"])
 
 
-def test_surrogate_mixed_scales_single_copy():
+@pytest.mark.parametrize("n", [2, 3])
+def test_surrogate_mixed_scales_single_copy(monkeypatch, n):
+    # n copies take n times the one-copy estimate: no copy is ever tensored,
+    # so no n-copy search runs
     rng = stream(31, 6)
     rho = random_density_state(rng, 2, 2)
     one, _ = eof_surrogate_for_copies(rho, 1, restarts=2, iterations=500,
                                       seed=3)
-    three, kind = eof_surrogate_for_copies(rho, 3, restarts=2, iterations=500,
-                                           seed=3)
+
+    def tensored(*args):
+        raise AssertionError("tensor_state called")
+    monkeypatch.setattr(eof, "tensor_state", tensored)
+    many, kind = eof_surrogate_for_copies(rho, n, restarts=2, iterations=500,
+                                          seed=3)
     assert kind == "estimate-upper"
-    assert three <= 3.0 * one + 1e-9
+    assert many == n * one
 
 
 def test_dilution_rate_upper_bound_mean_entropy():
