@@ -9,9 +9,9 @@ Capabilities, by module:
 
 - ``spectra``: sorted spectra with declared tail mass, bipartite pure and
   mixed states, Schmidt decompositions, ensembles, trace distance.
-- ``entropy``: entropy in bits, the g function, tail-sum tables, and an
-  integral representation of entropy evaluated in closed form and by
-  quadrature.
+- ``entropy``: entropy in bits, the g function, the suffix sums (tail
+  sums) of a spectrum, and an integral representation of entropy evaluated
+  in closed form and by quadrature.
 - ``typicality``: weak and strong typical sets with exact type-class
   census or Monte Carlo mass estimates.
 - ``dilution``: entanglement dilution traces (ebits, classical bits, error)
@@ -24,8 +24,9 @@ Capabilities, by module:
 - ``gibbs``: diagonal Hamiltonians with exact geometric tails, Gibbs
   spectra, max-entropy-at-energy curves, and the one-sided continuity
   bound they induce.
-- ``majorization``: tail-sum dominance checks for product Kraus
-  instruments, Schur-Horn frame tests, and randomized sweeps.
+- ``majorization``: tail-sum margins of product Kraus channels on pure
+  states, the entropy inequality that tail-sum dominance implies,
+  Schur-Horn frame tests, and randomized sweeps.
 - ``rng``: counter-based splittable random streams so results never depend
   on call order.
 """
@@ -44,13 +45,11 @@ from .dilution import (
     pure_dilution,
 )
 from .entropy import (
-    TailSumTable,
     binary_entropy,
     entropy_integral_closed_form,
     entropy_integral_quadrature,
     entropy_tail_uncertainty,
     g_function,
-    tail_sum,
     tail_sums,
     von_neumann_entropy,
 )
@@ -84,19 +83,16 @@ from .gibbs import (
     sublinearity_probe,
 )
 from .majorization import (
-    CompletenessOperator,
     MajorizationReport,
     ProductKrausInstrument,
     SweepReport,
     TailDominanceResult,
     apply_instrument,
-    completeness_operator,
     entropy_monotonicity_check,
     majorization_condition_check,
     majorization_sweep,
     random_product_instrument,
     schur_horn_check,
-    spectrum_tail_sums,
     tail_dominance_entropy_check,
     tail_sum_operator_inequality,
 )
@@ -135,7 +131,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineTail",
     "BipartiteState",
-    "CompletenessOperator",
     "ConverseReport",
     "DiagonalHamiltonian",
     "DilutionTrace",
@@ -152,7 +147,6 @@ __all__ = [
     "Spectrum",
     "SweepReport",
     "TailDominanceResult",
-    "TailSumTable",
     "TypicalReport",
     "additivity_check",
     "aep_bounds_check",
@@ -160,7 +154,6 @@ __all__ = [
     "beta_of_energy",
     "binary_entropy",
     "binary_mixing_error",
-    "completeness_operator",
     "converse_bound",
     "curtailed_binomial_pmf",
     "curtailed_binomial_sample",
@@ -199,14 +192,12 @@ __all__ = [
     "schur_horn_check",
     "sequence_rate_bits",
     "series_weights",
-    "spectrum_tail_sums",
     "state_mean_energy",
     "state_trace_distance",
-    "strong_typical_mass",
     "stream",
+    "strong_typical_mass",
     "sublinearity_probe",
     "tail_dominance_entropy_check",
-    "tail_sum",
     "tail_sum_operator_inequality",
     "tail_sums",
     "tensor_power_state",

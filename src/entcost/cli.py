@@ -112,18 +112,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliFailure(EXIT_SCHEMA, "schema", f"{self.prog}: {message}")
 
 
-class _VersionAction(argparse.Action):
-    """``--version``: the git hash is resolved only when it is asked for."""
-
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(option_strings, dest, nargs=0,
-                         help="show the version and exit", **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        sys.stdout.write(_version_string() + "\n")
-        parser.exit()
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes (params, seed) and returns
 # (result_dict, csv_header_or_None, reports); the CSV rows are the
@@ -320,6 +308,8 @@ def _write_artifact(path: str, text: str) -> None:
 
 
 def main(argv=None) -> int:
+    # every path prints the version: --version, the artifact and the error record
+    version = _version_string()
     parser = _Parser(
         prog="entcost",
         description="Finite-truncation entanglement cost toolkit.")
@@ -335,7 +325,7 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=None,
                         help="accepted for compatibility and unused; must be"
                              " >= 1 (default: ENTCOST_THREADS or 1)")
-    parser.add_argument("--version", action=_VersionAction)
+    parser.add_argument("--version", action="version", version=version)
 
     try:
         args = parser.parse_args(argv)
@@ -371,7 +361,7 @@ def main(argv=None) -> int:
             "command": command,
             "params": _jsonable(params),
             "seed": seed,
-            "version": _version_string(),
+            "version": version,
             "timestamp": datetime.datetime.now(datetime.timezone.utc)
                          .isoformat(),
             "result": _jsonable(result),
@@ -411,7 +401,7 @@ def main(argv=None) -> int:
         fail = exc
     record = {"error": {"kind": fail.kind, "message": str(fail),
                         "exit_code": fail.code},
-              "version": _version_string()}
+              "version": version}
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
     return fail.code
 

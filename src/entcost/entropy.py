@@ -14,7 +14,6 @@ independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,41 +98,14 @@ def _suffix_sums(values: np.ndarray, tail=0.0) -> np.ndarray:
     return np.add.accumulate(out, axis=-1, out=out)[..., ::-1]
 
 
-@dataclass(frozen=True)
-class TailSumTable:
-    """Suffix sums of a spectrum: tails[k] = mass outside the k largest values.
-
-    tails has length len(spectrum) + 1, tails[0] is the total mass and
-    tails[-1] the declared tail mass.  Built by backward accumulation
-    (smallest terms first), so consecutive differences reproduce the values
-    to machine precision.
-    """
-
-    spectrum: Spectrum
-    tails: np.ndarray
-
-    @classmethod
-    def build(cls, spectrum: Spectrum) -> "TailSumTable":
-        t = _suffix_sums(spectrum.values, spectrum.tail_mass)
-        t.setflags(write=False)
-        return cls(spectrum, t)
-
-    def __len__(self) -> int:
-        return int(self.tails.size)
-
-
-def tail_sum(spectrum: Spectrum, k: int) -> float:
-    """Mass outside the k largest values; k = 0 gives the total mass.
-
-    Indices beyond the stored length return the declared tail mass.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return float(_suffix_sums(spectrum.values, spectrum.tail_mass)[min(k, len(spectrum))])
-
-
 def tail_sums(spectrum: Spectrum, count: int) -> np.ndarray:
-    """First ``count`` suffix sums tails[0..count-1], starting at the total mass."""
+    """First ``count`` suffix sums tails[0..count-1] of a spectrum.
+
+    tails[k] is the mass outside the k largest values: tails[0] is the total
+    mass, and every index from len(spectrum) on reads the declared tail
+    mass.  Summed backward (smallest terms first), so consecutive
+    differences reproduce the values to machine precision.
+    """
     if count < 0:
         raise ValueError("count must be non-negative")
     tails = _suffix_sums(spectrum.values, spectrum.tail_mass)[:count]
@@ -167,7 +139,7 @@ def entropy_integral_closed_form(spectrum: Spectrum) -> float:
     linear part by the 0*log convention.
     """
     sp = _require_finite_normalized(spectrum)
-    tails = TailSumTable.build(sp).tails
+    tails = _suffix_sums(sp.values)
     q = np.concatenate(([1.0], sp.values, [0.0]))  # q[n] = p_n with the two pads
     hi, lo = q[:-1], q[1:]
     ratio = np.divide(hi, lo, out=np.ones(hi.size), where=(tails > 0.0) & (hi > lo))
@@ -194,7 +166,7 @@ def entropy_integral_quadrature(spectrum: Spectrum, grid_size: int = 24) -> floa
         raise ValueError("grid_size must be at least 4")
     sp = _require_finite_normalized(spectrum)
     v = sp.values
-    tails = TailSumTable.build(sp).tails
+    tails = _suffix_sums(sp.values)
     nodes, weights = np.polynomial.legendre.leggauss(grid_size)
 
     edges = np.concatenate(([1.0], v))  # cell boundaries from 1 down to p_L

@@ -34,6 +34,7 @@ from .spectra import (
 )
 
 MAX_RANK = 16
+MAX_RESTARTS = 1000
 RECONSTRUCTION_ATOL = 1e-9
 T0, T1 = 0.2, 1e-5  # annealing temperature at the first and last step
 A0, A1 = math.pi / 2.0, 0.05  # rotation-angle scale at the first and last step
@@ -177,7 +178,10 @@ def eof_estimate(rho: BipartiteState, ensemble_size: int | None = None,
     rs)``), keeps the best of them and the spectral decomposition, and polishes
     it with one more anneal on ``stream(seed, restarts)``.  ``converged``
     reports that the polish improved the bound by less than 1e-9.
+    ``restarts`` must lie in [0, MAX_RESTARTS].
     """
+    if not 0 <= restarts <= MAX_RESTARTS:
+        raise ValueError(f"restarts must lie in [0, {MAX_RESTARTS}], got {restarts!r}")
     frame = _spectral_frame(rho)
     r = frame.shape[1]
     m = int(ensemble_size) if ensemble_size is not None else 2 * r

@@ -1,12 +1,12 @@
 """Tail-sum majorization checks for separable (product-Kraus) operations.
 
 The quantity tracked everywhere is the suffix sum of a sorted spectrum,
-tail_sum(T, N) = Tr T - (sum of the N largest eigenvalues): when a pure
-bipartite state is hit by an instrument whose Kraus operators factor as
-L_k (x) M_k, the weighted suffix sums of the outcome marginals on A can
-never exceed the suffix sums of the input marginal (times the operator
-norm of the completeness operator).  Entropy inequalities follow from the
-integral representation, which consumes nothing but those suffix sums.
+tails_N(T) = Tr T - (sum of the N largest eigenvalues), as read by
+``entropy.tail_sums``: when a pure bipartite state is hit by a channel
+whose Kraus operators factor as L_k (x) M_k, the weighted suffix sums of
+the outcome marginals on A can never exceed the suffix sums of the input
+marginal.  Entropy inequalities follow from the integral representation,
+which consumes nothing but those suffix sums.
 """
 
 from __future__ import annotations
@@ -90,14 +90,6 @@ class ProductKrausInstrument:
         return self.completeness_defect <= atol
 
 
-@dataclass(frozen=True)
-class CompletenessOperator:
-    """sum_k L_k'L_k (x) M_k'M_k and its operator norm."""
-
-    matrix: np.ndarray
-    operator_norm: float
-
-
 def _completeness_matrix(ls: np.ndarray, ms: np.ndarray) -> np.ndarray:
     """Hermitian part of sum_k L_k'L_k (x) M_k'M_k for stacked L_k and M_k."""
     a = ls.conj().transpose(0, 2, 1) @ ls
@@ -105,40 +97,6 @@ def _completeness_matrix(ls: np.ndarray, ms: np.ndarray) -> np.ndarray:
     d = a.shape[1] * b.shape[1]
     acc = np.einsum("kij,kab->iajb", a, b).reshape(d, d)
     return (acc + acc.conj().T) / 2.0
-
-
-def completeness_operator(inst: ProductKrausInstrument) -> CompletenessOperator:
-    acc = _completeness_matrix(inst.ls, inst.ms)
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(acc))))
-    return CompletenessOperator(acc, norm)
-
-
-def spectrum_tail_sums(spec: Spectrum, n_max: int) -> np.ndarray:
-    """tail_sum(spec, N) for N = 0..n_max, padding beyond the length with
-    the spectrum's tail mass."""
-    return tail_sums(spec, n_max + 1)
-
-
-def _weighted_tail_sums(weights: np.ndarray, rows: np.ndarray, n_max: int,
-                        tails=0.0) -> np.ndarray:
-    """sum_x w_x tail_sum(rows[x], N) for N = 0..n_max, summed in row order.
-
-    ``rows`` holds one non-increasing spectrum per row, at most n_max wide;
-    it is zero-padded to width n_max, so indices past a row's length give
-    its tail mass ``tails[x]`` (a scalar applies to every row).
-    """
-    padded = np.zeros((rows.shape[0], n_max))
-    padded[:, :rows.shape[1]] = rows
-    table = _suffix_sums(padded, tails)
-    return (weights[:, None] * table).sum(axis=0)
-
-
-def _spectrum_rows(spectra) -> np.ndarray:
-    """Values of Spectrum objects as the rows of one zero-padded array."""
-    rows = np.zeros((len(spectra), max(len(s) for s in spectra)))
-    for x, s in enumerate(spectra):
-        rows[x, :len(s)] = s.values
-    return rows
 
 
 def schur_horn_check(matrix: np.ndarray, vectors, atol: float = MARGIN_ATOL) -> bool:
@@ -166,7 +124,7 @@ def tail_sum_operator_inequality(a: np.ndarray, b: np.ndarray, k: np.ndarray,
     """Suffix sums after a sandwich are bounded by truncating the middle factor.
 
     With K PSD and K_N the same operator minus its top-N eigenspace:
-    tail_sum(A K B B' K A', N) <= Tr[A K_N B B' K_N A'], within
+    tails_N(A K B B' K A') <= Tr[A K_N B B' K_N A'], within
     atol * (Tr of the left side + 1).
     """
     if n_top < 0:
@@ -285,14 +243,12 @@ class MajorizationReport:
     """Suffix-sum margins of an instrument outcome ensemble against its input."""
 
     margins: np.ndarray
-    r_norm: float
     passed: bool
 
 
 def majorization_condition_check(psi: PureBipartite, ensemble: Ensemble,
-                                 r_norm: float = 1.0,
                                  atol: float = MARGIN_ATOL) -> MajorizationReport:
-    """Margins tail_sum(psi_A, N) * r_norm - sum_x p(x) tail_sum(phi_x_A, N).
+    """Margins tails_N(psi_A) - sum_x p(x) tails_N(phi_x_A).
 
     All members must be pure.  N runs from 0 (exactly zero margin for a
     channel) up to the largest marginal dimension; the check passes iff no
@@ -300,17 +256,26 @@ def majorization_condition_check(psi: PureBipartite, ensemble: Ensemble,
     """
     if not ensemble.all_pure():
         raise InvariantViolation("majorization margins need pure ensemble members")
-    rows = _spectrum_rows([member.schmidt for member in ensemble.members])
-    margins = _margins(psi, ensemble.weights, rows, max(psi.dim_a, ensemble.dim_a), r_norm)
-    return MajorizationReport(margins, r_norm, bool(np.min(margins) >= -atol))
+    margins = _margins(psi.schmidt, ensemble.weights,
+                       [member.schmidt.values for member in ensemble.members],
+                       max(psi.dim_a, ensemble.dim_a))
+    return MajorizationReport(margins, bool(np.min(margins) >= -atol))
 
 
-def _margins(psi: PureBipartite, weights: np.ndarray, rows: np.ndarray, n_max: int,
-             r_norm: float = 1.0) -> np.ndarray:
-    """tail_sum(psi_A, N) * r_norm minus the weighted tail sums of the
-    Schmidt spectra in ``rows``, for N = 0..n_max."""
-    lhs = spectrum_tail_sums(psi.schmidt, n_max) * r_norm
-    return lhs - _weighted_tail_sums(weights, rows, n_max)
+def _margins(lhs_spectrum: Spectrum, weights: np.ndarray, rows, n_max: int,
+             tails=0.0) -> np.ndarray:
+    """tails_N(lhs_spectrum) - sum_x w_x tails_N(rows[x]) for N = 0..n_max.
+
+    Each of ``rows`` is a non-increasing spectrum at most n_max long; it is
+    zero-padded to n_max, so indices past its length read its tail mass
+    ``tails[x]`` (a scalar applies to every row).  The weighted sum runs in
+    row order.
+    """
+    padded = np.zeros((len(rows), n_max))
+    for x, row in enumerate(rows):
+        padded[x, :len(row)] = row
+    weighted = (weights[:, None] * _suffix_sums(padded, tails)).sum(axis=0)
+    return tail_sums(lhs_spectrum, n_max + 1) - weighted
 
 
 @dataclass(frozen=True)
@@ -338,10 +303,9 @@ def tail_dominance_entropy_check(rho_spectrum: Spectrum, weights,
     if abs(float(np.sum(w)) - 1.0) > 1e-10 or np.any(w < 0.0):
         raise InvariantViolation("weights must be a probability vector")
     n_max = max(len(rho_spectrum), max(len(s) for s in members))
-    lhs = spectrum_tail_sums(rho_spectrum, n_max)
-    weighted = _weighted_tail_sums(w, _spectrum_rows(members), n_max,
-                                   np.array([s.tail_mass for s in members]))
-    min_tail_margin = float(np.min(lhs - weighted))
+    min_tail_margin = float(np.min(_margins(
+        rho_spectrum, w, [s.values for s in members], n_max,
+        np.array([s.tail_mass for s in members]))))
     if min_tail_margin < -MARGIN_ATOL:
         return TailDominanceResult(False, False, math.nan, min_tail_margin)
     entropy_margin = von_neumann_entropy(rho_spectrum) - float(
@@ -432,7 +396,7 @@ def _majorization_trial(seed: int, trial: int, max_dim: int) -> tuple[float, flo
     """Smallest tail-sum margin and completeness defect of one sweep trial."""
     psi, inst = _trial_inputs(seed, trial, max_dim)
     weights, spectra = _pure_outcomes(inst, psi)
-    margins = _margins(psi, weights, spectra, max(psi.dim_a, inst.ls.shape[1]))
+    margins = _margins(psi.schmidt, weights, spectra, max(psi.dim_a, inst.ls.shape[1]))
     return float(np.min(margins)), inst.completeness_defect
 
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from entcost import cli, dilution, eof
 from entcost.cli import main
 from entcost.jsonio import hamiltonian_from_json, matrix_to_pairs, state_from_json
+from entcost.majorization import SweepReport
 
 RUN = [sys.executable, "-m", "entcost.cli"]
 
@@ -355,6 +356,24 @@ def test_rerun_byte_identical_across_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_majorization_violation_exits_3_and_writes_no_artifact(tmp_path, monkeypatch,
+                                                              capsys):
+    def violated(trials, max_dim, seed):
+        return SweepReport(trials, 1, -1e-3, 0, 0.0, seed)
+
+    monkeypatch.setattr(cli, "majorization_sweep", violated)
+    cfg = _write(tmp_path, "c.json", {"command": "majorization-check", "seed": 3,
+                                      "params": {"trials": 4, "max_dim": 3}})
+    out_path = tmp_path / "out.json"
+    assert main(["--config", cfg, "--out", str(out_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    record = json.loads(err)["error"]
+    assert (record["kind"], record["exit_code"]) == ("invariant", 3)
+    assert "1 of 4 trials" in record["message"]
+    assert not out_path.exists()
+
+
 def test_env_thread_default(tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path, "c.json",
                  {"command": "majorization-check", "seed": 3,
@@ -610,12 +629,18 @@ def test_gibbs_at_subnormal_beta_exits_cleanly(hamiltonian, beta):
     _with(_EOF, ("params", "ensemble_size"), 2 ** 50),
     _with(_EOF, ("params", "iterations"), 2 ** 50),
     _with(_CONVERSE, ("params", "iterations"), 2 ** 50),
+    _with(_EOF, ("params", "restarts"), 2 ** 50),
+    _with(_EOF, ("params", "restarts"), -1),
+    _with(_CONVERSE, ("params", "restarts"), 2 ** 50),
+    _with(_CONVERSE, ("params", "restarts"), -1),
 ])
 def test_config_value_of_wrong_type_or_range_is_schema_error(config):
     # each of these ran on a coerced value (1.9 as 1, "1" as 1.0, a scalar
     # as a one-level list) or raised a traceback (r n = inf, an integer
     # beyond the float range, a number as output_path, a size of 2^50
-    # elements, which no address space holds, so nothing is allocated)
+    # elements, which no address space holds, so nothing is allocated),
+    # or ran on a restart count outside [0, MAX_RESTARTS] (2^50 restarts
+    # allocate nothing and never finish; -1 was printed as given)
     code, out, err, _ = _run_main(config)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["kind"] == "schema"

@@ -1,4 +1,4 @@
-"""Entropy functionals, tail-sum tables, and the integral representation."""
+"""Entropy functionals, tail sums, and the integral representation."""
 
 import math
 
@@ -8,14 +8,12 @@ import pytest
 from entcost import (
     InvariantViolation,
     Spectrum,
-    TailSumTable,
     binary_entropy,
     entropy_integral_closed_form,
     entropy_integral_quadrature,
     entropy_tail_uncertainty,
     g_function,
     stream,
-    tail_sum,
     tail_sums,
     von_neumann_entropy,
 )
@@ -83,7 +81,7 @@ def test_tail_sum_table_telescopes_exactly():
     rng = stream(11, 0)
     v = rng.random(32)
     s = Spectrum.from_unsorted(v / v.sum())
-    table = TailSumTable.build(s).tails
+    table = tail_sums(s, len(s) + 1)
     # backward accumulation means consecutive differences reproduce the
     # values at machine precision, not merely to a loose tolerance
     diffs = table[:-1] - table[1:]
@@ -93,14 +91,14 @@ def test_tail_sum_table_telescopes_exactly():
 
 
 def test_tail_sum_table_accumulates_one_term_at_a_time():
-    # the table equals a Python loop from the declared tail upward, bit for
-    # bit, with trailing zeros and a tail mass
+    # the tail sums equal a Python loop from the declared tail upward, bit
+    # for bit, with trailing zeros and a tail mass, and pad with that tail
     v = np.array([0.4, 0.2, 0.15, 0.1, 0.05, 0.0, 0.0])
     s = Spectrum(v, 0.1)
     want = [0.1]
     for x in v[::-1]:
         want.append(want[-1] + x)
-    assert TailSumTable.build(s).tails.tolist() == want[::-1]
+    assert tail_sums(s, len(v) + 3).tolist() == want[::-1] + [0.1, 0.1]
 
 
 def test_suffix_sums_of_rows_match_each_row():
@@ -129,13 +127,15 @@ def test_row_entropies_match_von_neumann_entropy():
 
 def test_tail_sum_indexing():
     s = Spectrum(np.array([0.5, 0.3, 0.2]))
-    assert tail_sum(s, 0) == pytest.approx(1.0, abs=1e-15)
-    assert tail_sum(s, 1) == pytest.approx(0.5, abs=1e-15)
-    assert tail_sum(s, 2) == pytest.approx(0.2, abs=1e-15)
-    assert tail_sum(s, 3) == 0.0
-    assert tail_sum(s, 99) == 0.0
+    got = tail_sums(s, 100)
+    assert got[0] == pytest.approx(1.0, abs=1e-15)
+    assert got[1] == pytest.approx(0.5, abs=1e-15)
+    assert got[2] == pytest.approx(0.2, abs=1e-15)
+    assert got[3] == 0.0
+    assert got[99] == 0.0
+    assert tail_sums(s, 0).shape == (0,)
     with pytest.raises(ValueError):
-        tail_sum(s, -1)
+        tail_sums(s, -1)
 
 
 def test_tail_sums_prefix():
@@ -203,7 +203,7 @@ def test_pointwise_min_convention():
     # at mu = 1 the k = 0 term (total mass) must win: min is tails[0] = 1,
     # pinning the 0-indexed convention of the representation
     s = Spectrum(np.array([0.7, 0.3]))
-    table = TailSumTable.build(s).tails
+    table = tail_sums(s, len(s) + 1)
     ks = np.arange(table.size)
     assert np.min(table + ks * 1.0) == pytest.approx(1.0, abs=1e-15)
     # at mu just above the smallest eigenvalue, k = 1 wins for this spectrum

@@ -56,6 +56,19 @@ def test_ebit_estimate_is_one():
     assert est.upper_bound_bits == pytest.approx(1.0, abs=1e-6)
 
 
+def test_restarts_outside_the_limit_are_rejected_before_any_search(monkeypatch):
+    rho = BipartiteState(2, 2, np.diag([0.6, 0.0, 0.0, 0.4]).astype(complex))
+    assert eof_estimate(rho, restarts=0, iterations=20).restarts == 0
+
+    def refuse(*args):
+        raise AssertionError("the state was decomposed")
+
+    monkeypatch.setattr(eof, "_spectral_frame", refuse)
+    for restarts in (-1, eof.MAX_RESTARTS + 1, 2 ** 50):
+        with pytest.raises(ValueError, match="restarts"):
+            eof_estimate(rho, restarts=restarts)
+
+
 def test_separable_diagonal_mixture_is_zero():
     # a classically correlated mixture of |00> and |11>: formation cost 0,
     # and the spectral decomposition itself is the certificate

@@ -222,6 +222,25 @@ def test_inversion_residual_is_relative(monkeypatch):
         assert point.energy == gibbs_point(h, point.beta).energy
 
 
+def test_newton_step_bisects_a_closed_bracket_and_caps_an_open_side():
+    step = gibbs._newton_step
+    # closed bracket: a step inside it is taken, one outside bisects it
+    assert step(0.0, 1.5, True, -1.0, 4.0) == (1.5, 0.0, 4.0)
+    assert step(0.0, 5.0, True, -1.0, 4.0) == (2.0, 0.0, 4.0)
+    assert step(3.0, -0.5, False, 1.0, 10.0) == (2.5, 1.0, 3.0)
+    assert step(3.0, -5.0, False, 1.0, 10.0) == (2.0, 1.0, 3.0)
+    assert step(0.0, math.nan, True, -1.0, 4.0) == (2.0, 0.0, 4.0)
+    # an open side: a move is at most 2, and 2 for a NaN or wrong-signed step
+    inf = math.inf
+    assert step(0.0, 0.5, True, -inf, inf) == (0.5, 0.0, inf)
+    assert step(0.0, 10.0, True, -inf, inf) == (2.0, 0.0, inf)
+    assert step(0.0, math.nan, True, -inf, inf) == (2.0, 0.0, inf)
+    assert step(0.0, -3.0, True, -inf, inf) == (2.0, 0.0, inf)
+    assert step(0.0, -10.0, False, -inf, 5.0) == (-2.0, -inf, 0.0)
+    assert step(0.0, math.nan, False, -inf, 5.0) == (-2.0, -inf, 0.0)
+    assert step(1.0, -0.25, False, -inf, inf) == (0.75, -inf, 1.0)
+
+
 @pytest.mark.parametrize("energy", [math.nan, math.inf, -1e-3])
 def test_beta_of_energy_rejects_invalid_energy(energy):
     with pytest.raises(InvariantViolation):

@@ -8,7 +8,6 @@ from entcost import (
     ProductKrausInstrument,
     Spectrum,
     apply_instrument,
-    completeness_operator,
     entropy_monotonicity_check,
     majorization_condition_check,
     majorization_sweep,
@@ -16,10 +15,10 @@ from entcost import (
     random_pure_state,
     schmidt_decompose,
     schur_horn_check,
-    spectrum_tail_sums,
     stream,
     tail_dominance_entropy_check,
     tail_sum_operator_inequality,
+    tail_sums,
 )
 from entcost import majorization
 from entcost.majorization import (
@@ -43,8 +42,7 @@ def test_instrument_completeness_defect():
     inst = ProductKrausInstrument((p0, p1), (eye, eye), (0, 1))
     assert inst.completeness_defect < 1e-14
     assert inst.is_channel()
-    norm = completeness_operator(inst).operator_norm
-    assert norm == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(_completeness_matrix(inst.ls, inst.ms), np.eye(4), atol=1e-14)
 
 
 def test_incomplete_instrument_detected():
@@ -56,9 +54,12 @@ def test_incomplete_instrument_detected():
 
 
 def test_spectrum_tail_sums_padding():
-    s = Spectrum(np.array([0.7, 0.3]))
-    got = spectrum_tail_sums(s, 4)
+    # past its length a spectrum's tail sums read its declared tail mass
+    got = tail_sums(Spectrum(np.array([0.7, 0.3])), 5)
     assert np.allclose(got, [1.0, 0.3, 0.0, 0.0, 0.0], atol=1e-15)
+    got = tail_sums(Spectrum(np.array([0.6, 0.3]), tail_mass=0.1), 5)
+    assert np.allclose(got, [1.0, 0.4, 0.1, 0.1, 0.1], atol=1e-15)
+    assert got[2:].tolist() == [0.1, 0.1, 0.1]
 
 
 def test_projective_measurement_on_ebit():
@@ -299,6 +300,38 @@ def test_sweep_trial_margins_match_the_public_check():
         margin, defect = _majorization_trial(31, t, 6)
         assert abs(margin - float(np.min(want))) <= 1e-15
         assert defect == inst.completeness_defect
+
+
+def test_margins_subtract_row_order_sums_of_tail_sums():
+    # bit for bit: each row's tail sums padded with its tail mass, weighted
+    # and added in row order, taken from the left side's tail sums
+    rng = stream(21, 12)
+    lhs = Spectrum.from_unsorted(rng.dirichlet(np.ones(6)))
+    rows = [np.sort(rng.dirichlet(np.ones(k)))[::-1] * 0.9 for k in (2, 5, 3)]
+    tails = np.full(3, 0.1)
+    weights = rng.dirichlet(np.ones(3))
+    want = weights[0] * tail_sums(Spectrum(rows[0], 0.1), 7)
+    for w, row in zip(weights[1:], rows[1:]):
+        want = want + w * tail_sums(Spectrum(row, 0.1), 7)
+    got = majorization._margins(lhs, weights, rows, 6, tails)
+    assert got.tolist() == (tail_sums(lhs, 7) - want).tolist()
+
+
+def test_every_margin_goes_through_one_routine(monkeypatch):
+    calls = []
+    margins = majorization._margins
+
+    def counted(*args):
+        calls.append(1)
+        return margins(*args)
+
+    monkeypatch.setattr(majorization, "_margins", counted)
+    psi, inst = _trial_inputs(31, 0, 4)
+    majorization_condition_check(psi, apply_instrument(inst, psi))
+    _majorization_trial(31, 0, 4)
+    tail_dominance_entropy_check(Spectrum(np.array([0.5, 0.5])), [1.0],
+                                 [Spectrum(np.array([0.75, 0.25]))])
+    assert len(calls) == 3
 
 
 def test_sweep_and_monotonicity_build_no_state_per_outcome(monkeypatch):
