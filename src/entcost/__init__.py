@@ -13,7 +13,7 @@ Capabilities, by module:
   sums) of a spectrum, and an integral representation of entropy evaluated
   in closed form and by quadrature.
 - ``typicality``: weak and strong typical sets with exact type-class
-  census or Monte Carlo mass estimates.
+  census (at most ``MAX_TYPES`` types) or Monte Carlo mass estimates.
 - ``dilution``: entanglement dilution traces (ebits, classical bits, error)
   for pure and mixed targets, curtailed binomial mixing, and a converse
   rate bound combining formation estimates with energy-constrained
@@ -29,13 +29,16 @@ Capabilities, by module:
   Schur-Horn frame tests, and randomized sweeps.
 - ``rng``: counter-based splittable random streams so results never depend
   on call order.
+
+Fixed limits and probe grids are module constants, not parameters:
+``typicality.MAX_TYPES``, ``eof.MAX_RANK``, ``eof.MAX_RESTARTS`` and
+``gibbs.DEFAULT_BETA_GRID``.
 """
 
 from .dilution import (
     ConverseReport,
     DilutionTrace,
     MixedDilutionPoint,
-    additivity_check,
     binary_mixing_error,
     converse_bound,
     curtailed_binomial_pmf,
@@ -55,7 +58,6 @@ from .entropy import (
 )
 from .eof import (
     EofEstimate,
-    dilution_rate_upper_bound,
     eof_estimate,
     eof_pure,
     eof_surrogate_for_copies,
@@ -76,10 +78,8 @@ from .gibbs import (
     max_entropy_at_energy,
     max_mean_energy,
     mean_energy_density,
-    n_copy_gibbs_entropy,
     one_sided_continuity_bound,
     series_weights,
-    state_mean_energy,
     sublinearity_probe,
 )
 from .majorization import (
@@ -109,8 +109,6 @@ from .spectra import (
     random_pure_state,
     schmidt_decompose,
     state_trace_distance,
-    tensor_power_state,
-    tensor_pure,
     tensor_state,
     trace_distance,
 )
@@ -119,7 +117,6 @@ from .typicality import (
     TypicalReport,
     aep_bounds_check,
     is_weakly_typical,
-    sequence_rate_bits,
     strong_typical_mass,
     type_count,
     weak_typical_census,
@@ -148,7 +145,6 @@ __all__ = [
     "SweepReport",
     "TailDominanceResult",
     "TypicalReport",
-    "additivity_check",
     "aep_bounds_check",
     "apply_instrument",
     "beta_of_energy",
@@ -157,7 +153,6 @@ __all__ = [
     "converse_bound",
     "curtailed_binomial_pmf",
     "curtailed_binomial_sample",
-    "dilution_rate_upper_bound",
     "dilution_sweep",
     "ensemble_average",
     "entropy_integral_closed_form",
@@ -180,7 +175,6 @@ __all__ = [
     "max_mean_energy",
     "mean_energy_density",
     "mixed_dilution_rate",
-    "n_copy_gibbs_entropy",
     "one_sided_continuity_bound",
     "partial_trace",
     "pure_dilution",
@@ -190,9 +184,7 @@ __all__ = [
     "regularized_probe",
     "schmidt_decompose",
     "schur_horn_check",
-    "sequence_rate_bits",
     "series_weights",
-    "state_mean_energy",
     "state_trace_distance",
     "stream",
     "strong_typical_mass",
@@ -200,8 +192,6 @@ __all__ = [
     "tail_dominance_entropy_check",
     "tail_sum_operator_inequality",
     "tail_sums",
-    "tensor_power_state",
-    "tensor_pure",
     "tensor_state",
     "trace_distance",
     "type_count",

@@ -35,10 +35,8 @@ from .spectra import (
     PureBipartite,
     Spectrum,
     partial_trace,
-    tensor_power_state,
 )
 from .typicality import (
-    DEFAULT_MAX_TYPES,
     SourceDistribution,
     _binomial_weights,
     _ln_cut_mass,
@@ -90,8 +88,8 @@ def _schmidt_of(target: PureBipartite | Spectrum) -> Spectrum:
 
 
 def pure_dilution(target: PureBipartite | Spectrum, delta: float, n: int,
-                  mode: str = "exact", samples: int = 100_000, seed: int = 0,
-                  max_types: int = DEFAULT_MAX_TYPES) -> DilutionTrace:
+                  mode: str = "exact", samples: int = 100_000,
+                  seed: int = 0) -> DilutionTrace:
     """Dilute n copies of a pure target through its typical subspace.
 
     The target may be the state itself or just its Schmidt spectrum.  Exact
@@ -101,7 +99,7 @@ def pure_dilution(target: PureBipartite | Spectrum, delta: float, n: int,
     mass, summed directly.  Monte Carlo mode estimates the mass and books
     the theoretical ceil(n(S + delta)) ebits instead.
     """
-    return _dilute(target, delta, [n], mode, samples, seed, max_types)[0]
+    return _dilute(target, delta, [n], mode, samples, seed)[0]
 
 
 def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
@@ -110,8 +108,8 @@ def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
 
 
 def _dilute(target: PureBipartite | Spectrum, delta: float, ns,
-            mode: str = "exact", samples: int = 100_000, seed: int = 0,
-            max_types: int = DEFAULT_MAX_TYPES) -> list[DilutionTrace]:
+            mode: str = "exact", samples: int = 100_000,
+            seed: int = 0) -> list[DilutionTrace]:
     """Dilution traces at each block length in ``ns``; the source
     distribution of the target is built once for all of them."""
     # an infinite delta has no ebit cap ceil(n (S + delta))
@@ -123,14 +121,14 @@ def _dilute(target: PureBipartite | Spectrum, delta: float, ns,
     for n in ns:
         cap = math.ceil(n * (h + delta)) if h + delta > 0.0 else 0
         if mode == "exact":
-            mass, count = weak_typical_census(dist, n, delta, max_types)
+            mass, count = weak_typical_census(dist, n, delta)
             ebits = min((count - 1).bit_length(), cap) if count > 0 else 0
             if count == k_pos ** n:  # no type that carries mass is cut
                 error = 0.0
             elif 1.0 - mass > _DIRECT_CUT_MASS:
                 error = math.sqrt(1.0 - mass)
             else:  # 1 - mass would cancel: sum the cut types themselves
-                ln_cut = _ln_cut_mass(dist, n, delta, "weak", max_types)
+                ln_cut = _ln_cut_mass(dist, n, delta, "weak")
                 error = max(math.exp(0.5 * ln_cut), math.ulp(0.0))
             error_high, kind = error, "exact"
         elif mode == "mc":
@@ -189,7 +187,7 @@ def mixed_dilution_rate(decomposition: Ensemble, n_cut: int) -> MixedDilutionPoi
 def _curtailed_support(p0: float, xi: float, n: int) -> np.ndarray:
     if not (0.0 < p0 < 1.0):
         raise ValueError("p0 must lie strictly between 0 and 1")
-    if xi <= 0.0 or n < 1:
+    if not xi > 0.0 or n < 1:
         raise ValueError("need xi > 0 and n >= 1")
     ks = np.arange(n + 1)
     return ks[np.abs(ks / n - p0) <= xi]
@@ -283,14 +281,13 @@ def _converse(rho: BipartiteState, r: float, epsilons, hamiltonian: DiagonalHami
               n: int, **estimate_kwargs) -> list[ConverseReport]:
     """Converse reports at each epsilon in ``epsilons``.  Only the continuity
     terms depend on epsilon, so the A-energy and the formation term are
-    taken once for the whole grid, and not at all for an empty one."""
+    taken once for the whole grid, even an empty one, so that the estimate
+    options are checked whatever the grid's length."""
     # r * n must be finite for floor(r n) to exist; NaN fails r >= 0
     if n < 1 or not (r >= 0.0 and math.isfinite(r * n)):
         raise ValueError("need n >= 1, r >= 0 and r * n finite")
     if not all(0.0 < epsilon <= 1.0 for epsilon in epsilons):
         raise ValueError("epsilon must lie in (0, 1]")
-    if not epsilons:
-        return []
     energy = mean_energy_density(hamiltonian, partial_trace(rho, "A"))
     # a state within PSD tolerance can have an A-energy a hair below 0
     terms = [_continuity_terms(hamiltonian, max(0.0, energy), epsilon)
@@ -303,12 +300,3 @@ def _converse(rho: BipartiteState, r: float, epsilons, hamiltonian: DiagonalHami
                            lhs - (ef_total - n * cont_per_copy - g_term))
             for epsilon, (cont_per_copy, g_term) in zip(epsilons, terms)]
 
-
-def additivity_check(rate_fn, rho: BipartiteState, n: int,
-                     atol: float = 1e-9) -> bool:
-    """True iff rate_fn(rho^(x) n) / n <= rate_fn(rho) + atol."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    single = float(rate_fn(rho))
-    many = float(rate_fn(tensor_power_state(rho, n)))
-    return many / n <= single + atol

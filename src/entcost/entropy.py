@@ -152,22 +152,20 @@ def _pointwise_min(tails: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.min(tails[None, :] + ks[None, :] * mu[:, None], axis=1)
 
 
-def entropy_integral_quadrature(spectrum: Spectrum, grid_size: int = 24) -> float:
+def entropy_integral_quadrature(spectrum: Spectrum) -> float:
     """Entropy in bits by numerical quadrature of the suffix-sum minimum.
 
     The integrand min_k {tails[k] + k*mu} / mu is evaluated by brute-force
     minimization at every node, without assuming which k wins where.  The
     domain is split exactly at the eigenvalues; each cell above the smallest
     eigenvalue is integrated in log coordinates (which absorbs the 1/mu
-    weight) in chunks of at most one e-fold, so Gauss-Legendre nodes see a
+    weight) in chunks of at most one e-fold, so 24 Gauss-Legendre nodes see a
     smooth integrand and the result matches the closed form to ~1e-12.
     """
-    if grid_size < 4:
-        raise ValueError("grid_size must be at least 4")
     sp = _require_finite_normalized(spectrum)
     v = sp.values
     tails = _suffix_sums(sp.values)
-    nodes, weights = np.polynomial.legendre.leggauss(grid_size)
+    nodes, weights = np.polynomial.legendre.leggauss(24)
 
     edges = np.concatenate(([1.0], v))  # cell boundaries from 1 down to p_L
     total = 0.0

@@ -68,14 +68,6 @@ def wootters_eof(rho: BipartiteState) -> float:
     return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
 
 
-def dilution_rate_upper_bound(ensemble: Ensemble) -> float:
-    """Mean marginal entropy sum_x p(x) S(psi_x_A) of a pure decomposition."""
-    if not ensemble.all_pure():
-        raise InvariantViolation("dilution rates need pure ensemble members")
-    return float(np.sum(ensemble.weights * np.array(
-        [von_neumann_entropy(m.schmidt) for m in ensemble.members])))
-
-
 class _DecompositionSearch:
     """Annealed search over m slots, each a never-mutated list of amplitudes."""
 
@@ -166,7 +158,9 @@ def _ensemble_from(v: list, dim_a: int, dim_b: int,
     if dist > RECONSTRUCTION_ATOL:
         raise InvariantViolation(
             f"decomposition reconstructs the state only to {dist!r}")
-    return ens, dilution_rate_upper_bound(ens)
+    # the mean marginal entropy sum_x p(x) S(psi_x_A) of the decomposition
+    return ens, float(np.sum(ens.weights * np.array(
+        [von_neumann_entropy(m.schmidt) for m in members])))
 
 
 def eof_estimate(rho: BipartiteState, ensemble_size: int | None = None,

@@ -339,9 +339,8 @@ class SeriesWeights:
     """Diverging weights b against a summable series a with sum(a*b) <= c*sum(a).
 
     b is non-decreasing with b >= 1, built from the suffix sums of a:
-    b_n = 1 - log2(tail_n / total).  The raw recipe achieves slack factor
-    c = 5; smaller factors c in (1, 5) are reached by mixing toward the
-    constant weight 1.
+    b_n = 1 - log2(tail_n / total).  ``series_weights`` builds them at
+    slack factor c = 5.
     """
 
     a: np.ndarray
@@ -368,16 +367,14 @@ class SeriesWeights:
         object.__setattr__(self, "b", b)
 
 
-def series_weights(a, c: float = 5.0) -> SeriesWeights:
+def series_weights(a) -> SeriesWeights:
     """Build diverging weights against a non-negative summable sequence.
 
     Weights grow like 1 + log2(total / tail_n), so they diverge along the
     truncated trend wherever the suffix mass keeps shrinking; indices past
-    the support continue the growth by one per step.  Requires c > 1
-    (c >= 5 uses the raw recipe, smaller c mixes toward constant 1).
+    the support continue the growth by one per step.  The slack factor is
+    c = 5: sum(a*b) <= 5 sum(a).
     """
-    if c <= 1.0:
-        raise InvariantViolation("slack factor c must exceed 1")
     arr = np.asarray(a, dtype=float).reshape(-1)
     if arr.size == 0 or np.any(arr < 0.0):
         raise InvariantViolation("series must be non-negative and non-empty")
@@ -390,19 +387,16 @@ def series_weights(a, c: float = 5.0) -> SeriesWeights:
     b[:m] = 1.0 - np.log2(tails[:m] / total)
     # past the support: keep the divergence going, one per step
     b[m - 1:] = np.cumsum(np.concatenate(([b[m - 1]], np.ones(arr.size - m))))
-    if c < 5.0:
-        p = (5.0 - c) / 4.0
-        b = p + (1.0 - p) * b
-    return SeriesWeights(arr, b, c)
+    return SeriesWeights(arr, b, 5.0)
 
 
-def hamiltonian_for_spectrum(spectrum: Spectrum, c: float = 5.0) -> DiagonalHamiltonian:
+def hamiltonian_for_spectrum(spectrum: Spectrum) -> DiagonalHamiltonian:
     """Grounded diagonal Hamiltonian under which a given state has finite energy.
 
     Level n >= 1 gets energy b_n * ln(1 / p_n) with b the series weights of
     the probability sequence itself; the largest eigenvalue sits at energy 0.
-    Weights diverge while sum p_n b_n ln(1/p_n) stays within the slack
-    factor of the entropy, so the state's mean energy is finite while the
+    Weights diverge while sum p_n b_n ln(1/p_n) stays within 5 times the
+    entropy in nats, so the state's mean energy is finite while the
     Hamiltonian still forces Gibbs normalizability.
     """
     sp = spectrum.stripped()
@@ -411,17 +405,9 @@ def hamiltonian_for_spectrum(spectrum: Spectrum, c: float = 5.0) -> DiagonalHami
     p = sp.values
     if p.size == 1:
         return DiagonalHamiltonian(np.zeros(1), None)
-    b = series_weights(p, c).b
+    b = series_weights(p).b
     energies = np.concatenate(([0.0], b[1:] * np.log(1.0 / p[1:])))
     return DiagonalHamiltonian(energies, None)
-
-
-def state_mean_energy(h: DiagonalHamiltonian, spectrum: Spectrum) -> float:
-    """sum_n p_n e_n for a spectrum aligned with the Hamiltonian's levels."""
-    p = spectrum.values
-    if p.size > h.levels:
-        raise InvariantViolation("spectrum has more levels than the Hamiltonian")
-    return float(np.sum(p * h.energies[:p.size]))
 
 
 def mean_energy_density(h: DiagonalHamiltonian, rho: np.ndarray) -> float:
@@ -433,28 +419,16 @@ def mean_energy_density(h: DiagonalHamiltonian, rho: np.ndarray) -> float:
     return float(np.sum(np.diag(rho).real * h.energies[:d]))
 
 
-def gibbs_hypothesis_check(h: DiagonalHamiltonian,
-                           betas=DEFAULT_BETA_GRID) -> bool:
-    """True iff the partition function is finite on every probe temperature.
+def gibbs_hypothesis_check(h: DiagonalHamiltonian) -> bool:
+    """True iff the partition function is finite at every probe temperature
+    of ``DEFAULT_BETA_GRID``.
 
     Finite level sets always pass; an affine tail passes because its
-    geometric remainder is summed exactly.  The probe grid documents which
-    temperatures were checked.
+    geometric remainder is summed exactly.
     """
-    for beta in betas:
-        sums = _partition_sums(h, float(beta))
+    for beta in DEFAULT_BETA_GRID:
+        sums = _partition_sums(h, beta)
         if not (math.isfinite(sums.z) and math.isfinite(sums.mean)):
             return False
     return True
 
-
-def n_copy_gibbs_entropy(h: DiagonalHamiltonian, n: int, energy_per_copy: float) -> float:
-    """F of n non-interacting copies at total energy n*E, as n * F(E).
-
-    For a sum Hamiltonian the Gibbs state factorizes at equal beta, so the
-    n-copy curve satisfies F_n(n*E) = n * F(E) exactly (n log2(levels) above
-    the uniform state's energy); no tensor power is ever materialized.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return n * max_entropy_at_energy(h, energy_per_copy)

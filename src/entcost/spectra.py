@@ -122,10 +122,6 @@ class BipartiteState:
             raise InvariantViolation(f"state trace is {tr!r}")
         object.__setattr__(self, "matrix", _readonly(m))
 
-    @property
-    def dim(self) -> int:
-        return self.dim_a * self.dim_b
-
     def spectrum(self) -> Spectrum:
         eig = np.linalg.eigvalsh(self.matrix)[::-1]
         return Spectrum(np.clip(eig, 0.0, None), 0.0, normalized=True)
@@ -274,11 +270,6 @@ def ensemble_average(ensemble: Ensemble) -> BipartiteState:
     return BipartiteState(ensemble.dim_a, ensemble.dim_b, acc)
 
 
-def tensor_pure(x: PureBipartite, y: PureBipartite) -> PureBipartite:
-    """Tensor product regrouped to the (AA' : BB') bipartition."""
-    return schmidt_decompose(np.kron(x.amplitudes, y.amplitudes))
-
-
 def tensor_state(x: BipartiteState, y: BipartiteState) -> BipartiteState:
     """Tensor product regrouped to the (AA' : BB') bipartition."""
     m = np.kron(x.matrix, y.matrix)
@@ -287,15 +278,6 @@ def tensor_state(x: BipartiteState, y: BipartiteState) -> BipartiteState:
     t = t.transpose(0, 2, 1, 3, 4, 6, 5, 7)
     d = da * db * dc * dd
     return BipartiteState(da * dc, db * dd, t.reshape(d, d))
-
-
-def tensor_power_state(x: BipartiteState, n: int) -> BipartiteState:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    out = x
-    for _ in range(n - 1):
-        out = tensor_state(out, x)
-    return out
 
 
 def random_pure_state(rng: np.random.Generator, dim_a: int, dim_b: int) -> PureBipartite:

@@ -29,7 +29,7 @@ from .gibbs import _MAX_NEWTON_STEPS, _newton_step
 from .rng import stream
 from .spectra import InvariantViolation
 
-DEFAULT_MAX_TYPES = 2_000_000
+MAX_TYPES = 2_000_000  # the largest type table exact mode enumerates
 _BLOCK_ROWS = 1 << 15  # rows per block of census types or Monte Carlo draws
 _ALPHA = 0.005  # each side of the 99% Clopper-Pearson interval
 _LN_ALPHA = math.log(_ALPHA)
@@ -79,31 +79,17 @@ class TypicalReport:
     mass_high: float = math.nan
 
 
-def _symbols(dist: SourceDistribution, x_seq) -> np.ndarray:
-    x = np.asarray(x_seq, dtype=int).reshape(-1)
-    if x.size == 0:
-        raise ValueError("sequence must be non-empty")
-    if np.any(x < 0) or np.any(x >= len(dist)):
-        raise ValueError("sequence contains out-of-alphabet symbols")
-    return x
-
-
-def sequence_rate_bits(dist: SourceDistribution, x_seq) -> float:
-    """Empirical rate -(1/n) log2 p(x^n); +inf if a zero-probability symbol occurs."""
-    x = _symbols(dist, x_seq)
-    p = dist.probs[x]
-    if np.any(p <= 0.0):
-        return math.inf
-    return float(-np.sum(np.log2(p)) / x.size)
-
-
 def is_weakly_typical(dist: SourceDistribution, x_seq, delta: float) -> bool:
     """True iff |rate(x^n) - H| <= delta; zero-probability symbols disqualify.
     The sequence's type is judged by the census's own rule, so a sequence is
     typical exactly when its type is a member of the census's weak set."""
     if not delta >= 0.0:
         raise ValueError("delta must be non-negative")
-    x = _symbols(dist, x_seq)
+    x = np.asarray(x_seq, dtype=int).reshape(-1)
+    if x.size == 0:
+        raise ValueError("sequence must be non-empty")
+    if np.any(x < 0) or np.any(x >= len(dist)):
+        raise ValueError("sequence contains out-of-alphabet symbols")
     counts = np.bincount(x, minlength=len(dist))[None, :]
     return bool(_members(dist, x.size, delta, "weak", counts,
                          _log2_prob(dist, counts))[0])
@@ -149,13 +135,12 @@ def _log2_prob(dist: SourceDistribution, counts: np.ndarray) -> np.ndarray:
     return log2_prob
 
 
-def _type_blocks(dist: SourceDistribution, n: int,
-                 max_types: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _type_blocks(dist: SourceDistribution, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(counts, log2 p(x^n) per sequence) per block of types."""
     total = type_count(n, len(dist))
-    if total > max_types:
+    if total > MAX_TYPES:
         raise InvariantViolation(
-            f"{total} empirical types exceed the exact-mode limit {max_types}; "
+            f"{total} empirical types exceed the exact-mode limit {MAX_TYPES}; "
             "use Monte Carlo mode")
     for head in _prefix_blocks(n, len(dist) - 1):
         counts = np.column_stack([head, n - head.sum(axis=1)])
@@ -200,11 +185,10 @@ def _member_count(n: int, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[fl
     return float(np.sum(np.exp(ln_mass))), total
 
 
-def _census(dist: SourceDistribution, n: int, delta: float, kind: str,
-            max_types: int) -> tuple[float, int]:
+def _census(dist: SourceDistribution, n: int, delta: float, kind: str) -> tuple[float, int]:
     """(mass, exact cardinality) of the weak or strong typical set."""
     excluded, blocks = False, 0
-    for counts, log2_prob in _type_blocks(dist, n, max_types):
+    for counts, log2_prob in _type_blocks(dist, n):
         ok = _members(dist, n, delta, kind, counts, log2_prob)
         excluded = excluded or bool(np.any(np.isfinite(log2_prob) & ~ok))
         members, blocks = (counts[ok], log2_prob[ok]), blocks + 1
@@ -215,22 +199,21 @@ def _census(dist: SourceDistribution, n: int, delta: float, kind: str,
         mass, count = _member_count(n, *members)
     else:  # a table of several blocks is read again once a cut is known
         mass, count = 0.0, 0
-        for counts, log2_prob in _type_blocks(dist, n, max_types):
+        for counts, log2_prob in _type_blocks(dist, n):
             ok = _members(dist, n, delta, kind, counts, log2_prob)
             block_mass, block_count = _member_count(n, counts[ok], log2_prob[ok])
             mass, count = mass + block_mass, count + block_count
     return min(mass, 1.0), count
 
 
-def _ln_cut_mass(dist: SourceDistribution, n: int, delta: float, kind: str,
-                 max_types: int) -> float:
+def _ln_cut_mass(dist: SourceDistribution, n: int, delta: float, kind: str) -> float:
     """ln of the mass of the types that carry probability but are not members
     of the weak or strong set; -inf if there are none.  It is summed over
     those types directly with the census's exact-integer walk, scaled by the
     largest term, so it keeps its relative precision where 1 - mass would
     cancel and where the mass itself would underflow."""
     top, scaled = -math.inf, 0.0  # the mass is e^top * scaled
-    for counts, log2_prob in _type_blocks(dist, n, max_types):
+    for counts, log2_prob in _type_blocks(dist, n):
         cut = np.isfinite(log2_prob) & ~_members(dist, n, delta, kind, counts, log2_prob)
         if not np.any(cut):
             continue
@@ -348,14 +331,13 @@ def _check_block(n: int, delta: float) -> None:
 
 
 def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
-                    mode: str, samples: int, seed: int,
-                    max_types: int) -> TypicalReport:
+                    mode: str, samples: int, seed: int) -> TypicalReport:
     """The weak or strong report: exact census or Monte Carlo estimate.  In
     Monte Carlo mode the cardinality is the theoretical bound, n (H + delta)
     for the weak set and n log2 K for the strong one."""
     _check_block(n, delta)
     if mode == "exact":
-        mass, card = _census(dist, n, delta, kind, max_types)
+        mass, card = _census(dist, n, delta, kind)
         return TypicalReport(n, delta, mass, _log2_bigint(card), kind,
                              mode="exact", mass_low=mass, mass_high=mass)
     if mode == "mc":
@@ -368,49 +350,50 @@ def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
 
 
 def weak_typical_mass(dist: SourceDistribution, n: int, delta: float,
-                      mode: str = "exact", samples: int = 100_000, seed: int = 0,
-                      max_types: int = DEFAULT_MAX_TYPES) -> TypicalReport:
+                      mode: str = "exact", samples: int = 100_000,
+                      seed: int = 0) -> TypicalReport:
     """Probability mass of the weakly typical set W_delta at block length n.
 
-    Exact mode enumerates empirical types (guarded by ``max_types``); the
+    Exact mode enumerates empirical types (at most ``MAX_TYPES``); the
     reported cardinality is then an exact integer count in log2.  Monte
     Carlo mode samples i.i.d. types and reports a 99% confidence interval.
     """
-    return _typical_report(dist, n, delta, "weak", mode, samples, seed, max_types)
+    return _typical_report(dist, n, delta, "weak", mode, samples, seed)
 
 
 def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
-                        mode: str = "exact", samples: int = 100_000, seed: int = 0,
-                        max_types: int = DEFAULT_MAX_TYPES) -> TypicalReport:
+                        mode: str = "exact", samples: int = 100_000,
+                        seed: int = 0) -> TypicalReport:
     """Mass of the strongly typical set: every empirical frequency within
     delta of its probability, and zero-probability symbols absent."""
-    return _typical_report(dist, n, delta, "strong", mode, samples, seed, max_types)
+    return _typical_report(dist, n, delta, "strong", mode, samples, seed)
 
 
-def weak_typical_census(dist: SourceDistribution, n: int, delta: float,
-                        max_types: int = DEFAULT_MAX_TYPES) -> tuple[float, int]:
+def weak_typical_census(dist: SourceDistribution, n: int, delta: float) -> tuple[float, int]:
     """(exact mass, exact integer cardinality) of the weakly typical set."""
     _check_block(n, delta)
-    return _census(dist, n, delta, "weak", max_types)
+    return _census(dist, n, delta, "weak")
 
 
 def aep_bounds_check(dist: SourceDistribution, n: int, delta: float,
-                     bound_delta: float | None = None, rtol: float = 1e-12,
-                     max_types: int = DEFAULT_MAX_TYPES) -> bool:
+                     bound_delta: float | None = None) -> bool:
     """Verify 2^{-n(H+d)} <= p(x^n) <= 2^{-n(H-d)} on every weakly typical type.
 
     ``bound_delta`` sets the window half-width d used for the bounds
     themselves (defaults to ``delta``); passing a smaller value tightens the
     bounds and should fail on non-degenerate sources.  Comparisons happen in
-    log space with relative slack ``rtol``.
+    log space with relative slack 1e-12.
     """
+    _check_block(n, delta)
     if bound_delta is None:
         bound_delta = delta
+    if not bound_delta >= 0.0:
+        raise ValueError("bound_delta must be non-negative")
     h = dist.entropy_bits
-    slack = rtol * max(1.0, n * (h + max(delta, bound_delta)))
+    slack = 1e-12 * max(1.0, n * (h + max(delta, bound_delta)))
     lo = -n * (h + bound_delta) - slack
     hi = -n * (h - bound_delta) + slack
-    for counts, log2_prob in _type_blocks(dist, n, max_types):
+    for counts, log2_prob in _type_blocks(dist, n):
         typical = log2_prob[_members(dist, n, delta, "weak", counts, log2_prob)]
         if not np.all((lo <= typical) & (typical <= hi)):
             return False

@@ -655,6 +655,20 @@ def test_ensemble_size_below_the_rank_is_invariant_error(config):
     assert json.loads(err)["error"]["kind"] == "invariant"
 
 
+def test_empty_epsilon_grid_still_checks_the_estimate_options():
+    # an empty grid returned before the estimate ran, so restarts -1 exited
+    # 0 and was printed as given, where a one-point grid exits 2
+    empty = _with(_with(_CONVERSE, ("params", "epsilon_grid"), []),
+                  ("params", "ensemble_size"), 1)
+    for restarts, code, kind in ((-1, 2, "schema"), (1, 3, "invariant")):
+        got, out, err, _ = _run_main(_with(empty, ("params", "restarts"), restarts))
+        assert (got, out) == (code, "")
+        assert json.loads(err)["error"]["kind"] == kind
+    code, out, err, _ = _run_main(_with(_CONVERSE, ("params", "epsilon_grid"), []))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["points"] == []
+
+
 def test_converse_grid_takes_one_estimate(monkeypatch):
     # the formation term does not depend on epsilon: one estimate serves the
     # whole grid, and each point is the single-epsilon converse_bound

@@ -8,12 +8,10 @@ import pytest
 
 from entcost import (
     BipartiteState,
-    DiagonalHamiltonian,
     DilutionTrace,
     Ensemble,
     InvariantViolation,
     Spectrum,
-    additivity_check,
     binary_mixing_error,
     converse_bound,
     curtailed_binomial_pmf,
@@ -24,7 +22,6 @@ from entcost import (
     mixed_dilution_rate,
     pure_dilution,
     schmidt_decompose,
-    tensor_power_state,
 )
 from entcost import dilution
 from entcost.typicality import SourceDistribution, _log2_prob, _members
@@ -248,6 +245,15 @@ def test_binary_mixing_error_is_positive_when_counts_are_curtailed():
     assert binary_mixing_error(0.5, 0.6, 10) == 0.0
 
 
+@pytest.mark.parametrize("window", [binary_mixing_error, curtailed_binomial_pmf])
+def test_curtailed_window_rejects_nan_xi(window):
+    # NaN passed the xi <= 0 check: the error read 2.0 and the pmf reported
+    # an empty support, an invariant error, where the input is at fault
+    with pytest.raises(ValueError) as caught:
+        window(0.3, math.nan, 10)
+    assert not isinstance(caught.value, InvariantViolation)
+
+
 def test_binary_mixing_error_non_increasing_in_blocks():
     errors = [binary_mixing_error(0.3, 0.05, n) for n in (10, 100, 1000, 10_000)]
     assert all(a >= b for a, b in zip(errors, errors[1:]))
@@ -321,16 +327,3 @@ def test_converse_rejects_r_n_without_a_finite_floor(r, n):
     with pytest.raises(ValueError):
         converse_bound(bell.to_density(), r, 1e-2, harmonic_oscillator(), n)
 
-
-def test_additivity_of_pure_rate():
-    psi = schmidt_decompose(np.diag([np.sqrt(0.7), np.sqrt(0.3)]))
-    rho = psi.to_density()
-
-    def marginal_entropy_rate(state):
-        from entcost import partial_trace
-        ea = np.clip(np.linalg.eigvalsh(partial_trace(state, "A")), 0.0, None)
-        ea = ea[ea > 1e-15]
-        return float(-np.sum(ea * np.log2(ea)))
-
-    assert additivity_check(marginal_entropy_rate, rho, 3)
-    assert tensor_power_state(rho, 2).dim_a == 4

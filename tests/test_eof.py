@@ -5,10 +5,8 @@ import pytest
 
 from entcost import (
     BipartiteState,
-    Ensemble,
     InvariantViolation,
     Spectrum,
-    dilution_rate_upper_bound,
     ensemble_average,
     eof_estimate,
     eof_pure,
@@ -152,13 +150,6 @@ def test_surrogate_mixed_scales_single_copy(monkeypatch, n):
                                           seed=3)
     assert kind == "estimate-upper"
     assert many == n * one
-
-
-def test_dilution_rate_upper_bound_mean_entropy():
-    m1 = schmidt_decompose(np.eye(2) / np.sqrt(2.0))
-    m2 = schmidt_decompose(np.diag([1.0, 0.0]))
-    ens = Ensemble(np.array([0.25, 0.75]), (m1, m2))
-    assert dilution_rate_upper_bound(ens) == pytest.approx(0.25, abs=1e-12)
 
 
 def _member_entropy(c: np.ndarray) -> float:

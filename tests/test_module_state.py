@@ -1,8 +1,11 @@
 """The package keeps no mutable module state, so no result depends on call
 order or on threads: no module under ``src/entcost`` rebinds a global.  Its
-export list names exactly the public names it binds."""
+export list names exactly the public names it binds, and each public
+function's optional parameters are pinned, so a new knob is a reviewed
+change to this file."""
 
 import ast
+import inspect
 import types
 from pathlib import Path
 
@@ -29,3 +32,40 @@ def test_export_list_is_sorted_complete_and_resolves():
     public = {name for name, value in vars(entcost).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(names) == public
+
+
+# every exported function that takes an optional parameter, with those
+# parameters in signature order; fixed limits are module constants instead
+OPTIONAL_PARAMETERS = {
+    "aep_bounds_check": ["bound_delta"],
+    "beta_of_energy": ["rtol"],
+    "curtailed_binomial_sample": ["size", "seed"],
+    "entropy_monotonicity_check": ["atol"],
+    "entropy_tail_uncertainty": ["dim_bound"],
+    "eof_estimate": ["ensemble_size", "restarts", "iterations", "seed"],
+    "harmonic_oscillator": ["levels"],
+    "majorization_condition_check": ["atol"],
+    "majorization_sweep": ["threads"],
+    "pure_dilution": ["mode", "samples", "seed"],
+    "random_density_state": ["rank"],
+    "random_product_instrument": ["branches_a", "branches_b", "conditioned"],
+    "regularized_probe": ["n_max"],
+    "schur_horn_check": ["atol"],
+    "strong_typical_mass": ["mode", "samples", "seed"],
+    "tail_dominance_entropy_check": ["atol"],
+    "tail_sum_operator_inequality": ["atol"],
+    "weak_typical_mass": ["mode", "samples", "seed"],
+}
+
+
+def test_optional_parameters_of_public_functions_are_pinned():
+    found = {}
+    for name in entcost.__all__:
+        value = getattr(entcost, name)
+        if not inspect.isfunction(value):
+            continue
+        optional = [p.name for p in inspect.signature(value).parameters.values()
+                    if p.default is not inspect.Parameter.empty]
+        if optional:
+            found[name] = optional
+    assert found == OPTIONAL_PARAMETERS

@@ -18,8 +18,6 @@ from entcost import (
     schmidt_decompose,
     state_trace_distance,
     stream,
-    tensor_power_state,
-    tensor_pure,
     tensor_state,
     trace_distance,
 )
@@ -164,14 +162,6 @@ def test_ensemble_average_reconstructs_mixture():
     assert ens.all_pure()
 
 
-def test_tensor_pure_schmidt_is_outer_product():
-    a = schmidt_decompose(np.diag([np.sqrt(0.8), np.sqrt(0.2)]))
-    ab = tensor_pure(a, a)
-    got = np.sort(ab.schmidt.values)[::-1]
-    want = np.sort(np.outer([0.8, 0.2], [0.8, 0.2]).reshape(-1))[::-1]
-    assert np.allclose(got, want, atol=1e-12)
-
-
 def test_tensor_state_spectrum_is_kronecker():
     rng = stream(7, 9)
     rho = random_density_state(rng, 2, 2)
@@ -186,7 +176,7 @@ def test_tensor_state_spectrum_is_kronecker():
 def test_tensor_power_marginal_factorizes():
     rng = stream(7, 10)
     rho = random_density_state(rng, 2, 2)
-    three = tensor_power_state(rho, 3)
+    three = tensor_state(tensor_state(rho, rho), rho)
     ra = partial_trace(rho, "A")
     ra3 = partial_trace(three, "A")
     assert np.allclose(ra3, np.kron(np.kron(ra, ra), ra), atol=1e-10)

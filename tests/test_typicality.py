@@ -18,7 +18,6 @@ from entcost import (
     aep_bounds_check,
     is_weakly_typical,
     pure_dilution,
-    sequence_rate_bits,
     strong_typical_mass,
     type_count,
     weak_typical_census,
@@ -60,8 +59,6 @@ def test_sequence_rate_and_membership():
     d = SourceDistribution(np.array([0.9, 0.1]))
     # the all-zeros block has rate -log2(0.9) = 0.152, far below H
     seq = np.zeros(20, dtype=int)
-    rate = sequence_rate_bits(d, seq)
-    assert rate == pytest.approx(-math.log2(0.9), abs=1e-13)
     assert not is_weakly_typical(d, seq, delta=0.05)
     # a block at the true composition sits inside any window
     seq2 = np.array([0] * 18 + [1] * 2)
@@ -69,8 +66,9 @@ def test_sequence_rate_and_membership():
 
 
 def test_rate_infinite_on_impossible_symbol():
+    # a zero-probability symbol makes the rate +inf, outside every window
     d = SourceDistribution(np.array([1.0, 0.0]))
-    assert sequence_rate_bits(d, [0, 1, 0]) == math.inf
+    assert not is_weakly_typical(d, [0, 1, 0], delta=math.inf)
 
 
 def test_type_count_multiset_coefficient():
@@ -317,10 +315,22 @@ def test_aep_bounds_fail_when_tightened():
     assert not aep_bounds_check(d, 50, 0.1, bound_delta=0.05)
 
 
+@pytest.mark.parametrize("n, delta, bound_delta", [
+    (0, 0.1, None), (10, math.nan, None), (10, -0.5, None),
+    (10, 0.1, -0.05), (10, 0.1, math.nan)])
+def test_aep_bounds_check_rejects_bad_block_and_windows(n, delta, bound_delta):
+    # each of these read True (n = 0 after a divide-by-zero warning) or
+    # False, where its siblings raise
+    d = SourceDistribution(np.array([0.8, 0.2]))
+    with pytest.raises(ValueError):
+        aep_bounds_check(d, n, delta, bound_delta=bound_delta)
+
+
 def test_exact_mode_rejects_huge_type_tables():
+    # 12 symbols at n = 64 make C(75, 11) = 4.9e12 types, above MAX_TYPES
     d = SourceDistribution(np.full(12, 1.0 / 12.0))
     with pytest.raises(ValueError):
-        weak_typical_mass(d, 64, 0.05, max_types=10_000)
+        weak_typical_mass(d, 64, 0.05)
 
 
 def _brute_force(p, n, delta, kind):
@@ -426,7 +436,7 @@ def test_census_memory_is_bounded_by_blocks():
 
 def _census_member_types(dist, n, delta, kind):
     """Count rows of the types the census itself counts as members."""
-    return [row for counts, log2_prob in typicality._type_blocks(dist, n, type_count(n, len(dist)))
+    return [row for counts, log2_prob in typicality._type_blocks(dist, n)
             for row in counts[typicality._members(dist, n, delta, kind, counts,
                                                   log2_prob)].tolist()]
 
@@ -465,7 +475,7 @@ def test_sequence_membership_is_the_census_membership():
     grid += [(probs, n) for probs in ((0.5, 0.3, 0.2), (0.6, 0.0, 0.4)) for n in (6, 10)]
     for probs, n in grid:
         dist = SourceDistribution(np.array(probs))
-        (counts, log2_prob), = typicality._type_blocks(dist, n, type_count(n, len(probs)))
+        (counts, log2_prob), = typicality._type_blocks(dist, n)
         for delta in (0.05, 0.1):
             member = typicality._members(dist, n, delta, "weak", counts, log2_prob)
             rows = range(len(counts))
