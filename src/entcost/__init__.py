@@ -31,8 +31,8 @@ Capabilities, by module:
   on call order.
 
 Fixed limits and probe grids are module constants, not parameters:
-``typicality.MAX_TYPES``, ``eof.MAX_RANK``, ``eof.MAX_RESTARTS`` and
-``gibbs.DEFAULT_BETA_GRID``.
+``typicality.MAX_TYPES``, ``eof.MAX_RANK``, ``eof.MAX_RESTARTS``,
+``majorization.MAX_TRIALS`` and ``gibbs.DEFAULT_BETA_GRID``.
 """
 
 from .dilution import (

@@ -27,7 +27,9 @@ from .spectra import (
     InvariantViolation,
     PureBipartite,
     Spectrum,
-    random_pure_state,
+    _checked_rows,
+    _schmidt_rows,
+    _unit_amplitudes,
     schmidt_decompose,
 )
 
@@ -36,6 +38,10 @@ logger = logging.getLogger(__name__)
 COMPLETENESS_ATOL = 1e-10
 MARGIN_ATOL = 1e-10
 OUTCOME_PROB_FLOOR = 1e-15
+# the most trials one sweep runs
+MAX_TRIALS = 100_000
+# trials stacked at once by a sweep; bounds its memory whatever the trial count
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -68,9 +74,7 @@ class ProductKrausInstrument:
         outcomes = tuple(self.outcomes) if self.outcomes else tuple(range(len(ls)))
         if len(outcomes) != len(ls):
             raise InvariantViolation("outcome labels must align with the Kraus pairs")
-        d = ls.shape[2] * ms.shape[2]
-        defect = float(np.max(np.abs(np.linalg.eigvalsh(
-            _completeness_matrix(ls, ms) - np.eye(d)))))
+        defect = float(_completeness_defects(_completeness_matrix(ls, ms)))
         ls.setflags(write=False)
         ms.setflags(write=False)
         object.__setattr__(self, "ls", ls)
@@ -97,6 +101,13 @@ def _completeness_matrix(ls: np.ndarray, ms: np.ndarray) -> np.ndarray:
     d = a.shape[1] * b.shape[1]
     acc = np.einsum("kij,kab->iajb", a, b).reshape(d, d)
     return (acc + acc.conj().T) / 2.0
+
+
+def _completeness_defects(matrices: np.ndarray) -> np.ndarray:
+    """Operator-norm distance from the identity of each completeness matrix
+    in a stack (..., d, d), from one batched ``eigvalsh``."""
+    eye = np.eye(matrices.shape[-1])
+    return np.max(np.abs(np.linalg.eigvalsh(matrices - eye)), axis=-1)
 
 
 def schur_horn_check(matrix: np.ndarray, vectors, atol: float = MARGIN_ATOL) -> bool:
@@ -148,63 +159,86 @@ def tail_sum_operator_inequality(a: np.ndarray, b: np.ndarray, k: np.ndarray,
 
 
 class _Outcomes(NamedTuple):
-    """Outcomes of an instrument on a pure input, one row per outcome kept.
+    """Outcomes of instruments on pure inputs, for a stack of T trials.
 
-    ``probs`` are the outcome probabilities above ``OUTCOME_PROB_FLOOR``
-    (not renormalized), ``pure`` marks outcomes whose branches are pairwise
-    parallel, ``heads`` holds each outcome's largest branch and ``spectra``
-    the Schmidt spectrum of each head (meaningful where ``pure``).
-    ``groups[x, k]`` says whether branch k feeds outcome x, and ``vecs`` are
-    the branches flattened.
+    Arrays are indexed by trial t, outcome slot x and branch k.  ``probs``
+    are the outcome probabilities (not renormalized) and ``keep`` marks the
+    slots that are outcomes of their trial with a probability above
+    ``OUTCOME_PROB_FLOOR``.  ``pure`` marks outcomes whose branches are
+    pairwise parallel, ``tops`` names each outcome's largest branch and
+    ``spectra`` holds the Schmidt spectrum of that branch on kept slots
+    (zero rows elsewhere; meaningful where ``pure``).  ``groups[t, x, k]``
+    says whether branch k feeds outcome x, ``branches`` holds the branches
+    and ``dropped`` counts the outcomes not kept.
     """
 
     probs: np.ndarray
+    keep: np.ndarray
     pure: np.ndarray
-    heads: np.ndarray
+    tops: np.ndarray
     spectra: np.ndarray
     groups: np.ndarray
-    vecs: np.ndarray
+    branches: np.ndarray
     dropped: int
 
 
-def _outcomes(inst: ProductKrausInstrument, psi: PureBipartite) -> _Outcomes:
-    """Every outcome's weight and Schmidt spectrum from one stacked SVD.
+def _outcomes(ls: np.ndarray, ms: np.ndarray, labels: np.ndarray,
+              amplitudes: np.ndarray, defects: np.ndarray) -> _Outcomes:
+    """Every outcome's weight and Schmidt spectrum, for a stack of trials.
 
-    Branch k maps the amplitude matrix C to L_k C M_k^T.  Branches sharing
-    an outcome label form one outcome; it is pure when every branch is
-    parallel to its largest one, and its spectrum is that of the largest
-    branch.
+    Trial t applies the Kraus pairs (ls[t, k], ms[t, k]) of shapes
+    (r_A, d_A) and (r_B, d_B) to the amplitude matrix amplitudes[t]; branch
+    k maps it to L_k C M_k^T and feeds outcome labels[t, k] (-1 marks a
+    padding branch, which feeds none).  One batched product forms every
+    branch and one batched SVD gives every kept outcome's spectrum.  An
+    outcome is pure when every branch is parallel to its largest one, and its
+    spectrum is that of the largest branch.  Every trial's completeness
+    defect must be within ``COMPLETENESS_ATOL``.
     """
+    if not (defects <= COMPLETENESS_ATOL).all():
+        raise InvariantViolation(
+            f"completeness defect {float(np.max(defects))!r} exceeds tolerance")
+    branches = ls @ amplitudes[:, None] @ ms.swapaxes(-1, -2)
+    vecs = branches.reshape(labels.shape + (-1,))
+    norms = np.linalg.norm(vecs, axis=-1)
+    norms2 = norms ** 2
+    groups = labels[:, None, :] == np.arange(labels.max() + 1)[:, None]
+    # padding branches add zeros; they move no bit of an outcome fed by one
+    # branch, as every sweep outcome is
+    probs = np.where(groups, norms2[:, None, :], 0.0).sum(axis=-1)
+    # largest branch of each outcome, the first one on a tie; a padding
+    # branch reads the last slot's, which it does not feed
+    tops = np.where(groups, norms2[:, None, :], -1.0).argmax(axis=-1)
+    each = np.arange(len(labels))[:, None]
+    head = tops[each, labels]
+    overlaps = np.abs(np.einsum("tki,tki->tk", vecs, vecs[each, head].conj())) ** 2
+    parallel = overlaps >= (1.0 - 1e-10) * norms2[each, head] * norms2
+    pure = ~(groups & ~parallel[:, None, :]).any(axis=-1)
+    valid = groups.any(axis=-1)
+    keep = valid & (probs > OUTCOME_PROB_FLOOR)
+    trial, slot = np.nonzero(keep)
+    top = tops[trial, slot]
+    sq = np.maximum(np.linalg.svd(branches[trial, top] / norms[trial, top, None, None],
+                                  compute_uv=False), 0.0) ** 2
+    rows = sq / sq.sum(axis=1, keepdims=True)
+    # a NaN or inf entry fails the comparison as well
+    if not (np.abs(rows.sum(axis=1) - 1.0) <= NORMALIZED_ATOL).all():
+        raise InvariantViolation("outcome Schmidt spectra must be finite and normalized")
+    spectra = np.zeros(keep.shape + rows.shape[1:])
+    spectra[keep] = rows
+    return _Outcomes(probs, keep, pure, tops, spectra, groups, branches,
+                     int(np.count_nonzero(valid)) - len(trial))
+
+
+def _instrument_outcomes(inst: ProductKrausInstrument, psi: PureBipartite) -> _Outcomes:
+    """The outcome kernel's one-trial case: ``inst`` applied to ``psi``,
+    with the outcome labels in sorted order as slots."""
     if (inst.dim_a, inst.dim_b) != (psi.dim_a, psi.dim_b):
         raise InvariantViolation("instrument and state dimensions differ")
-    if not inst.is_channel():
-        raise InvariantViolation(
-            f"completeness defect {inst.completeness_defect!r} exceeds tolerance")
-    branches = inst.ls @ psi.amplitudes @ inst.ms.transpose(0, 2, 1)
-    vecs = branches.reshape(len(branches), -1)
-    norms = np.linalg.norm(vecs, axis=1)
-    norms2 = norms ** 2
-    keys = sorted(set(inst.outcomes))
-    index = {x: i for i, x in enumerate(keys)}
-    labels = np.array([index[x] for x in inst.outcomes])
-    groups = labels == np.arange(len(keys))[:, None]
-    probs = np.where(groups, norms2, 0.0).sum(axis=1)
-    # largest branch of each outcome, the first one on a tie
-    tops = np.where(groups, norms2, -1.0).argmax(axis=1)
-    head = tops[labels]
-    overlaps = np.abs(np.einsum("ki,ki->k", vecs, vecs[head].conj())) ** 2
-    parallel = overlaps >= (1.0 - 1e-10) * norms2[head] * norms2
-    pure = ~(groups & ~parallel).any(axis=1)
-    keep = probs > OUTCOME_PROB_FLOOR
-    tops = tops[keep]
-    sq = np.maximum(np.linalg.svd(branches[tops] / norms[tops, None, None],
-                                  compute_uv=False), 0.0) ** 2
-    spectra = sq / sq.sum(axis=1, keepdims=True)
-    # a NaN or inf entry fails the comparison as well
-    if not (np.abs(spectra.sum(axis=1) - 1.0) <= NORMALIZED_ATOL).all():
-        raise InvariantViolation("outcome Schmidt spectra must be finite and normalized")
-    return _Outcomes(probs[keep], pure[keep], branches[tops], spectra, groups[keep],
-                     vecs, len(keys) - len(tops))
+    index = {x: i for i, x in enumerate(sorted(set(inst.outcomes)))}
+    labels = np.array([[index[x] for x in inst.outcomes]])
+    return _outcomes(inst.ls[None], inst.ms[None], labels, psi.amplitudes[None],
+                     np.array([inst.completeness_defect]))
 
 
 def apply_instrument(inst: ProductKrausInstrument, psi: PureBipartite) -> Ensemble:
@@ -215,27 +249,40 @@ def apply_instrument(inst: ProductKrausInstrument, psi: PureBipartite) -> Ensemb
     whose branches are pairwise parallel are stored as pure states.
     Probability-zero outcomes are dropped with a log notice.
     """
-    out = _outcomes(inst, psi)
+    out = _instrument_outcomes(inst, psi)
     if out.dropped:
         logger.info("dropped %d probability-zero outcomes", out.dropped)
+    branches = out.branches[0]
+    vecs = branches.reshape(len(branches), -1)
     members = []
-    for x, p in enumerate(out.probs):
-        if out.pure[x]:
-            members.append(schmidt_decompose(out.heads[x]))
+    for x in np.flatnonzero(out.keep[0]):
+        if out.pure[0, x]:
+            members.append(schmidt_decompose(branches[out.tops[0, x]]))
         else:
-            group = out.vecs[out.groups[x]]
-            members.append(BipartiteState(*out.heads.shape[1:], group.T @ group.conj() / p))
-    return Ensemble(out.probs / np.sum(out.probs), tuple(members))
+            group = vecs[out.groups[0, x]]
+            members.append(BipartiteState(*branches.shape[1:],
+                                          group.T @ group.conj() / out.probs[0, x]))
+    probs = out.probs[0, out.keep[0]]
+    return Ensemble(probs / np.sum(probs), tuple(members))
 
 
-def _pure_outcomes(inst: ProductKrausInstrument,
-                   psi: PureBipartite) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized outcome weights and Schmidt spectrum rows of an instrument
-    whose outcomes must all be pure."""
-    out = _outcomes(inst, psi)
-    if not out.pure.all():
+def _pure_weights(out: _Outcomes) -> np.ndarray:
+    """Outcome weights normalized within each trial, zero on slots not kept;
+    every kept outcome must be pure.
+
+    Each trial's weights are divided by the sum of its own kept
+    probabilities, taken over exactly those: a sum over padded rows would
+    add in another order.
+    """
+    if not out.pure[out.keep].all():
         raise InvariantViolation("tail sums and entropies need pure outcome states")
-    return out.probs / out.probs.sum(), out.spectra
+    weights = np.zeros(out.probs.shape)
+    counts = out.keep.sum(axis=1)
+    for count in set(counts.tolist()):
+        kept = out.keep & (counts == count)[:, None]
+        probs = out.probs[kept].reshape(-1, count)
+        weights[kept] = (probs / probs.sum(axis=1, keepdims=True)).reshape(-1)
+    return weights
 
 
 @dataclass(frozen=True)
@@ -256,26 +303,33 @@ def majorization_condition_check(psi: PureBipartite, ensemble: Ensemble,
     """
     if not ensemble.all_pure():
         raise InvariantViolation("majorization margins need pure ensemble members")
-    margins = _margins(psi.schmidt, ensemble.weights,
-                       [member.schmidt.values for member in ensemble.members],
-                       max(psi.dim_a, ensemble.dim_a))
+    n_max = max(psi.dim_a, ensemble.dim_a)
+    rows = _padded([member.schmidt.values for member in ensemble.members], n_max)
+    margins = _margins(tail_sums(psi.schmidt, n_max + 1), ensemble.weights, rows)
     return MajorizationReport(margins, bool(np.min(margins) >= -atol))
 
 
-def _margins(lhs_spectrum: Spectrum, weights: np.ndarray, rows, n_max: int,
-             tails=0.0) -> np.ndarray:
-    """tails_N(lhs_spectrum) - sum_x w_x tails_N(rows[x]) for N = 0..n_max.
+def _padded(rows, n: int) -> np.ndarray:
+    """Rows of at most n values each, as one zero-padded (len(rows), n) array."""
+    lengths = np.array([len(row) for row in rows])
+    out = np.zeros((len(rows), n))
+    out[np.arange(n) < lengths[:, None]] = np.concatenate(rows)
+    return out
 
-    Each of ``rows`` is a non-increasing spectrum at most n_max long; it is
-    zero-padded to n_max, so indices past its length read its tail mass
-    ``tails[x]`` (a scalar applies to every row).  The weighted sum runs in
-    row order.
+
+def _margins(lhs_tails: np.ndarray, weights: np.ndarray, rows: np.ndarray,
+             tails=0.0) -> np.ndarray:
+    """lhs_tails[N] - sum_x w_x tails_N(rows[x]) for N = 0..n.
+
+    ``rows`` is one trial's (R, n) or a stack of trials' (T, R, n)
+    non-increasing spectra, zero-padded to n, so indices past a row's length
+    read its tail mass ``tails[..., x]`` (a scalar applies to every row).
+    ``weights`` is (..., R), zero on padding rows, and ``lhs_tails`` is
+    (..., n + 1), the left side's tail sums.  The weighted sum runs in row
+    order; a zero row adds exactly nothing to it.
     """
-    padded = np.zeros((len(rows), n_max))
-    for x, row in enumerate(rows):
-        padded[x, :len(row)] = row
-    weighted = (weights[:, None] * _suffix_sums(padded, tails)).sum(axis=0)
-    return tail_sums(lhs_spectrum, n_max + 1) - weighted
+    weighted = (weights[..., None] * _suffix_sums(rows, tails)).sum(axis=-2)
+    return lhs_tails - weighted
 
 
 @dataclass(frozen=True)
@@ -300,11 +354,12 @@ def tail_dominance_entropy_check(rho_spectrum: Spectrum, weights,
     members = list(member_spectra)
     if w.size != len(members) or w.size == 0:
         raise InvariantViolation("weights and spectra must align and be non-empty")
-    if abs(float(np.sum(w)) - 1.0) > 1e-10 or np.any(w < 0.0):
+    # written to reject NaN weights, which fail every comparison
+    if not abs(float(np.sum(w)) - 1.0) <= 1e-10 or not (w >= 0.0).all():
         raise InvariantViolation("weights must be a probability vector")
     n_max = max(len(rho_spectrum), max(len(s) for s in members))
     min_tail_margin = float(np.min(_margins(
-        rho_spectrum, w, [s.values for s in members], n_max,
+        tail_sums(rho_spectrum, n_max + 1), w, _padded([s.values for s in members], n_max),
         np.array([s.tail_mass for s in members]))))
     if min_tail_margin < -MARGIN_ATOL:
         return TailDominanceResult(False, False, math.nan, min_tail_margin)
@@ -318,8 +373,9 @@ def entropy_monotonicity_check(psi: PureBipartite, inst: ProductKrausInstrument,
                                atol: float = 1e-9) -> bool:
     """Marginal entropy never grows on average under a product-Kraus instrument
     with pure outcomes: S(psi_A) >= sum_x p(x) S(phi_x_A) - atol."""
-    weights, spectra = _pure_outcomes(inst, psi)
-    avg = float((weights * _row_entropies(spectra)).sum())
+    out = _instrument_outcomes(inst, psi)
+    keep = out.keep[0]
+    avg = float((_pure_weights(out)[0, keep] * _row_entropies(out.spectra[0, keep])).sum())
     return von_neumann_entropy(psi.schmidt) >= avg - atol
 
 
@@ -330,15 +386,39 @@ def _inverse_sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _random_local_instruments(rng: np.random.Generator, dim: int, branches: int,
-                              copies: int = 1) -> np.ndarray:
-    """``copies`` independent random local instruments of ``branches`` Kraus
-    operators each, stacked as (copies * branches, dim, dim).  One draw
-    fills them in order, so the values match ``copies`` successive draws."""
-    z = rng.standard_normal((copies, branches, 2, dim, dim))
-    gs = z[:, :, 0] + 1j * z[:, :, 1]
-    corr = _inverse_sqrt_psd((gs.conj().swapaxes(-1, -2) @ gs).sum(axis=1))
-    return (gs @ corr[:, None]).reshape(-1, dim, dim)
+def _draw_kraus(rng: np.random.Generator, dim_a: int, dim_b: int, branches_a: int,
+                branches_b: int, conditioned: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian draws of a random product instrument, A side first: shapes
+    (1, branches_a, 2, d_A, d_A) and (copies, branches_b, 2, d_B, d_B), with
+    one B copy per A branch when ``conditioned``, else one."""
+    z_a = rng.standard_normal((1, branches_a, 2, dim_a, dim_a))
+    z_b = rng.standard_normal((branches_a if conditioned else 1, branches_b, 2,
+                               dim_b, dim_b))
+    return z_a, z_b
+
+
+def _local_kraus(z: np.ndarray) -> np.ndarray:
+    """Complete local instruments from Gaussian draws z of shape
+    (..., branches, 2, dim, dim): each copy's Kraus operators g_j are
+    corrected by the inverse square root of sum_j g_j'g_j, giving shape
+    (..., branches, dim, dim).  Stacking copies changes no value."""
+    gs = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    corr = _inverse_sqrt_psd((gs.conj().swapaxes(-1, -2) @ gs).sum(axis=-3))
+    return gs @ corr[..., None, :, :]
+
+
+def _branch_index(branches_a: int, branches_b: int,
+                  conditioned: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Which local operators make up each product branch.
+
+    Branch i * branches_b + j pairs A operator i with B operator j of copy
+    i when ``conditioned`` (the B operators indexed copy by copy), else with
+    B operator j of the one shared copy.
+    """
+    l_index = np.repeat(np.arange(branches_a), branches_b)
+    if conditioned:
+        return l_index, np.arange(branches_a * branches_b)
+    return l_index, np.tile(np.arange(branches_b), branches_a)
 
 
 def random_product_instrument(rng: np.random.Generator, dim_a: int, dim_b: int,
@@ -352,13 +432,10 @@ def random_product_instrument(rng: np.random.Generator, dim_a: int, dim_b: int,
     instrument differs per A-branch, which leaves the family product-Kraus
     complete since each conditional block sums to the identity on B.
     """
-    ls_local = _random_local_instruments(rng, dim_a, branches_a)
-    if conditioned:
-        ms = _random_local_instruments(rng, dim_b, branches_b, copies=branches_a)
-    else:
-        ms = np.tile(_random_local_instruments(rng, dim_b, branches_b),
-                     (branches_a, 1, 1))
-    ls = np.repeat(ls_local, branches_b, axis=0)
+    z_a, z_b = _draw_kraus(rng, dim_a, dim_b, branches_a, branches_b, conditioned)
+    l_index, m_index = _branch_index(branches_a, branches_b, conditioned)
+    ls = _local_kraus(z_a).reshape(-1, dim_a, dim_a)[l_index]
+    ms = _local_kraus(z_b).reshape(-1, dim_b, dim_b)[m_index]
     return ProductKrausInstrument(ls, ms, tuple(range(len(ls))))
 
 
@@ -378,40 +455,138 @@ class SweepReport:
     seed: int
 
 
-def _trial_inputs(seed: int, trial: int,
-                  max_dim: int) -> tuple[PureBipartite, ProductKrausInstrument]:
-    """Pure state and instrument of one sweep trial, from stream (seed, trial)."""
+class _Draw(NamedTuple):
+    """Raw draws of one sweep trial: the real and imaginary parts of its
+    amplitude matrix and its instrument's Gaussian stacks."""
+
+    re: np.ndarray
+    im: np.ndarray
+    z_a: np.ndarray
+    z_b: np.ndarray
+    conditioned: bool
+
+
+def _draw(seed: int, trial: int, max_dim: int) -> _Draw:
+    """Raw arrays of one sweep trial from stream (seed, trial).
+
+    The order is that of ``random_pure_state`` followed by
+    ``random_product_instrument``: d_A, d_B, the amplitude matrix,
+    branches_a, branches_b, ``conditioned``, then the local Gaussians.
+    """
     rng = stream(seed, trial)
     da = int(rng.integers(2, max_dim + 1))
     db = int(rng.integers(2, max_dim + 1))
-    psi = random_pure_state(rng, da, db)
-    return psi, random_product_instrument(
-        rng, da, db,
-        branches_a=int(rng.integers(2, 4)),
-        branches_b=int(rng.integers(2, 4)),
-        conditioned=bool(rng.integers(0, 2)))
+    re = rng.standard_normal((da, db))
+    im = rng.standard_normal((da, db))
+    ba = int(rng.integers(2, 4))
+    bb = int(rng.integers(2, 4))
+    conditioned = bool(rng.integers(0, 2))
+    return _Draw(re, im, *_draw_kraus(rng, da, db, ba, bb, conditioned), conditioned)
 
 
-def _majorization_trial(seed: int, trial: int, max_dim: int) -> tuple[float, float]:
-    """Smallest tail-sum margin and completeness defect of one sweep trial."""
-    psi, inst = _trial_inputs(seed, trial, max_dim)
-    weights, spectra = _pure_outcomes(inst, psi)
-    margins = _margins(psi.schmidt, weights, spectra, max(psi.dim_a, inst.ls.shape[1]))
-    return float(np.min(margins)), inst.completeness_defect
+def _local_operators(draws: list) -> tuple[dict, list]:
+    """Every trial's local Kraus operators, built in one batch per
+    (dim, branches).
+
+    Returns one stack per dimension, ending in a zero operator that index -1
+    picks, and each trial's (L index, M index) arrays into the stacks of its
+    d_A and d_B, one entry per branch.
+    """
+    zs, counts, offsets = {}, {}, []
+    for d in draws:
+        trial = []
+        for z in (d.z_a, d.z_b):
+            key = (z.shape[-1], z.shape[1])
+            zs.setdefault(key, []).append(z)
+            trial.append((key, counts.get(key, 0)))
+            counts[key] = counts.get(key, 0) + len(z) * key[1]
+        offsets.append(trial)
+    stacks, base = {}, {}
+    for key in sorted(zs):
+        dim = key[0]
+        parts = stacks.setdefault(dim, [])
+        base[key] = sum(len(p) for p in parts)
+        parts.append(_local_kraus(np.concatenate(zs[key])).reshape(-1, dim, dim))
+    ops = {dim: np.concatenate(parts + [np.zeros((1, dim, dim))])
+           for dim, parts in stacks.items()}
+    index = []
+    for d, ((key_a, off_a), (key_b, off_b)) in zip(draws, offsets):
+        l_index, m_index = _branch_index(key_a[1], key_b[1], d.conditioned)
+        index.append((l_index + base[key_a] + off_a, m_index + base[key_b] + off_b))
+    return ops, index
+
+
+def _sweep_block(draws: list) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest tail-sum margin and completeness defect of each drawn trial.
+
+    Trials sharing (d_A, d_B) run as one stack: their branches are padded to
+    the group's largest branch count with zero operators, which feed no
+    outcome.  Completeness matrices are formed trial by trial (a stacked sum
+    of Kronecker products adds in another order); their eigenvalues come
+    from one batched call.
+    """
+    ops, index = _local_operators(draws)
+    margins = np.empty(len(draws))
+    defects = np.empty(len(draws))
+    by_dims = {}
+    for i, d in enumerate(draws):
+        by_dims.setdefault(d.re.shape, []).append(i)
+    for (da, db), trials in by_dims.items():
+        counts = [len(index[i][0]) for i in trials]
+        l_index = np.full((len(trials), max(counts)), -1)
+        m_index = np.full(l_index.shape, -1)
+        labels = np.full(l_index.shape, -1)
+        for row, (i, k) in enumerate(zip(trials, counts)):
+            l_index[row, :k], m_index[row, :k] = index[i]
+            labels[row, :k] = np.arange(k)
+        ls, ms = ops[da][l_index], ops[db][m_index]
+        group_defects = _completeness_defects(np.stack(
+            [_completeness_matrix(l[:k], m[:k]) for l, m, k in zip(ls, ms, counts)]))
+        amplitudes = _unit_amplitudes(np.stack([draws[i].re for i in trials])
+                                      + 1j * np.stack([draws[i].im for i in trials]))
+        schmidt = _checked_rows(_schmidt_rows(amplitudes), normalized=True)
+        out = _outcomes(ls, ms, labels, amplitudes, group_defects)
+        # the instruments are square, so both sides' spectra fit in d_A values
+        lhs = np.zeros((len(trials), da))
+        lhs[:, :schmidt.shape[1]] = schmidt
+        rows = np.zeros(out.spectra.shape[:2] + (da,))
+        rows[..., :out.spectra.shape[2]] = out.spectra
+        group_margins = _margins(_suffix_sums(lhs), _pure_weights(out), rows)
+        margins[trials] = group_margins.min(axis=1)
+        defects[trials] = group_defects
+    return margins, defects
+
+
+def _sweep_trials(seed: int, trials: int, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest tail-sum margin and completeness defect of every sweep trial,
+    in trial order, drawn and computed ``_BLOCK`` trials at a time."""
+    parts = [_sweep_block([_draw(seed, t, max_dim)
+                           for t in range(start, min(start + _BLOCK, trials))])
+             for start in range(0, trials, _BLOCK)]
+    return (np.concatenate([margins for margins, _ in parts]),
+            np.concatenate([defects for _, defects in parts]))
 
 
 def majorization_sweep(trials: int, max_dim: int, seed: int,
                        threads: int = 1) -> SweepReport:
     """Randomized check of the outcome-ensemble suffix-sum condition.
 
-    Each trial draws its own stream from (seed, trial) and the trials run in
-    order.  ``threads`` is accepted for compatibility and no longer used: a
-    thread pool measured 2-3x slower than this serial loop.
+    Trial t draws its state and instrument from its own stream (seed, t),
+    in the order ``random_pure_state`` and ``random_product_instrument``
+    draw them, and no state or instrument object is built.  Trials are
+    computed ``_BLOCK`` at a time, so memory does not grow with ``trials``.
+    Within a block, the trials of each (d_A, d_B) share one batched product,
+    SVD and eigenvalue call per step, and every sum adds in the order a
+    one-trial computation adds.  So a trial's margin and defect are the same
+    bits whichever trials share its block, and the report is reproducible
+    bit for bit.  ``threads`` is accepted for compatibility and unused.
+    ``trials`` must lie in [1, MAX_TRIALS].
     """
-    if trials < 1 or max_dim < 2:
-        raise ValueError("need trials >= 1 and max_dim >= 2")
-    results = np.array([_majorization_trial(seed, t, max_dim) for t in range(trials)])
-    margins, defects = results[:, 0], results[:, 1]
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials!r}")
+    if max_dim < 2:
+        raise ValueError("need max_dim >= 2")
+    margins, defects = _sweep_trials(seed, trials, max_dim)
     worst = int(np.argmin(margins))
     failures = int(np.sum(margins < -MARGIN_ATOL))
     return SweepReport(trials, failures, float(margins[worst]), worst,

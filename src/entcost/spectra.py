@@ -48,19 +48,14 @@ class Spectrum:
         v = np.asarray(self.values, dtype=float).reshape(-1)
         if v.size == 0:
             raise InvariantViolation("spectrum needs at least one value")
-        if not np.all(np.isfinite(v)) or not math.isfinite(float(self.tail_mass)):
-            raise InvariantViolation("spectrum values and tail mass must be finite")
-        if np.any(v < -PSD_ATOL):
-            raise InvariantViolation("spectrum values must be non-negative")
-        if np.any(v[:-1] - v[1:] < -1e-12):
-            raise InvariantViolation("spectrum values must be non-increasing")
-        v = np.clip(v, 0.0, None)
         tail = float(self.tail_mass)
+        if not math.isfinite(tail):
+            raise InvariantViolation("spectrum values and tail mass must be finite")
+        v = _checked_rows(v)
         if tail < -PSD_ATOL:
             raise InvariantViolation("tail mass must be non-negative")
-        tail = max(tail, 0.0)
         object.__setattr__(self, "values", _readonly(v))
-        object.__setattr__(self, "tail_mass", tail)
+        object.__setattr__(self, "tail_mass", max(tail, 0.0))
         if self.normalized and abs(self.total_mass - 1.0) > NORMALIZED_ATOL:
             raise InvariantViolation(
                 f"normalized spectrum has total mass {self.total_mass!r}")
@@ -84,6 +79,27 @@ class Spectrum:
         if nz.size == 0:
             return Spectrum(self.values[:1], self.tail_mass, self.normalized)
         return Spectrum(self.values[:nz[-1] + 1], self.tail_mass, self.normalized)
+
+
+def _checked_rows(v: np.ndarray, normalized: bool = False) -> np.ndarray:
+    """The checks a Spectrum makes on its values, on one row or on a stack
+    of rows (..., n): finite, non-negative and non-increasing, and with
+    ``normalized`` (and no tail mass) of total 1 within 1e-12.  Returns the
+    rows clipped at 0."""
+    if not np.isfinite(v).all():
+        raise InvariantViolation("spectrum values and tail mass must be finite")
+    if (v < -PSD_ATOL).any():
+        raise InvariantViolation("spectrum values must be non-negative")
+    if (v[..., :-1] - v[..., 1:] < -1e-12).any():
+        raise InvariantViolation("spectrum values must be non-increasing")
+    v = np.clip(v, 0.0, None)
+    if normalized:
+        total = v.sum(axis=-1)
+        off = np.abs(total - 1.0) > NORMALIZED_ATOL
+        if off.any():
+            raise InvariantViolation(
+                f"normalized spectrum has total mass {float(total[off].flat[0])!r}")
+    return v
 
 
 def _check_square(m: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -144,12 +160,9 @@ class PureBipartite:
         c = np.array(self.amplitudes, dtype=complex)
         if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
             raise InvariantViolation("amplitudes must be a 2-D matrix")
-        norm = float(np.linalg.norm(c))
-        if abs(norm - 1.0) > 1e-9:
-            raise InvariantViolation(f"amplitude matrix has norm {norm!r}")
-        sq = np.clip(np.linalg.svd(c, compute_uv=False), 0.0, None) ** 2
+        schmidt = Spectrum(_schmidt_rows(c), 0.0, normalized=True)
         object.__setattr__(self, "amplitudes", _readonly(c))
-        object.__setattr__(self, "schmidt", Spectrum(sq / np.sum(sq), 0.0, normalized=True))
+        object.__setattr__(self, "schmidt", schmidt)
 
     @property
     def dim_a(self) -> int:
@@ -175,6 +188,38 @@ class PureBipartite:
         return BipartiteState(self.dim_a, self.dim_b, np.outer(v, v.conj()))
 
 
+def _norms(c: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix in a stack (..., d_A, d_B).
+
+    The norms are taken one matrix at a time, as ``np.linalg.norm`` takes
+    one: a stacked norm sums the squares in another order, which can move
+    the last bit, and it warns where a square overflows.
+    """
+    flat = c.reshape((-1,) + c.shape[-2:])
+    return np.array([np.linalg.norm(m) for m in flat]).reshape(c.shape[:-2])
+
+
+def _unit_amplitudes(c: np.ndarray) -> np.ndarray:
+    """Each amplitude matrix of a stack (..., d_A, d_B) divided by its
+    Frobenius norm, which must be nonzero and finite."""
+    norms = _norms(c)
+    if not (np.isfinite(norms) & (norms > 0.0)).all():
+        raise InvariantViolation("amplitude matrix must be nonzero and finite")
+    return c / norms[..., None, None]
+
+
+def _schmidt_rows(c: np.ndarray) -> np.ndarray:
+    """Schmidt coefficients of each unit-norm amplitude matrix in a stack
+    (..., d_A, d_B): the squared singular values, non-increasing and
+    normalized to sum 1.  Every norm must be 1 within 1e-9."""
+    norms = _norms(c)
+    off = ~(np.abs(norms - 1.0) <= 1e-9)
+    if off.any():
+        raise InvariantViolation(f"amplitude matrix has norm {float(norms[off].flat[0])!r}")
+    sq = np.clip(np.linalg.svd(c, compute_uv=False), 0.0, None) ** 2
+    return sq / sq.sum(axis=-1, keepdims=True)
+
+
 def schmidt_decompose(amplitudes) -> PureBipartite:
     """Build a PureBipartite from a nonzero amplitude matrix.
 
@@ -184,10 +229,7 @@ def schmidt_decompose(amplitudes) -> PureBipartite:
     c = np.asarray(amplitudes, dtype=complex)
     if c.ndim != 2:
         raise InvariantViolation("amplitudes must be a 2-D matrix")
-    norm = float(np.linalg.norm(c))
-    if norm <= 0.0 or not math.isfinite(norm):
-        raise InvariantViolation("amplitude matrix must be nonzero and finite")
-    return PureBipartite(c / norm)
+    return PureBipartite(_unit_amplitudes(c))
 
 
 @dataclass(frozen=True)

@@ -633,6 +633,7 @@ def test_gibbs_at_subnormal_beta_exits_cleanly(hamiltonian, beta):
     _with(_EOF, ("params", "restarts"), -1),
     _with(_CONVERSE, ("params", "restarts"), 2 ** 50),
     _with(_CONVERSE, ("params", "restarts"), -1),
+    {"command": "majorization-check", "params": {"trials": 2 ** 50, "max_dim": 3}},
 ])
 def test_config_value_of_wrong_type_or_range_is_schema_error(config):
     # each of these ran on a coerced value (1.9 as 1, "1" as 1.0, a scalar
@@ -640,7 +641,8 @@ def test_config_value_of_wrong_type_or_range_is_schema_error(config):
     # beyond the float range, a number as output_path, a size of 2^50
     # elements, which no address space holds, so nothing is allocated),
     # or ran on a restart count outside [0, MAX_RESTARTS] (2^50 restarts
-    # allocate nothing and never finish; -1 was printed as given)
+    # allocate nothing and never finish; -1 was printed as given), or on a
+    # trial count above majorization.MAX_TRIALS (2^50 trials never finish)
     code, out, err, _ = _run_main(config)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["kind"] == "schema"

@@ -1,11 +1,14 @@
 """Suffix-sum dominance under product-Kraus instruments."""
 
+import math
+
 import numpy as np
 import pytest
 
 from entcost import (
     InvariantViolation,
     ProductKrausInstrument,
+    PureBipartite,
     Spectrum,
     apply_instrument,
     entropy_monotonicity_check,
@@ -22,16 +25,32 @@ from entcost import (
 )
 from entcost import majorization
 from entcost.majorization import (
+    SweepReport,
     _completeness_matrix,
+    _draw,
+    _instrument_outcomes,
     _inverse_sqrt_psd,
-    _majorization_trial,
-    _outcomes,
-    _trial_inputs,
+    _sweep_block,
+    _sweep_trials,
 )
 
 
 def _ebit():
     return schmidt_decompose(np.eye(2) / np.sqrt(2.0))
+
+
+def _trial_inputs(seed, trial, max_dim):
+    """Pure state and instrument of one sweep trial, built by the public
+    constructors from stream (seed, trial) in the sweep's documented order."""
+    rng = stream(seed, trial)
+    da = int(rng.integers(2, max_dim + 1))
+    db = int(rng.integers(2, max_dim + 1))
+    psi = random_pure_state(rng, da, db)
+    return psi, random_product_instrument(
+        rng, da, db,
+        branches_a=int(rng.integers(2, 4)),
+        branches_b=int(rng.integers(2, 4)),
+        conditioned=bool(rng.integers(0, 2)))
 
 
 def test_instrument_completeness_defect():
@@ -282,11 +301,12 @@ def _largest_branches(inst, psi):
 def test_outcome_spectra_match_schmidt_decompose():
     dropped = 0
     for psi, inst in [*_instruments_with_labels(), *_non_square_instruments()]:
-        out = _outcomes(inst, psi)
+        out = _instrument_outcomes(inst, psi)
         heads = _largest_branches(inst, psi)
         dropped += out.dropped
-        assert len(out.spectra) == len(heads)
-        for row, head in zip(out.spectra, heads):
+        spectra = out.spectra[0][out.keep[0]]
+        assert len(spectra) == len(heads)
+        for row, head in zip(spectra, heads):
             want = schmidt_decompose(head).schmidt.values
             assert row.shape == want.shape
             assert np.max(np.abs(row - want)) <= 1e-14
@@ -294,12 +314,24 @@ def test_outcome_spectra_match_schmidt_decompose():
 
 
 def test_sweep_trial_margins_match_the_public_check():
+    margins, defects = _sweep_trials(31, 100, 6)
     for t in range(100):
         psi, inst = _trial_inputs(31, t, 6)
         want = majorization_condition_check(psi, apply_instrument(inst, psi)).margins
-        margin, defect = _majorization_trial(31, t, 6)
-        assert abs(margin - float(np.min(want))) <= 1e-15
-        assert defect == inst.completeness_defect
+        assert abs(margins[t] - float(np.min(want))) <= 1e-15
+        assert defects[t] == inst.completeness_defect
+
+
+def test_sweep_trials_do_not_depend_on_their_block(monkeypatch):
+    # stacked with 299 other trials, stacked with 6, or run alone, a trial
+    # gives the same bits
+    margins, defects = _sweep_trials(7, 300, 5)
+    alone = np.array([_sweep_block([_draw(7, t, 5)]) for t in range(300)])[:, :, 0].T
+    monkeypatch.setattr(majorization, "_BLOCK", 7)
+    small = _sweep_trials(7, 300, 5)
+    for got in (alone, small):
+        assert got[0].tobytes() == margins.tobytes()
+        assert got[1].tobytes() == defects.tobytes()
 
 
 def test_margins_subtract_row_order_sums_of_tail_sums():
@@ -313,8 +345,20 @@ def test_margins_subtract_row_order_sums_of_tail_sums():
     want = weights[0] * tail_sums(Spectrum(rows[0], 0.1), 7)
     for w, row in zip(weights[1:], rows[1:]):
         want = want + w * tail_sums(Spectrum(row, 0.1), 7)
-    got = majorization._margins(lhs, weights, rows, 6, tails)
+    padded = np.zeros((3, 6))
+    for x, row in enumerate(rows):
+        padded[x, :len(row)] = row
+    assert majorization._padded(rows, 6).tolist() == padded.tolist()
+    got = majorization._margins(tail_sums(lhs, 7), weights, padded, tails)
     assert got.tolist() == (tail_sums(lhs, 7) - want).tolist()
+    # a stack of trials gives each trial's margins, padding rows included
+    stacked = majorization._margins(np.stack([tail_sums(lhs, 7)] * 2),
+                                    np.stack([weights, np.append(weights[:2], 0.0)]),
+                                    np.stack([padded, padded * [[1.0], [1.0], [0.0]]]))
+    assert stacked[0].tolist() == majorization._margins(tail_sums(lhs, 7), weights,
+                                                        padded).tolist()
+    assert stacked[1].tolist() == majorization._margins(tail_sums(lhs, 7), weights[:2],
+                                                        padded[:2]).tolist()
 
 
 def test_every_margin_goes_through_one_routine(monkeypatch):
@@ -328,18 +372,24 @@ def test_every_margin_goes_through_one_routine(monkeypatch):
     monkeypatch.setattr(majorization, "_margins", counted)
     psi, inst = _trial_inputs(31, 0, 4)
     majorization_condition_check(psi, apply_instrument(inst, psi))
-    _majorization_trial(31, 0, 4)
+    _sweep_trials(31, 1, 4)
     tail_dominance_entropy_check(Spectrum(np.array([0.5, 0.5])), [1.0],
                                  [Spectrum(np.array([0.75, 0.25]))])
     assert len(calls) == 3
 
 
 def test_sweep_and_monotonicity_build_no_state_per_outcome(monkeypatch):
-    def refuse(amplitudes):
+    def refuse(*args):
         raise AssertionError("an outcome state was built")
 
+    def refuse_object(self):
+        raise AssertionError(f"the sweep built a {type(self).__name__}")
+
     monkeypatch.setattr(majorization, "schmidt_decompose", refuse)
-    assert majorization_sweep(40, max_dim=5, seed=17).failures == 0
+    with monkeypatch.context() as m:
+        m.setattr(PureBipartite, "__post_init__", refuse_object)
+        m.setattr(ProductKrausInstrument, "__post_init__", refuse_object)
+        assert majorization_sweep(40, max_dim=5, seed=17).failures == 0
     rng = stream(21, 11)
     for _ in range(20):
         psi = random_pure_state(rng, 3, 4)
@@ -347,7 +397,7 @@ def test_sweep_and_monotonicity_build_no_state_per_outcome(monkeypatch):
 
 
 def test_sweep_worst_trial_is_the_argmin_of_trial_margins():
-    margins = [_majorization_trial(13, t, 4)[0] for t in range(60)]
+    margins = _sweep_trials(13, 60, 4)[0]
     reports = [majorization_sweep(60, max_dim=4, seed=13, threads=t) for t in (1, 2, 4)]
     assert reports[0].worst_trial == int(np.argmin(margins))
     assert reports[0].min_margin == margins[reports[0].worst_trial]
@@ -371,6 +421,45 @@ def test_apply_instrument_matches_per_branch_loop():
                 assert got.shape == schmidt.shape
                 assert np.max(np.abs(got - schmidt)) <= 1e-14
     assert kinds == {"pure", "mixed"}
+
+
+# reports of the trial-by-trial sweep that built PureBipartite and
+# ProductKrausInstrument objects, as its repr printed them
+_PINNED_SWEEPS = [
+    ((150, 6, 0), SweepReport(150, 0, -2.220446049250313e-16, 6, 1.0165578427199217e-14, 0)),
+    ((150, 6, 1), SweepReport(150, 0, -2.220446049250313e-16, 11, 7.69768170942078e-15, 1)),
+    ((150, 6, 2), SweepReport(150, 0, -3.3306690738754696e-16, 46, 8.162511978930087e-15, 2)),
+    ((150, 6, 3), SweepReport(150, 0, -3.3306690738754696e-16, 47, 8.246540113688484e-15, 3)),
+    ((150, 6, 4), SweepReport(150, 0, -3.3306690738754696e-16, 43, 1.0503911246976751e-14, 4)),
+    ((1000, 6, 2026),
+     SweepReport(1000, 0, -4.440892098500626e-16, 535, 1.459172692089204e-14, 2026)),
+]
+
+
+@pytest.mark.parametrize("args, want", _PINNED_SWEEPS)
+def test_sweep_reports_are_pinned_bit_for_bit(args, want):
+    assert majorization_sweep(*args) == want
+
+
+def test_sweep_trial_count_is_bounded_before_any_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(majorization, "_draw", refuse)
+    for trials in (0, majorization.MAX_TRIALS + 1, 2 ** 50):
+        with pytest.raises(ValueError):
+            majorization_sweep(trials, max_dim=3, seed=0)
+    with pytest.raises(ValueError):
+        majorization_sweep(1, max_dim=1, seed=0)
+
+
+@pytest.mark.parametrize("weights", [[math.nan, 1.0], [1.0, math.nan], [math.nan, math.nan]])
+def test_tail_dominance_rejects_nan_weights(weights):
+    # [nan, 1.0] passed both weight checks and gave a conclusive False with
+    # NaN margins
+    members = [Spectrum(np.array([1.0])), Spectrum(np.array([0.75, 0.25]))]
+    with pytest.raises(InvariantViolation):
+        tail_dominance_entropy_check(Spectrum(np.array([0.5, 0.5])), weights, members)
 
 
 def test_completeness_matrix_matches_kron_sum():

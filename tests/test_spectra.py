@@ -185,6 +185,9 @@ def test_tensor_power_marginal_factorizes():
 def test_pure_norm_enforced():
     with pytest.raises(InvariantViolation):
         PureBipartite(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    # a NaN norm passed the check and the SVD raised LinAlgError
+    with pytest.raises(InvariantViolation):
+        PureBipartite(np.full((2, 2), np.nan))
 
 
 def test_pure_bipartite_copies_its_input():
