@@ -1,5 +1,7 @@
 """Formation-cost estimation by annealed decomposition search."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from entcost import (
     schmidt_decompose,
     state_trace_distance,
     stream,
+    tensor_state,
     von_neumann_entropy,
     wootters_eof,
 )
@@ -150,6 +153,35 @@ def test_surrogate_mixed_scales_single_copy(monkeypatch, n):
                                           seed=3)
     assert kind == "estimate-upper"
     assert many == n * one
+
+
+# (label, d_A, d_B, rank, upper_bound_bits.hex(), converged, digest): the
+# first five take the closed form (a 2-dimensional factor), the last two the
+# Gram eigenvalues; the 4 x 4 state is the two-copy state regularized_probe
+# searches.  A rewrite of the search that keeps every floating-point
+# operation in order leaves all of them as they are.
+_PINNED = [
+    ("2x2-r2", 2, 2, 2, "0x1.83b93c0fa5bb2p-1", False, "83bf0d77c9b9883d"),
+    ("2x2-r3", 2, 2, 3, "0x1.e95419e474948p-5", False, "74228a16139e80ce"),
+    ("2x3", 2, 3, None, "0x1.088fe6954029fp-5", False, "2ca404d6834f14e4"),
+    ("3x2", 3, 2, None, "0x1.1e6893de9dc60p-3", True, "b95bed2745e6b6ea"),
+    ("2x4", 2, 4, None, "0x1.9214e5f573330p-3", True, "80d4d1cc650676c8"),
+    ("3x3-r3", 3, 3, 3, "0x1.3a1dfc2c171f6p-1", False, "d833a23fbafab72f"),
+    ("4x4-two-copy", 2, 2, 2, "0x1.5565c3e48ed24p-1", False, "5b49fe0e27d238ae"),
+]
+
+
+def test_estimates_are_pinned_bit_for_bit():
+    for t, (label, da, db, rank, bits, converged, digest) in enumerate(_PINNED):
+        rho = random_density_state(stream(37, t), da, db, rank=rank)
+        if label == "4x4-two-copy":
+            rho = tensor_state(rho, rho)
+        est = eof_estimate(rho, restarts=2, iterations=800, seed=t)
+        h = hashlib.sha256(est.decomposition.weights.tobytes())
+        for m in est.decomposition.members:
+            h.update(m.amplitudes.tobytes())
+        got = (est.upper_bound_bits.hex(), est.converged, h.hexdigest()[:16])
+        assert got == (bits, converged, digest), label
 
 
 def _member_entropy(c: np.ndarray) -> float:
