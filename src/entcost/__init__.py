@@ -32,6 +32,7 @@ Capabilities, by module:
 
 Fixed limits and probe grids are module constants, not parameters:
 ``typicality.MAX_TYPES``, ``eof.MAX_RANK``, ``eof.MAX_RESTARTS``,
+``eof.MAX_ITERATIONS``, ``eof.MAX_ENSEMBLE_SIZE``,
 ``majorization.MAX_TRIALS`` and ``gibbs.DEFAULT_BETA_GRID``.
 """
 

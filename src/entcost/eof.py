@@ -4,9 +4,14 @@ The formation value of a mixed state is the infimum, over pure-state
 decompositions, of the mean marginal entropy.  Decompositions of a rank-r
 state correspond to isometries W from its r-dimensional purification
 ancilla into m >= r slots.  The search holds the member vectors V = W F^T
-(frame F with columns sqrt(w_i) u_i), rotating two rows of V per step, and
-takes each member's entropy from its min(d_A, d_B)-dimensional Gram matrix.
-Each anneal draws its whole table of moves from its own stream up front.
+(frame F with columns sqrt(w_i) u_i), rotating two rows of V per step.
+One step is one pass over the two rows: it forms both rotated rows and adds
+up their squared norms in element order, and then one pair rule, chosen
+once per search, gives both members' entropies from their min(d_A,
+d_B)-dimensional Gram matrices: in closed form (Cauchy-Binet) when that
+dimension is 2, else from one stacked ``eigvalsh`` of the two.  The
+starting values go through the same rule.  Each anneal draws its whole
+table of moves from its own stream up front.
 Every point visited is a valid decomposition, so the running best is a
 certified UPPER bound; only the two-qubit ``wootters_eof`` is exact.
 """
@@ -35,6 +40,8 @@ from .spectra import (
 
 MAX_RANK = 16
 MAX_RESTARTS = 1000
+MAX_ITERATIONS = 100_000
+MAX_ENSEMBLE_SIZE = MAX_RANK ** 2  # Uhlmann: r^2 members reach the convex roof
 RECONSTRUCTION_ATOL = 1e-9
 T0, T1 = 0.2, 1e-5  # annealing temperature at the first and last step
 A0, A1 = math.pi / 2.0, 0.05  # rotation-angle scale at the first and last step
@@ -69,38 +76,49 @@ def wootters_eof(rho: BipartiteState) -> float:
 
 
 class _DecompositionSearch:
-    """Annealed search over m slots, each a never-mutated list of amplitudes."""
+    """Annealed search over m slots, each a never-mutated list of amplitudes.
+
+    ``pair`` is the one member-entropy rule, chosen here once: it maps two
+    members and their squared norms to each one's weight times marginal
+    entropy, p S = sum_i lam_i log2(p / lam_i), from the eigenvalues lam of
+    its min(d_A, d_B)-dimensional Gram matrix (in closed form when that is 2).
+    """
 
     def __init__(self, dim_a: int, dim_b: int, slots: int):
         self.slots = slots
         flat = np.arange(dim_a * dim_b).reshape(dim_a, dim_b)
         rows = self.small = flat if dim_a <= dim_b else flat.T  # smaller factor first
-        i, j = np.triu_indices(rows.shape[1], 1)
-        # flat positions (a, b, c, d) of each 2 x 2 minor v_a v_b - v_c v_d
-        self.minors = (np.stack((rows[0, i], rows[1, j], rows[0, j], rows[1, i]), 1).tolist()
-                       if len(rows) == 2 else None)
+        if len(rows) == 2:
+            i, j = np.triu_indices(rows.shape[1], 1)
+            # flat positions (a, b, c, d) of each 2 x 2 minor v_a v_b - v_c v_d
+            self.minors = np.stack((rows[0, i], rows[1, j], rows[0, j], rows[1, i]),
+                                   1).tolist()
+            self.pair = self._closed_form_pair
+        else:
+            self.pair = self._gram_pair
 
     def parts(self, members) -> list[float]:
-        """Weight times marginal entropy, p S = sum_i lam_i log2(p / lam_i)."""
-        spectra = [(lam, sum(lam)) for lam in self.gram_spectra(members)]
-        return [sum([x * math.log2(p / x) for x in lam if x > 0.0]) if p > 1e-14 else 0.0
-                for lam, p in spectra]
-
-    def gram_spectra(self, members) -> list:
-        """Eigenvalues of each member's min(d_A, d_B)-dimensional Gram matrix."""
-        if self.minors is None:
-            c = np.array(members, dtype=complex)[:, self.small]
-            return np.linalg.eigvalsh(c @ c.conj().transpose(0, 2, 1)).tolist()
+        """Each member's weight times marginal entropy, two at a time by ``pair``."""
         out = []
-        for vec in members:
-            p = sum([z.real * z.real + z.imag * z.imag for z in vec])
-            det = 0.0  # by Cauchy-Binet: no cancellation as in |c0|^2 |c1|^2 - |<c0, c1>|^2
-            for a, b, c, d in self.minors:
-                z = vec[a] * vec[b] - vec[c] * vec[d]
-                det += z.real * z.real + z.imag * z.imag
-            hi = 0.5 * (p + math.sqrt(max(0.0, p * p - 4.0 * det)))
-            out.append((hi, det / hi if hi > 0.0 else 0.0))
-        return out
+        for k in range(0, len(members), 2):
+            r1, r2 = members[k], members[min(k + 1, len(members) - 1)]
+            out += self.pair(r1, _squared_norm(r1), r2, _squared_norm(r2))
+        return out[:len(members)]
+
+    def _closed_form_pair(self, r1, p1, r2, p2) -> tuple[float, float]:
+        det1 = det2 = 0.0  # by Cauchy-Binet: no cancellation as in |c0|^2 |c1|^2 - |<c0, c1>|^2
+        for a, b, c, d in self.minors:
+            z = r1[a] * r1[b] - r1[c] * r1[d]
+            det1 += z.real * z.real + z.imag * z.imag
+            z = r2[a] * r2[b] - r2[c] * r2[d]
+            det2 += z.real * z.real + z.imag * z.imag
+        return _two_level_part(p1, det1), _two_level_part(p2, det2)
+
+    def _gram_pair(self, r1, p1, r2, p2) -> tuple[float, float]:
+        # the norms go unused: each trace is read as its eigenvalue sum
+        c = np.array((r1, r2), dtype=complex)[:, self.small]
+        lam1, lam2 = np.linalg.eigvalsh(c @ c.conj().transpose(0, 2, 1)).tolist()
+        return _spectral_part(lam1), _spectral_part(lam2)
 
     def anneal(self, v0: list, iterations: int,
                rng: np.random.Generator) -> tuple[float, list]:
@@ -118,12 +136,20 @@ class _DecompositionSearch:
         parts = self.parts(v)
         current = sum(parts)
         best, best_v = current, v[:]
+        pair = self.pair
         for j1, j2, c, s, t, u in zip(first.tolist(), second.tolist(), cos, twist,
                                       temps, accept):
             sc = s.conjugate()
-            r1 = [c * x - s * y for x, y in zip(v[j1], v[j2])]
-            r2 = [sc * x + c * y for x, y in zip(v[j1], v[j2])]
-            s1, s2 = self.parts((r1, r2))
+            r1, r2 = [], []
+            p1 = p2 = 0.0
+            for x, y in zip(v[j1], v[j2]):
+                a = c * x - s * y
+                b = sc * x + c * y
+                r1.append(a)
+                r2.append(b)
+                p1 += a.real * a.real + a.imag * a.imag
+                p2 += b.real * b.real + b.imag * b.imag
+            s1, s2 = pair(r1, p1, r2, p2)
             delta = (s1 + s2) - (parts[j1] + parts[j2])
             if delta <= 0.0 or u < math.exp(-delta / t):
                 v[j1], v[j2] = r1, r2
@@ -132,6 +158,39 @@ class _DecompositionSearch:
                 if current < best - 1e-15:
                     best, best_v = current, v[:]
         return best, best_v
+
+
+def _two_level_part(p: float, det: float) -> float:
+    """p S of a member whose Gram matrix has trace p and determinant det."""
+    hi = 0.5 * (p + math.sqrt(max(0.0, p * p - 4.0 * det)))
+    lo = det / hi if hi > 0.0 else 0.0
+    q = hi + lo
+    if not q > 1e-14:
+        return 0.0
+    s = hi * math.log2(q / hi) if hi > 0.0 else 0.0
+    return s + lo * math.log2(q / lo) if lo > 0.0 else s
+
+
+def _spectral_part(lam) -> float:
+    """p S of a member whose Gram matrix has eigenvalues lam, p = sum lam."""
+    q = 0.0
+    for x in lam:
+        q += x
+    if not q > 1e-14:
+        return 0.0
+    s = 0.0
+    for x in lam:
+        if x > 0.0:
+            s += x * math.log2(q / x)
+    return s
+
+
+def _squared_norm(vec) -> float:
+    """sum |z|^2 over the amplitudes, added in the order the step adds them."""
+    p = 0.0
+    for z in vec:
+        p += z.real * z.real + z.imag * z.imag
+    return p
 
 
 def _spectral_frame(rho: BipartiteState) -> np.ndarray:
@@ -172,10 +231,19 @@ def eof_estimate(rho: BipartiteState, ensemble_size: int | None = None,
     rs)``), keeps the best of them and the spectral decomposition, and polishes
     it with one more anneal on ``stream(seed, restarts)``.  ``converged``
     reports that the polish improved the bound by less than 1e-9.
-    ``restarts`` must lie in [0, MAX_RESTARTS].
+    ``restarts`` must lie in [0, MAX_RESTARTS], ``iterations`` in [0,
+    MAX_ITERATIONS] and ``ensemble_size`` at most MAX_ENSEMBLE_SIZE; each is
+    checked before any work.  An ``ensemble_size`` below the rank raises
+    ``InvariantViolation``.
     """
     if not 0 <= restarts <= MAX_RESTARTS:
         raise ValueError(f"restarts must lie in [0, {MAX_RESTARTS}], got {restarts!r}")
+    if not 0 <= iterations <= MAX_ITERATIONS:
+        raise ValueError(
+            f"iterations must lie in [0, {MAX_ITERATIONS}], got {iterations!r}")
+    if ensemble_size is not None and ensemble_size > MAX_ENSEMBLE_SIZE:
+        raise ValueError(f"ensemble_size must be at most {MAX_ENSEMBLE_SIZE}, "
+                         f"got {ensemble_size!r}")
     frame = _spectral_frame(rho)
     r = frame.shape[1]
     m = int(ensemble_size) if ensemble_size is not None else 2 * r

@@ -312,7 +312,12 @@ def one_sided_continuity_bound(h: DiagonalHamiltonian, energy: float,
        coupling as used by Winter, CMP 347 (2016), and Shirokov), bounds
        the difference by delta F(E/delta) + g(delta) at distance delta.
        This is non-decreasing in delta, because F is concave with
-       F(0) >= 0, so delta = eps' applies.
+       F(0) >= 0, so delta = eps' applies.  Step 4 is cited (Winter, CMP
+       347 (2016); Shirokov), not proved in this package, and its constant
+       (delta F(E/delta) + g(delta), rather than say twice that) has not
+       been checked against the paper: the plain coupling does not give
+       it, since the positive part of omega_rho - omega_sigma need not
+       keep A-energy <= E/delta when only omega_rho is constrained.
 
     If eps were the purified distance sqrt(1 - F) instead, step 1 would drop
     out and eps' = eps.  The package never uses that convention.

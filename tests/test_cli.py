@@ -633,6 +633,11 @@ def test_gibbs_at_subnormal_beta_exits_cleanly(hamiltonian, beta):
     _with(_EOF, ("params", "restarts"), -1),
     _with(_CONVERSE, ("params", "restarts"), 2 ** 50),
     _with(_CONVERSE, ("params", "restarts"), -1),
+    _with(_EOF, ("params", "iterations"), -1),
+    _with(_CONVERSE, ("params", "iterations"), -1),
+    _with(_EOF, ("params", "iterations"), 100_001),
+    _with(_EOF, ("params", "ensemble_size"), 257),
+    _with(_CONVERSE, ("params", "ensemble_size"), 257),
     {"command": "majorization-check", "params": {"trials": 2 ** 50, "max_dim": 3}},
 ])
 def test_config_value_of_wrong_type_or_range_is_schema_error(config):
@@ -642,7 +647,9 @@ def test_config_value_of_wrong_type_or_range_is_schema_error(config):
     # elements, which no address space holds, so nothing is allocated),
     # or ran on a restart count outside [0, MAX_RESTARTS] (2^50 restarts
     # allocate nothing and never finish; -1 was printed as given), or on a
-    # trial count above majorization.MAX_TRIALS (2^50 trials never finish)
+    # trial count above majorization.MAX_TRIALS (2^50 trials never finish),
+    # or on iterations outside [0, eof.MAX_ITERATIONS] (-1 exited on a NumPy
+    # message) or an ensemble_size above eof.MAX_ENSEMBLE_SIZE = 256
     code, out, err, _ = _run_main(config)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["kind"] == "schema"

@@ -70,6 +70,33 @@ def test_restarts_outside_the_limit_are_rejected_before_any_search(monkeypatch):
             eof_estimate(rho, restarts=restarts)
 
 
+def test_iterations_and_ensemble_size_outside_the_limits_are_rejected_before_any_draw(
+        monkeypatch):
+    # iterations = -1 failed in NumPy ("negative dimensions are not
+    # allowed"), and a few times 10^7 built a multi-GB move table; the
+    # oversized values never reach a draw here, so none of them runs
+    rho = BipartiteState(2, 2, np.diag([0.6, 0.0, 0.0, 0.4]).astype(complex))
+
+    def refuse(*args):
+        raise AssertionError("a stream was drawn")
+
+    monkeypatch.setattr(eof, "stream", refuse)
+    for key, value in (("iterations", -1), ("iterations", eof.MAX_ITERATIONS + 1),
+                       ("iterations", 3 * 10 ** 7), ("iterations", 2 ** 50),
+                       ("ensemble_size", eof.MAX_ENSEMBLE_SIZE + 1),
+                       ("ensemble_size", 2 ** 50)):
+        with pytest.raises(ValueError, match=key):
+            eof_estimate(rho, **{key: value})
+    # the limits themselves pass the check and reach the first draw
+    for key, value in (("iterations", eof.MAX_ITERATIONS),
+                       ("ensemble_size", eof.MAX_ENSEMBLE_SIZE)):
+        with pytest.raises(AssertionError, match="drawn"):
+            eof_estimate(rho, **{key: value})
+    assert eof.MAX_ENSEMBLE_SIZE == eof.MAX_RANK ** 2
+    with pytest.raises(InvariantViolation, match="below the rank"):
+        eof_estimate(rho, ensemble_size=1)
+
+
 def test_separable_diagonal_mixture_is_zero():
     # a classically correlated mixture of |00> and |11>: formation cost 0,
     # and the spectral decomposition itself is the certificate
@@ -187,6 +214,42 @@ def test_estimates_are_pinned_bit_for_bit():
 def _member_entropy(c: np.ndarray) -> float:
     search = _DecompositionSearch(c.shape[0], c.shape[1], 2)
     return search.parts([c.reshape(-1).tolist()])[0] / float(np.sum(np.abs(c) ** 2))
+
+
+def _squared_norm_in_order(vec) -> float:
+    p = 0.0
+    for z in vec:
+        p += z.real * z.real + z.imag * z.imag
+    return p
+
+
+def test_pair_rule_is_the_rule_parts_uses():
+    # each annealing step hands the pair rule two members and their squared
+    # norms added in element order; parts() gives the starting values, and
+    # the two must agree bit for bit, on both paths and at the edge cases
+    rng = stream(31, 10)
+    shapes = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 4), (3, 4)]
+    for t in range(200):
+        da, db = shapes[t % len(shapes)]
+        search = _DecompositionSearch(da, db, 2)
+        pair = []
+        for kind in (t // len(shapes) % 4, t // len(shapes) % 3):  # 0 and 3: random
+            c = rng.standard_normal((da, db)) + 1j * rng.standard_normal((da, db))
+            if kind == 1:  # near product: |det| of the 2 x 2 minor is about 1e-9
+                c = np.zeros((da, db), dtype=complex)
+                c[0, 0], c[1, 1] = rng.uniform(0.5, 2.0), 1e-9 * rng.uniform(0.5, 2.0)
+            elif kind == 2:  # an all-zero slot: the p <= 1e-14 branch
+                c = np.zeros((da, db), dtype=complex)
+            pair.append(c.reshape(-1).tolist())
+        r1, r2 = pair
+        got = search.pair(r1, _squared_norm_in_order(r1), r2, _squared_norm_in_order(r2))
+        want = search.parts((r1, r2))
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        for r, x in zip(pair, got):
+            if not any(r):
+                assert x == 0.0
+    assert _DecompositionSearch(2, 3, 2).pair.__name__ == "_closed_form_pair"
+    assert _DecompositionSearch(3, 3, 2).pair.__name__ == "_gram_pair"
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (2, 5), (3, 3), (4, 4)])
