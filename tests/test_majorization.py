@@ -1,5 +1,6 @@
 """Suffix-sum dominance under product-Kraus instruments."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -494,3 +495,45 @@ def test_instrument_stacks_are_read_only_copies():
     assert inst.ls.shape == (2, 2, 2) and inst.ms.shape == (2, 2, 2)
     assert not inst.ls.flags.writeable and not inst.ms.flags.writeable
     assert ls.flags.writeable
+
+
+def _one_trial_digests(monkeypatch):
+    """SHA-256 digests of apply_instrument results, entropy_monotonicity_check
+    results (with the weighted outcome entropy each one compares) and the
+    Kraus stacks of the instruments, over every labelled and non-square case."""
+    seen = []
+
+    class Recorded(float):
+        def __ge__(self, other):
+            seen.append(other)
+            return float(self) >= other
+
+    entropy = majorization.von_neumann_entropy
+    monkeypatch.setattr(majorization, "von_neumann_entropy",
+                        lambda spectrum: Recorded(entropy(spectrum)))
+    ensembles, checks, instruments = (hashlib.sha256() for _ in range(3))
+    for psi, inst in [*_instruments_with_labels(), *_non_square_instruments()]:
+        ens = apply_instrument(inst, psi)
+        ensembles.update(ens.weights.tobytes())
+        for member in ens.members:
+            if isinstance(member, PureBipartite):
+                ensembles.update(member.amplitudes.tobytes() + member.schmidt.values.tobytes())
+            else:
+                ensembles.update(member.matrix.tobytes())
+        try:
+            checks.update(repr(entropy_monotonicity_check(psi, inst)).encode())
+            checks.update(seen.pop().hex().encode())
+        except InvariantViolation:
+            checks.update(b"mixed")
+        instruments.update(inst.ls.tobytes() + inst.ms.tobytes()
+                           + inst.completeness_defect.hex().encode())
+    return ensembles.hexdigest(), checks.hexdigest(), instruments.hexdigest()
+
+
+def test_one_trial_results_are_pinned_bit_for_bit(monkeypatch):
+    # digests taken from the stacked-kernel one-trial path, before the
+    # one-trial kernel lost its trial axis
+    assert _one_trial_digests(monkeypatch) == (
+        "336345a4bf204f72f4eeecf99585433ceeacf1478ae598a33acca271c204140b",
+        "ef03c488bf00e11b9805275375bfbc545ef3695841997f5252b2dffcb86e46ee",
+        "6cf98c2b71906352de3e9753993c6c8bc316f3a11db5316b5ded1bae0e35a4e0")
