@@ -7,6 +7,13 @@ whose Kraus operators factor as L_k (x) M_k, the weighted suffix sums of
 the outcome marginals on A can never exceed the suffix sums of the input
 marginal.  Entropy inequalities follow from the integral representation,
 which consumes nothing but those suffix sums.
+
+Outcomes are laid out two ways.  One instrument on one state
+(``apply_instrument``, ``entropy_monotonicity_check``) is read by outcome
+label, with no trial axis, so branches may be coarse-grained into mixed
+outcomes.  A sweep stacks trials on a fixed 3 x 3 branch grid, where every
+branch is its own outcome and a branch a trial does not have is exactly
+zero, so its outcome has probability 0 and is dropped.
 """
 
 from __future__ import annotations
@@ -37,11 +44,19 @@ logger = logging.getLogger(__name__)
 
 COMPLETENESS_ATOL = 1e-10
 MARGIN_ATOL = 1e-10
+# relative slack of tail_sum_operator_inequality, per unit of trace
+OPERATOR_ATOL = 1e-10
+# slack of the entropy inequalities, in bits
+ENTROPY_ATOL = 1e-9
 OUTCOME_PROB_FLOOR = 1e-15
 # the most trials one sweep runs
 MAX_TRIALS = 100_000
+# the largest local dimension a sweep draws
+MAX_DIM = 16
 # trials stacked at once by a sweep; bounds its memory whatever the trial count
 _BLOCK = 512
+# A and B branches per side of a random instrument's branch grid
+_GRID = 3
 
 
 @dataclass(frozen=True)
@@ -49,11 +64,11 @@ class ProductKrausInstrument:
     """Finite family of product Kraus pairs (L_k, M_k) with outcome labels.
 
     ``ls`` and ``ms`` are read-only stacks of shape (k, r_A, d_A) and
-    (k, r_B, d_B): all L_k share one shape and all M_k share one shape.
-    ``outcomes[k]`` names the measurement record branch k feeds into
-    (coarse-graining); the finest graining gives every branch its own
-    outcome.  ``completeness_defect`` is the operator-norm distance of
-    sum_k L_k'L_k (x) M_k'M_k from the identity.
+    (k, r_B, d_B): all L_k share one shape and all M_k share one shape, and
+    every entry is finite.  ``outcomes[k]`` names the measurement record
+    branch k feeds into (coarse-graining); the finest graining gives every
+    branch its own outcome.  ``completeness_defect`` is the operator-norm
+    distance of sum_k L_k'L_k (x) M_k'M_k from the identity.
     """
 
     ls: np.ndarray
@@ -71,6 +86,8 @@ class ProductKrausInstrument:
             raise InvariantViolation("Kraus operators have inconsistent shapes")
         if len(ls) == 0 or len(ls) != len(ms):
             raise InvariantViolation("need equally many L and M operators")
+        if not (np.isfinite(ls).all() and np.isfinite(ms).all()):
+            raise InvariantViolation("Kraus operators must be finite")
         outcomes = tuple(self.outcomes) if self.outcomes else tuple(range(len(ls)))
         if len(outcomes) != len(ls):
             raise InvariantViolation("outcome labels must align with the Kraus pairs")
@@ -90,8 +107,8 @@ class ProductKrausInstrument:
     def dim_b(self) -> int:
         return int(self.ms.shape[2])
 
-    def is_channel(self, atol: float = COMPLETENESS_ATOL) -> bool:
-        return self.completeness_defect <= atol
+    def is_channel(self) -> bool:
+        return self.completeness_defect <= COMPLETENESS_ATOL
 
 
 def _completeness_matrix(ls: np.ndarray, ms: np.ndarray) -> np.ndarray:
@@ -110,11 +127,12 @@ def _completeness_defects(matrices: np.ndarray) -> np.ndarray:
     return np.max(np.abs(np.linalg.eigvalsh(matrices - eye)), axis=-1)
 
 
-def schur_horn_check(matrix: np.ndarray, vectors, atol: float = MARGIN_ATOL) -> bool:
+def schur_horn_check(matrix: np.ndarray, vectors) -> bool:
     """Top eigenvalue sums dominate diagonal sums over any orthonormal frame.
 
     For Hermitian M and orthonormal v_0..v_{N-1}:
-    sum of the N largest eigenvalues >= sum_n <v_n|M|v_n>, within ``atol``.
+    sum of the N largest eigenvalues >= sum_n <v_n|M|v_n>, within
+    ``MARGIN_ATOL``.
     """
     m = np.asarray(matrix, dtype=complex)
     m = (m + m.conj().T) / 2.0
@@ -127,16 +145,16 @@ def schur_horn_check(matrix: np.ndarray, vectors, atol: float = MARGIN_ATOL) -> 
     eig = np.linalg.eigvalsh(m)[::-1]
     top = float(np.sum(eig[:v.shape[0]]))
     diag = float(np.real(np.einsum("ni,ij,nj->", v.conj(), m, v)))
-    return top >= diag - atol
+    return top >= diag - MARGIN_ATOL
 
 
 def tail_sum_operator_inequality(a: np.ndarray, b: np.ndarray, k: np.ndarray,
-                                 n_top: int, atol: float = 1e-10) -> bool:
+                                 n_top: int) -> bool:
     """Suffix sums after a sandwich are bounded by truncating the middle factor.
 
     With K PSD and K_N the same operator minus its top-N eigenspace:
     tails_N(A K B B' K A') <= Tr[A K_N B B' K_N A'], within
-    atol * (Tr of the left side + 1).
+    ``OPERATOR_ATOL`` * (Tr of the left side + 1).
     """
     if n_top < 0:
         raise ValueError("n_top must be non-negative")
@@ -155,90 +173,71 @@ def tail_sum_operator_inequality(a: np.ndarray, b: np.ndarray, k: np.ndarray,
     k_trunc = (vecs[:, n_top:] * w[n_top:]) @ vecs[:, n_top:].conj().T
     c_trunc = np.asarray(a, dtype=complex) @ k_trunc @ np.asarray(b, dtype=complex)
     rhs = float(np.linalg.norm(c_trunc) ** 2)
-    return lhs <= rhs + atol * (trace + 1.0)
+    return lhs <= rhs + OPERATOR_ATOL * (trace + 1.0)
 
 
-class _Outcomes(NamedTuple):
-    """Outcomes of instruments on pure inputs, for a stack of T trials.
-
-    Arrays are indexed by trial t, outcome slot x and branch k.  ``probs``
-    are the outcome probabilities (not renormalized) and ``keep`` marks the
-    slots that are outcomes of their trial with a probability above
-    ``OUTCOME_PROB_FLOOR``.  ``pure`` marks outcomes whose branches are
-    pairwise parallel, ``tops`` names each outcome's largest branch and
-    ``spectra`` holds the Schmidt spectrum of that branch on kept slots
-    (zero rows elsewhere; meaningful where ``pure``).  ``groups[t, x, k]``
-    says whether branch k feeds outcome x, ``branches`` holds the branches
-    and ``dropped`` counts the outcomes not kept.
-    """
-
-    probs: np.ndarray
-    keep: np.ndarray
-    pure: np.ndarray
-    tops: np.ndarray
-    spectra: np.ndarray
-    groups: np.ndarray
-    branches: np.ndarray
-    dropped: int
-
-
-def _outcomes(ls: np.ndarray, ms: np.ndarray, labels: np.ndarray,
-              amplitudes: np.ndarray, defects: np.ndarray) -> _Outcomes:
-    """Every outcome's weight and Schmidt spectrum, for a stack of trials.
-
-    Trial t applies the Kraus pairs (ls[t, k], ms[t, k]) of shapes
-    (r_A, d_A) and (r_B, d_B) to the amplitude matrix amplitudes[t]; branch
-    k maps it to L_k C M_k^T and feeds outcome labels[t, k] (-1 marks a
-    padding branch, which feeds none).  One batched product forms every
-    branch and one batched SVD gives every kept outcome's spectrum.  An
-    outcome is pure when every branch is parallel to its largest one, and its
-    spectrum is that of the largest branch.  Every trial's completeness
-    defect must be within ``COMPLETENESS_ATOL``.
-    """
-    if not (defects <= COMPLETENESS_ATOL).all():
-        raise InvariantViolation(
-            f"completeness defect {float(np.max(defects))!r} exceeds tolerance")
-    branches = ls @ amplitudes[:, None] @ ms.swapaxes(-1, -2)
-    vecs = branches.reshape(labels.shape + (-1,))
-    norms = np.linalg.norm(vecs, axis=-1)
-    norms2 = norms ** 2
-    groups = labels[:, None, :] == np.arange(labels.max() + 1)[:, None]
-    # padding branches add zeros; they move no bit of an outcome fed by one
-    # branch, as every sweep outcome is
-    probs = np.where(groups, norms2[:, None, :], 0.0).sum(axis=-1)
-    # largest branch of each outcome, the first one on a tie; a padding
-    # branch reads the last slot's, which it does not feed
-    tops = np.where(groups, norms2[:, None, :], -1.0).argmax(axis=-1)
-    each = np.arange(len(labels))[:, None]
-    head = tops[each, labels]
-    overlaps = np.abs(np.einsum("tki,tki->tk", vecs, vecs[each, head].conj())) ** 2
-    parallel = overlaps >= (1.0 - 1e-10) * norms2[each, head] * norms2
-    pure = ~(groups & ~parallel[:, None, :]).any(axis=-1)
-    valid = groups.any(axis=-1)
-    keep = valid & (probs > OUTCOME_PROB_FLOOR)
-    trial, slot = np.nonzero(keep)
-    top = tops[trial, slot]
-    sq = np.maximum(np.linalg.svd(branches[trial, top] / norms[trial, top, None, None],
-                                  compute_uv=False), 0.0) ** 2
+def _outcome_spectra(branches: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Schmidt spectrum of each branch in a stack (n, r_A, r_B), from one
+    batched SVD of the branches divided by their Frobenius norms ``norms``.
+    Every row must come out finite and normalized."""
+    sq = np.maximum(np.linalg.svd(branches / norms[:, None, None], compute_uv=False),
+                    0.0) ** 2
     rows = sq / sq.sum(axis=1, keepdims=True)
     # a NaN or inf entry fails the comparison as well
     if not (np.abs(rows.sum(axis=1) - 1.0) <= NORMALIZED_ATOL).all():
         raise InvariantViolation("outcome Schmidt spectra must be finite and normalized")
-    spectra = np.zeros(keep.shape + rows.shape[1:])
-    spectra[keep] = rows
-    return _Outcomes(probs, keep, pure, tops, spectra, groups, branches,
-                     int(np.count_nonzero(valid)) - len(trial))
+    return rows
+
+
+class _Outcomes(NamedTuple):
+    """Kept outcomes of one instrument on one pure input, in sorted label order.
+
+    An outcome is kept when its probability (``probs``, not renormalized)
+    exceeds ``OUTCOME_PROB_FLOOR``; ``dropped`` counts the others.
+    ``groups[x, k]`` says whether branch k feeds outcome x, ``tops`` names
+    each outcome's largest branch (the first on a tie) and ``pure`` marks
+    outcomes whose branches are all parallel to it.  ``branches`` holds every
+    branch and ``norms`` their Frobenius norms.
+    """
+
+    probs: np.ndarray
+    pure: np.ndarray
+    tops: np.ndarray
+    groups: np.ndarray
+    branches: np.ndarray
+    norms: np.ndarray
+    dropped: int
 
 
 def _instrument_outcomes(inst: ProductKrausInstrument, psi: PureBipartite) -> _Outcomes:
-    """The outcome kernel's one-trial case: ``inst`` applied to ``psi``,
-    with the outcome labels in sorted order as slots."""
+    """Outcomes of ``inst`` applied to ``psi``.
+
+    Branch k maps the amplitude matrix C to L_k C M_k^T and feeds outcome
+    ``inst.outcomes[k]``; one batched product forms every branch.  An outcome
+    is pure when every branch is parallel to its largest one.  The
+    instrument's completeness defect must be within ``COMPLETENESS_ATOL``.
+    """
     if (inst.dim_a, inst.dim_b) != (psi.dim_a, psi.dim_b):
         raise InvariantViolation("instrument and state dimensions differ")
+    if not inst.is_channel():
+        raise InvariantViolation(
+            f"completeness defect {inst.completeness_defect!r} exceeds tolerance")
     index = {x: i for i, x in enumerate(sorted(set(inst.outcomes)))}
-    labels = np.array([[index[x] for x in inst.outcomes]])
-    return _outcomes(inst.ls[None], inst.ms[None], labels, psi.amplitudes[None],
-                     np.array([inst.completeness_defect]))
+    labels = np.array([index[x] for x in inst.outcomes])
+    groups = labels == np.arange(len(index))[:, None]
+    branches = inst.ls @ psi.amplitudes @ inst.ms.swapaxes(-1, -2)
+    vecs = branches.reshape(len(branches), -1)
+    norms = np.linalg.norm(vecs, axis=-1)
+    norms2 = norms ** 2
+    probs = np.where(groups, norms2, 0.0).sum(axis=-1)
+    tops = np.where(groups, norms2, -1.0).argmax(axis=-1)
+    head = tops[labels]
+    overlaps = np.abs(np.einsum("ki,ki->k", vecs, vecs[head].conj())) ** 2
+    parallel = overlaps >= (1.0 - 1e-10) * norms2[head] * norms2
+    pure = ~(groups & ~parallel).any(axis=-1)
+    keep = probs > OUTCOME_PROB_FLOOR
+    return _Outcomes(probs[keep], pure[keep], tops[keep], groups[keep], branches, norms,
+                     len(keep) - int(np.count_nonzero(keep)))
 
 
 def apply_instrument(inst: ProductKrausInstrument, psi: PureBipartite) -> Ensemble:
@@ -252,36 +251,29 @@ def apply_instrument(inst: ProductKrausInstrument, psi: PureBipartite) -> Ensemb
     out = _instrument_outcomes(inst, psi)
     if out.dropped:
         logger.info("dropped %d probability-zero outcomes", out.dropped)
-    branches = out.branches[0]
-    vecs = branches.reshape(len(branches), -1)
-    members = []
-    for x in np.flatnonzero(out.keep[0]):
-        if out.pure[0, x]:
-            members.append(schmidt_decompose(branches[out.tops[0, x]]))
-        else:
-            group = vecs[out.groups[0, x]]
-            members.append(BipartiteState(*branches.shape[1:],
-                                          group.T @ group.conj() / out.probs[0, x]))
-    probs = out.probs[0, out.keep[0]]
-    return Ensemble(probs / np.sum(probs), tuple(members))
+    vecs = out.branches.reshape(len(out.branches), -1)
+    members = tuple(
+        schmidt_decompose(out.branches[top]) if pure
+        else BipartiteState(*out.branches.shape[1:],
+                            vecs[group].T @ vecs[group].conj() / prob)
+        for prob, pure, top, group in zip(out.probs, out.pure, out.tops, out.groups))
+    return Ensemble(out.probs / np.sum(out.probs), members)
 
 
-def _pure_weights(out: _Outcomes) -> np.ndarray:
-    """Outcome weights normalized within each trial, zero on slots not kept;
-    every kept outcome must be pure.
+def _trial_weights(probs: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Outcome weights of a stack of trials (T, X), normalized within each
+    trial, zero on slots not kept.
 
     Each trial's weights are divided by the sum of its own kept
-    probabilities, taken over exactly those: a sum over padded rows would
+    probabilities, taken over exactly those: a sum over zero slots would
     add in another order.
     """
-    if not out.pure[out.keep].all():
-        raise InvariantViolation("tail sums and entropies need pure outcome states")
-    weights = np.zeros(out.probs.shape)
-    counts = out.keep.sum(axis=1)
+    weights = np.zeros(probs.shape)
+    counts = keep.sum(axis=1)
     for count in set(counts.tolist()):
-        kept = out.keep & (counts == count)[:, None]
-        probs = out.probs[kept].reshape(-1, count)
-        weights[kept] = (probs / probs.sum(axis=1, keepdims=True)).reshape(-1)
+        kept = keep & (counts == count)[:, None]
+        rows = probs[kept].reshape(-1, count)
+        weights[kept] = (rows / rows.sum(axis=1, keepdims=True)).reshape(-1)
     return weights
 
 
@@ -293,20 +285,20 @@ class MajorizationReport:
     passed: bool
 
 
-def majorization_condition_check(psi: PureBipartite, ensemble: Ensemble,
-                                 atol: float = MARGIN_ATOL) -> MajorizationReport:
+def majorization_condition_check(psi: PureBipartite,
+                                 ensemble: Ensemble) -> MajorizationReport:
     """Margins tails_N(psi_A) - sum_x p(x) tails_N(phi_x_A).
 
     All members must be pure.  N runs from 0 (exactly zero margin for a
     channel) up to the largest marginal dimension; the check passes iff no
-    margin is below -atol.
+    margin is below -``MARGIN_ATOL``.
     """
     if not ensemble.all_pure():
         raise InvariantViolation("majorization margins need pure ensemble members")
     n_max = max(psi.dim_a, ensemble.dim_a)
     rows = _padded([member.schmidt.values for member in ensemble.members], n_max)
     margins = _margins(tail_sums(psi.schmidt, n_max + 1), ensemble.weights, rows)
-    return MajorizationReport(margins, bool(np.min(margins) >= -atol))
+    return MajorizationReport(margins, bool(np.min(margins) >= -MARGIN_ATOL))
 
 
 def _padded(rows, n: int) -> np.ndarray:
@@ -343,9 +335,10 @@ class TailDominanceResult:
 
 
 def tail_dominance_entropy_check(rho_spectrum: Spectrum, weights,
-                                 member_spectra, atol: float = 1e-9) -> TailDominanceResult:
+                                 member_spectra) -> TailDominanceResult:
     """If tail sums of rho dominate the weighted member tail sums at every
-    truncation point, the entropy of rho dominates the weighted mean entropy.
+    truncation point, the entropy of rho dominates the weighted mean entropy,
+    within ``ENTROPY_ATOL``.
 
     A violated precondition yields an inconclusive result (the implication
     is silent there), never a failure.
@@ -365,18 +358,19 @@ def tail_dominance_entropy_check(rho_spectrum: Spectrum, weights,
         return TailDominanceResult(False, False, math.nan, min_tail_margin)
     entropy_margin = von_neumann_entropy(rho_spectrum) - float(
         np.sum(w * np.array([von_neumann_entropy(s) for s in members])))
-    return TailDominanceResult(True, entropy_margin >= -atol,
+    return TailDominanceResult(True, entropy_margin >= -ENTROPY_ATOL,
                                entropy_margin, min_tail_margin)
 
 
-def entropy_monotonicity_check(psi: PureBipartite, inst: ProductKrausInstrument,
-                               atol: float = 1e-9) -> bool:
+def entropy_monotonicity_check(psi: PureBipartite, inst: ProductKrausInstrument) -> bool:
     """Marginal entropy never grows on average under a product-Kraus instrument
-    with pure outcomes: S(psi_A) >= sum_x p(x) S(phi_x_A) - atol."""
+    with pure outcomes: S(psi_A) >= sum_x p(x) S(phi_x_A) - ``ENTROPY_ATOL``."""
     out = _instrument_outcomes(inst, psi)
-    keep = out.keep[0]
-    avg = float((_pure_weights(out)[0, keep] * _row_entropies(out.spectra[0, keep])).sum())
-    return von_neumann_entropy(psi.schmidt) >= avg - atol
+    if not out.pure.all():
+        raise InvariantViolation("tail sums and entropies need pure outcome states")
+    spectra = _outcome_spectra(out.branches[out.tops], out.norms[out.tops])
+    avg = float((out.probs / np.sum(out.probs) * _row_entropies(spectra)).sum())
+    return von_neumann_entropy(psi.schmidt) >= avg - ENTROPY_ATOL
 
 
 def _inverse_sqrt_psd(m: np.ndarray) -> np.ndarray:
@@ -388,12 +382,17 @@ def _inverse_sqrt_psd(m: np.ndarray) -> np.ndarray:
 
 def _draw_kraus(rng: np.random.Generator, dim_a: int, dim_b: int, branches_a: int,
                 branches_b: int, conditioned: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian draws of a random product instrument, A side first: shapes
-    (1, branches_a, 2, d_A, d_A) and (copies, branches_b, 2, d_B, d_B), with
-    one B copy per A branch when ``conditioned``, else one."""
-    z_a = rng.standard_normal((1, branches_a, 2, dim_a, dim_a))
-    z_b = rng.standard_normal((branches_a if conditioned else 1, branches_b, 2,
-                               dim_b, dim_b))
+    """Gaussian draws of a random product instrument, A side first, zero-padded
+    to the branch grid: shapes (1, 3, 2, d_A, d_A) and (3, 3, 2, d_B, d_B).
+
+    The draws fill (1, branches_a, 2, d_A, d_A) and (copies, branches_b, 2,
+    d_B, d_B), with one B copy per A branch when ``conditioned``, else one.
+    """
+    z_a = np.zeros((1, _GRID, 2, dim_a, dim_a))
+    z_a[:, :branches_a] = rng.standard_normal((1, branches_a, 2, dim_a, dim_a))
+    copies = branches_a if conditioned else 1
+    z_b = np.zeros((_GRID, _GRID, 2, dim_b, dim_b))
+    z_b[:copies, :branches_b] = rng.standard_normal((copies, branches_b, 2, dim_b, dim_b))
     return z_a, z_b
 
 
@@ -401,24 +400,25 @@ def _local_kraus(z: np.ndarray) -> np.ndarray:
     """Complete local instruments from Gaussian draws z of shape
     (..., branches, 2, dim, dim): each copy's Kraus operators g_j are
     corrected by the inverse square root of sum_j g_j'g_j, giving shape
-    (..., branches, dim, dim).  Stacking copies changes no value."""
+    (..., branches, dim, dim).  A zero draw gives an exactly-zero operator,
+    and neither it nor stacking copies changes any other value."""
     gs = z[..., 0, :, :] + 1j * z[..., 1, :, :]
     corr = _inverse_sqrt_psd((gs.conj().swapaxes(-1, -2) @ gs).sum(axis=-3))
     return gs @ corr[..., None, :, :]
 
 
-def _branch_index(branches_a: int, branches_b: int,
-                  conditioned: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Which local operators make up each product branch.
+def _grid(ka: np.ndarray, kb: np.ndarray,
+          conditioned: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Product Kraus pairs of a stack of T trials on the 3 x 3 branch grid.
 
-    Branch i * branches_b + j pairs A operator i with B operator j of copy
-    i when ``conditioned`` (the B operators indexed copy by copy), else with
-    B operator j of the one shared copy.
+    ``ka`` (T, 1, 3, d_A, d_A) and ``kb`` (T, 3, 3, d_B, d_B) hold each
+    trial's local operators.  Branch k pairs A operator k // 3 with B
+    operator k % 3 of copy (k // 3) * conditioned[t], giving stacks
+    (T, 9, d_A, d_A) and (T, 9, d_B, d_B).
     """
-    l_index = np.repeat(np.arange(branches_a), branches_b)
-    if conditioned:
-        return l_index, np.arange(branches_a * branches_b)
-    return l_index, np.tile(np.arange(branches_b), branches_a)
+    k = np.arange(_GRID * _GRID)
+    copies = (k // _GRID) * conditioned[:, None]
+    return ka[:, 0, k // _GRID], kb[np.arange(len(kb))[:, None], copies, k % _GRID]
 
 
 def random_product_instrument(rng: np.random.Generator, dim_a: int, dim_b: int,
@@ -431,12 +431,17 @@ def random_product_instrument(rng: np.random.Generator, dim_a: int, dim_b: int,
     no rejection loop is needed).  With ``conditioned=True`` the B-side
     instrument differs per A-branch, which leaves the family product-Kraus
     complete since each conditional block sums to the identity on B.
+    ``branches_a`` and ``branches_b`` lie in [1, 3]; branch
+    i * branches_b + j pairs A operator i with B operator j.
     """
+    if not (1 <= branches_a <= _GRID and 1 <= branches_b <= _GRID):
+        raise ValueError(f"branch counts must lie in [1, {_GRID}], "
+                         f"got {branches_a!r} and {branches_b!r}")
     z_a, z_b = _draw_kraus(rng, dim_a, dim_b, branches_a, branches_b, conditioned)
-    l_index, m_index = _branch_index(branches_a, branches_b, conditioned)
-    ls = _local_kraus(z_a).reshape(-1, dim_a, dim_a)[l_index]
-    ms = _local_kraus(z_b).reshape(-1, dim_b, dim_b)[m_index]
-    return ProductKrausInstrument(ls, ms, tuple(range(len(ls))))
+    ls, ms = _grid(_local_kraus(z_a[None]), _local_kraus(z_b[None]), np.array([conditioned]))
+    k = np.arange(_GRID * _GRID)
+    real = (k // _GRID < branches_a) & (k % _GRID < branches_b)
+    return ProductKrausInstrument(ls[0, real], ms[0, real], tuple(range(branches_a * branches_b)))
 
 
 @dataclass(frozen=True)
@@ -455,104 +460,56 @@ class SweepReport:
     seed: int
 
 
-class _Draw(NamedTuple):
-    """Raw draws of one sweep trial: the real and imaginary parts of its
-    amplitude matrix and its instrument's Gaussian stacks."""
-
-    re: np.ndarray
-    im: np.ndarray
-    z_a: np.ndarray
-    z_b: np.ndarray
-    conditioned: bool
-
-
-def _draw(seed: int, trial: int, max_dim: int) -> _Draw:
-    """Raw arrays of one sweep trial from stream (seed, trial).
+def _draw(seed: int, trial: int, max_dim: int) -> tuple:
+    """Raw arrays of one sweep trial from stream (seed, trial): its amplitude
+    matrix, its instrument's Gaussian stacks on the grid and ``conditioned``.
 
     The order is that of ``random_pure_state`` followed by
-    ``random_product_instrument``: d_A, d_B, the amplitude matrix,
-    branches_a, branches_b, ``conditioned``, then the local Gaussians.
+    ``random_product_instrument``: d_A, d_B, the amplitude matrix (real part
+    first), branches_a, branches_b, ``conditioned``, then the local Gaussians.
     """
     rng = stream(seed, trial)
     da = int(rng.integers(2, max_dim + 1))
     db = int(rng.integers(2, max_dim + 1))
-    re = rng.standard_normal((da, db))
-    im = rng.standard_normal((da, db))
+    amplitudes = rng.standard_normal((da, db)) + 1j * rng.standard_normal((da, db))
     ba = int(rng.integers(2, 4))
     bb = int(rng.integers(2, 4))
     conditioned = bool(rng.integers(0, 2))
-    return _Draw(re, im, *_draw_kraus(rng, da, db, ba, bb, conditioned), conditioned)
-
-
-def _local_operators(draws: list) -> tuple[dict, list]:
-    """Every trial's local Kraus operators, built in one batch per
-    (dim, branches).
-
-    Returns one stack per dimension, ending in a zero operator that index -1
-    picks, and each trial's (L index, M index) arrays into the stacks of its
-    d_A and d_B, one entry per branch.
-    """
-    zs, counts, offsets = {}, {}, []
-    for d in draws:
-        trial = []
-        for z in (d.z_a, d.z_b):
-            key = (z.shape[-1], z.shape[1])
-            zs.setdefault(key, []).append(z)
-            trial.append((key, counts.get(key, 0)))
-            counts[key] = counts.get(key, 0) + len(z) * key[1]
-        offsets.append(trial)
-    stacks, base = {}, {}
-    for key in sorted(zs):
-        dim = key[0]
-        parts = stacks.setdefault(dim, [])
-        base[key] = sum(len(p) for p in parts)
-        parts.append(_local_kraus(np.concatenate(zs[key])).reshape(-1, dim, dim))
-    ops = {dim: np.concatenate(parts + [np.zeros((1, dim, dim))])
-           for dim, parts in stacks.items()}
-    index = []
-    for d, ((key_a, off_a), (key_b, off_b)) in zip(draws, offsets):
-        l_index, m_index = _branch_index(key_a[1], key_b[1], d.conditioned)
-        index.append((l_index + base[key_a] + off_a, m_index + base[key_b] + off_b))
-    return ops, index
+    return (amplitudes, *_draw_kraus(rng, da, db, ba, bb, conditioned), conditioned)
 
 
 def _sweep_block(draws: list) -> tuple[np.ndarray, np.ndarray]:
     """Smallest tail-sum margin and completeness defect of each drawn trial.
 
-    Trials sharing (d_A, d_B) run as one stack: their branches are padded to
-    the group's largest branch count with zero operators, which feed no
-    outcome.  Completeness matrices are formed trial by trial (a stacked sum
-    of Kronecker products adds in another order); their eigenvalues come
-    from one batched call.
+    Trials sharing (d_A, d_B) run as one stack on the branch grid, each
+    branch its own outcome.  Completeness matrices are formed trial by trial
+    (a stacked sum of Kronecker products adds in another order); their
+    eigenvalues come from one batched call.
     """
-    ops, index = _local_operators(draws)
     margins = np.empty(len(draws))
     defects = np.empty(len(draws))
     by_dims = {}
     for i, d in enumerate(draws):
-        by_dims.setdefault(d.re.shape, []).append(i)
-    for (da, db), trials in by_dims.items():
-        counts = [len(index[i][0]) for i in trials]
-        l_index = np.full((len(trials), max(counts)), -1)
-        m_index = np.full(l_index.shape, -1)
-        labels = np.full(l_index.shape, -1)
-        for row, (i, k) in enumerate(zip(trials, counts)):
-            l_index[row, :k], m_index[row, :k] = index[i]
-            labels[row, :k] = np.arange(k)
-        ls, ms = ops[da][l_index], ops[db][m_index]
+        by_dims.setdefault(d[0].shape, []).append(i)
+    for trials in by_dims.values():
+        amplitudes, z_a, z_b, conditioned = map(np.stack, zip(*(draws[i] for i in trials)))
+        ls, ms = _grid(_local_kraus(z_a), _local_kraus(z_b), conditioned)
         group_defects = _completeness_defects(np.stack(
-            [_completeness_matrix(l[:k], m[:k]) for l, m, k in zip(ls, ms, counts)]))
-        amplitudes = _unit_amplitudes(np.stack([draws[i].re for i in trials])
-                                      + 1j * np.stack([draws[i].im for i in trials]))
-        schmidt = _checked_rows(_schmidt_rows(amplitudes), normalized=True)
-        out = _outcomes(ls, ms, labels, amplitudes, group_defects)
-        # the instruments are square, so both sides' spectra fit in d_A values
-        lhs = np.zeros((len(trials), da))
-        lhs[:, :schmidt.shape[1]] = schmidt
-        rows = np.zeros(out.spectra.shape[:2] + (da,))
-        rows[..., :out.spectra.shape[2]] = out.spectra
-        group_margins = _margins(_suffix_sums(lhs), _pure_weights(out), rows)
-        margins[trials] = group_margins.min(axis=1)
+            [_completeness_matrix(l, m) for l, m in zip(ls, ms)]))
+        if not (group_defects <= COMPLETENESS_ATOL).all():
+            raise InvariantViolation(
+                f"completeness defect {float(np.max(group_defects))!r} exceeds tolerance")
+        amplitudes = _unit_amplitudes(amplitudes)
+        lhs = _checked_rows(_schmidt_rows(amplitudes), normalized=True)
+        branches = ls @ amplitudes[:, None] @ ms.swapaxes(-1, -2)
+        norms = np.linalg.norm(branches.reshape(branches.shape[:2] + (-1,)), axis=-1)
+        probs = norms ** 2
+        keep = probs > OUTCOME_PROB_FLOOR
+        # the instruments are square, so every spectrum has min(d_A, d_B) values
+        rows = np.zeros(keep.shape + lhs.shape[1:])
+        rows[keep] = _outcome_spectra(branches[keep], norms[keep])
+        margins[trials] = _margins(_suffix_sums(lhs), _trial_weights(probs, keep),
+                                   rows).min(axis=1)
         defects[trials] = group_defects
     return margins, defects
 
@@ -573,19 +530,22 @@ def majorization_sweep(trials: int, max_dim: int, seed: int,
 
     Trial t draws its state and instrument from its own stream (seed, t),
     in the order ``random_pure_state`` and ``random_product_instrument``
-    draw them, and no state or instrument object is built.  Trials are
-    computed ``_BLOCK`` at a time, so memory does not grow with ``trials``.
-    Within a block, the trials of each (d_A, d_B) share one batched product,
-    SVD and eigenvalue call per step, and every sum adds in the order a
-    one-trial computation adds.  So a trial's margin and defect are the same
-    bits whichever trials share its block, and the report is reproducible
-    bit for bit.  ``threads`` is accepted for compatibility and unused.
-    ``trials`` must lie in [1, MAX_TRIALS].
+    draw them, and no state or instrument object is built.  Each instrument
+    is laid out on a 3 x 3 branch grid, 3 A branches by 3 B branches, whose
+    branches it does not draw are exactly zero and feed probability-0
+    outcomes, which are dropped.  Trials are computed ``_BLOCK`` at a time,
+    so memory does not grow with ``trials``.  Within a block, the trials of
+    each (d_A, d_B) share one batched product, SVD and eigenvalue call per
+    step, and every sum adds in the order a one-trial computation adds.  So
+    a trial's margin and defect are the same bits whichever trials share
+    its block, and the report is reproducible bit for bit.  ``threads`` is
+    accepted for compatibility and unused.  ``trials`` must lie in
+    [1, MAX_TRIALS] and ``max_dim`` in [2, MAX_DIM].
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials!r}")
-    if max_dim < 2:
-        raise ValueError("need max_dim >= 2")
+    if not 2 <= max_dim <= MAX_DIM:
+        raise ValueError(f"max_dim must lie in [2, {MAX_DIM}], got {max_dim!r}")
     margins, defects = _sweep_trials(seed, trials, max_dim)
     worst = int(np.argmin(margins))
     failures = int(np.sum(margins < -MARGIN_ATOL))

@@ -639,6 +639,7 @@ def test_gibbs_at_subnormal_beta_exits_cleanly(hamiltonian, beta):
     _with(_EOF, ("params", "ensemble_size"), 257),
     _with(_CONVERSE, ("params", "ensemble_size"), 257),
     {"command": "majorization-check", "params": {"trials": 2 ** 50, "max_dim": 3}},
+    {"command": "majorization-check", "params": {"trials": 1, "max_dim": 17}},
 ])
 def test_config_value_of_wrong_type_or_range_is_schema_error(config):
     # each of these ran on a coerced value (1.9 as 1, "1" as 1.0, a scalar
@@ -649,7 +650,8 @@ def test_config_value_of_wrong_type_or_range_is_schema_error(config):
     # allocate nothing and never finish; -1 was printed as given), or on a
     # trial count above majorization.MAX_TRIALS (2^50 trials never finish),
     # or on iterations outside [0, eof.MAX_ITERATIONS] (-1 exited on a NumPy
-    # message) or an ensemble_size above eof.MAX_ENSEMBLE_SIZE = 256
+    # message) or an ensemble_size above eof.MAX_ENSEMBLE_SIZE = 256, or on
+    # a max_dim above majorization.MAX_DIM = 16
     code, out, err, _ = _run_main(config)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["kind"] == "schema"

@@ -31,6 +31,7 @@ from entcost.majorization import (
     _draw,
     _instrument_outcomes,
     _inverse_sqrt_psd,
+    _outcome_spectra,
     _sweep_block,
     _sweep_trials,
 )
@@ -305,7 +306,7 @@ def test_outcome_spectra_match_schmidt_decompose():
         out = _instrument_outcomes(inst, psi)
         heads = _largest_branches(inst, psi)
         dropped += out.dropped
-        spectra = out.spectra[0][out.keep[0]]
+        spectra = _outcome_spectra(out.branches[out.tops], out.norms[out.tops])
         assert len(spectra) == len(heads)
         for row, head in zip(spectra, heads):
             want = schmidt_decompose(head).schmidt.values
@@ -452,6 +453,38 @@ def test_sweep_trial_count_is_bounded_before_any_draw(monkeypatch):
             majorization_sweep(trials, max_dim=3, seed=0)
     with pytest.raises(ValueError):
         majorization_sweep(1, max_dim=1, seed=0)
+
+
+def test_sweep_dimension_is_bounded_before_any_draw(monkeypatch):
+    # max_dim = 10**6 would ask for hundreds of GiB; it must never be drawn
+    assert majorization_sweep(2, max_dim=majorization.MAX_DIM, seed=0).failures == 0
+
+    def refuse(*args):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(majorization, "stream", refuse)
+    for max_dim in (1, majorization.MAX_DIM + 1, 10 ** 6):
+        with pytest.raises(ValueError, match="max_dim"):
+            majorization_sweep(1, max_dim=max_dim, seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_non_finite_kraus_operators_are_invariant_violations(bad):
+    # a NaN or inf entry used to warn in the completeness sum and then fail
+    # the eigensolve with LinAlgError
+    p0, p1, eye = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)
+    broken = np.array(p1, dtype=complex)
+    broken[0, 1] = bad
+    with pytest.raises(InvariantViolation, match="finite"):
+        ProductKrausInstrument((p0, broken), (eye, eye), (0, 1))
+    with pytest.raises(InvariantViolation, match="finite"):
+        ProductKrausInstrument((p0, p1), (eye, broken), (0, 1))
+
+
+@pytest.mark.parametrize("branches", [(0, 2), (2, 0), (4, 2), (2, 4)])
+def test_random_instrument_branches_lie_on_the_grid(branches):
+    with pytest.raises(ValueError, match="branch counts"):
+        random_product_instrument(stream(21, 13), 2, 2, *branches)
 
 
 @pytest.mark.parametrize("weights", [[math.nan, 1.0], [1.0, math.nan], [math.nan, math.nan]])

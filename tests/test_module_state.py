@@ -40,20 +40,15 @@ OPTIONAL_PARAMETERS = {
     "aep_bounds_check": ["bound_delta"],
     "beta_of_energy": ["rtol"],
     "curtailed_binomial_sample": ["size", "seed"],
-    "entropy_monotonicity_check": ["atol"],
     "entropy_tail_uncertainty": ["dim_bound"],
     "eof_estimate": ["ensemble_size", "restarts", "iterations", "seed"],
     "harmonic_oscillator": ["levels"],
-    "majorization_condition_check": ["atol"],
     "majorization_sweep": ["threads"],
     "pure_dilution": ["mode", "samples", "seed"],
     "random_density_state": ["rank"],
     "random_product_instrument": ["branches_a", "branches_b", "conditioned"],
     "regularized_probe": ["n_max"],
-    "schur_horn_check": ["atol"],
     "strong_typical_mass": ["mode", "samples", "seed"],
-    "tail_dominance_entropy_check": ["atol"],
-    "tail_sum_operator_inequality": ["atol"],
     "weak_typical_mass": ["mode", "samples", "seed"],
 }
 
