@@ -235,6 +235,10 @@ def eof_estimate(rho: BipartiteState, ensemble_size: int | None = None,
     MAX_ITERATIONS] and ``ensemble_size`` at most MAX_ENSEMBLE_SIZE; each is
     checked before any work.  An ``ensemble_size`` below the rank raises
     ``InvariantViolation``.
+
+    The search is deterministic in its options and its result is immutable,
+    so it runs once per (state object, options): the state keeps each
+    estimate, and a repeat call returns the same object.
     """
     if not 0 <= restarts <= MAX_RESTARTS:
         raise ValueError(f"restarts must lie in [0, {MAX_RESTARTS}], got {restarts!r}")
@@ -244,6 +248,18 @@ def eof_estimate(rho: BipartiteState, ensemble_size: int | None = None,
     if ensemble_size is not None and ensemble_size > MAX_ENSEMBLE_SIZE:
         raise ValueError(f"ensemble_size must be at most {MAX_ENSEMBLE_SIZE}, "
                          f"got {ensemble_size!r}")
+    key = (ensemble_size, restarts, iterations, int(seed))
+    est = rho._estimates.get(key)
+    if est is None:
+        # threads that race here compute equal results; setdefault keeps the first
+        est = rho._estimates.setdefault(
+            key, _search(rho, ensemble_size, restarts, iterations, seed))
+    return est
+
+
+def _search(rho: BipartiteState, ensemble_size: int | None, restarts: int,
+            iterations: int, seed: int) -> EofEstimate:
+    """The annealed search behind ``eof_estimate``, on checked options."""
     frame = _spectral_frame(rho)
     r = frame.shape[1]
     m = int(ensemble_size) if ensemble_size is not None else 2 * r
@@ -307,6 +323,7 @@ def eof_surrogate_for_copies(rho: BipartiteState, n: int,
     The flag is "pure-exact" when the estimate's decomposition has one
     member, which happens exactly for rank-1 states; their formation value
     is additive, so the product is exact.  Otherwise it is "estimate-upper".
+    The estimate is taken once per (state object, options), whatever n is.
     """
     if n < 1:
         raise ValueError("n must be positive")

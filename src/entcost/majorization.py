@@ -68,7 +68,8 @@ class ProductKrausInstrument:
     every entry is finite.  ``outcomes[k]`` names the measurement record
     branch k feeds into (coarse-graining); the finest graining gives every
     branch its own outcome.  ``completeness_defect`` is the operator-norm
-    distance of sum_k L_k'L_k (x) M_k'M_k from the identity.
+    distance of sum_k L_k'L_k (x) M_k'M_k from the identity, a sum that
+    must not overflow.
     """
 
     ls: np.ndarray
@@ -91,7 +92,13 @@ class ProductKrausInstrument:
         outcomes = tuple(self.outcomes) if self.outcomes else tuple(range(len(ls)))
         if len(outcomes) != len(ls):
             raise InvariantViolation("outcome labels must align with the Kraus pairs")
-        defect = float(_completeness_defects(_completeness_matrix(ls, ms)))
+        # finite entries whose squares overflow make an infinite sum, which
+        # the eigensolver cannot take
+        with np.errstate(over="ignore", invalid="ignore"):
+            completeness = _completeness_matrix(ls, ms)
+        if not np.isfinite(completeness).all():
+            raise InvariantViolation("Kraus operators overflow the completeness sum")
+        defect = float(_completeness_defects(completeness))
         ls.setflags(write=False)
         ms.setflags(write=False)
         object.__setattr__(self, "ls", ls)

@@ -5,7 +5,8 @@ in-principle infinite-dimensional object: eigenvalue spectra with declared
 tail mass, bipartite density operators, pure states with cached Schmidt
 coefficients, and weighted ensembles.  Constructors validate their numeric
 invariants once; instances are immutable afterwards and safe to share
-across threads.
+across threads.  A bipartite state also carries the convex-roof estimates
+taken of it, each a deterministic function of the state and its options.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ class BipartiteState:
 
     The constructor symmetrizes the matrix as (x + x')/2 before validating,
     so inputs that are Hermitian only up to roundoff are accepted.  Basis
-    ordering is row-major: index i*dim_b + j carries |i>_A |j>_B.
+    ordering is row-major: index i*dim_b + j carries |i>_A |j>_B.  The
+    state keeps each ``eof_estimate`` taken of it, keyed by the options.
     """
 
     dim_a: int
@@ -137,6 +139,10 @@ class BipartiteState:
         if abs(tr - 1.0) > TRACE_ATOL:
             raise InvariantViolation(f"state trace is {tr!r}")
         object.__setattr__(self, "matrix", _readonly(m))
+        # eof_estimate's results by their options: derived from the matrix,
+        # like a pure state's Schmidt spectrum, and no field, so repr and ==
+        # never see it
+        object.__setattr__(self, "_estimates", {})
 
     def spectrum(self) -> Spectrum:
         eig = np.linalg.eigvalsh(self.matrix)[::-1]

@@ -1,5 +1,6 @@
 """Dilution ledgers, mixing-driven convexity, and the converse chain."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -21,7 +22,10 @@ from entcost import (
     harmonic_oscillator,
     mixed_dilution_rate,
     pure_dilution,
+    random_density_state,
+    regularized_probe,
     schmidt_decompose,
+    stream,
 )
 from entcost import dilution
 from entcost.typicality import SourceDistribution, _log2_prob, _members
@@ -293,6 +297,23 @@ def test_converse_terms_decrease_with_epsilon():
     assert all(a > b for a, b in zip(gs, gs[1:]))
     lowers = [r.rate_lower_bound for r in reports]
     assert all(a < b for a, b in zip(lowers, lowers[1:]))
+
+
+def test_a_converse_grid_on_one_state_anneals_once(anneals):
+    # the probe's one-copy search (one restart plus the polish) serves all
+    # nine converse points; the 4 x 4 two-copy search is the probe's own
+    rho = random_density_state(stream(31, 14), 2, 2, rank=2)
+    options = {"restarts": 1, "iterations": 300, "seed": 5}
+    regularized_probe(rho, 2, **options)
+    grid = [(n, eps) for n in (1, 2, 3) for eps in (1e-2, 1e-3, 1e-4)]
+    reports = [converse_bound(rho, 1.0, eps, harmonic_oscillator(), n, **options)
+               for n, eps in grid]
+    assert anneals == [4, 4, 8, 8]
+    for (n, eps), rep in zip(grid, reports):
+        fresh = BipartiteState(rho.dim_a, rho.dim_b, rho.matrix)
+        want = converse_bound(fresh, 1.0, eps, harmonic_oscillator(), n, **options)
+        assert dataclasses.astuple(rep) == dataclasses.astuple(want)
+    assert rep.surrogate_kind == "estimate-upper"
 
 
 def test_converse_pure_target_uses_exact_surrogate():

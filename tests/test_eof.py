@@ -1,6 +1,9 @@
 """Formation-cost estimation by annealed decomposition search."""
 
+import dataclasses
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -209,6 +212,92 @@ def test_estimates_are_pinned_bit_for_bit():
             h.update(m.amplitudes.tobytes())
         got = (est.upper_bound_bits.hex(), est.converged, h.hexdigest()[:16])
         assert got == (bits, converged, digest), label
+
+
+def _pinned_state(t, label, da, db, rank):
+    rho = random_density_state(stream(37, t), da, db, rank=rank)
+    return tensor_state(rho, rho) if label == "4x4-two-copy" else rho
+
+
+def _pinned_fields(est):
+    h = hashlib.sha256(est.decomposition.weights.tobytes())
+    for m in est.decomposition.members:
+        h.update(m.amplitudes.tobytes())
+    return est.upper_bound_bits.hex(), est.converged, h.hexdigest()[:16]
+
+
+def test_a_repeat_estimate_is_the_pinned_one_and_runs_no_search(anneals):
+    # the state keeps each estimate by its options: a repeat call on the
+    # same object returns the pinned result without annealing, a freshly
+    # built state anneals again to the same bits, and other options are
+    # their own entry (restarts=1 anneals twice, one restart and the polish,
+    # and restarts=2 after it three more times)
+    for t, (label, da, db, rank, bits, converged, digest) in enumerate(_PINNED):
+        rho = _pinned_state(t, label, da, db, rank)
+        first = eof_estimate(rho, restarts=2, iterations=800, seed=t)
+        assert (_pinned_fields(first), len(anneals)) == ((bits, converged, digest), 3), label
+        again = eof_estimate(rho, restarts=2, iterations=800, seed=t)
+        assert again is first and len(anneals) == 3, label
+
+        fresh = _pinned_state(t, label, da, db, rank)
+        one = eof_estimate(fresh, restarts=1, iterations=800, seed=t)
+        assert len(anneals) == 5, label
+        two = eof_estimate(fresh, restarts=2, iterations=800, seed=t)
+        assert (_pinned_fields(two), len(anneals)) == ((bits, converged, digest), 8), label
+        assert eof_estimate(fresh, restarts=1, iterations=800, seed=t) is one
+        assert len(anneals) == 8, label
+        anneals.clear()
+
+
+def test_limits_are_checked_on_every_call_after_an_estimate():
+    rho = random_density_state(stream(31, 12), 2, 2, rank=2)
+    est = eof_estimate(rho, restarts=1, iterations=50, seed=4)
+    for key, value in (("restarts", -1), ("iterations", eof.MAX_ITERATIONS + 1),
+                       ("ensemble_size", eof.MAX_ENSEMBLE_SIZE + 1)):
+        with pytest.raises(ValueError, match=key):
+            eof_estimate(rho, seed=4, **{"restarts": 1, "iterations": 50, key: value})
+    assert eof_estimate(rho, restarts=1, iterations=50, seed=4) is est
+
+
+def test_threads_sharing_a_state_all_get_the_kept_estimate():
+    # threads racing on a first call may each anneal, but every caller gets
+    # the one object the state keeps, equal to a fresh state's estimate
+    rho = random_density_state(stream(31, 15), 2, 2, rank=2)
+    options = {"restarts": 1, "iterations": 200, "seed": 6}
+    want = eof_estimate(BipartiteState(2, 2, rho.matrix), **options)
+    barrier, results = threading.Barrier(8), []
+
+    def work():
+        barrier.wait(timeout=10)
+        results.append(eof_estimate(rho, **options))
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    kept = eof_estimate(rho, **options)
+    assert len(results) == 8 and all(r is kept for r in results)
+    assert _pinned_fields(kept) == _pinned_fields(want)
+
+
+def test_kept_estimates_are_not_part_of_the_state_value():
+    rho = random_density_state(stream(31, 13), 2, 2, rank=2)
+    before = repr(rho)
+    eof_estimate(rho, restarts=1, iterations=50)
+    assert repr(rho) == before
+    assert [f.name for f in dataclasses.fields(BipartiteState)] == ["dim_a", "dim_b", "matrix"]
+    # equality is the dataclass's field comparison, as before: an object
+    # equals itself, and two states compare their arrays, whose truth value
+    # is ambiguous
+    assert rho == rho
+    with pytest.raises(ValueError, match="ambiguous"):
+        rho == BipartiteState(2, 2, rho.matrix)
 
 
 def _member_entropy(c: np.ndarray) -> float:

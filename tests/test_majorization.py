@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -479,6 +480,24 @@ def test_non_finite_kraus_operators_are_invariant_violations(bad):
         ProductKrausInstrument((p0, broken), (eye, eye), (0, 1))
     with pytest.raises(InvariantViolation, match="finite"):
         ProductKrausInstrument((p0, p1), (eye, broken), (0, 1))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e155, 1e154])
+def test_kraus_operators_whose_completeness_sum_overflows_are_invariant_violations(scale):
+    # finite entries whose squares overflow warned "overflow encountered in
+    # matmul" and then failed the eigensolve with LinAlgError; at 1e154 the
+    # squares fit and their Hermitian symmetrization overflows
+    eye = np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match="overflow"):
+            ProductKrausInstrument((eye * scale,), (eye,), (0,))
+        with pytest.raises(InvariantViolation, match="overflow"):
+            ProductKrausInstrument((eye, eye), (eye, eye * complex(0.0, scale)), (0, 1))
+        # the largest scale whose sum fits still gives a finite defect
+        big = ProductKrausInstrument((eye * 1e153,), (eye,), (0,))
+    assert big.completeness_defect == pytest.approx(1e306)
+    assert not big.is_channel()
 
 
 @pytest.mark.parametrize("branches", [(0, 2), (2, 0), (4, 2), (2, 4)])

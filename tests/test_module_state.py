@@ -1,6 +1,8 @@
 """The package keeps no mutable module state, so no result depends on call
-order or on threads: no module under ``src/entcost`` rebinds a global.  Its
-export list names exactly the public names it binds, and each public
+order or on threads: no module under ``src/entcost`` rebinds a global or
+memoises into a module-level cache.  A result worth keeping is kept on the
+value object it derives from, as a state keeps its convex-roof estimates.
+Its export list names exactly the public names it binds, and each public
 function's optional parameters are pinned, so a new knob is a reviewed
 change to this file."""
 
@@ -22,6 +24,84 @@ def test_no_module_has_a_global_statement():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Global)]
     assert found == []
+
+
+# the one module-level memo: the commit hash the CLI prints, fixed for the
+# life of a process
+MEMOISED = {"cli._git_hash"}
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+_MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault", "pop",
+             "popitem", "clear", "remove", "discard"}
+
+
+def _name(node) -> str | None:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _module_caches(tree: ast.Module, module: str) -> set:
+    """Functions decorated with functools.cache or lru_cache, and module-level
+    dicts, lists and sets that the module writes to after binding them."""
+    found = {f"{module}.{node.name}" for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for dec in node.decorator_list
+             if _name(dec.func if isinstance(dec, ast.Call) else dec)
+             in ("cache", "lru_cache")}
+    containers = set()
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        value = node.value
+        if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                              ast.SetComp)) or (isinstance(value, ast.Call)
+                                                and _name(value.func) in _CONTAINER_CALLS):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            containers |= {t.id for t in targets if isinstance(t, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            written = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _MUTATORS:
+            written = node.func.value
+        else:
+            continue
+        if isinstance(written, ast.Name) and written.id in containers:
+            found.add(f"{module}.{written.id}")
+    return found
+
+
+def test_the_cache_check_sees_each_form():
+    source = """
+import functools
+from functools import lru_cache
+_SEEN = {}
+_ORDER = []
+_TABLE = {"a": 1}
+_GONE = dict(a=1)
+_TYPED: set = set()
+
+@functools.cache
+def a(): ...
+
+@lru_cache(maxsize=None)
+def b(): ...
+
+def c(k):
+    _SEEN[k] = 1
+    _ORDER.append(k)
+    del _GONE["a"]
+    _TYPED.add(k)
+    return _TABLE[k]
+"""
+    assert _module_caches(ast.parse(source), "m") == {"m.a", "m.b", "m._SEEN", "m._ORDER",
+                                                      "m._GONE", "m._TYPED"}
+
+
+def test_no_module_memoises_at_module_level():
+    found = set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        module = ".".join(path.relative_to(SOURCE).with_suffix("").parts)
+        found |= _module_caches(ast.parse(path.read_text(), filename=str(path)), module)
+    assert found == MEMOISED
 
 
 def test_export_list_is_sorted_complete_and_resolves():
