@@ -1,5 +1,6 @@
 """Typical-set masses: exact type census, Monte Carlo, and rate bounds."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -16,6 +17,7 @@ from entcost import (
     SourceDistribution,
     Spectrum,
     aep_bounds_check,
+    dilution_sweep,
     is_weakly_typical,
     pure_dilution,
     strong_typical_mass,
@@ -485,3 +487,69 @@ def test_sequence_membership_is_the_census_membership():
             for i in rows:
                 seq = np.repeat(np.arange(len(probs)), counts[i])
                 assert is_weakly_typical(dist, seq, delta) == member[i], (probs, counts[i], delta)
+
+
+def _seeded_source(seed):
+    return np.sort(np.random.default_rng(seed).dirichlet(np.ones(3)))[::-1].tolist()
+
+
+# (probabilities, n, deltas): K = 1; uniform sources, which cut no type, in
+# one block and in several; a zero-probability symbol; single blocks with and
+# without a cut; tables of more than 32 768 types; and the regime where
+# 1 - mass <= 1e-6, in one block and in several
+_PIN_GRID = [
+    ([1.0], 5, (0.0, 0.1)),
+    ([0.5, 0.5], 50, (0.05,)),
+    ([0.6, 0.0, 0.4], 30, (0.1, 0.3)),
+    ([0.8, 0.2], 84, (0.05, 0.1)),
+    ([0.75, 0.25], 300, (0.3,)),
+    ([0.5, 0.3, 0.2], 180, (0.05, 0.7)),
+    ([1 / 3, 1 / 3, 1 / 3], 300, (0.05,)),
+    ([0.5, 0.3, 0.2], 300, (0.05,)),
+    ([0.4, 0.3, 0.2, 0.1], 60, (0.1,)),
+    (_seeded_source(1), 240, (0.8,)),
+    (_seeded_source(2), 240, (0.8,)),
+]
+
+
+def _hexes(*values):
+    return ",".join(v.hex() if isinstance(v, float) else repr(v) for v in values)
+
+
+def _census_pin_digests():
+    """SHA-256 digests of every census result over the pin grid, one per
+    function, floats taken by float.hex."""
+    seen = {name: hashlib.sha256() for name in
+            ("weak", "strong", "census", "aep", "dilution", "mc")}
+    for probs, n, deltas in _PIN_GRID:
+        dist = SourceDistribution(np.array(probs))
+        spec = Spectrum.from_unsorted(np.array(probs))
+        for delta in deltas:
+            for name, fn in (("weak", weak_typical_mass), ("strong", strong_typical_mass)):
+                r = fn(dist, n, delta)
+                seen[name].update(_hexes(r.mass, r.log2_cardinality_bound, r.mass_low,
+                                         r.mass_high).encode())
+            seen["census"].update(_hexes(*weak_typical_census(dist, n, delta)).encode())
+            seen["aep"].update(_hexes(aep_bounds_check(dist, n, delta),
+                                      aep_bounds_check(dist, n, delta, delta / 2)).encode())
+            for t in dilution_sweep(spec, delta, [n, n // 2 + 1]):
+                seen["dilution"].update(_hexes(t.ebits, t.error, t.error_high).encode())
+            if n <= 84:
+                for fn in (weak_typical_mass, strong_typical_mass):
+                    r = fn(dist, n, delta, mode="mc", samples=3000, seed=n)
+                    seen["mc"].update(_hexes(r.mass, r.mass_low, r.mass_high).encode())
+                t = pure_dilution(spec, delta, n, mode="mc", samples=3000, seed=n)
+                seen["mc"].update(_hexes(t.ebits, t.error, t.error_high).encode())
+    return {name: h.hexdigest() for name, h in seen.items()}
+
+
+def test_census_results_are_pinned_bit_for_bit():
+    # digests taken from the census of four loops over the type table,
+    # before weak, strong, AEP and dilution shared one reader and one sum
+    assert _census_pin_digests() == {
+        "weak": "dbfa58d3d4d2f964a97714a9cbb182fa3c32e005fc1e835e9d72c694f8f0c1e4",
+        "strong": "8860feaeddf89b28d5b1386a978d2bc99282f6ff6e6c61e3c6ca0a26a92bc4b4",
+        "census": "45507d22abef75fbff74049786468e37b0ce9e7f73be097203a6a811c21d5e39",
+        "aep": "eb55c570b4f2dc33de61d38527121f4736e5b7b7f0cc4e868f327c29da5bbe23",
+        "dilution": "00b3fb8576f1974f66bab540eae588a079c7593cb03ec3350dd3a53da5d1d75b",
+        "mc": "abec93f3750202724dae63eec8f07b65e9b5feb3882e3e7b983327128448a55e"}
