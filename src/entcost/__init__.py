@@ -31,8 +31,8 @@ Capabilities, by module:
   on call order.
 
 Fixed limits and probe grids are module constants, not parameters:
-``typicality.MAX_TYPES``, ``eof.MAX_RANK``, ``eof.MAX_RESTARTS``,
-``eof.MAX_ITERATIONS``, ``eof.MAX_ENSEMBLE_SIZE``,
+``typicality.MAX_TYPES``, ``typicality.MAX_SAMPLES``, ``eof.MAX_RANK``,
+``eof.MAX_RESTARTS``, ``eof.MAX_ITERATIONS``, ``eof.MAX_ENSEMBLE_SIZE``,
 ``majorization.MAX_TRIALS``, ``majorization.MAX_DIM``, the tolerances
 ``majorization.MARGIN_ATOL``, ``OPERATOR_ATOL``, ``ENTROPY_ATOL`` and
 ``COMPLETENESS_ATOL``, and ``gibbs.DEFAULT_BETA_GRID``.

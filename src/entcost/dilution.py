@@ -5,9 +5,9 @@ one ebit per qubit of the typical subspace, so the ledger of a block is
 ceil(log2 |W_delta|) ebits (capped by ceil(n(S + delta))) and, under the
 teleportation convention adopted here, two classical bits per ebit.  The
 approximation error of projecting onto the typical subspace is exactly
-sqrt(1 - mass(W_delta)) in trace distance; where 1 - mass is small, the
-mass outside W_delta is summed over its types directly, not subtracted
-from 1.
+sqrt(1 - mass(W_delta)) in trace distance; the count and the error come
+from one ``typicality`` census, which sums the mass outside W_delta over
+its types directly where 1 - mass is small, not subtracted from 1.
 
 Mixed targets are diluted member-by-member from a pure decomposition; the
 rare part beyond a cutoff is prepared wastefully and only contributes
@@ -39,14 +39,9 @@ from .spectra import (
 from .typicality import (
     SourceDistribution,
     _binomial_weights,
-    _ln_cut_mass,
-    weak_typical_census,
+    _census,
     weak_typical_mass,
 )
-
-# below this 1 - mass, sqrt(1 - mass) keeps fewer than about 8 correct digits,
-# so the exact error is summed over the cut types instead
-_DIRECT_CUT_MASS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -116,20 +111,13 @@ def _dilute(target: PureBipartite | Spectrum, delta: float, ns,
     if not 0.0 <= delta < math.inf or any(n < 1 for n in ns):
         raise ValueError("need a finite delta >= 0 and n >= 1")
     dist = SourceDistribution(_schmidt_of(target).stripped().values)
-    h, k_pos = dist.entropy_bits, int(np.count_nonzero(dist.probs))
+    h = dist.entropy_bits
     traces = []
     for n in ns:
         cap = math.ceil(n * (h + delta)) if h + delta > 0.0 else 0
         if mode == "exact":
-            mass, count = weak_typical_census(dist, n, delta)
+            _, count, error = _census(dist, n, delta, "weak")
             ebits = min((count - 1).bit_length(), cap) if count > 0 else 0
-            if count == k_pos ** n:  # no type that carries mass is cut
-                error = 0.0
-            elif 1.0 - mass > _DIRECT_CUT_MASS:
-                error = math.sqrt(1.0 - mass)
-            else:  # 1 - mass would cancel: sum the cut types themselves
-                ln_cut = _ln_cut_mass(dist, n, delta, "weak")
-                error = max(math.exp(0.5 * ln_cut), math.ulp(0.0))
             error_high, kind = error, "exact"
         elif mode == "mc":
             report = weak_typical_mass(dist, n, delta, mode="mc",

@@ -2,12 +2,16 @@
 
 Exact masses and cardinalities come from one census of the empirical types
 (compositions of n into K parts), built as integer count matrices in bounded
-blocks.  Every sequence of a type has the same probability, so a set's mass
-is the sum over its types of multinomial(n; c) * prod_i p_i^c_i.  Each
-multinomial is one exact integer, walked along binomial rows: the integers
-sum to the set's cardinality, and a type's mass is exp(ln multinomial +
-ln p(x^n)).  A single sequence is weakly typical exactly when its type is a
-member of the census's weak set.  Where the types are too many to
+blocks.  One reader walks that table and judges each block of types; one
+sum over it serves the weak and strong masses, the AEP check and dilution.
+Every sequence of a type has the same probability, so a set's mass is the
+sum over its types of multinomial(n; c) * prod_i p_i^c_i.  Each multinomial
+is one exact integer, walked along binomial rows: the integers sum to the
+set's cardinality, and a type's mass is exp(ln multinomial + ln p(x^n)).
+The same sum gives dilution's error, the square root of the cut mass: below
+1 - mass = 1e-6 it sums the cut types directly.  A single sequence is
+judged by the census's rule, so it is weakly typical exactly when its type
+is a member of the census's weak set.  Where the types are too many to
 enumerate, a Monte Carlo mode draws the types of i.i.d. blocks directly
 (multinomial(n, p)), judges them by the same membership rule, and reports a
 99% Clopper-Pearson interval.  Its bounds solve exact binomial tail
@@ -30,6 +34,7 @@ from .rng import stream
 from .spectra import InvariantViolation
 
 MAX_TYPES = 2_000_000  # the largest type table exact mode enumerates
+MAX_SAMPLES = 10 ** 8  # the most blocks Monte Carlo mode draws
 _BLOCK_ROWS = 1 << 15  # rows per block of census types or Monte Carlo draws
 _ALPHA = 0.005  # each side of the 99% Clopper-Pearson interval
 _LN_ALPHA = math.log(_ALPHA)
@@ -85,14 +90,17 @@ def is_weakly_typical(dist: SourceDistribution, x_seq, delta: float) -> bool:
     typical exactly when its type is a member of the census's weak set."""
     if not delta >= 0.0:
         raise ValueError("delta must be non-negative")
-    x = np.asarray(x_seq, dtype=int).reshape(-1)
+    x = np.asarray(x_seq).reshape(-1)
+    if x.dtype.kind not in "biu":
+        if x.dtype.kind != "f" or not np.all(np.isfinite(x) & (x == np.trunc(x))):
+            raise ValueError("sequence symbols must be integers")
+        x = x.astype(int)
     if x.size == 0:
         raise ValueError("sequence must be non-empty")
     if np.any(x < 0) or np.any(x >= len(dist)):
         raise ValueError("sequence contains out-of-alphabet symbols")
     counts = np.bincount(x, minlength=len(dist))[None, :]
-    return bool(_members(dist, x.size, delta, "weak", counts,
-                         _log2_prob(dist, counts))[0])
+    return bool(_judge(dist, x.size, delta, "weak", counts)[1][0])
 
 
 def type_count(n: int, k: int) -> int:
@@ -135,18 +143,6 @@ def _log2_prob(dist: SourceDistribution, counts: np.ndarray) -> np.ndarray:
     return log2_prob
 
 
-def _type_blocks(dist: SourceDistribution, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(counts, log2 p(x^n) per sequence) per block of types."""
-    total = type_count(n, len(dist))
-    if total > MAX_TYPES:
-        raise InvariantViolation(
-            f"{total} empirical types exceed the exact-mode limit {MAX_TYPES}; "
-            "use Monte Carlo mode")
-    for head in _prefix_blocks(n, len(dist) - 1):
-        counts = np.column_stack([head, n - head.sum(axis=1)])
-        yield counts, _log2_prob(dist, counts)
-
-
 def _members(dist: SourceDistribution, n: int, delta: float, kind: str,
              counts: np.ndarray, log2_prob: np.ndarray) -> np.ndarray:
     """Weak or strong membership mask; types of zero probability are never members."""
@@ -154,6 +150,28 @@ def _members(dist: SourceDistribution, n: int, delta: float, kind: str,
         return np.isfinite(log2_prob) & (np.abs(-log2_prob / n - dist.entropy_bits) <= delta)
     dev = np.abs(counts / n - dist.probs)[:, dist.probs > 0.0]
     return np.isfinite(log2_prob) & np.all(dev <= delta, axis=1)
+
+
+def _judge(dist: SourceDistribution, n: int, delta: float, kind: str,
+           counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log2 p(x^n), membership mask) of type rows: the one rule by which the
+    census, a single sequence and a Monte Carlo draw are judged."""
+    log2_prob = _log2_prob(dist, counts)
+    return log2_prob, _members(dist, n, delta, kind, counts, log2_prob)
+
+
+def _judged_blocks(dist: SourceDistribution, n: int, delta: float,
+                   kind: str) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(counts, log2 p(x^n) per sequence, membership mask) per block of
+    types: the one reader of the type table."""
+    total = type_count(n, len(dist))
+    if total > MAX_TYPES:
+        raise InvariantViolation(
+            f"{total} empirical types exceed the exact-mode limit {MAX_TYPES}; "
+            "use Monte Carlo mode")
+    for head in _prefix_blocks(n, len(dist) - 1):
+        counts = np.column_stack([head, n - head.sum(axis=1)])
+        yield (counts, *_judge(dist, n, delta, kind, counts))
 
 
 def _type_terms(n: int, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[np.ndarray, int]:
@@ -179,49 +197,42 @@ def _type_terms(n: int, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[np.n
     return np.array(ln_mult) + log2_prob * math.log(2.0), total
 
 
-def _member_count(n: int, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[float, int]:
-    """(mass, exact count) of the member rows of one block."""
-    ln_mass, total = _type_terms(n, counts, log2_prob)
-    return float(np.sum(np.exp(ln_mass))), total
-
-
-def _census(dist: SourceDistribution, n: int, delta: float, kind: str) -> tuple[float, int]:
-    """(mass, exact cardinality) of the weak or strong typical set."""
-    excluded, blocks = False, 0
-    for counts, log2_prob in _type_blocks(dist, n):
-        ok = _members(dist, n, delta, kind, counts, log2_prob)
-        excluded = excluded or bool(np.any(np.isfinite(log2_prob) & ~ok))
-        members, blocks = (counts[ok], log2_prob[ok]), blocks + 1
-    if not excluded:
+def _census(dist: SourceDistribution, n: int, delta: float,
+            kind: str) -> tuple[float, int, float]:
+    """(mass, exact cardinality, root cut) of the weak or strong set.  The
+    root cut, dilution's exact projection error, is the square root of the
+    mass of the types that carry probability but are cut: 0.0 when there
+    are none, and sqrt(1 - mass) while 1 - mass > 1e-6.  Below that,
+    sqrt(1 - mass) keeps fewer than about 8 correct digits, so the cut types
+    are summed directly, scaled by the largest term so that the sum keeps
+    its relative precision where it would underflow, and floored at the
+    smallest positive double."""
+    cut, blocks = False, 0
+    for counts, log2_prob, ok in _judged_blocks(dist, n, delta, kind):
+        cut = cut or bool(np.any(np.isfinite(log2_prob) & ~ok))
+        blocks += 1
+    if not cut:
         # no type that carries mass was cut: mass 1 and count K_+^n, exactly
-        return 1.0, int(np.count_nonzero(dist.probs)) ** n
-    if blocks == 1:
-        mass, count = _member_count(n, *members)
-    else:  # a table of several blocks is read again once a cut is known
-        mass, count = 0.0, 0
-        for counts, log2_prob in _type_blocks(dist, n):
-            ok = _members(dist, n, delta, kind, counts, log2_prob)
-            block_mass, block_count = _member_count(n, counts[ok], log2_prob[ok])
-            mass, count = mass + block_mass, count + block_count
-    return min(mass, 1.0), count
-
-
-def _ln_cut_mass(dist: SourceDistribution, n: int, delta: float, kind: str) -> float:
-    """ln of the mass of the types that carry probability but are not members
-    of the weak or strong set; -inf if there are none.  It is summed over
-    those types directly with the census's exact-integer walk, scaled by the
-    largest term, so it keeps its relative precision where 1 - mass would
-    cancel and where the mass itself would underflow."""
-    top, scaled = -math.inf, 0.0  # the mass is e^top * scaled
-    for counts, log2_prob in _type_blocks(dist, n):
-        cut = np.isfinite(log2_prob) & ~_members(dist, n, delta, kind, counts, log2_prob)
-        if not np.any(cut):
+        return 1.0, int(np.count_nonzero(dist.probs)) ** n, 0.0
+    # a single block is held; a table of several is read again
+    held = [(counts, log2_prob, ok)] if blocks == 1 else None
+    mass, count = 0.0, 0
+    for counts, log2_prob, ok in held or _judged_blocks(dist, n, delta, kind):
+        ln_mass, block_count = _type_terms(n, counts[ok], log2_prob[ok])
+        mass, count = mass + float(np.sum(np.exp(ln_mass))), count + block_count
+    mass = min(mass, 1.0)
+    if 1.0 - mass > 1e-6:
+        return mass, count, math.sqrt(1.0 - mass)
+    top, scaled = -math.inf, 0.0  # the cut mass is e^top * scaled
+    for counts, log2_prob, ok in held or _judged_blocks(dist, n, delta, kind):
+        rows = np.isfinite(log2_prob) & ~ok
+        if not np.any(rows):
             continue
-        ln_mass = _type_terms(n, counts[cut], log2_prob[cut])[0]
+        ln_mass = _type_terms(n, counts[rows], log2_prob[rows])[0]
         new_top = max(top, float(np.max(ln_mass)))
         scaled = scaled * math.exp(top - new_top) + float(np.sum(np.exp(ln_mass - new_top)))
         top = new_top
-    return top + math.log(scaled) if scaled > 0.0 else -math.inf
+    return mass, count, max(math.exp(0.5 * (top + math.log(scaled))), math.ulp(0.0))
 
 
 def _expit(u: float) -> float:
@@ -313,14 +324,14 @@ def _mc_mass(dist: SourceDistribution, n: int, delta: float, kind: str,
     99% interval.  A block's type has the law multinomial(n, p), so types are
     drawn directly and judged by the census's own membership rule; the draws
     do not depend on the chunk size."""
-    if samples < 1:
-        raise ValueError("Monte Carlo mode needs samples >= 1")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"Monte Carlo mode needs samples in [1, {MAX_SAMPLES}], "
+                         f"got {samples!r}")
     rng = stream(seed, 0)
     hits = 0
     for done in range(0, samples, _BLOCK_ROWS):
         counts = rng.multinomial(n, dist.probs, size=min(_BLOCK_ROWS, samples - done))
-        hits += int(np.count_nonzero(
-            _members(dist, n, delta, kind, counts, _log2_prob(dist, counts))))
+        hits += int(np.count_nonzero(_judge(dist, n, delta, kind, counts)[1]))
     lo, hi = _clopper_pearson_99(hits, samples)
     return hits / samples, lo, hi
 
@@ -337,7 +348,7 @@ def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
     for the weak set and n log2 K for the strong one."""
     _check_block(n, delta)
     if mode == "exact":
-        mass, card = _census(dist, n, delta, kind)
+        mass, card, _ = _census(dist, n, delta, kind)
         return TypicalReport(n, delta, mass, _log2_bigint(card), kind,
                              mode="exact", mass_low=mass, mass_high=mass)
     if mode == "mc":
@@ -356,7 +367,8 @@ def weak_typical_mass(dist: SourceDistribution, n: int, delta: float,
 
     Exact mode enumerates empirical types (at most ``MAX_TYPES``); the
     reported cardinality is then an exact integer count in log2.  Monte
-    Carlo mode samples i.i.d. types and reports a 99% confidence interval.
+    Carlo mode samples i.i.d. types (at most ``MAX_SAMPLES``) and reports a
+    99% confidence interval.
     """
     return _typical_report(dist, n, delta, "weak", mode, samples, seed)
 
@@ -372,7 +384,7 @@ def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
 def weak_typical_census(dist: SourceDistribution, n: int, delta: float) -> tuple[float, int]:
     """(exact mass, exact integer cardinality) of the weakly typical set."""
     _check_block(n, delta)
-    return _census(dist, n, delta, "weak")
+    return _census(dist, n, delta, "weak")[:2]
 
 
 def aep_bounds_check(dist: SourceDistribution, n: int, delta: float,
@@ -393,8 +405,8 @@ def aep_bounds_check(dist: SourceDistribution, n: int, delta: float,
     slack = 1e-12 * max(1.0, n * (h + max(delta, bound_delta)))
     lo = -n * (h + bound_delta) - slack
     hi = -n * (h - bound_delta) + slack
-    for counts, log2_prob in _type_blocks(dist, n):
-        typical = log2_prob[_members(dist, n, delta, "weak", counts, log2_prob)]
+    for _, log2_prob, ok in _judged_blocks(dist, n, delta, "weak"):
+        typical = log2_prob[ok]
         if not np.all((lo <= typical) & (typical <= hi)):
             return False
     return True

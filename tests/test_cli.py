@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entcost import cli, dilution, eof
+from entcost import cli, dilution, eof, typicality
 from entcost.cli import main
 from entcost.jsonio import hamiltonian_from_json, matrix_to_pairs, state_from_json
 from entcost.majorization import SweepReport
@@ -656,6 +657,17 @@ def test_config_value_of_wrong_type_or_range_is_schema_error(config):
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["kind"] == "schema"
 
+
+
+@pytest.mark.parametrize("command", ["typicality", "dilute-pure"])
+def test_monte_carlo_samples_above_the_limit_is_a_prompt_schema_error(command):
+    # 2^40 samples ran until killed; the limit is checked before any draw
+    start = time.perf_counter()
+    code, out, err, _ = _run_main(_with(_FUZZ_BASES[command], ("params", "samples"), 2 ** 40))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["kind"] == "schema"
+    assert str(typicality.MAX_SAMPLES) in json.loads(err)["error"]["message"]
 
 
 @pytest.mark.parametrize("config", [_EOF, _CONVERSE])

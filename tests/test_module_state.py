@@ -114,6 +114,37 @@ def test_export_list_is_sorted_complete_and_resolves():
     assert set(names) == public
 
 
+# the census engine's steps, each with one caller: one reader of the type
+# table, and one judge for the census, a single sequence and a Monte Carlo draw
+ONE_CALLER = {"_prefix_blocks": "typicality._judged_blocks",
+              "_log2_prob": "typicality._judge",
+              "_members": "typicality._judge"}
+
+
+def _callers(name: str) -> set:
+    """The functions under src/entcost, by module, that call ``name``
+    (the module itself for a call outside any function)."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        elif isinstance(node, ast.Call) and _name(node.func) == name:
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    for path in sorted(SOURCE.rglob("*.py")):
+        module = ".".join(path.relative_to(SOURCE).with_suffix("").parts)
+        visit(ast.parse(path.read_text(), filename=str(path)), module)
+    return found
+
+
+def test_each_census_step_has_one_caller():
+    # _prefix_blocks builds its blocks by recursion
+    found = {name: _callers(name) - {"typicality._prefix_blocks"} for name in ONE_CALLER}
+    assert found == {name: {caller} for name, caller in ONE_CALLER.items()}
+
+
 # every exported function that takes an optional parameter, with those
 # parameters in signature order; fixed limits are module constants instead
 OPTIONAL_PARAMETERS = {

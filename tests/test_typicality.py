@@ -67,6 +67,22 @@ def test_sequence_rate_and_membership():
     assert is_weakly_typical(d, seq2, delta=0.05)
 
 
+@pytest.mark.parametrize("seq", [[0.9, 1.7, 0.2], [0, 1.5], [0.0, math.nan],
+                                 [1.0, math.inf], ["0", "1"]])
+def test_sequence_of_non_integer_symbols_is_rejected(seq):
+    # [0.9, 1.7, 0.2] was read as [0, 1, 0] and judged typical
+    with pytest.raises(ValueError, match="integers"):
+        is_weakly_typical(SourceDistribution([0.7, 0.3]), seq, 0.5)
+
+
+def test_integral_sequences_of_any_numeric_type_are_read_as_symbols():
+    d = SourceDistribution([0.7, 0.3])
+    for seq in ([0, 1, 0], np.array([0, 1, 0]), np.array([0, 1, 0], dtype=np.uint8),
+                [0.0, 1.0, 0.0], [False, True, False]):
+        assert is_weakly_typical(d, seq, 0.5)
+    assert not is_weakly_typical(d, [1.0, 1.0, 1.0], 0.5)
+
+
 def test_rate_infinite_on_impossible_symbol():
     # a zero-probability symbol makes the rate +inf, outside every window
     d = SourceDistribution(np.array([1.0, 0.0]))
@@ -305,6 +321,21 @@ def test_monte_carlo_rejects_non_positive_samples(samples):
                       samples=samples)
 
 
+def test_monte_carlo_rejects_sample_counts_above_the_limit(monkeypatch):
+    # 2^40 samples ran until killed; the limit is checked before any stream
+    def no_draws(*args):
+        raise AssertionError("a stream was made")
+    monkeypatch.setattr(typicality, "stream", no_draws)
+    dist = SourceDistribution(np.array([0.8, 0.2]))
+    for samples in (typicality.MAX_SAMPLES + 1, 2 ** 40):
+        for fn in (weak_typical_mass, strong_typical_mass):
+            with pytest.raises(ValueError, match="samples"):
+                fn(dist, 10, 0.1, mode="mc", samples=samples)
+        with pytest.raises(ValueError, match="samples"):
+            pure_dilution(Spectrum(np.array([0.8, 0.2])), 0.1, 10, mode="mc",
+                          samples=samples)
+
+
 def test_aep_bounds_hold_on_window():
     d = SourceDistribution(np.array([0.8, 0.2]))
     assert aep_bounds_check(d, 50, 0.1)
@@ -438,9 +469,8 @@ def test_census_memory_is_bounded_by_blocks():
 
 def _census_member_types(dist, n, delta, kind):
     """Count rows of the types the census itself counts as members."""
-    return [row for counts, log2_prob in typicality._type_blocks(dist, n)
-            for row in counts[typicality._members(dist, n, delta, kind, counts,
-                                                  log2_prob)].tolist()]
+    return [row for counts, _, member in typicality._judged_blocks(dist, n, delta, kind)
+            for row in counts[member].tolist()]
 
 
 @pytest.mark.parametrize("numerators, n, delta", [((3, 1), 300, 0.05),
@@ -477,9 +507,8 @@ def test_sequence_membership_is_the_census_membership():
     grid += [(probs, n) for probs in ((0.5, 0.3, 0.2), (0.6, 0.0, 0.4)) for n in (6, 10)]
     for probs, n in grid:
         dist = SourceDistribution(np.array(probs))
-        (counts, log2_prob), = typicality._type_blocks(dist, n)
         for delta in (0.05, 0.1):
-            member = typicality._members(dist, n, delta, "weak", counts, log2_prob)
+            (counts, _, member), = typicality._judged_blocks(dist, n, delta, "weak")
             rows = range(len(counts))
             if len(probs) == 2:
                 edges = np.flatnonzero(member[1:] != member[:-1])
@@ -553,3 +582,49 @@ def test_census_results_are_pinned_bit_for_bit():
         "aep": "eb55c570b4f2dc33de61d38527121f4736e5b7b7f0cc4e868f327c29da5bbe23",
         "dilution": "00b3fb8576f1974f66bab540eae588a079c7593cb03ec3350dd3a53da5d1d75b",
         "mc": "abec93f3750202724dae63eec8f07b65e9b5feb3882e3e7b983327128448a55e"}
+
+
+def _reads(monkeypatch):
+    """A list that records the block count of every read of the type table."""
+    reader, reads = typicality._judged_blocks, []
+
+    def counted(*args):
+        reads.append(0)
+        for block in reader(*args):
+            reads[-1] += 1
+            yield block
+    monkeypatch.setattr(typicality, "_judged_blocks", counted)
+    return reads
+
+
+@pytest.mark.parametrize("probs, n, delta, block_rows, regime, reads_per_census", [
+    ([0.8, 0.2], 84, 0.05, 1 << 15, "cut", 1),
+    ([0.75, 0.25], 300, 0.3, 1 << 15, "direct", 1),
+    ([0.5, 0.3, 0.2], 150, 0.6, 1 << 15, "direct", 1),
+    ([1 / 3] * 3, 40, 0.05, 64, "none", 1),
+    ([0.5, 0.3, 0.2], 40, 0.05, 64, "cut", 2),
+    ([0.5, 0.3, 0.2], 150, 0.6, 4096, "direct", 3),
+])
+def test_one_census_reads_the_type_table_as_often_as_its_regime_needs(
+        monkeypatch, probs, n, delta, block_rows, regime, reads_per_census):
+    # a single block is held, so it is read once in every regime; a table of
+    # several blocks is read again to sum a cut set, and once more to sum
+    # the cut types where 1 - mass <= 1e-6
+    monkeypatch.setattr(typicality, "_BLOCK_ROWS", block_rows)
+    dist = SourceDistribution(np.array(probs))
+    reads = _reads(monkeypatch)
+    mass, count, root_cut = typicality._census(dist, n, delta, "weak")
+    assert {"none": root_cut == 0.0, "cut": 1.0 - mass > 1e-6,
+            "direct": 0.0 < root_cut and 1.0 - mass <= 1e-6}[regime]
+    assert len(reads) == reads_per_census
+    assert reads == [reads[0]] * len(reads)
+    assert (reads[0] == 1) == (block_rows == 1 << 15)
+    # the public census and a dilution block make that one census call
+    for call in (lambda: weak_typical_census(dist, n, delta),
+                 lambda: pure_dilution(Spectrum.from_unsorted(np.array(probs)), delta, n)):
+        reads.clear()
+        call()
+        assert len(reads) == reads_per_census
+    reads.clear()
+    aep_bounds_check(dist, n, delta, delta / 2)
+    assert len(reads) == 1
