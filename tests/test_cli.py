@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -342,6 +343,38 @@ def test_eof_round_trip_through_cli(tmp_path, capsys):
     assert out["result"]["upper_bound_bits"] == pytest.approx(1.0, abs=1e-6)
     weights = out["result"]["decomposition"]["weights"]
     assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+
+
+_LEDGER_CONFIGS = [
+    {"schmidt": [0.8, 0.2], "delta": 0.05, "n_grid": [10, 84, 300, 1000]},
+    # 1 - mass <= 1e-6 at n = 300: the error sums the cut types directly
+    {"schmidt": [0.75, 0.25], "delta": 0.3, "n_grid": [300, 151]},
+    {"schmidt": [0.5, 0.3, 0.2], "delta": 0.1, "n_grid": [50, 80], "mode": "mc",
+     "samples": 5000},
+]
+
+
+def test_dilute_pure_artifacts_are_pinned(tmp_path):
+    # JSON, CSV and sidecar of each config, less the timestamp and the
+    # version (which carries the git hash); digests taken while the ledger
+    # still had a private driver behind dilution_sweep
+    digests = []
+    for i, params in enumerate(_LEDGER_CONFIGS):
+        cfg = _write(tmp_path, f"c{i}.json", {"command": "dilute-pure", "params": params})
+        summary, rows = tmp_path / f"s{i}.json", tmp_path / f"r{i}.csv"
+        assert main(["--config", cfg, "--seed", "4", "--out", str(summary)]) == 0
+        assert main(["--config", cfg, "--seed", "4", "--format", "csv",
+                     "--out", str(rows)]) == 0
+        seen = hashlib.sha256()
+        for path in (summary, rows, Path(f"{rows}.json")):
+            seen.update("\n".join(
+                line for line in path.read_text().splitlines()
+                if '"timestamp"' not in line and '"version"' not in line).encode())
+        digests.append(seen.hexdigest())
+    assert digests == [
+        "4cc44ca3cd877e869696853a1fc2b27be8495b94bdb579faf3e04a51c557747e",
+        "70f021d843124cd0b8896b6810f0c2dbbdfef7a5942ee9dcc578bd3fd6083f85",
+        "c8e9262d3e105156735c72ddcc0876c3dc9948dcebb809fb520020091e2774e8"]
 
 
 def test_rerun_byte_identical_across_threads(tmp_path):

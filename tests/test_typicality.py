@@ -584,6 +584,30 @@ def test_census_results_are_pinned_bit_for_bit():
         "mc": "abec93f3750202724dae63eec8f07b65e9b5feb3882e3e7b983327128448a55e"}
 
 
+def _ledger_pin_digest():
+    """SHA-256 over every dilution ledger on the census pin grid, exact and
+    (for n <= 84) Monte Carlo, floats taken by float.hex."""
+    seen = hashlib.sha256()
+    for probs, n, deltas in _PIN_GRID:
+        spec = Spectrum.from_unsorted(np.array(probs))
+        for delta in deltas:
+            traces = dilution_sweep(spec, delta, [n, n // 2 + 1])
+            if n <= 84:
+                traces += dilution_sweep(spec, delta, [n, n // 2 + 1], mode="mc",
+                                         samples=3000, seed=n)
+            for t in traces:
+                seen.update(_hexes(t.n, t.ebits, t.cbits, t.rate, t.error,
+                                   t.error_high, t.error_kind).encode())
+    return seen.hexdigest()
+
+
+def test_dilution_ledgers_are_pinned_bit_for_bit():
+    # digest taken while DilutionTrace still took cbits and rate as inputs
+    # and dilution_sweep forwarded to a private driver
+    assert _ledger_pin_digest() == (
+        "5909c04558916c55eba4b043543ef9bc86063e287d0db8a3b33783a1a4b3aca2")
+
+
 def _reads(monkeypatch):
     """A list that records the block count of every read of the type table."""
     reader, reads = typicality._judged_blocks, []
