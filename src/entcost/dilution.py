@@ -20,7 +20,7 @@ directly over the curtailed counts, not subtracted from 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,83 +52,79 @@ class DilutionTrace:
     is the exact projection error or a sampled estimate.  ``error_high`` is
     an upper bound on the error: the error itself in exact mode, and
     sqrt(1 - mass_low) from the 99% interval of the mass in Monte Carlo
-    mode; left out, it is the error.  ``cbits`` follows the
-    two-classical-bits-per-teleported-qubit convention.
+    mode; left out, it is the error.  ``cbits`` = 2 * ebits, by the
+    two-classical-bits-per-teleported-qubit convention, and ``rate`` =
+    ebits / n are derived, not passed.
     """
 
     n: int
     ebits: int
-    cbits: int
+    cbits: int = field(init=False)
     error: float
-    rate: float
+    rate: float = field(init=False)
     error_kind: str = "exact"
     error_high: float = math.nan
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.ebits < 0:
             raise InvariantViolation("need n >= 1 and ebits >= 0")
-        if self.cbits != 2 * self.ebits:
-            raise InvariantViolation("classical cost must be 2 bits per ebit")
+        object.__setattr__(self, "cbits", 2 * self.ebits)
+        object.__setattr__(self, "rate", self.ebits / self.n)
         if math.isnan(self.error_high):
             object.__setattr__(self, "error_high", self.error)
         if not (0.0 <= self.error <= self.error_high <= 1.0):
             raise InvariantViolation(
                 f"need 0 <= error {self.error!r} <= error_high {self.error_high!r} <= 1")
-        if not math.isclose(self.rate, self.ebits / self.n, rel_tol=0.0, abs_tol=1e-12):
-            raise InvariantViolation("rate must equal ebits / n")
-
-
-def _schmidt_of(target: PureBipartite | Spectrum) -> Spectrum:
-    return target if isinstance(target, Spectrum) else target.schmidt
 
 
 def pure_dilution(target: PureBipartite | Spectrum, delta: float, n: int,
                   mode: str = "exact", samples: int = 100_000,
                   seed: int = 0) -> DilutionTrace:
-    """Dilute n copies of a pure target through its typical subspace.
+    """Dilute n copies of a pure target through its typical subspace: the
+    one-block ``dilution_sweep``."""
+    return dilution_sweep(target, delta, [n], mode, samples, seed)[0]
+
+
+def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
+                   mode: str = "exact", samples: int = 100_000,
+                   seed: int = 0) -> list[DilutionTrace]:
+    """Dilution traces at each block length in ``n_grid``; the source
+    distribution of the target is built once for all of them.
 
     The target may be the state itself or just its Schmidt spectrum.  Exact
     mode enumerates the Schmidt-coefficient types: the subspace dimension
     |W_delta| is an exact integer and the error sqrt(1 - mass(W_delta)) is
     exact; below 1 - mass = 1e-6 it is the square root of the cut types'
     mass, summed directly.  Monte Carlo mode estimates the mass and books
-    the theoretical ceil(n(S + delta)) ebits instead.
+    the theoretical ceil(n(S + delta)) ebits instead.  Every input is
+    checked before any census; each n must be a Python or NumPy integer.
     """
-    return _dilute(target, delta, [n], mode, samples, seed)[0]
-
-
-def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
-                   **kwargs) -> list[DilutionTrace]:
-    return _dilute(target, delta, [int(n) for n in n_grid], **kwargs)
-
-
-def _dilute(target: PureBipartite | Spectrum, delta: float, ns,
-            mode: str = "exact", samples: int = 100_000,
-            seed: int = 0) -> list[DilutionTrace]:
-    """Dilution traces at each block length in ``ns``; the source
-    distribution of the target is built once for all of them."""
+    ns = list(n_grid)
     # an infinite delta has no ebit cap ceil(n (S + delta))
-    if not 0.0 <= delta < math.inf or any(n < 1 for n in ns):
-        raise ValueError("need a finite delta >= 0 and n >= 1")
-    dist = SourceDistribution(_schmidt_of(target).stripped().values)
+    if not 0.0 <= delta < math.inf or not all(
+            isinstance(n, (int, np.integer)) and n >= 1 for n in ns):
+        raise ValueError("need a finite delta >= 0 and integers n >= 1")
+    if mode not in ("exact", "mc"):
+        raise ValueError(f"unknown mode {mode!r}")
+    schmidt = target if isinstance(target, Spectrum) else target.schmidt
+    dist = SourceDistribution(schmidt.stripped().values)
     h = dist.entropy_bits
     traces = []
-    for n in ns:
+    for n in map(int, ns):
         cap = math.ceil(n * (h + delta)) if h + delta > 0.0 else 0
         if mode == "exact":
-            _, count, error = _census(dist, n, delta, "weak")
+            _, count, root_cut = _census(dist, n, delta, "weak")
             ebits = min((count - 1).bit_length(), cap) if count > 0 else 0
+            error = root_cut()
             error_high, kind = error, "exact"
-        elif mode == "mc":
+        else:
             report = weak_typical_mass(dist, n, delta, mode="mc",
                                        samples=samples, seed=seed)
             ebits = cap
             error = math.sqrt(max(0.0, 1.0 - report.mass))
             error_high, kind = math.sqrt(1.0 - report.mass_low), "mc-estimate"
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        traces.append(DilutionTrace(n, ebits, 2 * ebits, min(1.0, error),
-                                    ebits / n, kind, min(1.0, error_high)))
+        traces.append(DilutionTrace(n, ebits, min(1.0, error), kind,
+                                    min(1.0, error_high)))
     return traces
 
 

@@ -198,22 +198,23 @@ def _type_terms(n: int, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[np.n
 
 
 def _census(dist: SourceDistribution, n: int, delta: float,
-            kind: str) -> tuple[float, int, float]:
+            kind: str) -> tuple[float, int, object]:
     """(mass, exact cardinality, root cut) of the weak or strong set.  The
-    root cut, dilution's exact projection error, is the square root of the
-    mass of the types that carry probability but are cut: 0.0 when there
-    are none, and sqrt(1 - mass) while 1 - mass > 1e-6.  Below that,
-    sqrt(1 - mass) keeps fewer than about 8 correct digits, so the cut types
-    are summed directly, scaled by the largest term so that the sum keeps
-    its relative precision where it would underflow, and floored at the
-    smallest positive double."""
+    root cut is a zero-argument callable, summed only when called, so only
+    dilution's ledger pays for it.  It returns dilution's exact projection
+    error, the square root of the mass of the types that carry probability
+    but are cut: 0.0 when there are none, and sqrt(1 - mass) while
+    1 - mass > 1e-6.  Below that, sqrt(1 - mass) keeps fewer than about 8
+    correct digits, so the cut types are summed directly, scaled by the
+    largest term so that the sum keeps its relative precision where it
+    would underflow, and floored at the smallest positive double."""
     cut, blocks = False, 0
     for counts, log2_prob, ok in _judged_blocks(dist, n, delta, kind):
         cut = cut or bool(np.any(np.isfinite(log2_prob) & ~ok))
         blocks += 1
     if not cut:
         # no type that carries mass was cut: mass 1 and count K_+^n, exactly
-        return 1.0, int(np.count_nonzero(dist.probs)) ** n, 0.0
+        return 1.0, int(np.count_nonzero(dist.probs)) ** n, lambda: 0.0
     # a single block is held; a table of several is read again
     held = [(counts, log2_prob, ok)] if blocks == 1 else None
     mass, count = 0.0, 0
@@ -221,18 +222,21 @@ def _census(dist: SourceDistribution, n: int, delta: float,
         ln_mass, block_count = _type_terms(n, counts[ok], log2_prob[ok])
         mass, count = mass + float(np.sum(np.exp(ln_mass))), count + block_count
     mass = min(mass, 1.0)
-    if 1.0 - mass > 1e-6:
-        return mass, count, math.sqrt(1.0 - mass)
-    top, scaled = -math.inf, 0.0  # the cut mass is e^top * scaled
-    for counts, log2_prob, ok in held or _judged_blocks(dist, n, delta, kind):
-        rows = np.isfinite(log2_prob) & ~ok
-        if not np.any(rows):
-            continue
-        ln_mass = _type_terms(n, counts[rows], log2_prob[rows])[0]
-        new_top = max(top, float(np.max(ln_mass)))
-        scaled = scaled * math.exp(top - new_top) + float(np.sum(np.exp(ln_mass - new_top)))
-        top = new_top
-    return mass, count, max(math.exp(0.5 * (top + math.log(scaled))), math.ulp(0.0))
+
+    def root_cut() -> float:
+        if 1.0 - mass > 1e-6:
+            return math.sqrt(1.0 - mass)
+        top, scaled = -math.inf, 0.0  # the cut mass is e^top * scaled
+        for counts, log2_prob, ok in held or _judged_blocks(dist, n, delta, kind):
+            rows = np.isfinite(log2_prob) & ~ok
+            if not np.any(rows):
+                continue
+            ln_mass = _type_terms(n, counts[rows], log2_prob[rows])[0]
+            new_top = max(top, float(np.max(ln_mass)))
+            scaled = scaled * math.exp(top - new_top) + float(np.sum(np.exp(ln_mass - new_top)))
+            top = new_top
+        return max(math.exp(0.5 * (top + math.log(scaled))), math.ulp(0.0))
+    return mass, count, root_cut
 
 
 def _expit(u: float) -> float:

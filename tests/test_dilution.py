@@ -44,19 +44,18 @@ def _geometric_pure_ensemble(members: int = 24) -> Ensemble:
 
 def test_trace_invariants():
     with pytest.raises(InvariantViolation):
-        DilutionTrace(n=4, ebits=3, cbits=5, error=0.1, rate=0.75)
-    with pytest.raises(InvariantViolation):
-        DilutionTrace(n=4, ebits=3, cbits=6, error=1.5, rate=0.75)
-    with pytest.raises(InvariantViolation):
-        DilutionTrace(n=4, ebits=3, cbits=6, error=0.1, rate=0.5)
+        DilutionTrace(n=4, ebits=3, error=1.5)
+    t = DilutionTrace(n=4, ebits=3, error=0.1)
+    assert t.cbits == 2 * t.ebits
+    assert t.rate == t.ebits / t.n
 
 
 def test_error_high_defaults_to_the_error_and_bounds_it():
-    assert DilutionTrace(n=4, ebits=3, cbits=6, error=0.1, rate=0.75).error_high == 0.1
+    assert DilutionTrace(n=4, ebits=3, error=0.1).error_high == 0.1
     with pytest.raises(InvariantViolation):
-        DilutionTrace(n=4, ebits=3, cbits=6, error=0.1, rate=0.75, error_high=0.05)
+        DilutionTrace(n=4, ebits=3, error=0.1, error_high=0.05)
     with pytest.raises(InvariantViolation):
-        DilutionTrace(n=4, ebits=3, cbits=6, error=0.1, rate=0.75, error_high=1.5)
+        DilutionTrace(n=4, ebits=3, error=0.1, error_high=1.5)
 
 
 def test_monte_carlo_error_high_bounds_a_zero_estimate():

@@ -11,6 +11,8 @@ import inspect
 import types
 from pathlib import Path
 
+import pytest
+
 import entcost
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "entcost"
@@ -151,6 +153,7 @@ OPTIONAL_PARAMETERS = {
     "aep_bounds_check": ["bound_delta"],
     "beta_of_energy": ["rtol"],
     "curtailed_binomial_sample": ["size", "seed"],
+    "dilution_sweep": ["mode", "samples", "seed"],
     "entropy_tail_uncertainty": ["dim_bound"],
     "eof_estimate": ["ensemble_size", "restarts", "iterations", "seed"],
     "harmonic_oscillator": ["levels"],
@@ -175,3 +178,24 @@ def test_optional_parameters_of_public_functions_are_pinned():
         if optional:
             found[name] = optional
     assert found == OPTIONAL_PARAMETERS
+
+
+def test_only_the_formation_callers_take_keyword_options():
+    # each public function that takes **kwargs forwards them to eof_estimate
+    # as its estimate options; any other option is a named parameter above
+    rho = entcost.random_density_state(entcost.stream(0, 0), 2, 2)
+    calls = {
+        "converse_bound": lambda **kw: entcost.converse_bound(
+            rho, 1.0, 0.01, entcost.harmonic_oscillator(), 2, **kw),
+        "eof_surrogate_for_copies": lambda **kw: entcost.eof_surrogate_for_copies(
+            rho, 2, **kw),
+        "regularized_probe": lambda **kw: entcost.regularized_probe(rho, **kw),
+    }
+    found = {name for name in entcost.__all__
+             if inspect.isfunction(getattr(entcost, name))
+             and any(p.kind is inspect.Parameter.VAR_KEYWORD for p in
+                     inspect.signature(getattr(entcost, name)).parameters.values())}
+    assert found == set(calls)
+    for call in calls.values():
+        with pytest.raises(TypeError, match="eof_estimate"):
+            call(bogus=1)

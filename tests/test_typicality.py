@@ -621,34 +621,52 @@ def _reads(monkeypatch):
     return reads
 
 
-@pytest.mark.parametrize("probs, n, delta, block_rows, regime, reads_per_census", [
-    ([0.8, 0.2], 84, 0.05, 1 << 15, "cut", 1),
-    ([0.75, 0.25], 300, 0.3, 1 << 15, "direct", 1),
-    ([0.5, 0.3, 0.2], 150, 0.6, 1 << 15, "direct", 1),
-    ([1 / 3] * 3, 40, 0.05, 64, "none", 1),
-    ([0.5, 0.3, 0.2], 40, 0.05, 64, "cut", 2),
-    ([0.5, 0.3, 0.2], 150, 0.6, 4096, "direct", 3),
+def _walked_rows(monkeypatch):
+    """A list that records the row count of every block the census sums."""
+    terms, rows = typicality._type_terms, []
+
+    def counted(n, counts, log2_prob):
+        rows.append(len(counts))
+        return terms(n, counts, log2_prob)
+    monkeypatch.setattr(typicality, "_type_terms", counted)
+    return rows
+
+
+@pytest.mark.parametrize("probs, n, delta, block_rows, regime, reads, rows", [
+    ([0.8, 0.2], 84, 0.05, 1 << 15, "cut", (1, 1), (4, 4)),
+    ([0.75, 0.25], 300, 0.3, 1 << 15, "direct", (1, 1), (113, 301)),
+    ([0.5, 0.3, 0.2], 150, 0.6, 1 << 15, "direct", (1, 1), (10619, 11476)),
+    ([1 / 3] * 3, 40, 0.05, 64, "none", (1, 1), (0, 0)),
+    ([0.5, 0.3, 0.2], 40, 0.05, 64, "cut", (2, 2), (84, 84)),
+    ([0.5, 0.3, 0.2], 150, 0.6, 4096, "direct", (2, 3), (10619, 11476)),
 ])
 def test_one_census_reads_the_type_table_as_often_as_its_regime_needs(
-        monkeypatch, probs, n, delta, block_rows, regime, reads_per_census):
+        monkeypatch, probs, n, delta, block_rows, regime, reads, rows):
     # a single block is held, so it is read once in every regime; a table of
-    # several blocks is read again to sum a cut set, and once more to sum
-    # the cut types where 1 - mass <= 1e-6
+    # several blocks is read again to sum a cut set.  Only the ledger calls
+    # the root cut, which sums the cut types where 1 - mass <= 1e-6, and so
+    # reads a table of several blocks once more.  (reads, rows) pairs are
+    # (mass callers, ledger).
     monkeypatch.setattr(typicality, "_BLOCK_ROWS", block_rows)
     dist = SourceDistribution(np.array(probs))
-    reads = _reads(monkeypatch)
+    seen, walked = _reads(monkeypatch), _walked_rows(monkeypatch)
     mass, count, root_cut = typicality._census(dist, n, delta, "weak")
-    assert {"none": root_cut == 0.0, "cut": 1.0 - mass > 1e-6,
-            "direct": 0.0 < root_cut and 1.0 - mass <= 1e-6}[regime]
-    assert len(reads) == reads_per_census
-    assert reads == [reads[0]] * len(reads)
-    assert (reads[0] == 1) == (block_rows == 1 << 15)
-    # the public census and a dilution block make that one census call
-    for call in (lambda: weak_typical_census(dist, n, delta),
-                 lambda: pure_dilution(Spectrum.from_unsorted(np.array(probs)), delta, n)):
-        reads.clear()
+    assert (len(seen), sum(walked)) == (reads[0], rows[0])
+    cut = root_cut()
+    assert {"none": cut == 0.0, "cut": 1.0 - mass > 1e-6,
+            "direct": 0.0 < cut and 1.0 - mass <= 1e-6}[regime]
+    assert (len(seen), sum(walked)) == (reads[1], rows[1])
+    assert seen == [seen[0]] * len(seen)
+    assert (seen[0] == 1) == (block_rows == 1 << 15)
+    # the public mass callers walk no cut row; a dilution block is the ledger
+    spec = Spectrum.from_unsorted(np.array(probs))
+    for call, expected in ((lambda: weak_typical_census(dist, n, delta), 0),
+                           (lambda: weak_typical_mass(dist, n, delta), 0),
+                           (lambda: pure_dilution(spec, delta, n), 1)):
+        seen.clear()
+        walked.clear()
         call()
-        assert len(reads) == reads_per_census
-    reads.clear()
+        assert (len(seen), sum(walked)) == (reads[expected], rows[expected])
+    seen.clear()
     aep_bounds_check(dist, n, delta, delta / 2)
-    assert len(reads) == 1
+    assert len(seen) == 1
