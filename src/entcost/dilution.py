@@ -3,11 +3,14 @@
 Preparing n copies of a pure target from shared maximal entanglement needs
 one ebit per qubit of the typical subspace, so the ledger of a block is
 ceil(log2 |W_delta|) ebits (capped by ceil(n(S + delta))) and, under the
-teleportation convention adopted here, two classical bits per ebit.  The
+teleportation convention adopted here, two classical bits per ebit; the
+ledger derives its classical bits and rate from the ebits.  The
 approximation error of projecting onto the typical subspace is exactly
 sqrt(1 - mass(W_delta)) in trace distance; the count and the error come
 from one ``typicality`` census, which sums the mass outside W_delta over
 its types directly where 1 - mass is small, not subtracted from 1.
+``dilution_sweep`` drives every block, and ``pure_dilution`` is its
+one-block call.
 
 Mixed targets are diluted member-by-member from a pure decomposition; the
 rare part beyond a cutoff is prepared wastefully and only contributes
@@ -171,8 +174,8 @@ def mixed_dilution_rate(decomposition: Ensemble, n_cut: int) -> MixedDilutionPoi
 def _curtailed_support(p0: float, xi: float, n: int) -> np.ndarray:
     if not (0.0 < p0 < 1.0):
         raise ValueError("p0 must lie strictly between 0 and 1")
-    if not xi > 0.0 or n < 1:
-        raise ValueError("need xi > 0 and n >= 1")
+    if not xi > 0.0 or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("need xi > 0 and an integer n >= 1")
     ks = np.arange(n + 1)
     return ks[np.abs(ks / n - p0) <= xi]
 
@@ -270,8 +273,9 @@ def _converse(rho: BipartiteState, r: float, epsilons, hamiltonian: DiagonalHami
     taken once for the whole grid, even an empty one, so that the estimate
     options are checked whatever the grid's length."""
     # r * n must be finite for floor(r n) to exist; NaN fails r >= 0
-    if n < 1 or not (r >= 0.0 and math.isfinite(r * n)):
-        raise ValueError("need n >= 1, r >= 0 and r * n finite")
+    if not isinstance(n, (int, np.integer)) or n < 1 or not (
+            r >= 0.0 and math.isfinite(r * n)):
+        raise ValueError("need an integer n >= 1, r >= 0 and r * n finite")
     if not all(0.0 < epsilon <= 1.0 for epsilon in epsilons):
         raise ValueError("epsilon must lie in (0, 1]")
     energy = mean_energy_density(hamiltonian, partial_trace(rho, "A"))

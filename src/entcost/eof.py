@@ -325,8 +325,8 @@ def eof_surrogate_for_copies(rho: BipartiteState, n: int,
     is additive, so the product is exact.  Otherwise it is "estimate-upper".
     The estimate is taken once per (state object, options), whatever n is.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("n must be a positive integer")
     est = eof_estimate(rho, **estimate_kwargs)
     kind = "pure-exact" if len(est.decomposition.members) == 1 else "estimate-upper"
     return n * est.upper_bound_bits, kind

@@ -8,10 +8,11 @@ Every sequence of a type has the same probability, so a set's mass is the
 sum over its types of multinomial(n; c) * prod_i p_i^c_i.  Each multinomial
 is one exact integer, walked along binomial rows: the integers sum to the
 set's cardinality, and a type's mass is exp(ln multinomial + ln p(x^n)).
-The same sum gives dilution's error, the square root of the cut mass: below
-1 - mass = 1e-6 it sums the cut types directly.  A single sequence is
+The census also hands back dilution's error, the square root of the cut
+mass, unsummed: only dilution's ledger sums it, and below 1 - mass = 1e-6
+it sums the cut types directly.  A single (one-dimensional) sequence is
 judged by the census's rule, so it is weakly typical exactly when its type
-is a member of the census's weak set.  Where the types are too many to
+is a member of the census's weak set.  Block lengths must be integers.  Where the types are too many to
 enumerate, a Monte Carlo mode draws the types of i.i.d. blocks directly
 (multinomial(n, p)), judges them by the same membership rule, and reports a
 99% Clopper-Pearson interval.  Its bounds solve exact binomial tail
@@ -90,7 +91,9 @@ def is_weakly_typical(dist: SourceDistribution, x_seq, delta: float) -> bool:
     typical exactly when its type is a member of the census's weak set."""
     if not delta >= 0.0:
         raise ValueError("delta must be non-negative")
-    x = np.asarray(x_seq).reshape(-1)
+    x = np.asarray(x_seq)
+    if x.ndim != 1:
+        raise ValueError("sequence must be one-dimensional")
     if x.dtype.kind not in "biu":
         if x.dtype.kind != "f" or not np.all(np.isfinite(x) & (x == np.trunc(x))):
             raise ValueError("sequence symbols must be integers")
@@ -340,9 +343,12 @@ def _mc_mass(dist: SourceDistribution, n: int, delta: float, kind: str,
     return hits / samples, lo, hi
 
 
-def _check_block(n: int, delta: float) -> None:
-    if n < 1 or not delta >= 0.0:
-        raise ValueError("need n >= 1 and delta >= 0")
+def _check_block(n: int, delta: float) -> int:
+    """n as a Python int, once it is checked to be an integer >= 1 and
+    delta >= 0; a NumPy integer would overflow in the census's K^n."""
+    if not isinstance(n, (int, np.integer)) or n < 1 or not delta >= 0.0:
+        raise ValueError("need an integer n >= 1 and delta >= 0")
+    return int(n)
 
 
 def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
@@ -350,7 +356,7 @@ def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
     """The weak or strong report: exact census or Monte Carlo estimate.  In
     Monte Carlo mode the cardinality is the theoretical bound, n (H + delta)
     for the weak set and n log2 K for the strong one."""
-    _check_block(n, delta)
+    n = _check_block(n, delta)
     if mode == "exact":
         mass, card, _ = _census(dist, n, delta, kind)
         return TypicalReport(n, delta, mass, _log2_bigint(card), kind,
@@ -387,7 +393,7 @@ def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
 
 def weak_typical_census(dist: SourceDistribution, n: int, delta: float) -> tuple[float, int]:
     """(exact mass, exact integer cardinality) of the weakly typical set."""
-    _check_block(n, delta)
+    n = _check_block(n, delta)
     return _census(dist, n, delta, "weak")[:2]
 
 
@@ -400,7 +406,7 @@ def aep_bounds_check(dist: SourceDistribution, n: int, delta: float,
     bounds and should fail on non-degenerate sources.  Comparisons happen in
     log space with relative slack 1e-12.
     """
-    _check_block(n, delta)
+    n = _check_block(n, delta)
     if bound_delta is None:
         bound_delta = delta
     if not bound_delta >= 0.0:

@@ -88,6 +88,44 @@ def test_dilution_rejects_delta_without_a_finite_cap(delta):
         pure_dilution(Spectrum(np.array([0.8, 0.2])), delta, 10)
 
 
+@pytest.mark.parametrize("n_grid", [[10.7], [10, 10.0], [10, "10"], [10, 0], [None]])
+def test_dilution_rejects_a_block_length_that_is_not_a_positive_integer(monkeypatch, n_grid):
+    # dilution_sweep ran n = 10 for 10.7, and pure_dilution raised a raw
+    # TypeError; every n is checked before the first census
+    def no_census(*args):
+        raise AssertionError("a census ran")
+    monkeypatch.setattr(dilution, "_census", no_census)
+    spec = Spectrum(np.array([0.8, 0.2]))
+    with pytest.raises(ValueError, match="integers n >= 1"):
+        dilution_sweep(spec, 0.05, n_grid)
+    with pytest.raises(ValueError, match="integers n >= 1"):
+        pure_dilution(spec, 0.05, n_grid[-1])
+
+
+def test_dilution_checks_the_mode_on_an_empty_grid():
+    # an unknown mode returned [] for an empty grid
+    with pytest.raises(ValueError, match="unknown mode"):
+        dilution_sweep(Spectrum(np.array([0.8, 0.2])), 0.05, [], mode="bogus")
+
+
+def test_numpy_integer_block_lengths_dilute_as_python_ints():
+    spec = Spectrum(np.array([0.7, 0.3]))
+    traces = dilution_sweep(spec, 0.05, np.array([10, 300]))
+    assert traces == dilution_sweep(spec, 0.05, [10, 300])
+    assert [type(t.n) for t in traces] == [int, int]
+    assert pure_dilution(spec, 0.05, np.int64(300)) == traces[1]
+
+
+def test_sizes_that_are_not_integers_are_rejected():
+    # each returned a report for 2.5 copies, or raised a raw TypeError
+    rho = random_density_state(stream(0, 0), 2, 2)
+    for call in (lambda: converse_bound(rho, 1.0, 0.01, harmonic_oscillator(), 2.5),
+                 lambda: curtailed_binomial_pmf(0.5, 0.1, 10.5),
+                 lambda: binary_mixing_error(0.5, 0.1, 10.5)):
+        with pytest.raises(ValueError, match="integer"):
+            call()
+
+
 def test_product_state_needs_no_entanglement():
     t = pure_dilution(Spectrum(np.array([1.0])), 0.05, 20)
     assert t.ebits == 0

@@ -167,6 +167,14 @@ def test_surrogate_pure_takes_one_eigendecomposition(monkeypatch):
     assert (kind, calls) == ("pure-exact", ["eigh"])
 
 
+@pytest.mark.parametrize("n", [2.5, 0, 2.0])
+def test_surrogate_needs_a_positive_integer_copy_count(n):
+    # 2.5 copies returned a surrogate of 2.5 times the estimate
+    rho = random_density_state(stream(0, 0), 2, 2)
+    with pytest.raises(ValueError, match="positive integer"):
+        eof_surrogate_for_copies(rho, n)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_surrogate_mixed_scales_single_copy(monkeypatch, n):
     # n copies take n times the one-copy estimate: no copy is ever tensored,

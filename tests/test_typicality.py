@@ -83,6 +83,14 @@ def test_integral_sequences_of_any_numeric_type_are_read_as_symbols():
     assert not is_weakly_typical(d, [1.0, 1.0, 1.0], 0.5)
 
 
+@pytest.mark.parametrize("seq", [[[0, 1], [1, 0]], 1])
+def test_sequence_that_is_not_one_dimensional_is_rejected(seq):
+    # [[0, 1], [1, 0]] was flattened and judged typical as a length-4
+    # sequence, and a bare 1 as a length-1 sequence
+    with pytest.raises(ValueError, match="one-dimensional"):
+        is_weakly_typical(SourceDistribution([0.7, 0.3]), seq, 0.5)
+
+
 def test_rate_infinite_on_impossible_symbol():
     # a zero-probability symbol makes the rate +inf, outside every window
     d = SourceDistribution(np.array([1.0, 0.0]))
@@ -307,6 +315,29 @@ def test_nan_delta_is_rejected():
         weak_typical_census(dist, 10, math.nan)
     with pytest.raises(ValueError):
         pure_dilution(Spectrum(np.array([0.8, 0.2])), math.nan, 10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda dist: weak_typical_mass(dist, 10.7, 0.1, mode="mc", samples=100),
+    lambda dist: weak_typical_mass(dist, 10.7, 0.1),
+    lambda dist: strong_typical_mass(dist, 10.7, 0.1),
+    lambda dist: strong_typical_mass(dist, 10.0, 0.1, mode="mc", samples=100),
+    lambda dist: weak_typical_census(dist, 10.7, 0.1),
+    lambda dist: aep_bounds_check(dist, 10.7, 0.1),
+])
+def test_non_integral_block_length_is_rejected(call):
+    # the Monte Carlo mass read 0.45 at n = 10.7; exact mode raised a raw
+    # TypeError from the census
+    with pytest.raises(ValueError, match="integer"):
+        call(SourceDistribution([0.7, 0.3]))
+
+
+def test_numpy_integer_block_length_is_counted_exactly():
+    # K^n with a NumPy n overflowed: the uniform census counted 0 sequences
+    uniform, dist = SourceDistribution([0.5, 0.5]), SourceDistribution([0.7, 0.3])
+    assert weak_typical_census(uniform, np.int64(100), 0.05) == (1.0, 2 ** 100)
+    assert weak_typical_mass(dist, np.int64(300), 0.05) == weak_typical_mass(dist, 300, 0.05)
+    assert aep_bounds_check(dist, np.int64(300), 0.05)
 
 
 @pytest.mark.parametrize("samples", [0, -5])
