@@ -9,16 +9,17 @@ sum over its types of multinomial(n; c) * prod_i p_i^c_i.  Each multinomial
 is one exact integer, walked along binomial rows: the integers sum to the
 set's cardinality, and a type's mass is exp(ln multinomial + ln p(x^n)).
 The census also hands back dilution's error, the square root of the cut
-mass, unsummed: only dilution's ledger sums it, and below 1 - mass = 1e-6
-it sums the cut types directly.  A single (one-dimensional) sequence is
-judged by the census's rule, so it is weakly typical exactly when its type
-is a member of the census's weak set.  Block lengths must be integers.  Where the types are too many to
-enumerate, a Monte Carlo mode draws the types of i.i.d. blocks directly
-(multinomial(n, p)), judges them by the same membership rule, and reports a
-99% Clopper-Pearson interval.  Its bounds solve exact binomial tail
-equations by safeguarded Newton steps in logit p; each tail is a sum over
-the O(sqrt(samples)) terms near the mode, so memory does not grow with the
-sample count.  ``dilution``'s curtailed binomial uses the same terms.
+mass, unsummed: only dilution's ledger sums it, and below 1 - mass = 1e-6 it
+sums the cut types directly.  Block lengths must be integers.  A single
+one-dimensional sequence is judged by the census's rule, so it is weakly
+typical exactly when its type is a member of the census's weak set.  Where
+the types are too many to enumerate, a Monte Carlo mode draws the types of
+i.i.d. blocks directly (multinomial(n, p)), judges them by the same
+membership rule, and reports a 99% Clopper-Pearson interval.  Its bounds
+solve exact binomial tail equations by safeguarded Newton steps in logit p;
+each tail is a sum over the O(sqrt(samples)) terms near the mode, so memory
+does not grow with the sample count.  ``dilution``'s curtailed binomial uses
+the same terms.
 """
 
 from __future__ import annotations
