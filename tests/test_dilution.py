@@ -116,16 +116,6 @@ def test_numpy_integer_block_lengths_dilute_as_python_ints():
     assert pure_dilution(spec, 0.05, np.int64(300)) == traces[1]
 
 
-def test_sizes_that_are_not_integers_are_rejected():
-    # each returned a report for 2.5 copies, or raised a raw TypeError
-    rho = random_density_state(stream(0, 0), 2, 2)
-    for call in (lambda: converse_bound(rho, 1.0, 0.01, harmonic_oscillator(), 2.5),
-                 lambda: curtailed_binomial_pmf(0.5, 0.1, 10.5),
-                 lambda: binary_mixing_error(0.5, 0.1, 10.5)):
-        with pytest.raises(ValueError, match="integer"):
-            call()
-
-
 def test_product_state_needs_no_entanglement():
     t = pure_dilution(Spectrum(np.array([1.0])), 0.05, 20)
     assert t.ebits == 0
@@ -295,6 +285,13 @@ def test_curtailed_window_rejects_nan_xi(window):
     assert not isinstance(caught.value, InvariantViolation)
 
 
+@pytest.mark.parametrize("window", [binary_mixing_error, curtailed_binomial_pmf])
+def test_curtailed_window_rejects_a_non_integral_block_length(window):
+    # the pmf raised a raw slice TypeError at n = 10.5
+    with pytest.raises(ValueError, match="integer"):
+        window(0.5, 0.1, 10.5)
+
+
 def test_binary_mixing_error_non_increasing_in_blocks():
     errors = [binary_mixing_error(0.3, 0.05, n) for n in (10, 100, 1000, 10_000)]
     assert all(a >= b for a, b in zip(errors, errors[1:]))
@@ -378,9 +375,10 @@ def test_converse_rejects_bad_epsilon():
 
 
 @pytest.mark.parametrize("r, n", [(math.inf, 1), (1e308, 10), (math.nan, 1),
-                                  (-1.0, 1), (1.0, 0)])
+                                  (-1.0, 1), (1.0, 0), (1.0, 2.5)])
 def test_converse_rejects_r_n_without_a_finite_floor(r, n):
-    # floor(r n) overflowed for r = inf and for r n = 1e309
+    # floor(r n) overflowed for r = inf and for r n = 1e309; n = 2.5 gave
+    # a report for 2.5 copies
     bell = schmidt_decompose(np.eye(2) / np.sqrt(2.0))
     with pytest.raises(ValueError):
         converse_bound(bell.to_density(), r, 1e-2, harmonic_oscillator(), n)
