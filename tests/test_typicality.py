@@ -639,6 +639,42 @@ def test_dilution_ledgers_are_pinned_bit_for_bit():
         "5909c04558916c55eba4b043543ef9bc86063e287d0db8a3b33783a1a4b3aca2")
 
 
+# (probabilities, delta, block lengths): unsorted grids with repeated n, in
+# every census regime: a cut, no cut, 1 - mass <= 1e-6, K = 1 to 4
+_SWEEP_GRIDS = [
+    ([0.8, 0.2], 0.05, [40, 7, 300, 7, 120, 1, 84, 84, 299, 2]),
+    ([0.8, 0.2], 0.1, [int(n) for n in np.random.default_rng(5).permutation(120) + 1]
+     + [60, 60]),
+    ([0.75, 0.25], 0.3, [300, 151, 300, 2, 250, 299]),
+    ([0.5, 0.5], 0.05, [5, 50, 3, 50]),
+    ([1.0], 0.1, [3, 1, 3]),
+    ([0.5, 0.3, 0.2], 0.1, [12, 40, 5, 40, 25, 1]),
+    ([0.5, 0.3, 0.2], 0.6, [150, 20, 150]),
+    ([1 / 3] * 3, 0.05, [30, 9, 30]),
+    ([0.4, 0.3, 0.2, 0.1], 0.1, [10, 25, 3, 25]),
+    (_seeded_source(2), 0.8, [240, 31]),
+]
+
+
+@pytest.mark.parametrize("block_rows", [64, 4096, None])
+def test_a_sweep_books_each_block_as_its_own_one_block_call(monkeypatch, block_rows):
+    # grids that span several blocks of types at 64 and 4096 rows a block;
+    # at the default, a K = 3 table of two blocks (n = 200, 20 301 types)
+    grids = list(_SWEEP_GRIDS)
+    if block_rows is None:
+        grids.append(([0.5, 0.3, 0.2], 0.05, [200, 31, 200]))
+    else:
+        monkeypatch.setattr(typicality, "_BLOCK_ROWS", block_rows)
+    for probs, delta, ns in grids:
+        spec = Spectrum.from_unsorted(np.array(probs))
+        swept = dilution_sweep(spec, delta, ns)
+        alone = [pure_dilution(spec, delta, n) for n in ns]
+        assert [_hexes(t.n, t.ebits, t.cbits, t.rate, t.error, t.error_high, t.error_kind)
+                for t in swept] == \
+            [_hexes(t.n, t.ebits, t.cbits, t.rate, t.error, t.error_high, t.error_kind)
+             for t in alone], (probs, delta)
+
+
 def _reads(monkeypatch):
     """A list that records the block count of every read of the type table."""
     reader, reads = typicality._judged_blocks, []
