@@ -101,6 +101,8 @@ def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
     mass, summed directly.  Monte Carlo mode estimates the mass and books
     the theoretical ceil(n(S + delta)) ebits instead.  Every input is
     checked before any census; each n must be a Python or NumPy integer.
+    Exact mode reads the type tables of the whole grid in one census pass
+    and books each n as it comes, with the bits each n gets alone.
     """
     ns = list(n_grid)
     # an infinite delta has no ebit cap ceil(n (S + delta))
@@ -112,11 +114,15 @@ def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
     schmidt = target if isinstance(target, Spectrum) else target.schmidt
     dist = SourceDistribution(schmidt.stripped().values)
     h = dist.entropy_bits
+    ns = [int(n) for n in ns]
+    # exact mode reads the type tables of the whole grid in one pass, and
+    # drains it one n at a time
+    censuses = _census(dist, ns, delta, "weak")
     traces = []
-    for n in map(int, ns):
+    for n in ns:
         cap = math.ceil(n * (h + delta)) if h + delta > 0.0 else 0
         if mode == "exact":
-            _, count, root_cut = _census(dist, n, delta, "weak")
+            _, count, root_cut = next(censuses)
             ebits = min((count - 1).bit_length(), cap) if count > 0 else 0
             error = root_cut()
             error_high, kind = error, "exact"

@@ -4,6 +4,10 @@ Exact masses and cardinalities come from one census of the empirical types
 (compositions of n into K parts), built as integer count matrices in bounded
 blocks.  One reader walks that table and judges each block of types; one
 sum over it serves the weak and strong masses, the AEP check and dilution.
+The census takes a grid of block lengths: a dilution sweep's tables are
+built and judged together, in blocks of the same bounded size, and each n
+is summed over the blocks its table has alone, so every n of a grid gets
+the bits it gets alone.
 Every sequence of a type has the same probability, so a set's mass is the
 sum over its types of multinomial(n; c) * prod_i p_i^c_i.  Each multinomial
 is one exact integer, walked along binomial rows: the integers sum to the
@@ -24,6 +28,7 @@ the same terms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -118,20 +123,25 @@ def _log2_bigint(m: int) -> float:
     return math.log2(m >> shift) + shift
 
 
-def _prefix_blocks(n: int, width: int) -> Iterator[np.ndarray]:
-    """Every tuple of ``width`` non-negative ints summing to at most n, in
-    lexicographic order and in int64 blocks of at most max(_BLOCK_ROWS, n + 1)
-    rows, so memory does not grow with the count."""
+def _prefix_blocks(ns: np.ndarray, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(tuples, which) in int64 blocks: every tuple of ``width`` non-negative
+    ints summing to at most ns[j], for each j in turn and in lexicographic
+    order within each j, with each row's j in ``which``.  With n the largest
+    of ns, a block holds at most max(_BLOCK_ROWS, n + 1) rows, so memory
+    does not grow with the count; a grid of one n gives the blocks that n's
+    table has alone."""
     if width == 0:
-        yield np.zeros((1, 0), dtype=np.int64)
+        yield np.zeros((len(ns), 0), dtype=np.int64), np.arange(len(ns))
         return
-    step = max(1, _BLOCK_ROWS // (n + 1))  # a row extends to at most n + 1 rows
-    for head in _prefix_blocks(n, width - 1):
-        for part in np.split(head, range(step, len(head), step)):
-            room = n + 1 - part.sum(axis=1)
+    step = max(1, _BLOCK_ROWS // (int(ns.max()) + 1))  # a row extends to at most n + 1 rows
+    for head, which in _prefix_blocks(ns, width - 1):
+        for lo in range(0, len(head), step):
+            part, part_which = head[lo:lo + step], which[lo:lo + step]
+            room = ns[part_which] + 1 - part.sum(axis=1)
             starts = np.repeat(np.cumsum(room) - room, room)
-            yield np.column_stack([np.repeat(part, room, axis=0),
-                                   np.arange(starts.size) - starts])
+            yield (np.column_stack([np.repeat(part, room, axis=0),
+                                    np.arange(starts.size) - starts]),
+                   np.repeat(part_which, room))
 
 
 def _log2_prob(dist: SourceDistribution, counts: np.ndarray) -> np.ndarray:
@@ -147,16 +157,19 @@ def _log2_prob(dist: SourceDistribution, counts: np.ndarray) -> np.ndarray:
     return log2_prob
 
 
-def _members(dist: SourceDistribution, n: int, delta: float, kind: str,
+def _members(dist: SourceDistribution, n, delta: float, kind: str,
              counts: np.ndarray, log2_prob: np.ndarray) -> np.ndarray:
-    """Weak or strong membership mask; types of zero probability are never members."""
+    """Weak or strong membership mask; types of zero probability are never
+    members.  n is one block length or one per row; either way each row is
+    divided by its own n alone, so a row's verdict does not depend on the
+    rows judged with it."""
     if kind == "weak":
         return np.isfinite(log2_prob) & (np.abs(-log2_prob / n - dist.entropy_bits) <= delta)
-    dev = np.abs(counts / n - dist.probs)[:, dist.probs > 0.0]
+    dev = np.abs(counts / np.reshape(n, (-1, 1)) - dist.probs)[:, dist.probs > 0.0]
     return np.isfinite(log2_prob) & np.all(dev <= delta, axis=1)
 
 
-def _judge(dist: SourceDistribution, n: int, delta: float, kind: str,
+def _judge(dist: SourceDistribution, n, delta: float, kind: str,
            counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log2 p(x^n), membership mask) of type rows: the one rule by which the
     census, a single sequence and a Monte Carlo draw are judged."""
@@ -164,18 +177,31 @@ def _judge(dist: SourceDistribution, n: int, delta: float, kind: str,
     return log2_prob, _members(dist, n, delta, kind, counts, log2_prob)
 
 
-def _judged_blocks(dist: SourceDistribution, n: int, delta: float,
-                   kind: str) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(counts, log2 p(x^n) per sequence, membership mask) per block of
-    types: the one reader of the type table."""
-    total = type_count(n, len(dist))
-    if total > MAX_TYPES:
-        raise InvariantViolation(
-            f"{total} empirical types exceed the exact-mode limit {MAX_TYPES}; "
-            "use Monte Carlo mode")
-    for head in _prefix_blocks(n, len(dist) - 1):
-        counts = np.column_stack([head, n - head.sum(axis=1)])
-        yield (counts, *_judge(dist, n, delta, kind, counts))
+def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float,
+                   kind: str) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(position in ns, counts, log2 p(x^n) per sequence, membership mask)
+    per piece of the type table of each n of ns, in order: the one reader of
+    the type table.
+
+    ``_prefix_blocks`` builds the tables of the whole grid in blocks; each
+    block is judged in one call, with each row's own n, and handed out
+    table by table as views.  Judging is elementwise, so each row reads as
+    it would in its table alone.  A table that comes in one piece fits one
+    step of the grid's largest n, so it is one block alone as well."""
+    for n in ns:
+        total = type_count(n, len(dist))
+        if total > MAX_TYPES:
+            raise InvariantViolation(
+                f"{total} empirical types exceed the exact-mode limit {MAX_TYPES}; "
+                "use Monte Carlo mode")
+    grid = np.array(ns, dtype=np.int64)
+    for rows, which in _prefix_blocks(grid, len(dist) - 1):
+        n_row = grid[which]
+        counts = np.column_stack([rows, n_row - rows.sum(axis=1)])
+        log2_prob, ok = _judge(dist, n_row, delta, kind, counts)
+        edges = [0, *(np.flatnonzero(which[1:] != which[:-1]) + 1).tolist(), len(which)]
+        for lo, hi in zip(edges, edges[1:]):
+            yield int(which[lo]), counts[lo:hi], log2_prob[lo:hi], ok[lo:hi]
 
 
 def _type_terms(n: int, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[np.ndarray, int]:
@@ -201,28 +227,46 @@ def _type_terms(n: int, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[np.n
     return np.array(ln_mult) + log2_prob * math.log(2.0), total
 
 
-def _census(dist: SourceDistribution, n: int, delta: float,
-            kind: str) -> tuple[float, int, object]:
-    """(mass, exact cardinality, root cut) of the weak or strong set.  The
-    root cut is a zero-argument callable, summed only when called, so only
-    dilution's ledger pays for it.  It returns dilution's exact projection
-    error, the square root of the mass of the types that carry probability
-    but are cut: 0.0 when there are none, and sqrt(1 - mass) while
-    1 - mass > 1e-6.  Below that, sqrt(1 - mass) keeps fewer than about 8
-    correct digits, so the cut types are summed directly, scaled by the
-    largest term so that the sum keeps its relative precision where it
+def _census(dist: SourceDistribution, ns: list[int], delta: float,
+            kind: str) -> Iterator[tuple[float, int, object]]:
+    """(mass, exact cardinality, root cut) of the weak or strong set at each
+    n of ns, in order, from one read of the type tables of the whole grid;
+    only a table that comes in several pieces is read again, alone.  A
+    generator: each n's result is handed over as soon as its table is
+    read, so a block of tables is released once the caller drops the
+    results drawn from it, and memory does not grow with the grid."""
+    tables = itertools.groupby(_judged_blocks(dist, ns, delta, kind),
+                               key=lambda piece: piece[0])
+    for n, (_, pieces) in zip(ns, tables):
+        yield _tally(dist, n, delta, kind, pieces)
+
+
+def _tally(dist: SourceDistribution, n: int, delta: float, kind: str,
+           pieces) -> tuple[float, int, object]:
+    """(mass, exact cardinality, root cut) of one n from the judged pieces
+    of its table.  A table in one piece is one block alone, and is held; a
+    table in several is read again alone, so each of n's own blocks is
+    summed on its own, as n's census alone sums it, bit for bit.
+
+    The root cut is a zero-argument callable, summed only when called, so
+    only dilution's ledger pays for it.  It returns dilution's exact
+    projection error, the square root of the mass of the types that carry
+    probability but are cut: 0.0 when there are none, and sqrt(1 - mass)
+    while 1 - mass > 1e-6.  Below that, sqrt(1 - mass) keeps fewer than
+    about 8 correct digits, so the cut types are summed directly, scaled by
+    the largest term so that the sum keeps its relative precision where it
     would underflow, and floored at the smallest positive double."""
-    cut, blocks = False, 0
-    for counts, log2_prob, ok in _judged_blocks(dist, n, delta, kind):
+    cut, read = False, 0
+    for piece in pieces:
+        _, _, log2_prob, ok = piece
         cut = cut or bool(np.any(np.isfinite(log2_prob) & ~ok))
-        blocks += 1
+        read += 1
     if not cut:
         # no type that carries mass was cut: mass 1 and count K_+^n, exactly
         return 1.0, int(np.count_nonzero(dist.probs)) ** n, lambda: 0.0
-    # a single block is held; a table of several is read again
-    held = [(counts, log2_prob, ok)] if blocks == 1 else None
+    held = [piece] if read == 1 else None
     mass, count = 0.0, 0
-    for counts, log2_prob, ok in held or _judged_blocks(dist, n, delta, kind):
+    for _, counts, log2_prob, ok in held or _judged_blocks(dist, [n], delta, kind):
         ln_mass, block_count = _type_terms(n, counts[ok], log2_prob[ok])
         mass, count = mass + float(np.sum(np.exp(ln_mass))), count + block_count
     mass = min(mass, 1.0)
@@ -231,7 +275,7 @@ def _census(dist: SourceDistribution, n: int, delta: float,
         if 1.0 - mass > 1e-6:
             return math.sqrt(1.0 - mass)
         top, scaled = -math.inf, 0.0  # the cut mass is e^top * scaled
-        for counts, log2_prob, ok in held or _judged_blocks(dist, n, delta, kind):
+        for _, counts, log2_prob, ok in held or _judged_blocks(dist, [n], delta, kind):
             rows = np.isfinite(log2_prob) & ~ok
             if not np.any(rows):
                 continue
@@ -359,7 +403,7 @@ def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
     for the weak set and n log2 K for the strong one."""
     n = _check_block(n, delta)
     if mode == "exact":
-        mass, card, _ = _census(dist, n, delta, kind)
+        (mass, card, _), = _census(dist, [n], delta, kind)
         return TypicalReport(n, delta, mass, _log2_bigint(card), kind,
                              mode="exact", mass_low=mass, mass_high=mass)
     if mode == "mc":
@@ -395,7 +439,8 @@ def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
 def weak_typical_census(dist: SourceDistribution, n: int, delta: float) -> tuple[float, int]:
     """(exact mass, exact integer cardinality) of the weakly typical set."""
     n = _check_block(n, delta)
-    return _census(dist, n, delta, "weak")[:2]
+    (mass, count, _), = _census(dist, [n], delta, "weak")
+    return mass, count
 
 
 def aep_bounds_check(dist: SourceDistribution, n: int, delta: float,
@@ -416,7 +461,7 @@ def aep_bounds_check(dist: SourceDistribution, n: int, delta: float,
     slack = 1e-12 * max(1.0, n * (h + max(delta, bound_delta)))
     lo = -n * (h + bound_delta) - slack
     hi = -n * (h - bound_delta) + slack
-    for _, log2_prob, ok in _judged_blocks(dist, n, delta, "weak"):
+    for _, _, log2_prob, ok in _judged_blocks(dist, [n], delta, "weak"):
         typical = log2_prob[ok]
         if not np.all((lo <= typical) & (typical <= hi)):
             return False

@@ -500,7 +500,7 @@ def test_census_memory_is_bounded_by_blocks():
 
 def _census_member_types(dist, n, delta, kind):
     """Count rows of the types the census itself counts as members."""
-    return [row for counts, _, member in typicality._judged_blocks(dist, n, delta, kind)
+    return [row for _, counts, _, member in typicality._judged_blocks(dist, [n], delta, kind)
             for row in counts[member].tolist()]
 
 
@@ -539,7 +539,7 @@ def test_sequence_membership_is_the_census_membership():
     for probs, n in grid:
         dist = SourceDistribution(np.array(probs))
         for delta in (0.05, 0.1):
-            (counts, _, member), = typicality._judged_blocks(dist, n, delta, "weak")
+            (_, counts, _, member), = typicality._judged_blocks(dist, [n], delta, "weak")
             rows = range(len(counts))
             if len(probs) == 2:
                 edges = np.flatnonzero(member[1:] != member[:-1])
@@ -699,6 +699,17 @@ def _walked_rows(monkeypatch):
     return rows
 
 
+def _judged_rows(monkeypatch):
+    """A list that records (rows, largest n) of every block of types judged."""
+    judge, judged = typicality._judge, []
+
+    def counted(dist, n, delta, kind, counts):
+        judged.append((len(counts), int(np.max(n))))
+        return judge(dist, n, delta, kind, counts)
+    monkeypatch.setattr(typicality, "_judge", counted)
+    return judged
+
+
 @pytest.mark.parametrize("probs, n, delta, block_rows, regime, reads, rows", [
     ([0.8, 0.2], 84, 0.05, 1 << 15, "cut", (1, 1), (4, 4)),
     ([0.75, 0.25], 300, 0.3, 1 << 15, "direct", (1, 1), (113, 301)),
@@ -706,34 +717,48 @@ def _walked_rows(monkeypatch):
     ([1 / 3] * 3, 40, 0.05, 64, "none", (1, 1), (0, 0)),
     ([0.5, 0.3, 0.2], 40, 0.05, 64, "cut", (2, 2), (84, 84)),
     ([0.5, 0.3, 0.2], 150, 0.6, 4096, "direct", (2, 3), (10619, 11476)),
+    # a grid of 30 n whose tables (60 465 types) need two blocks together
+    ([0.8, 0.2], list(range(1971, 2001)), 0.05, 1 << 15, "cut", (1, 1), (2978, 2978)),
 ])
 def test_one_census_reads_the_type_table_as_often_as_its_regime_needs(
         monkeypatch, probs, n, delta, block_rows, regime, reads, rows):
     # a single block is held, so it is read once in every regime; a table of
     # several blocks is read again to sum a cut set.  Only the ledger calls
     # the root cut, which sums the cut types where 1 - mass <= 1e-6, and so
-    # reads a table of several blocks once more.  (reads, rows) pairs are
-    # (mass callers, ledger).
+    # reads a table of several blocks once more.  A grid of tables that are
+    # each one block is read once.  (reads, rows) pairs are (mass callers,
+    # ledger).  No block judged holds more than max(_BLOCK_ROWS, n + 1) rows.
     monkeypatch.setattr(typicality, "_BLOCK_ROWS", block_rows)
     dist = SourceDistribution(np.array(probs))
+    grid = isinstance(n, list)
+    ns = n if grid else [n]
     seen, walked = _reads(monkeypatch), _walked_rows(monkeypatch)
-    mass, count, root_cut = typicality._census(dist, n, delta, "weak")
+    judged = _judged_rows(monkeypatch)
+    censuses = list(typicality._census(dist, ns, delta, "weak"))
     assert (len(seen), sum(walked)) == (reads[0], rows[0])
-    cut = root_cut()
-    assert {"none": cut == 0.0, "cut": 1.0 - mass > 1e-6,
-            "direct": 0.0 < cut and 1.0 - mass <= 1e-6}[regime]
+    # a single table is judged block by block; the grid's in two blocks
+    assert len(judged) == (2 if grid else sum(seen))
+    for mass, _, root_cut in censuses:
+        cut = root_cut()
+        assert {"none": cut == 0.0, "cut": 1.0 - mass > 1e-6,
+                "direct": 0.0 < cut and 1.0 - mass <= 1e-6}[regime]
     assert (len(seen), sum(walked)) == (reads[1], rows[1])
     assert seen == [seen[0]] * len(seen)
-    assert (seen[0] == 1) == (block_rows == 1 << 15)
+    # a read yields one item per block of each table
+    assert (seen[0] == len(ns)) == (block_rows == 1 << 15)
     # the public mass callers walk no cut row; a dilution block is the ledger
     spec = Spectrum.from_unsorted(np.array(probs))
-    for call, expected in ((lambda: weak_typical_census(dist, n, delta), 0),
-                           (lambda: weak_typical_mass(dist, n, delta), 0),
-                           (lambda: pure_dilution(spec, delta, n), 1)):
+    calls = [(lambda: dilution_sweep(spec, delta, ns), 1)] if grid else [
+        (lambda: weak_typical_census(dist, n, delta), 0),
+        (lambda: weak_typical_mass(dist, n, delta), 0),
+        (lambda: pure_dilution(spec, delta, n), 1)]
+    for call, expected in calls:
         seen.clear()
         walked.clear()
         call()
         assert (len(seen), sum(walked)) == (reads[expected], rows[expected])
-    seen.clear()
-    aep_bounds_check(dist, n, delta, delta / 2)
-    assert len(seen) == 1
+    if not grid:
+        seen.clear()
+        aep_bounds_check(dist, n, delta, delta / 2)
+        assert len(seen) == 1
+    assert all(rows <= max(block_rows, top + 1) for rows, top in judged)
