@@ -154,8 +154,8 @@ def mixed_dilution_rate(decomposition: Ensemble, n_cut: int) -> MixedDilutionPoi
     they are prepared jointly (wastefully) at the entropy of their averaged
     marginal, which is the term that must vanish as the cutoff grows.
     """
-    if n_cut < 0:
-        raise ValueError("n_cut must be non-negative")
+    if not isinstance(n_cut, (int, np.integer)) or n_cut < 0:
+        raise ValueError("n_cut must be a non-negative integer")
     if not decomposition.all_pure():
         raise InvariantViolation("dilution needs a pure-member decomposition")
     w = decomposition.weights

@@ -305,8 +305,8 @@ def regularized_probe(rho: BipartiteState, n_max: int = 2,
     increases.  The converse chain does not call it: its formation term is
     ``eof_surrogate_for_copies``.
     """
-    if n_max < 1 or n_max > 2:
-        raise ValueError("only 1 or 2 copies are representable here")
+    if not isinstance(n_max, (int, np.integer)) or not 1 <= n_max <= 2:
+        raise ValueError("n_max must be the integer 1 or 2")
     one = eof_estimate(rho, **estimate_kwargs).upper_bound_bits
     if n_max == 1:
         return [one]

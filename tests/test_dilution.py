@@ -211,6 +211,15 @@ def test_mixed_two_members_full_cut_is_exact_mean():
     assert point.wasteful_term == 0.0
 
 
+@pytest.mark.parametrize("n_cut", [1.5, 0.5, 1.0, -1])
+def test_mixed_cutoff_must_be_a_non_negative_integer(n_cut):
+    # 1.5 was booked as a cutoff of n_cut=1.5, and 0.5 raised a raw TypeError
+    m1 = schmidt_decompose(np.eye(2) / np.sqrt(2.0))
+    ens = Ensemble(np.array([0.6, 0.4]), (m1, m1))
+    with pytest.raises(ValueError, match="non-negative integer"):
+        mixed_dilution_rate(ens, n_cut)
+
+
 def test_mixed_wasteful_term_vanishes_geometrically():
     ens = _geometric_pure_ensemble()
     points = [mixed_dilution_rate(ens, cut) for cut in range(0, 20)]

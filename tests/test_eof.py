@@ -167,12 +167,15 @@ def test_surrogate_pure_takes_one_eigendecomposition(monkeypatch):
     assert (kind, calls) == ("pure-exact", ["eigh"])
 
 
-@pytest.mark.parametrize("n", [2.5, 0, 2.0])
+@pytest.mark.parametrize("n", [2.5, 0, 2.0, 1.5])
 def test_surrogate_needs_a_positive_integer_copy_count(n):
-    # 2.5 copies returned a surrogate of 2.5 times the estimate
+    # 2.5 copies returned a surrogate of 2.5 times the estimate, and the
+    # probe took 1.5 copies as 2
     rho = random_density_state(stream(0, 0), 2, 2)
     with pytest.raises(ValueError, match="positive integer"):
         eof_surrogate_for_copies(rho, n)
+    with pytest.raises(ValueError, match="integer 1 or 2"):
+        regularized_probe(rho, n)
 
 
 @pytest.mark.parametrize("n", [2, 3])
