@@ -119,12 +119,13 @@ class ProductKrausInstrument:
 
 
 def _completeness_matrix(ls: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """Hermitian part of sum_k L_k'L_k (x) M_k'M_k for stacked L_k and M_k."""
-    a = ls.conj().transpose(0, 2, 1) @ ls
-    b = ms.conj().transpose(0, 2, 1) @ ms
-    d = a.shape[1] * b.shape[1]
-    acc = np.einsum("kij,kab->iajb", a, b).reshape(d, d)
-    return (acc + acc.conj().T) / 2.0
+    """Hermitian part of sum_k L_k'L_k (x) M_k'M_k for stacked L_k and M_k,
+    of shapes (..., k, r, d): one matrix per leading index."""
+    a = ls.conj().swapaxes(-1, -2) @ ls
+    b = ms.conj().swapaxes(-1, -2) @ ms
+    d = a.shape[-1] * b.shape[-1]
+    acc = np.einsum("...kij,...kab->...iajb", a, b).reshape(a.shape[:-3] + (d, d))
+    return (acc + acc.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _completeness_defects(matrices: np.ndarray) -> np.ndarray:
@@ -489,9 +490,8 @@ def _sweep_block(draws: list) -> tuple[np.ndarray, np.ndarray]:
     """Smallest tail-sum margin and completeness defect of each drawn trial.
 
     Trials sharing (d_A, d_B) run as one stack on the branch grid, each
-    branch its own outcome.  Completeness matrices are formed trial by trial
-    (a stacked sum of Kronecker products adds in another order); their
-    eigenvalues come from one batched call.
+    branch its own outcome.  Completeness matrices are formed, and their
+    eigenvalues taken, in one batched call each.
     """
     margins = np.empty(len(draws))
     defects = np.empty(len(draws))
@@ -501,8 +501,7 @@ def _sweep_block(draws: list) -> tuple[np.ndarray, np.ndarray]:
     for trials in by_dims.values():
         amplitudes, z_a, z_b, conditioned = map(np.stack, zip(*(draws[i] for i in trials)))
         ls, ms = _grid(_local_kraus(z_a), _local_kraus(z_b), conditioned)
-        group_defects = _completeness_defects(np.stack(
-            [_completeness_matrix(l, m) for l, m in zip(ls, ms)]))
+        group_defects = _completeness_defects(_completeness_matrix(ls, ms))
         if not (group_defects <= COMPLETENESS_ATOL).all():
             raise InvariantViolation(
                 f"completeness defect {float(np.max(group_defects))!r} exceeds tolerance")
