@@ -124,24 +124,22 @@ def _log2_bigint(m: int) -> float:
 
 
 def _prefix_blocks(ns: np.ndarray, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(tuples, which) in int64 blocks: every tuple of ``width`` non-negative
-    ints summing to at most ns[j], for each j in turn and in lexicographic
-    order within each j, with each row's j in ``which``.  With n the largest
-    of ns, a block holds at most max(_BLOCK_ROWS, n + 1) rows, so memory
-    does not grow with the count; a grid of one n gives the blocks that n's
-    table has alone."""
+    """(tuples, n per tuple) in int64 blocks: for each n of ns in turn, every
+    tuple of ``width`` non-negative ints summing to at most n, in
+    lexicographic order.  With n the largest of ns, a block holds at most
+    max(_BLOCK_ROWS, n + 1) rows, so memory does not grow with the count."""
     if width == 0:
-        yield np.zeros((len(ns), 0), dtype=np.int64), np.arange(len(ns))
+        yield np.zeros((len(ns), 0), dtype=np.int64), ns
         return
     step = max(1, _BLOCK_ROWS // (int(ns.max()) + 1))  # a row extends to at most n + 1 rows
-    for head, which in _prefix_blocks(ns, width - 1):
+    for head, head_n in _prefix_blocks(ns, width - 1):
         for lo in range(0, len(head), step):
-            part, part_which = head[lo:lo + step], which[lo:lo + step]
-            room = ns[part_which] + 1 - part.sum(axis=1)
+            part, part_n = head[lo:lo + step], head_n[lo:lo + step]
+            room = part_n + 1 - part.sum(axis=1)
             starts = np.repeat(np.cumsum(room) - room, room)
             yield (np.column_stack([np.repeat(part, room, axis=0),
                                     np.arange(starts.size) - starts]),
-                   np.repeat(part_which, room))
+                   np.repeat(part_n, room))
 
 
 def _log2_prob(dist: SourceDistribution, counts: np.ndarray) -> np.ndarray:
@@ -180,28 +178,40 @@ def _judge(dist: SourceDistribution, n, delta: float, kind: str,
 def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float,
                    kind: str) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """(position in ns, counts, log2 p(x^n) per sequence, membership mask)
-    per piece of the type table of each n of ns, in order: the one reader of
-    the type table.
+    per block of the type table of each n of ns, in order: the one reader
+    of the type table.
 
-    ``_prefix_blocks`` builds the tables of the whole grid in blocks; each
-    block is judged in one call, with each row's own n, and handed out
-    table by table as views.  Judging is elementwise, so each row reads as
-    it would in its table alone.  A table that comes in one piece fits one
-    step of the grid's largest n, so it is one block alone as well."""
-    for n in ns:
-        total = type_count(n, len(dist))
+    A run of consecutive tables whose heads (the rows the last step of
+    ``_prefix_blocks`` extends) fit one step of the run's largest n is
+    built as one block of at most max(_BLOCK_ROWS, n + 1) rows, judged in
+    one call with each row's own n, and handed out table by table as
+    views; each of those tables is one block alone as well.  Any other
+    table is a run of its own, in the blocks it has alone.  Judging is
+    elementwise, so each row reads as it would in its table alone."""
+    k = len(dist)
+    totals = [type_count(n, k) for n in ns]
+    for total in totals:
         if total > MAX_TYPES:
             raise InvariantViolation(
                 f"{total} empirical types exceed the exact-mode limit {MAX_TYPES}; "
                 "use Monte Carlo mode")
-    grid = np.array(ns, dtype=np.int64)
-    for rows, which in _prefix_blocks(grid, len(dist) - 1):
-        n_row = grid[which]
-        counts = np.column_stack([rows, n_row - rows.sum(axis=1)])
-        log2_prob, ok = _judge(dist, n_row, delta, kind, counts)
-        edges = [0, *(np.flatnonzero(which[1:] != which[:-1]) + 1).tolist(), len(which)]
-        for lo, hi in zip(edges, edges[1:]):
-            yield int(which[lo]), counts[lo:hi], log2_prob[lo:hi], ok[lo:hi]
+    heads = [math.comb(n + k - 2, k - 2) if k > 1 else 1 for n in ns]
+    start = 0
+    while start < len(ns):
+        stop, top, held = start + 1, ns[start], heads[start]
+        while stop < len(ns):
+            top, held = max(top, ns[stop]), held + heads[stop]
+            if held > max(1, _BLOCK_ROWS // (top + 1)):
+                break
+            stop += 1
+        for rows, n_row in _prefix_blocks(np.array(ns[start:stop], dtype=np.int64), k - 1):
+            counts = np.column_stack([rows, n_row - rows.sum(axis=1)])
+            log2_prob, ok = _judge(dist, n_row, delta, kind, counts)
+            # a block holds its whole run, or one table's block
+            edges = np.cumsum([0, *totals[start:stop]]) if stop > start + 1 else (0, len(rows))
+            for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
+                yield start + j, counts[lo:hi], log2_prob[lo:hi], ok[lo:hi]
+        start = stop
 
 
 def _type_terms(n: int, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[np.ndarray, int]:
@@ -230,23 +240,22 @@ def _type_terms(n: int, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[np.n
 def _census(dist: SourceDistribution, ns: list[int], delta: float,
             kind: str) -> Iterator[tuple[float, int, object]]:
     """(mass, exact cardinality, root cut) of the weak or strong set at each
-    n of ns, in order, from one read of the type tables of the whole grid;
-    only a table that comes in several pieces is read again, alone.  A
-    generator: each n's result is handed over as soon as its table is
+    n of ns, in order, from one read of the type tables of the whole grid.
+    A generator: each n's result is handed over as soon as its table is
     read, so a block of tables is released once the caller drops the
     results drawn from it, and memory does not grow with the grid."""
     tables = itertools.groupby(_judged_blocks(dist, ns, delta, kind),
-                               key=lambda piece: piece[0])
-    for n, (_, pieces) in zip(ns, tables):
-        yield _tally(dist, n, delta, kind, pieces)
+                               key=lambda block: block[0])
+    for n, (_, blocks) in zip(ns, tables):
+        yield _tally(dist, n, delta, kind, blocks)
 
 
 def _tally(dist: SourceDistribution, n: int, delta: float, kind: str,
-           pieces) -> tuple[float, int, object]:
-    """(mass, exact cardinality, root cut) of one n from the judged pieces
-    of its table.  A table in one piece is one block alone, and is held; a
-    table in several is read again alone, so each of n's own blocks is
-    summed on its own, as n's census alone sums it, bit for bit.
+           blocks) -> tuple[float, int, object]:
+    """(mass, exact cardinality, root cut) of one n from the judged blocks
+    of its table, the blocks it has alone.  A single block is held; a table
+    of several is read again, alone, so each block is summed on its own,
+    bit for bit as n's census alone sums it.
 
     The root cut is a zero-argument callable, summed only when called, so
     only dilution's ledger pays for it.  It returns dilution's exact
@@ -256,15 +265,15 @@ def _tally(dist: SourceDistribution, n: int, delta: float, kind: str,
     about 8 correct digits, so the cut types are summed directly, scaled by
     the largest term so that the sum keeps its relative precision where it
     would underflow, and floored at the smallest positive double."""
-    cut, read = False, 0
-    for piece in pieces:
-        _, _, log2_prob, ok = piece
+    cut, n_blocks = False, 0
+    for block in blocks:
+        _, _, log2_prob, ok = block
         cut = cut or bool(np.any(np.isfinite(log2_prob) & ~ok))
-        read += 1
+        n_blocks += 1
     if not cut:
         # no type that carries mass was cut: mass 1 and count K_+^n, exactly
         return 1.0, int(np.count_nonzero(dist.probs)) ** n, lambda: 0.0
-    held = [piece] if read == 1 else None
+    held = [block] if n_blocks == 1 else None
     mass, count = 0.0, 0
     for _, counts, log2_prob, ok in held or _judged_blocks(dist, [n], delta, kind):
         ln_mass, block_count = _type_terms(n, counts[ok], log2_prob[ok])

@@ -717,8 +717,11 @@ def _judged_rows(monkeypatch):
     ([1 / 3] * 3, 40, 0.05, 64, "none", (1, 1), (0, 0)),
     ([0.5, 0.3, 0.2], 40, 0.05, 64, "cut", (2, 2), (84, 84)),
     ([0.5, 0.3, 0.2], 150, 0.6, 4096, "direct", (2, 3), (10619, 11476)),
-    # a grid of 30 n whose tables (60 465 types) need two blocks together
+    # grids of tables that are each one block alone: 30 binary tables that
+    # need two blocks together (60 465 types), and K = 3 tables whose heads
+    # do not fit one step together
     ([0.8, 0.2], list(range(1971, 2001)), 0.05, 1 << 15, "cut", (1, 1), (2978, 2978)),
+    ([0.5, 0.3, 0.2], [150, 140, 150], 0.6, 1 << 15, "direct", (1, 1), (30499, 32963)),
 ])
 def test_one_census_reads_the_type_table_as_often_as_its_regime_needs(
         monkeypatch, probs, n, delta, block_rows, regime, reads, rows):
@@ -736,8 +739,9 @@ def test_one_census_reads_the_type_table_as_often_as_its_regime_needs(
     judged = _judged_rows(monkeypatch)
     censuses = list(typicality._census(dist, ns, delta, "weak"))
     assert (len(seen), sum(walked)) == (reads[0], rows[0])
-    # a single table is judged block by block; the grid's in two blocks
-    assert len(judged) == (2 if grid else sum(seen))
+    # a table alone is judged block by block; the 30 binary tables in two
+    # blocks, and the K = 3 tables in one block each
+    assert len(judged) == ({30: 2, 3: 3}[len(ns)] if grid else sum(seen))
     for mass, _, root_cut in censuses:
         cut = root_cut()
         assert {"none": cut == 0.0, "cut": 1.0 - mass > 1e-6,
