@@ -115,9 +115,7 @@ def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
     dist = SourceDistribution(schmidt.stripped().values)
     h = dist.entropy_bits
     ns = [int(n) for n in ns]
-    # exact mode reads the type tables of the whole grid in one pass, and
-    # drains it one n at a time
-    censuses = _census(dist, ns, delta, "weak")
+    censuses = _census(dist, ns, delta, "weak")  # drawn from in exact mode only
     traces = []
     for n in ns:
         cap = math.ceil(n * (h + delta)) if h + delta > 0.0 else 0

@@ -765,4 +765,4 @@ def test_one_census_reads_the_type_table_as_often_as_its_regime_needs(
         seen.clear()
         aep_bounds_check(dist, n, delta, delta / 2)
         assert len(seen) == 1
-    assert all(rows <= max(block_rows, top + 1) for rows, top in judged)
+    assert all(size <= max(block_rows, top + 1) for size, top in judged)
