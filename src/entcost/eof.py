@@ -1,19 +1,24 @@
 """Convex-roof estimation of entanglement of formation at finite truncation.
 
 The formation value of a mixed state is the infimum, over pure-state
-decompositions, of the mean marginal entropy.  Decompositions of a rank-r
-state correspond to isometries W from its r-dimensional purification
-ancilla into m >= r slots.  The search holds the member vectors V = W F^T
-(frame F with columns sqrt(w_i) u_i), rotating two rows of V per step.
-One step is one pass over the two rows: it forms both rotated rows and adds
-up their squared norms in element order, and then one pair rule, chosen
-once per search, gives both members' entropies from their min(d_A,
-d_B)-dimensional Gram matrices: in closed form (Cauchy-Binet) when that
-dimension is 2, else from one stacked ``eigvalsh`` of the two.  The
+decompositions, of the mean marginal entropy.  On two qubits Wootters'
+explicit optimal decomposition (PRL 80, 2245, 1998) attains it, so a
+two-qubit state of rank r >= 2 with at least 4 slots takes that
+decomposition in closed form; every other state is searched.
+
+Decompositions of a rank-r state correspond to isometries W from its
+r-dimensional purification ancilla into m >= r slots.  The search holds the
+member vectors V = W F^T (frame F with columns sqrt(w_i) u_i), rotating two
+rows of V per step.  One step is one pass over the two rows: it forms both
+rotated rows and adds up their squared norms in element order, and then one
+pair rule, chosen once per search, gives both members' entropies from their
+min(d_A, d_B)-dimensional Gram matrices: in closed form (Cauchy-Binet) when
+that dimension is 2, else from one stacked ``eigvalsh`` of the two.  The
 starting values go through the same rule.  Each anneal draws its whole
 table of moves from its own stream up front.
 Every point visited is a valid decomposition, so the running best is a
-certified UPPER bound; only the two-qubit ``wootters_eof`` is exact.
+certified UPPER bound.  Either way the returned decomposition is checked to
+reconstruct the state, and its bound to stay under the marginal entropies.
 """
 
 from __future__ import annotations
@@ -45,11 +50,19 @@ MAX_ENSEMBLE_SIZE = MAX_RANK ** 2  # Uhlmann: r^2 members reach the convex roof
 RECONSTRUCTION_ATOL = 1e-9
 T0, T1 = 0.2, 1e-5  # annealing temperature at the first and last step
 A0, A1 = math.pi / 2.0, 0.05  # rotation-angle scale at the first and last step
+_SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))  # sigma_y (x) sigma_y
+_HADAMARD_SIGNS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2.0
 
 
 @dataclass(frozen=True)
 class EofEstimate:
-    """Certified upper bound on formation cost plus the achieving decomposition."""
+    """Certified upper bound on formation cost plus the achieving decomposition.
+
+    ``restarts`` is the number of annealing restarts run and ``converged``
+    whether the polish anneal gained less than 1e-9; the two are 0 and True
+    where no anneal runs, on rank-1 states and on Wootters' two-qubit
+    decomposition, whose bound is the exact formation value.
+    """
 
     upper_bound_bits: float
     decomposition: Ensemble
@@ -66,13 +79,87 @@ def wootters_eof(rho: BipartiteState) -> float:
     """Exact two-qubit formation value from the concurrence (Wootters 1998)."""
     if (rho.dim_a, rho.dim_b) != (2, 2):
         raise InvariantViolation("the Wootters closed form needs two qubits")
-    f = _spectral_frame(rho)  # rho = f f^dagger
-    tau = f.conj().T @ np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0])) @ f.conj()
-    # lam = sqrt spec(rho Y rho* Y) = singular values of tau, read with no sqrt of noise
-    h = np.block([[np.zeros_like(tau), tau], [tau.conj().T, np.zeros_like(tau)]])
-    lam = np.linalg.eigvalsh(h)[::-1][:len(tau)]
+    lam = _takagi(_spectral_frame(rho))[0]
     c = min(1.0, max(0.0, float(lam[0] - np.sum(lam[1:]))))
     return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
+
+
+def _takagi(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wootters' lam, descending, and x = frame U with <x_i|x~_j> = lam_i delta_ij.
+
+    tau = F^dagger (Y x Y) conj(F) is complex symmetric, so tau = U diag(lam)
+    U^T with U unitary (Takagi).  With tau = A + iB the real symmetric
+    [[A, B], [B, -A]] has spectrum +-lam, read with no sqrt of noise, and its
+    eigenvector (a, b) for +lam_k gives u_k = a + ib.  A QR keeps U unitary
+    where lam_k is 0 and the embedding's eigenvectors mix the two signs.
+    """
+    tau = frame.conj().T @ _SPIN_FLIP @ frame.conj()
+    r = len(tau)
+    w, v = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    w, v = w[::-1][:r], v[:, ::-1][:, :r]  # eigh sorts ascending
+    q, t = np.linalg.qr(v[:r] + 1j * v[r:])
+    return w, frame @ (q * np.exp(1j * np.angle(np.diag(t))))
+
+
+def _wootters_members(frame: np.ndarray) -> np.ndarray:
+    """Wootters' optimal two-qubit decomposition: four member vectors as rows.
+
+    Below rank 4 some rows can be zero; ``_ensemble_from`` drops them.
+
+    With C = lam_1 - lam_2 - lam_3 - lam_4 > 0, the y = (x_1, i x_2, i x_3,
+    i x_4) have <y_i|y~_j> = D = diag(lam_1, -lam_2, -lam_3, -lam_4), so a real
+    rotation V gives members z = V y of concurrence C exactly when the
+    diagonal of V (D - C Re<y|y>) V^T is 0; that matrix has trace C - C tr rho
+    = 0, and each Givens rotation zeroes one more diagonal entry.  With C <= 0,
+    phases with sum_k lam_k e^{-2i theta_k} = 0 on y_k = e^{i theta_k} x_k and
+    the +-1/2 Hadamard signs give four product members.
+    """
+    lam, x = _takagi(frame)
+    pad = 4 - len(lam)
+    lam = np.concatenate((np.clip(lam, 0.0, None), np.zeros(pad)))
+    x = np.hstack((x, np.zeros((4, pad))))
+    c = lam[0] - np.sum(lam[1:])
+    if c > 0.0:
+        y = x * np.array([1.0, 1j, 1j, 1j])
+        m = np.diag(lam * np.array([1.0, -1.0, -1.0, -1.0])) - c * np.real(y.conj().T @ y)
+        v = np.eye(4)
+        for _ in range(3):
+            d = np.diag(m)
+            i, j = int(np.argmax(d)), int(np.argmin(d))
+            if not d[i] > 0.0 > d[j]:
+                break
+            # the rotation in the (i, j) plane that zeroes m_ii has tan t a
+            # root of m_jj t^2 + 2 m_ij t + m_ii = 0, real as m_ii m_jj < 0;
+            # this is the root formed without cancellation
+            tan = -d[i] / (m[i, j] + math.copysign(
+                math.sqrt(m[i, j] ** 2 - d[i] * d[j]), m[i, j]))
+            cos = 1.0 / math.hypot(1.0, tan)
+            g = np.eye(4)
+            g[i, i] = g[j, j] = cos
+            g[i, j], g[j, i] = cos * tan, -cos * tan
+            m, v = g @ m @ g.T, g @ v
+        return v @ y.T
+    # a closed quadrilateral with sides lam_k: two triangles on a diagonal of
+    # length l, which both can span since lam_1 - lam_2 <= lam_3 + lam_4
+    l = max(lam[0] - lam[1], lam[2] - lam[3])
+    a, b = _triangle(lam[0], lam[1], l), -_triangle(lam[2], lam[3], l)
+    ends = np.array([a, l - a, b, -l - b])
+    size = np.abs(ends)
+    phase = np.divide(ends, size, out=np.ones(4, dtype=complex), where=size > 0.0)
+    return _HADAMARD_SIGNS @ (x * np.sqrt(phase).conj()).T
+
+
+def _triangle(p: float, q: float, l: float) -> complex:
+    """The point a with |a| = p and |l - a| = q, on or above the real axis.
+
+    Its height is twice the area over l, by Kahan's form of Heron's formula,
+    so a needle-like triangle keeps a height accurate to rounding.
+    """
+    if not l > 0.0:
+        return complex(p)  # then p = q, and a + (l - a) = 0 at a = p
+    x, y, z = sorted((p, q, l), reverse=True)
+    area4 = math.sqrt(max(0.0, (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))))
+    return complex(((p - q) * (p + q) + l * l) / (2.0 * l), area4 / (2.0 * l))
 
 
 class _DecompositionSearch:
@@ -227,10 +314,15 @@ def eof_estimate(rho: BipartiteState, ensemble_size: int | None = None,
                  seed: int = 0) -> EofEstimate:
     """Upper-bound the formation cost of a mixed bipartite state.
 
-    Anneals from ``restarts`` random isometries (restart rs on ``stream(seed,
-    rs)``), keeps the best of them and the spectral decomposition, and polishes
-    it with one more anneal on ``stream(seed, restarts)``.  ``converged``
-    reports that the polish improved the bound by less than 1e-9.
+    A rank-1 state gets its exact pure-state value.  A two-qubit state of
+    rank r >= 2 whose slot count (``ensemble_size``, else 2r) is at least 4
+    gets Wootters' optimal decomposition, exact to rounding; ``seed``,
+    ``restarts`` and ``iterations`` are then unused, though still checked.
+    Otherwise the search anneals from ``restarts`` random isometries
+    (restart rs on ``stream(seed, rs)``), keeps the best of them and the
+    spectral decomposition, and polishes it with one more anneal on
+    ``stream(seed, restarts)``.  ``converged`` reports that the polish
+    improved the bound by less than 1e-9.
     ``restarts`` must lie in [0, MAX_RESTARTS], ``iterations`` in [0,
     MAX_ITERATIONS] and ``ensemble_size`` at most MAX_ENSEMBLE_SIZE; each is
     checked before any work.  An ``ensemble_size`` below the rank raises
@@ -259,7 +351,7 @@ def eof_estimate(rho: BipartiteState, ensemble_size: int | None = None,
 
 def _search(rho: BipartiteState, ensemble_size: int | None, restarts: int,
             iterations: int, seed: int) -> EofEstimate:
-    """The annealed search behind ``eof_estimate``, on checked options."""
+    """The search behind ``eof_estimate``, on checked options."""
     frame = _spectral_frame(rho)
     r = frame.shape[1]
     m = int(ensemble_size) if ensemble_size is not None else 2 * r
@@ -271,7 +363,23 @@ def _search(rho: BipartiteState, ensemble_size: int | None, restarts: int,
                                    np.linalg.norm(vec))
         ens = Ensemble(np.array([1.0]), (member,))
         return EofEstimate(eof_pure(member), ens, 0, True)
+    if (rho.dim_a, rho.dim_b) == (2, 2) and m >= 4:
+        best_v, restarts, converged = _wootters_members(frame), 0, True
+    else:
+        best_v, converged = _anneal(rho, frame, m, restarts, iterations, seed)
+    ens, bound = _ensemble_from(best_v, rho.dim_a, rho.dim_b, rho)
+    ceiling = min(von_neumann_entropy(Spectrum.from_unsorted(np.clip(
+        np.linalg.eigvalsh(partial_trace(rho, side)), 0.0, None))) for side in "AB")
+    if bound > ceiling + 1e-8:
+        raise InvariantViolation(
+            f"upper bound {bound!r} exceeds the marginal-entropy ceiling")
+    return EofEstimate(bound, ens, restarts, bool(converged))
 
+
+def _anneal(rho: BipartiteState, frame: np.ndarray, m: int, restarts: int,
+            iterations: int, seed: int) -> tuple[list, bool]:
+    """The annealed search's best member vectors, and whether its polish was flat."""
+    r = frame.shape[1]
     search = _DecompositionSearch(rho.dim_a, rho.dim_b, m)
     best_v = (np.eye(m, r) @ frame.T).tolist()  # the spectral decomposition
     best_val = sum(search.parts(best_v))
@@ -283,16 +391,9 @@ def _search(rho: BipartiteState, ensemble_size: int | None, restarts: int,
             best_val, best_v = val, v
     # polish the winner with a second pass; a flat polish signals convergence
     val, v = search.anneal(best_v, iterations, stream(seed, restarts))
-    converged = best_val - val < 1e-9
     if val < best_val:
-        best_v = v
-    ens, bound = _ensemble_from(best_v, rho.dim_a, rho.dim_b, rho)
-    ceiling = min(von_neumann_entropy(Spectrum.from_unsorted(np.clip(
-        np.linalg.eigvalsh(partial_trace(rho, side)), 0.0, None))) for side in "AB")
-    if bound > ceiling + 1e-8:
-        raise InvariantViolation(
-            f"upper bound {bound!r} exceeds the marginal-entropy ceiling")
-    return EofEstimate(bound, ens, restarts, bool(converged))
+        return v, best_val - val < 1e-9
+    return best_v, True
 
 
 def regularized_probe(rho: BipartiteState, n_max: int = 2,

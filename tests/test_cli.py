@@ -345,6 +345,18 @@ def test_eof_round_trip_through_cli(tmp_path, capsys):
     assert sum(weights) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_eof_on_two_qubits_is_wootters_through_cli(tmp_path, capsys):
+    # a rank-2 two-qubit state with the default 4 slots takes Wootters'
+    # decomposition: the exact value, and no annealing restart
+    cfg = _write(tmp_path, "c.json", {"command": "eof", "seed": 5,
+                                      "params": {"state": _STATE}})
+    assert main(["--config", cfg]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    want = eof.wootters_eof(state_from_json(_STATE))
+    assert abs(result["upper_bound_bits"] - want) <= 1e-12
+    assert (result["restarts"], result["converged"]) == (0, True)
+
+
 _LEDGER_CONFIGS = [
     {"schmidt": [0.8, 0.2], "delta": 0.05, "n_grid": [10, 84, 300, 1000]},
     # 1 - mass <= 1e-6 at n = 300: the error sums the cut types directly

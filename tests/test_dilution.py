@@ -343,15 +343,16 @@ def test_converse_terms_decrease_with_epsilon():
 
 
 def test_a_converse_grid_on_one_state_anneals_once(anneals):
-    # the probe's one-copy search (one restart plus the polish) serves all
-    # nine converse points; the 4 x 4 two-copy search is the probe's own
+    # the probe's one-copy estimate, Wootters' decomposition with no
+    # annealing, serves all nine converse points; the 4 x 4 two-copy search
+    # (one restart plus the polish) is the probe's own and the only anneal
     rho = random_density_state(stream(31, 14), 2, 2, rank=2)
     options = {"restarts": 1, "iterations": 300, "seed": 5}
     regularized_probe(rho, 2, **options)
     grid = [(n, eps) for n in (1, 2, 3) for eps in (1e-2, 1e-3, 1e-4)]
     reports = [converse_bound(rho, 1.0, eps, harmonic_oscillator(), n, **options)
                for n, eps in grid]
-    assert anneals == [4, 4, 8, 8]
+    assert anneals == [8, 8]
     for (n, eps), rep in zip(grid, reports):
         fresh = BipartiteState(rho.dim_a, rho.dim_b, rho.matrix)
         want = converse_bound(fresh, 1.0, eps, harmonic_oscillator(), n, **options)

@@ -1,4 +1,4 @@
-"""Formation-cost estimation by annealed decomposition search."""
+"""Formation-cost estimation: Wootters' decomposition on two qubits, annealed search elsewhere."""
 
 import dataclasses
 import hashlib
@@ -77,8 +77,9 @@ def test_iterations_and_ensemble_size_outside_the_limits_are_rejected_before_any
         monkeypatch):
     # iterations = -1 failed in NumPy ("negative dimensions are not
     # allowed"), and a few times 10^7 built a multi-GB move table; the
-    # oversized values never reach a draw here, so none of them runs
-    rho = BipartiteState(2, 2, np.diag([0.6, 0.0, 0.0, 0.4]).astype(complex))
+    # oversized values never reach a draw here, so none of them runs; the
+    # state is 2 x 3, since two qubits with 4 or more slots draw nothing
+    rho = BipartiteState(2, 3, np.diag([0.6, 0.0, 0.0, 0.0, 0.0, 0.4]).astype(complex))
 
     def refuse(*args):
         raise AssertionError("a stream was drawn")
@@ -108,16 +109,93 @@ def test_separable_diagonal_mixture_is_zero():
     assert est.upper_bound_bits <= 1e-6
 
 
-def test_two_qubit_estimates_track_closed_form():
+def test_two_qubit_estimates_track_closed_form(anneals):
+    # fewer than 4 slots keep the annealer on two qubits: rank-2 states with
+    # 2 or 3 members, four restarts and the polish each
     rng = stream(31, 2)
     for t in range(5):
-        rho = random_density_state(rng, 2, 2)
+        rho = random_density_state(rng, 2, 2, rank=2)
         want = wootters_eof(rho)
-        est = eof_estimate(rho, restarts=4, iterations=1500, seed=t)
+        est = eof_estimate(rho, ensemble_size=2 + t % 2, restarts=4, iterations=1500,
+                           seed=t)
+        assert anneals[5 * t:] == [2 + t % 2] * 5
         # the search returns an upper bound; on two qubits it should land
         # close to the exact convex roof
         assert est.upper_bound_bits >= want - 1e-9
         assert est.upper_bound_bits <= want + 0.01
+
+
+def _concurrence(rho):
+    """max(0, l1 - l2 - l3 - l4), l the singular values of sqrt(rho) (Y x Y) conj(sqrt(rho))."""
+    w, u = np.linalg.eigh(rho.matrix)
+    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    lam = np.linalg.svd(root @ np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0])) @ root.conj(),
+                        compute_uv=False)
+    return max(0.0, lam[0] - np.sum(lam[1:]))
+
+
+def _two_qubit_cases():
+    rng = stream(31, 16)
+    for t in range(30):
+        yield f"random rank {2 + t % 3}", random_density_state(rng, 2, 2, rank=2 + t % 3)
+    bells = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2.0)
+    for p in ([0.4, 0.2, 0.2, 0.2], [0.5, 0.5, 0.0, 0.0], [0.25] * 4, [0.6, 0.2, 0.2, 0.0],
+              [0.3, 0.3, 0.2, 0.2], [0.7, 0.1, 0.1, 0.1]):
+        g = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        local = np.kron(*np.linalg.qr(g)[0])
+        yield f"Bell-diagonal {p}", BipartiteState(
+            2, 2, local @ (bells.T * p) @ bells @ local.conj().T)
+    for t in range(6):
+        v = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        v /= np.linalg.norm(v, axis=2, keepdims=True)
+        prods = np.einsum("ka,kb->kab", v[:, 0], v[:, 1]).reshape(3, 4)
+        m = np.einsum("k,ka,kb->ab", rng.dirichlet(np.ones(3)), prods, prods.conj())
+        yield "separable rank 3", BipartiteState(2, 2, m)
+    for p in (0.9, 0.2):
+        yield f"Werner {p}", BipartiteState(2, 2, p * np.outer(bells[0], bells[0])
+                                            + (1.0 - p) * np.eye(4) / 4.0)
+
+
+def test_two_qubit_estimates_are_wootters_decomposition(anneals):
+    # rank >= 2 and the default 2r >= 4 slots: every member has concurrence
+    # C, so the bound is E(C), the exact convex roof, and nothing anneals
+    for label, rho in _two_qubit_cases():
+        est = eof_estimate(rho)
+        assert abs(est.upper_bound_bits - wootters_eof(rho)) <= 1e-12, label
+        assert (est.restarts, est.converged, anneals) == (0, True, []), label
+        c = _concurrence(rho)
+        for m in est.decomposition.members:
+            assert abs(2.0 * abs(np.linalg.det(m.amplitudes)) - c) <= 1e-9, label
+        assert state_trace_distance(ensemble_average(est.decomposition), rho) < 1e-9
+    for t, (label, da, db, rank, bits, _, _) in enumerate(_PINNED[:2]):
+        rho = _pinned_state(t, label, da, db, rank)
+        assert abs(float.fromhex(bits) - wootters_eof(rho)) <= 1e-12, label
+
+
+def test_wootters_phase_triangles_keep_their_sides_to_rounding():
+    # with C = 0 the member phases close a quadrilateral of sides lam_k from
+    # two triangles on one diagonal; flat and needle triangles, such as
+    # (lam_3, 0, lam_3) on the separability boundary at rank 3, must keep
+    # both sides to rounding, not to its square root
+    rng = stream(31, 18)
+    for p in rng.uniform(0.01, 1.0, 300):
+        q = rng.uniform(0.0, p)
+        for sides in ((p, 0.0, p), (p, q, p - q), (p, q, p + q), (p, p, rng.uniform(0.0, 1e-12)),
+                      (p, q, rng.uniform(p - q, p + q))):
+            a = eof._triangle(*sides)
+            assert abs(abs(a) - sides[0]) <= 2e-15 and abs(abs(sides[2] - a) - sides[1]) <= 2e-15
+            assert a.imag >= 0.0
+
+
+def test_two_qubit_states_with_fewer_than_four_slots_anneal(anneals):
+    rng = stream(31, 17)
+    rank2, rank3 = (random_density_state(rng, 2, 2, rank=r) for r in (2, 3))
+    eof_estimate(rank2, ensemble_size=4, restarts=1, iterations=50)
+    assert anneals == []
+    eof_estimate(rank2, ensemble_size=3, restarts=1, iterations=50)
+    eof_estimate(rank3, ensemble_size=3, restarts=1, iterations=50)
+    assert anneals == [3, 3, 3, 3]
+    assert eof_estimate(rank3, ensemble_size=3, restarts=1, iterations=50).restarts == 1
 
 
 def test_decomposition_reconstructs_state():
@@ -197,13 +275,14 @@ def test_surrogate_mixed_scales_single_copy(monkeypatch, n):
 
 
 # (label, d_A, d_B, rank, upper_bound_bits.hex(), converged, digest): the
-# first five take the closed form (a 2-dimensional factor), the last two the
-# Gram eigenvalues; the 4 x 4 state is the two-copy state regularized_probe
-# searches.  A rewrite of the search that keeps every floating-point
-# operation in order leaves all of them as they are.
+# two-qubit rows are Wootters' decomposition, within 1e-15 of wootters_eof;
+# the next three anneal with the closed-form pair rule (a 2-dimensional
+# factor), the last two with the Gram eigenvalues; the 4 x 4 state is the
+# two-copy state regularized_probe searches.  A rewrite of the search that
+# keeps every floating-point operation in order leaves all of them as they are.
 _PINNED = [
-    ("2x2-r2", 2, 2, 2, "0x1.83b93c0fa5bb2p-1", False, "83bf0d77c9b9883d"),
-    ("2x2-r3", 2, 2, 3, "0x1.e95419e474948p-5", False, "74228a16139e80ce"),
+    ("2x2-r2", 2, 2, 2, "0x1.83b544ccef1ffp-1", True, "4d1e791b9cd0a75e"),
+    ("2x2-r3", 2, 2, 3, "0x1.e4a6cc39e6c80p-5", True, "db485865ee6ff83e"),
     ("2x3", 2, 3, None, "0x1.088fe6954029fp-5", False, "2ca404d6834f14e4"),
     ("3x2", 3, 2, None, "0x1.1e6893de9dc60p-3", True, "b95bed2745e6b6ea"),
     ("2x4", 2, 4, None, "0x1.9214e5f573330p-3", True, "80d4d1cc650676c8"),
@@ -239,24 +318,26 @@ def _pinned_fields(est):
 
 def test_a_repeat_estimate_is_the_pinned_one_and_runs_no_search(anneals):
     # the state keeps each estimate by its options: a repeat call on the
-    # same object returns the pinned result without annealing, a freshly
-    # built state anneals again to the same bits, and other options are
-    # their own entry (restarts=1 anneals twice, one restart and the polish,
-    # and restarts=2 after it three more times)
+    # same object returns the pinned result without searching again, a
+    # freshly built state searches again to the same bits, and other options
+    # are their own entry (restarts=1 anneals twice, one restart and the
+    # polish, and restarts=2 after it three more times); the two-qubit rows
+    # take Wootters' decomposition and never anneal
     for t, (label, da, db, rank, bits, converged, digest) in enumerate(_PINNED):
+        k = 0 if label.startswith("2x2") else 1
         rho = _pinned_state(t, label, da, db, rank)
         first = eof_estimate(rho, restarts=2, iterations=800, seed=t)
-        assert (_pinned_fields(first), len(anneals)) == ((bits, converged, digest), 3), label
+        assert (_pinned_fields(first), len(anneals)) == ((bits, converged, digest), 3 * k), label
         again = eof_estimate(rho, restarts=2, iterations=800, seed=t)
-        assert again is first and len(anneals) == 3, label
+        assert again is first and len(anneals) == 3 * k, label
 
         fresh = _pinned_state(t, label, da, db, rank)
         one = eof_estimate(fresh, restarts=1, iterations=800, seed=t)
-        assert len(anneals) == 5, label
+        assert len(anneals) == 5 * k, label
         two = eof_estimate(fresh, restarts=2, iterations=800, seed=t)
-        assert (_pinned_fields(two), len(anneals)) == ((bits, converged, digest), 8), label
+        assert (_pinned_fields(two), len(anneals)) == ((bits, converged, digest), 8 * k), label
         assert eof_estimate(fresh, restarts=1, iterations=800, seed=t) is one
-        assert len(anneals) == 8, label
+        assert len(anneals) == 8 * k, label
         anneals.clear()
 
 
