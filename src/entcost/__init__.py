@@ -18,9 +18,10 @@ Capabilities, by module:
   for pure and mixed targets, curtailed binomial mixing, and a converse
   rate bound combining formation estimates with energy-constrained
   continuity.
-- ``eof``: entanglement of formation upper bounds by annealed search over
-  decompositions, a two-copy regularization probe, and the exact two-qubit
-  value from Wootters' concurrence.
+- ``eof``: entanglement of formation upper bounds over decompositions,
+  Wootters' optimal one on two qubits and an annealed search elsewhere, a
+  two-copy regularization probe, and the exact two-qubit value from
+  Wootters' concurrence.
 - ``gibbs``: diagonal Hamiltonians with exact geometric tails, Gibbs
   spectra, max-entropy-at-energy curves, and the one-sided continuity
   bound they induce.

@@ -253,7 +253,7 @@ def converse_bound(rho: BipartiteState, r: float, epsilon: float,
     The formation term is ``eof_surrogate_for_copies(rho, n)``: n times one
     ``eof_estimate`` of rho, exact for pure targets.  That search runs once
     per (state object, options), so a grid of calls over n and epsilon on
-    one state anneals once.
+    one state searches once.
 
     The chain: an LOCC protocol turns floor(rn) ebits into sigma_n with
     (1/2)||sigma_n - rho^n||_1 <= epsilon.  E_F does not grow under LOCC,
