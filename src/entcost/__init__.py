@@ -37,6 +37,11 @@ Fixed limits and probe grids are module constants, not parameters:
 ``majorization.MAX_TRIALS``, ``majorization.MAX_DIM``, the tolerances
 ``majorization.MARGIN_ATOL``, ``OPERATOR_ATOL``, ``ENTROPY_ATOL`` and
 ``COMPLETENESS_ATOL``, and ``gibbs.DEFAULT_BETA_GRID``.
+
+One argument rule, checked in ``spectra`` alone: an integer argument (size,
+count, cutoff, level, seed) is a Python or NumPy integer in its range, never
+a bool or a float, else ``ValueError``; a matrix is finite, non-empty and of
+its shape, else ``InvariantViolation``.
 """
 
 from .dilution import (

@@ -44,7 +44,7 @@ from .jsonio import (
     state_from_json,
 )
 from .majorization import majorization_sweep
-from .spectra import InvariantViolation, Spectrum
+from .spectra import InvariantViolation, Spectrum, _checked_int
 from .typicality import (
     SourceDistribution,
     strong_typical_mass,
@@ -151,8 +151,6 @@ def _run_typicality(params, seed):
     samples = read(params, "samples", what, int, 100_000)
     if kind not in ("weak", "strong"):
         raise SchemaError("typicality: 'kind' must be 'weak' or 'strong'")
-    if mode not in ("exact", "mc"):
-        raise SchemaError("typicality: 'mode' must be 'exact' or 'mc'")
     dist = SourceDistribution(probs)
     fn = weak_typical_mass if kind == "weak" else strong_typical_mass
     report = fn(dist, n, delta, mode=mode, samples=samples, seed=seed)
@@ -249,9 +247,7 @@ def _run_gibbs(params, seed):
     if not np.isfinite(point.beta):
         raise SchemaError("gibbs: the requested point sits at beta = inf; "
                           "query a positive energy instead")
-    head = read(params, "spectrum_head", "gibbs", int, 8)
-    if head < 0:
-        raise SchemaError("gibbs: 'spectrum_head' must be >= 0")
+    head = _checked_int(read(params, "spectrum_head", "gibbs", int, 8), "spectrum_head", 0)
     spec = gibbs_state(ham, point.beta)
     result = _fields(point)
     result["spectrum_head"] = list(spec.values[:head])
@@ -349,10 +345,8 @@ def main(argv=None) -> int:
             try:
                 threads = int(os.environ.get("ENTCOST_THREADS", "1"))
             except ValueError:
-                threads = 0  # reported as out of range below
-        if threads < 1:
-            raise CliFailure(EXIT_SCHEMA, "schema",
-                             "--threads and ENTCOST_THREADS must be integers >= 1")
+                threads = os.environ["ENTCOST_THREADS"]  # not an integer: reported below
+        _checked_int(threads, "--threads and ENTCOST_THREADS", 1)
 
         out_path = args.out or read(config, "output_path", "config", str, None)
         result, header, reports = _HANDLERS[command](params, seed)

@@ -37,6 +37,7 @@ from .spectra import (
     InvariantViolation,
     PureBipartite,
     Spectrum,
+    _checked_int,
     partial_trace,
 )
 from .typicality import (
@@ -104,17 +105,15 @@ def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
     Exact mode reads the type tables of the whole grid in one census pass
     and books each n as it comes, with the bits each n gets alone.
     """
-    ns = list(n_grid)
     # an infinite delta has no ebit cap ceil(n (S + delta))
-    if not 0.0 <= delta < math.inf or not all(
-            isinstance(n, (int, np.integer)) and n >= 1 for n in ns):
-        raise ValueError("need a finite delta >= 0 and integers n >= 1")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError("need a finite delta >= 0")
+    ns = [_checked_int(n, "n", 1) for n in n_grid]
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
     schmidt = target if isinstance(target, Spectrum) else target.schmidt
     dist = SourceDistribution(schmidt.stripped().values)
     h = dist.entropy_bits
-    ns = [int(n) for n in ns]
     censuses = _census(dist, ns, delta, "weak")  # drawn from in exact mode only
     traces = []
     for n in ns:
@@ -152,8 +151,7 @@ def mixed_dilution_rate(decomposition: Ensemble, n_cut: int) -> MixedDilutionPoi
     they are prepared jointly (wastefully) at the entropy of their averaged
     marginal, which is the term that must vanish as the cutoff grows.
     """
-    if not isinstance(n_cut, (int, np.integer)) or n_cut < 0:
-        raise ValueError("n_cut must be a non-negative integer")
+    n_cut = _checked_int(n_cut, "n_cut", 0)
     if not decomposition.all_pure():
         raise InvariantViolation("dilution needs a pure-member decomposition")
     w = decomposition.weights
@@ -176,10 +174,9 @@ def mixed_dilution_rate(decomposition: Ensemble, n_cut: int) -> MixedDilutionPoi
 
 
 def _curtailed_support(p0: float, xi: float, n: int) -> np.ndarray:
-    if not (0.0 < p0 < 1.0):
-        raise ValueError("p0 must lie strictly between 0 and 1")
-    if not xi > 0.0 or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("need xi > 0 and an integer n >= 1")
+    if not (0.0 < p0 < 1.0 and xi > 0.0):
+        raise ValueError("need 0 < p0 < 1 and xi > 0")
+    n = _checked_int(n, "n", 1)
     ks = np.arange(n + 1)
     return ks[np.abs(ks / n - p0) <= xi]
 
@@ -211,8 +208,8 @@ def curtailed_binomial_pmf(p0: float, xi: float, n: int) -> tuple[np.ndarray, np
 def curtailed_binomial_sample(p0: float, xi: float, n: int, size: int = 1,
                               seed: int = 0) -> np.ndarray:
     """Draw mixing counts K with |K/n - p0| <= xi from the curtailed binomial."""
+    size, rng = _checked_int(size, "size", 0), stream(seed, 0)
     ks, probs = curtailed_binomial_pmf(p0, xi, n)
-    rng = stream(seed, 0)
     return rng.choice(ks, size=size, p=probs)
 
 
@@ -277,9 +274,9 @@ def _converse(rho: BipartiteState, r: float, epsilons, hamiltonian: DiagonalHami
     taken once for the whole grid, even an empty one, so that the estimate
     options are checked whatever the grid's length."""
     # r * n must be finite for floor(r n) to exist; NaN fails r >= 0
-    if not isinstance(n, (int, np.integer)) or n < 1 or not (
-            r >= 0.0 and math.isfinite(r * n)):
-        raise ValueError("need an integer n >= 1, r >= 0 and r * n finite")
+    n = _checked_int(n, "n", 1)
+    if not (r >= 0.0 and math.isfinite(r * n)):
+        raise ValueError("need r >= 0 and r * n finite")
     if not all(0.0 < epsilon <= 1.0 for epsilon in epsilons):
         raise ValueError("epsilon must lie in (0, 1]")
     energy = mean_energy_density(hamiltonian, partial_trace(rho, "A"))

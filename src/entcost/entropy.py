@@ -17,14 +17,14 @@ import math
 
 import numpy as np
 
-from .spectra import InvariantViolation, Spectrum
+from .spectra import InvariantViolation, Spectrum, _checked_int
 
 LN2 = math.log(2.0)
 
 
 def binary_entropy(x: float) -> float:
     """Entropy in bits of a (x, 1-x) distribution."""
-    if x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:
         raise ValueError(f"binary entropy argument {x!r} outside [0, 1]")
     if x == 0.0 or x == 1.0:
         return 0.0
@@ -34,15 +34,16 @@ def binary_entropy(x: float) -> float:
 def g_function(x: float) -> float:
     """Entropy in bits of a geometric distribution with mean x.
 
-    g(x) = (x+1) log2(x+1) - x log2 x, with g(0) = 0.  Monotone increasing
+    g(x) = (x+1) log2(x+1) - x log2 x, with g(0) = 0 and g(inf) = inf, its
+    limit; NaN is rejected with the negative arguments.  Monotone increasing
     and concave; grows like log2(x) + log2(e) for large x, so g(x)/x -> 0.
     Evaluated as (ln(1+x) + x ln(1 + 1/x)) / ln 2, free of cancellation;
     ln(1 + 1/x) is log1p(1/x) for x >= 1, else ln(1+x) - ln x.
     """
-    if x < 0.0:
-        raise ValueError(f"g argument {x!r} is negative")
-    if x == 0.0:
-        return 0.0
+    if not x >= 0.0:
+        raise ValueError(f"g argument {x!r} is negative or NaN")
+    if x == 0.0 or x == math.inf:
+        return float(x)
     log_ratio = math.log1p(1.0 / x) if x >= 1.0 else math.log1p(x) - math.log(x)
     return float((math.log1p(x) + x * log_ratio) / LN2)
 
@@ -77,13 +78,10 @@ def entropy_tail_uncertainty(spectrum: Spectrum, dim_bound: int | None = None) -
     sentinel ``math.inf`` is returned (callers must handle it explicitly).
     """
     t = spectrum.tail_mass
-    if t <= 0.0:
-        return 0.0
     if dim_bound is None:
-        return math.inf
-    if dim_bound < 1:
-        raise ValueError("dim_bound must be a positive integer")
-    return float(t * math.log2(dim_bound / t)) if t < dim_bound else 0.0
+        return math.inf if t > 0.0 else 0.0
+    dim_bound = _checked_int(dim_bound, "dim_bound", 1)
+    return float(t * math.log2(dim_bound / t)) if 0.0 < t < dim_bound else 0.0
 
 
 def _suffix_sums(values: np.ndarray, tail=0.0) -> np.ndarray:
@@ -106,8 +104,7 @@ def tail_sums(spectrum: Spectrum, count: int) -> np.ndarray:
     mass.  Summed backward (smallest terms first), so consecutive
     differences reproduce the values to machine precision.
     """
-    if count < 0:
-        raise ValueError("count must be non-negative")
+    count = _checked_int(count, "count", 0)
     tails = _suffix_sums(spectrum.values, spectrum.tail_mass)[:count]
     out = np.full(count, spectrum.tail_mass)
     out[:tails.size] = tails

@@ -36,6 +36,7 @@ from .spectra import (
     InvariantViolation,
     PureBipartite,
     Spectrum,
+    _checked_int,
     ensemble_average,
     partial_trace,
     schmidt_decompose,
@@ -323,24 +324,22 @@ def eof_estimate(rho: BipartiteState, ensemble_size: int | None = None,
     spectral decomposition, and polishes it with one more anneal on
     ``stream(seed, restarts)``.  ``converged`` reports that the polish
     improved the bound by less than 1e-9.
-    ``restarts`` must lie in [0, MAX_RESTARTS], ``iterations`` in [0,
-    MAX_ITERATIONS] and ``ensemble_size`` at most MAX_ENSEMBLE_SIZE; each is
-    checked before any work.  An ``ensemble_size`` below the rank raises
-    ``InvariantViolation``.
+    ``restarts`` must be an integer in [0, MAX_RESTARTS], ``iterations`` in
+    [0, MAX_ITERATIONS], ``ensemble_size`` at most MAX_ENSEMBLE_SIZE and
+    ``seed`` any integer; each is checked before any work, even a memo hit
+    or the closed form, which never reach ``stream``.  An ``ensemble_size``
+    below the rank raises ``InvariantViolation``.
 
     The search is deterministic in its options and its result is immutable,
     so it runs once per (state object, options): the state keeps each
     estimate, and a repeat call returns the same object.
     """
-    if not 0 <= restarts <= MAX_RESTARTS:
-        raise ValueError(f"restarts must lie in [0, {MAX_RESTARTS}], got {restarts!r}")
-    if not 0 <= iterations <= MAX_ITERATIONS:
-        raise ValueError(
-            f"iterations must lie in [0, {MAX_ITERATIONS}], got {iterations!r}")
-    if ensemble_size is not None and ensemble_size > MAX_ENSEMBLE_SIZE:
-        raise ValueError(f"ensemble_size must be at most {MAX_ENSEMBLE_SIZE}, "
-                         f"got {ensemble_size!r}")
-    key = (ensemble_size, restarts, iterations, int(seed))
+    restarts = _checked_int(restarts, "restarts", 0, MAX_RESTARTS)
+    iterations = _checked_int(iterations, "iterations", 0, MAX_ITERATIONS)
+    if ensemble_size is not None:
+        ensemble_size = _checked_int(ensemble_size, "ensemble_size", None, MAX_ENSEMBLE_SIZE)
+    seed = _checked_int(seed, "seed", None)
+    key = (ensemble_size, restarts, iterations, seed)
     est = rho._estimates.get(key)
     if est is None:
         # threads that race here compute equal results; setdefault keeps the first
@@ -354,7 +353,7 @@ def _search(rho: BipartiteState, ensemble_size: int | None, restarts: int,
     """The search behind ``eof_estimate``, on checked options."""
     frame = _spectral_frame(rho)
     r = frame.shape[1]
-    m = int(ensemble_size) if ensemble_size is not None else 2 * r
+    m = ensemble_size if ensemble_size is not None else 2 * r
     if m < r:
         raise InvariantViolation(f"ensemble size {m} is below the rank {r}")
     if r == 1:
@@ -406,8 +405,7 @@ def regularized_probe(rho: BipartiteState, n_max: int = 2,
     increases.  The converse chain does not call it: its formation term is
     ``eof_surrogate_for_copies``.
     """
-    if not isinstance(n_max, (int, np.integer)) or not 1 <= n_max <= 2:
-        raise ValueError("n_max must be the integer 1 or 2")
+    n_max = _checked_int(n_max, "n_max", 1, 2)
     one = eof_estimate(rho, **estimate_kwargs).upper_bound_bits
     if n_max == 1:
         return [one]
@@ -426,8 +424,7 @@ def eof_surrogate_for_copies(rho: BipartiteState, n: int,
     is additive, so the product is exact.  Otherwise it is "estimate-upper".
     The estimate is taken once per (state object, options), whatever n is.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _checked_int(n, "n", 1)
     est = eof_estimate(rho, **estimate_kwargs)
     kind = "pure-exact" if len(est.decomposition.members) == 1 else "estimate-upper"
     return n * est.upper_bound_bits, kind

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .entropy import LN2, _suffix_sums, g_function
-from .spectra import InvariantViolation, Spectrum
+from .spectra import InvariantViolation, Spectrum, _checked_int, _checked_matrix
 
 ENERGY_RTOL = 1e-10
 _MAX_NEWTON_STEPS = 100
@@ -82,8 +82,7 @@ class DiagonalHamiltonian:
 
 def harmonic_oscillator(levels: int = 64) -> DiagonalHamiltonian:
     """The ladder e_n = n, stored up to ``levels`` and continued exactly."""
-    if levels < 1:
-        raise ValueError("levels must be positive")
+    levels = _checked_int(levels, "levels", 1)
     return DiagonalHamiltonian(np.arange(levels, dtype=float), AffineTail(1.0, 0.0))
 
 
@@ -417,11 +416,10 @@ def hamiltonian_for_spectrum(spectrum: Spectrum) -> DiagonalHamiltonian:
 
 def mean_energy_density(h: DiagonalHamiltonian, rho: np.ndarray) -> float:
     """Tr[rho H] for a density matrix expressed in the Hamiltonian's eigenbasis."""
-    rho = np.asarray(rho)
-    d = rho.shape[0]
-    if rho.shape != (d, d) or d > h.levels:
+    rho = _checked_matrix(rho, "density matrix")
+    if len(rho) > h.levels:
         raise InvariantViolation("density matrix does not fit the stored levels")
-    return float(np.sum(np.diag(rho).real * h.energies[:d]))
+    return float(np.sum(np.diag(rho).real * h.energies[:len(rho)]))
 
 
 def gibbs_hypothesis_check(h: DiagonalHamiltonian) -> bool:

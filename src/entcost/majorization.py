@@ -34,6 +34,8 @@ from .spectra import (
     InvariantViolation,
     PureBipartite,
     Spectrum,
+    _checked_int,
+    _checked_matrix,
     _checked_rows,
     _schmidt_rows,
     _unit_amplitudes,
@@ -142,11 +144,9 @@ def schur_horn_check(matrix: np.ndarray, vectors) -> bool:
     sum of the N largest eigenvalues >= sum_n <v_n|M|v_n>, within
     ``MARGIN_ATOL``.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = _checked_matrix(matrix, "matrix")
     m = (m + m.conj().T) / 2.0
-    v = np.asarray(vectors, dtype=complex)
-    if v.ndim != 2 or v.shape[1] != m.shape[0] or v.shape[0] < 1:
-        raise InvariantViolation("vectors must be rows matching the matrix dimension")
+    v = _checked_matrix(vectors, "vectors", (None, len(m)))
     gram = v @ v.conj().T
     if np.max(np.abs(gram - np.eye(v.shape[0]))) > 1e-10:
         raise InvariantViolation("frame is not orthonormal to 1e-10")
@@ -164,9 +164,9 @@ def tail_sum_operator_inequality(a: np.ndarray, b: np.ndarray, k: np.ndarray,
     tails_N(A K B B' K A') <= Tr[A K_N B B' K_N A'], within
     ``OPERATOR_ATOL`` * (Tr of the left side + 1).
     """
-    if n_top < 0:
-        raise ValueError("n_top must be non-negative")
-    k = np.asarray(k, dtype=complex)
+    n_top = _checked_int(n_top, "n_top", 0)
+    k = _checked_matrix(k, "k")
+    a, b = _checked_matrix(a, "a", (None, len(k))), _checked_matrix(b, "b", (len(k), None))
     k = (k + k.conj().T) / 2.0
     w, vecs = np.linalg.eigh(k)
     if w[0] < -1e-10:
@@ -174,12 +174,12 @@ def tail_sum_operator_inequality(a: np.ndarray, b: np.ndarray, k: np.ndarray,
     order = np.argsort(w)[::-1]
     w = np.clip(w[order], 0.0, None)
     vecs = vecs[:, order]
-    c = np.asarray(a, dtype=complex) @ k @ np.asarray(b, dtype=complex)
+    c = a @ k @ b
     t_eigs = np.clip(np.linalg.eigvalsh(c @ c.conj().T)[::-1], 0.0, None)
     trace = float(np.sum(t_eigs))
     lhs = float(np.sum(t_eigs[n_top:]))
     k_trunc = (vecs[:, n_top:] * w[n_top:]) @ vecs[:, n_top:].conj().T
-    c_trunc = np.asarray(a, dtype=complex) @ k_trunc @ np.asarray(b, dtype=complex)
+    c_trunc = a @ k_trunc @ b
     rhs = float(np.linalg.norm(c_trunc) ** 2)
     return lhs <= rhs + OPERATOR_ATOL * (trace + 1.0)
 
@@ -442,9 +442,9 @@ def random_product_instrument(rng: np.random.Generator, dim_a: int, dim_b: int,
     ``branches_a`` and ``branches_b`` lie in [1, 3]; branch
     i * branches_b + j pairs A operator i with B operator j.
     """
-    if not (1 <= branches_a <= _GRID and 1 <= branches_b <= _GRID):
-        raise ValueError(f"branch counts must lie in [1, {_GRID}], "
-                         f"got {branches_a!r} and {branches_b!r}")
+    dim_a, dim_b = _checked_int(dim_a, "dim_a", 1), _checked_int(dim_b, "dim_b", 1)
+    branches_a = _checked_int(branches_a, "branches_a", 1, _GRID)
+    branches_b = _checked_int(branches_b, "branches_b", 1, _GRID)
     z_a, z_b = _draw_kraus(rng, dim_a, dim_b, branches_a, branches_b, conditioned)
     ls, ms = _grid(_local_kraus(z_a[None]), _local_kraus(z_b[None]), np.array([conditioned]))
     k = np.arange(_GRID * _GRID)
@@ -548,10 +548,8 @@ def majorization_sweep(trials: int, max_dim: int, seed: int,
     accepted for compatibility and unused.  ``trials`` must lie in
     [1, MAX_TRIALS] and ``max_dim`` in [2, MAX_DIM].
     """
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials!r}")
-    if not 2 <= max_dim <= MAX_DIM:
-        raise ValueError(f"max_dim must lie in [2, {MAX_DIM}], got {max_dim!r}")
+    trials = _checked_int(trials, "trials", 1, MAX_TRIALS)
+    max_dim = _checked_int(max_dim, "max_dim", 2, MAX_DIM)
     margins, defects = _sweep_trials(seed, trials, max_dim)
     worst = int(np.argmin(margins))
     failures = int(np.sum(margins < -MARGIN_ATOL))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .spectra import _checked_int
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -20,12 +22,12 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     Parameters
     ----------
     seed : int
-        Experiment-level seed.  Negative values are mapped into the unsigned
-        64-bit range.
+        Experiment-level seed, any integer (never a float or a bool).
+        Negative values are mapped into the unsigned 64-bit range.
     *path : int
-        Non-negative integers addressing a sub-stream, e.g. a trial index
+        Integers in [0, 2^64) addressing a sub-stream, e.g. a trial index
         followed by a restart index.
     """
-    key = tuple(int(p) & _MASK64 for p in path)
-    ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=key)
+    key = tuple(_checked_int(p, "stream path entry", 0, _MASK64) for p in path)
+    ss = np.random.SeedSequence(_checked_int(seed, "seed", None) & _MASK64, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))

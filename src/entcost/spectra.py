@@ -103,12 +103,29 @@ def _checked_rows(v: np.ndarray, normalized: bool = False) -> np.ndarray:
     return v
 
 
-def _check_square(m: np.ndarray, dim: int, what: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (dim, dim):
-        raise InvariantViolation(f"{what} must be {dim}x{dim}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvariantViolation(f"{what} must be finite")
+def _checked_int(value, name: str, lo: int | None, hi: int | None = None) -> int:
+    """``value`` as a Python int, once checked to be a Python or NumPy integer,
+    never a bool, in [lo, hi] (None leaves an end open); else ValueError naming
+    ``name`` and its range.  The one check of an integer argument."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        v = int(value)
+        if (lo is None or lo <= v) and (hi is None or v <= hi):
+            return v
+    span = (f" in [{lo}, {hi}]" if None not in (lo, hi) else
+            f" >= {lo}" if lo is not None else f" <= {hi}" if hi is not None else "")
+    raise ValueError(f"{name} must be an integer{span}, got {value!r}")
+
+
+def _checked_matrix(value, name: str, shape: tuple | None = None) -> np.ndarray:
+    """``value`` as a complex array, once checked to be a non-empty finite
+    matrix of ``shape`` (a None entry takes any size; no shape, a square one);
+    else InvariantViolation naming ``name``.  The one check of a matrix argument."""
+    m = np.asarray(value, dtype=complex)
+    shape = m.shape[:1] * 2 if shape is None else shape
+    if m.ndim != 2 or m.size == 0 or not all(s in (None, t) for s, t in zip(shape, m.shape)):
+        raise InvariantViolation(f"{name} must be a non-empty {shape} matrix, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvariantViolation(f"{name} must be finite")
     return m
 
 
@@ -127,10 +144,10 @@ class BipartiteState:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim_a", _checked_int(self.dim_a, "dim_a", 1))
+        object.__setattr__(self, "dim_b", _checked_int(self.dim_b, "dim_b", 1))
         d = self.dim_a * self.dim_b
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise InvariantViolation("dimensions must be positive")
-        m = _check_square(self.matrix, d, "state matrix")
+        m = _checked_matrix(self.matrix, "state matrix", (d, d))
         m = (m + m.conj().T) / 2.0
         eig = np.linalg.eigvalsh(m)
         if eig[0] < -PSD_ATOL:
@@ -163,9 +180,7 @@ class PureBipartite:
     schmidt: Spectrum = field(init=False)
 
     def __post_init__(self) -> None:
-        c = np.array(self.amplitudes, dtype=complex)
-        if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
-            raise InvariantViolation("amplitudes must be a 2-D matrix")
+        c = np.array(_checked_matrix(self.amplitudes, "amplitudes", (None, None)))
         schmidt = Spectrum(_schmidt_rows(c), 0.0, normalized=True)
         object.__setattr__(self, "amplitudes", _readonly(c))
         object.__setattr__(self, "schmidt", schmidt)
@@ -232,9 +247,7 @@ def schmidt_decompose(amplitudes) -> PureBipartite:
     The matrix is normalized to unit Frobenius norm first; the Schmidt
     spectrum is the vector of squared singular values of the result.
     """
-    c = np.asarray(amplitudes, dtype=complex)
-    if c.ndim != 2:
-        raise InvariantViolation("amplitudes must be a 2-D matrix")
+    c = _checked_matrix(amplitudes, "amplitudes", (None, None))
     return PureBipartite(_unit_amplitudes(c))
 
 
@@ -291,11 +304,8 @@ def partial_trace(state: BipartiteState, keep: str) -> np.ndarray:
 
 def trace_distance(x: np.ndarray, y: np.ndarray) -> float:
     """(1/2)||x - y||_1 for Hermitian matrices of equal shape."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.shape != y.shape:
-        raise InvariantViolation(f"shape mismatch {x.shape} vs {y.shape}")
-    d = x - y
+    x = _checked_matrix(x, "x")
+    d = x - _checked_matrix(y, "y", x.shape)
     d = (d + d.conj().T) / 2.0
     eig = np.linalg.eigvalsh(d)
     return float(np.sum(np.abs(eig)) / 2.0)
@@ -329,14 +339,16 @@ def tensor_state(x: BipartiteState, y: BipartiteState) -> BipartiteState:
 
 
 def random_pure_state(rng: np.random.Generator, dim_a: int, dim_b: int) -> PureBipartite:
+    dim_a, dim_b = _checked_int(dim_a, "dim_a", 1), _checked_int(dim_b, "dim_b", 1)
     c = rng.standard_normal((dim_a, dim_b)) + 1j * rng.standard_normal((dim_a, dim_b))
     return schmidt_decompose(c)
 
 
 def random_density_state(rng: np.random.Generator, dim_a: int, dim_b: int,
                          rank: int | None = None) -> BipartiteState:
+    dim_a, dim_b = _checked_int(dim_a, "dim_a", 1), _checked_int(dim_b, "dim_b", 1)
     d = dim_a * dim_b
-    r = rank or d
+    r = d if rank is None else _checked_int(rank, "rank", 1, d)
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     m = g @ g.conj().T
     return BipartiteState(dim_a, dim_b, m / np.trace(m).real)

@@ -38,7 +38,7 @@ import numpy as np
 from .entropy import _shannon_bits
 from .gibbs import _MAX_NEWTON_STEPS, _newton_step
 from .rng import stream
-from .spectra import InvariantViolation
+from .spectra import InvariantViolation, _checked_int
 
 MAX_TYPES = 2_000_000  # the largest type table exact mode enumerates
 MAX_SAMPLES = 10 ** 8  # the most blocks Monte Carlo mode draws
@@ -113,6 +113,7 @@ def is_weakly_typical(dist: SourceDistribution, x_seq, delta: float) -> bool:
 
 
 def type_count(n: int, k: int) -> int:
+    n, k = _checked_int(n, "n", 0), _checked_int(k, "k", 1)
     return math.comb(n + k - 1, k - 1)
 
 
@@ -385,9 +386,7 @@ def _mc_mass(dist: SourceDistribution, n: int, delta: float, kind: str,
     99% interval.  A block's type has the law multinomial(n, p), so types are
     drawn directly and judged by the census's own membership rule; the draws
     do not depend on the chunk size."""
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"Monte Carlo mode needs samples in [1, {MAX_SAMPLES}], "
-                         f"got {samples!r}")
+    samples = _checked_int(samples, "samples", 1, MAX_SAMPLES)
     rng = stream(seed, 0)
     hits = 0
     for done in range(0, samples, _BLOCK_ROWS):
@@ -400,9 +399,9 @@ def _mc_mass(dist: SourceDistribution, n: int, delta: float, kind: str,
 def _check_block(n: int, delta: float) -> int:
     """n as a Python int, once it is checked to be an integer >= 1 and
     delta >= 0; a NumPy integer would overflow in the census's K^n."""
-    if not isinstance(n, (int, np.integer)) or n < 1 or not delta >= 0.0:
-        raise ValueError("need an integer n >= 1 and delta >= 0")
-    return int(n)
+    if not delta >= 0.0:
+        raise ValueError("delta must be non-negative")
+    return _checked_int(n, "n", 1)
 
 
 def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,

@@ -96,9 +96,9 @@ def test_dilution_rejects_a_block_length_that_is_not_a_positive_integer(monkeypa
         raise AssertionError("a census ran")
     monkeypatch.setattr(dilution, "_census", no_census)
     spec = Spectrum(np.array([0.8, 0.2]))
-    with pytest.raises(ValueError, match="integers n >= 1"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
         dilution_sweep(spec, 0.05, n_grid)
-    with pytest.raises(ValueError, match="integers n >= 1"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
         pure_dilution(spec, 0.05, n_grid[-1])
 
 
@@ -216,7 +216,7 @@ def test_mixed_cutoff_must_be_a_non_negative_integer(n_cut):
     # 1.5 was booked as a cutoff of n_cut=1.5, and 0.5 raised a raw TypeError
     m1 = schmidt_decompose(np.eye(2) / np.sqrt(2.0))
     ens = Ensemble(np.array([0.6, 0.4]), (m1, m1))
-    with pytest.raises(ValueError, match="non-negative integer"):
+    with pytest.raises(ValueError, match="n_cut must be an integer >= 0"):
         mixed_dilution_rate(ens, n_cut)
 
 

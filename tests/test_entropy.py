@@ -35,6 +35,24 @@ def test_g_function_known_values():
     assert g_function(3.0) == pytest.approx(8.0 - 3.0 * math.log2(3.0), abs=1e-13)
 
 
+def test_binary_entropy_rejects_nan():
+    # NaN failed neither bound and came back as NaN bits
+    with pytest.raises(ValueError, match="outside"):
+        binary_entropy(math.nan)
+
+
+def test_g_function_rejects_nan():
+    # NaN passed the x < 0 guard and came back as NaN bits
+    with pytest.raises(ValueError, match="NaN"):
+        g_function(math.nan)
+
+
+def test_g_function_at_infinity_is_its_limit():
+    # x log1p(1/x) read inf * 0 = NaN at x = inf; g grows without bound
+    assert g_function(math.inf) == math.inf
+    assert type(g_function(0)) is float
+
+
 def test_g_function_sublinear_growth():
     xs = np.array([1.0, 10.0, 100.0, 1000.0])
     ratios = [g_function(x) / x for x in xs]

@@ -250,9 +250,9 @@ def test_surrogate_needs_a_positive_integer_copy_count(n):
     # 2.5 copies returned a surrogate of 2.5 times the estimate, and the
     # probe took 1.5 copies as 2
     rho = random_density_state(stream(0, 0), 2, 2)
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
         eof_surrogate_for_copies(rho, n)
-    with pytest.raises(ValueError, match="integer 1 or 2"):
+    with pytest.raises(ValueError, match=r"n_max must be an integer in \[1, 2\]"):
         regularized_probe(rho, n)
 
 

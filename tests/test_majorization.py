@@ -502,7 +502,7 @@ def test_kraus_operators_whose_completeness_sum_overflows_are_invariant_violatio
 
 @pytest.mark.parametrize("branches", [(0, 2), (2, 0), (4, 2), (2, 4)])
 def test_random_instrument_branches_lie_on_the_grid(branches):
-    with pytest.raises(ValueError, match="branch counts"):
+    with pytest.raises(ValueError, match=r"branches_[ab] must be an integer in \[1, 3\]"):
         random_product_instrument(stream(21, 13), 2, 2, *branches)
 
 

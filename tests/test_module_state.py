@@ -199,3 +199,31 @@ def test_only_the_formation_callers_take_keyword_options():
     for call in calls.values():
         with pytest.raises(TypeError, match="eof_estimate"):
             call(bogus=1)
+
+
+# the one home of the integer rule: only spectra._checked_int asks whether an
+# argument is a NumPy integer; the CLI's output formatters only print one
+INTEGER_TYPE_READERS = {"spectra._checked_int", "cli._jsonable", "cli._fmt"}
+
+
+def _readers(attr: str) -> set:
+    """The functions under src/entcost, by module, that name ``np.<attr>``
+    (the module itself for a use outside any function)."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        elif isinstance(node, ast.Attribute) and node.attr == attr \
+                and _name(node.value) in ("np", "numpy"):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    for path in sorted(SOURCE.rglob("*.py")):
+        module = ".".join(path.relative_to(SOURCE).with_suffix("").parts)
+        visit(ast.parse(path.read_text(), filename=str(path)), module)
+    return found
+
+
+def test_integer_arguments_are_checked_in_one_place():
+    assert _readers("integer") == INTEGER_TYPE_READERS
