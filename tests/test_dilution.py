@@ -23,6 +23,7 @@ from entcost import (
     mixed_dilution_rate,
     pure_dilution,
     random_density_state,
+    random_pure_state,
     regularized_probe,
     schmidt_decompose,
     stream,
@@ -230,6 +231,40 @@ def test_mixed_wasteful_term_vanishes_geometrically():
     deltas = [p.delta_n for p in points]
     assert all(abs(d2 / d1 - 0.5) < 0.05 for d1, d2 in zip(deltas, deltas[1:])
                if d1 > 1e-12)
+
+
+def _seeded_pure_ensemble(seed: int) -> Ensemble:
+    """5 + seed % 3 random pure members on (2 + seed % 3) x 3, random weights."""
+    k = 5 + seed % 3
+    w = stream(seed, 0).random(k)
+    members = tuple(random_pure_state(stream(seed, 1 + x), 2 + seed % 3, 3)
+                    for x in range(k))
+    return Ensemble(w / w.sum(), members)
+
+
+# (seed, n_cut, rate_bound, wasteful_term, delta_n) by float.hex: cut 0, a
+# middle cut and a cut past the last member of each seeded ensemble
+_MIXED_PINS = [
+    (1, 0, "0x1.7f9fc0f79921dp+0", "0x1.6cf8af42e7c36p+0", "0x1.df2f43ae8f540p-1"),
+    (1, 3, "0x1.30445cd764f40p+0", "0x1.41975bee0630ep-2", "0x1.0e3c2e595f604p-2"),
+    (1, 7, "0x1.11a1064b0de77p+0", "0x0.0p+0", "0x0.0p+0"),
+    (2, 0, "0x1.a585a43c236b3p+0", "0x1.6e352e7d8a38fp+0", "0x1.8cb0e967f8390p-1"),
+    (2, 3, "0x1.549a0e1218bd2p+0", "0x1.aef805060d064p-1", "0x1.04b5c2e2d8259p-1"),
+    (2, 8, "0x1.fc8367355259fp-1", "0x0.0p+0", "0x0.0p+0"),
+    (3, 0, "0x1.e09b54431e648p-1", "0x1.961048acd10acp-1", "0x1.9e478f8490b29p-1"),
+    (3, 2, "0x1.81e70ebc9b6afp-1", "0x1.47d3df8efd7ecp-2", "0x1.8669f69dcca0bp-2"),
+    (3, 6, "0x1.81d6684b91bbap-1", "0x0.0p+0", "0x0.0p+0"),
+]
+
+
+@pytest.mark.parametrize("seed, n_cut, rate, wasteful, delta", _MIXED_PINS)
+def test_mixed_dilution_rate_is_pinned_bit_for_bit(seed, n_cut, rate, wasteful, delta):
+    # values taken while the wasteful term was the entropy of an unnormalized
+    # Spectrum built from the averaged marginal's eigenvalues
+    point = mixed_dilution_rate(_seeded_pure_ensemble(seed), n_cut)
+    assert point.n_cut == n_cut
+    assert (point.rate_bound.hex(), point.wasteful_term.hex(), point.delta_n.hex()) == \
+        (rate, wasteful, delta)
 
 
 def test_binary_mixing_hand_oracles():
