@@ -7,8 +7,9 @@ reported rather than hidden.
 
 Capabilities, by module:
 
-- ``spectra``: sorted spectra with declared tail mass, bipartite pure and
-  mixed states, Schmidt decompositions, ensembles, trace distance.
+- ``spectra``: probability spectra (sorted, with declared tail mass, of
+  total mass 1), bipartite pure and mixed states, Schmidt decompositions,
+  ensembles, trace distance of matrices.
 - ``entropy``: entropy in bits, the g function, the suffix sums (tail
   sums) of a spectrum, and an integral representation of entropy evaluated
   in closed form and by quadrature.
@@ -26,8 +27,8 @@ Capabilities, by module:
   spectra, max-entropy-at-energy curves, and the one-sided continuity
   bound they induce.
 - ``majorization``: tail-sum margins of product Kraus channels on pure
-  states, the entropy inequality that tail-sum dominance implies,
-  Schur-Horn frame tests, and randomized sweeps.
+  states, the average marginal entropy they cannot raise, Schur-Horn
+  frame tests, and randomized sweeps.
 - ``rng``: counter-based splittable random streams so results never depend
   on call order.
 
@@ -60,7 +61,6 @@ from .entropy import (
     binary_entropy,
     entropy_integral_closed_form,
     entropy_integral_quadrature,
-    entropy_tail_uncertainty,
     g_function,
     tail_sums,
     von_neumann_entropy,
@@ -77,7 +77,6 @@ from .gibbs import (
     AffineTail,
     DiagonalHamiltonian,
     GibbsPoint,
-    SeriesWeights,
     beta_of_energy,
     gibbs_hypothesis_check,
     gibbs_point,
@@ -85,24 +84,20 @@ from .gibbs import (
     hamiltonian_for_spectrum,
     harmonic_oscillator,
     max_entropy_at_energy,
-    max_mean_energy,
     mean_energy_density,
     one_sided_continuity_bound,
-    series_weights,
     sublinearity_probe,
 )
 from .majorization import (
     MajorizationReport,
     ProductKrausInstrument,
     SweepReport,
-    TailDominanceResult,
     apply_instrument,
     entropy_monotonicity_check,
     majorization_condition_check,
     majorization_sweep,
     random_product_instrument,
     schur_horn_check,
-    tail_dominance_entropy_check,
     tail_sum_operator_inequality,
 )
 from .rng import stream
@@ -117,7 +112,6 @@ from .spectra import (
     random_density_state,
     random_pure_state,
     schmidt_decompose,
-    state_trace_distance,
     tensor_state,
     trace_distance,
 )
@@ -148,11 +142,9 @@ __all__ = [
     "MixedDilutionPoint",
     "ProductKrausInstrument",
     "PureBipartite",
-    "SeriesWeights",
     "SourceDistribution",
     "Spectrum",
     "SweepReport",
-    "TailDominanceResult",
     "TypicalReport",
     "aep_bounds_check",
     "apply_instrument",
@@ -167,7 +159,6 @@ __all__ = [
     "entropy_integral_closed_form",
     "entropy_integral_quadrature",
     "entropy_monotonicity_check",
-    "entropy_tail_uncertainty",
     "eof_estimate",
     "eof_pure",
     "eof_surrogate_for_copies",
@@ -181,7 +172,6 @@ __all__ = [
     "majorization_condition_check",
     "majorization_sweep",
     "max_entropy_at_energy",
-    "max_mean_energy",
     "mean_energy_density",
     "mixed_dilution_rate",
     "one_sided_continuity_bound",
@@ -193,12 +183,9 @@ __all__ = [
     "regularized_probe",
     "schmidt_decompose",
     "schur_horn_check",
-    "series_weights",
-    "state_trace_distance",
     "stream",
     "strong_typical_mass",
     "sublinearity_probe",
-    "tail_dominance_entropy_check",
     "tail_sum_operator_inequality",
     "tail_sums",
     "tensor_state",

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import von_neumann_entropy
+from .entropy import _shannon_bits, von_neumann_entropy
 from .eof import eof_surrogate_for_copies
 from .gibbs import DiagonalHamiltonian, _continuity_terms, mean_energy_density
 from .rng import stream
@@ -52,11 +52,12 @@ from .typicality import (
 class DilutionTrace:
     """Resource ledger of one dilution block.
 
-    ``error`` is trace distance in [0, 1]; ``error_kind`` records whether it
-    is the exact projection error or a sampled estimate.  ``error_high`` is
-    an upper bound on the error: the error itself in exact mode, and
-    sqrt(1 - mass_low) from the 99% interval of the mass in Monte Carlo
-    mode; left out, it is the error.  ``cbits`` = 2 * ebits, by the
+    ``n`` is an integer >= 1 and ``ebits`` an integer >= 0, by the argument
+    rule.  ``error`` is trace distance in [0, 1]; ``error_kind`` records
+    whether it is the exact projection error or a sampled estimate.
+    ``error_high`` is an upper bound on the error: the error itself in exact
+    mode, and sqrt(1 - mass_low) from the 99% interval of the mass in Monte
+    Carlo mode; left out, it is the error.  ``cbits`` = 2 * ebits, by the
     two-classical-bits-per-teleported-qubit convention, and ``rate`` =
     ebits / n are derived, not passed.
     """
@@ -70,8 +71,8 @@ class DilutionTrace:
     error_high: float = math.nan
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.ebits < 0:
-            raise InvariantViolation("need n >= 1 and ebits >= 0")
+        object.__setattr__(self, "n", _checked_int(self.n, "n", 1))
+        object.__setattr__(self, "ebits", _checked_int(self.ebits, "ebits", 0))
         object.__setattr__(self, "cbits", 2 * self.ebits)
         object.__setattr__(self, "rate", self.ebits / self.n)
         if math.isnan(self.error_high):
@@ -168,8 +169,7 @@ def mixed_dilution_rate(decomposition: Ensemble, n_cut: int) -> MixedDilutionPoi
         omega += w[x] * members[x].marginal_a()
     omega /= delta_n
     eig = np.clip(np.linalg.eigvalsh((omega + omega.conj().T) / 2.0), 0.0, None)
-    wasteful = delta_n * von_neumann_entropy(Spectrum.from_unsorted(
-        eig, normalized=False))
+    wasteful = delta_n * _shannon_bits(np.sort(eig)[::-1])
     return MixedDilutionPoint(n_cut, common + wasteful, wasteful, delta_n)
 
 

@@ -51,8 +51,8 @@ def g_function(x: float) -> float:
 def von_neumann_entropy(spectrum: Spectrum) -> float:
     """Shannon entropy in bits of the stored values; zeros contribute 0.
 
-    The declared tail mass is not included in the point value.  Use
-    ``entropy_tail_uncertainty`` for a bound on what the tail could add.
+    The declared tail mass is not included in the point value; the private
+    ``_entropy_tail_uncertainty`` bounds what the tail could add.
     """
     return _shannon_bits(spectrum.values)
 
@@ -70,7 +70,7 @@ def _row_entropies(rows: np.ndarray) -> np.ndarray:
     return -(rows * logs).sum(axis=1) + 0.0
 
 
-def entropy_tail_uncertainty(spectrum: Spectrum, dim_bound: int | None = None) -> float:
+def _entropy_tail_uncertainty(spectrum: Spectrum, dim_bound: int | None = None) -> float:
     """Upper bound on entropy carried by the declared tail mass.
 
     With a dimension bound d for the truncated part this is
@@ -112,14 +112,13 @@ def tail_sums(spectrum: Spectrum, count: int) -> np.ndarray:
 
 
 def _require_finite_normalized(spectrum: Spectrum) -> Spectrum:
+    """The spectrum stripped of trailing zeros, once checked to declare no tail
+    mass; every Spectrum carries total mass 1."""
     if spectrum.tail_mass > 0.0:
         # a positive tail puts mass below the smallest stored value, where the
         # last cell's log(p_L / 0) diverges
         raise InvariantViolation(
             "integral representation needs the full spectrum (tail mass 0)")
-    if abs(spectrum.total_mass - 1.0) > 1e-9:
-        raise InvariantViolation(
-            f"integral representation needs total mass 1, got {spectrum.total_mass!r}")
     return spectrum.stripped()
 
 

@@ -40,8 +40,8 @@ from .spectra import (
     ensemble_average,
     partial_trace,
     schmidt_decompose,
-    state_trace_distance,
     tensor_state,
+    trace_distance,
 )
 
 MAX_RANK = 16
@@ -301,7 +301,7 @@ def _ensemble_from(v: list, dim_a: int, dim_b: int,
         members.append(schmidt_decompose(vec.reshape(dim_a, dim_b)))
     arr = np.asarray(weights)
     ens = Ensemble(arr / np.sum(arr), tuple(members))
-    dist = state_trace_distance(ensemble_average(ens), rho)
+    dist = trace_distance(ensemble_average(ens).matrix, rho.matrix)
     if dist > RECONSTRUCTION_ATOL:
         raise InvariantViolation(
             f"decomposition reconstructs the state only to {dist!r}")

@@ -178,7 +178,7 @@ def gibbs_state(h: DiagonalHamiltonian, beta: float) -> Spectrum:
     cancels to 0 once it falls below the rounding of their sum.
     """
     sums = _partition_sums(h, beta)
-    return Spectrum(sums.weights / sums.z, sums.tail, normalized=True)
+    return Spectrum(sums.weights / sums.z, sums.tail)
 
 
 def gibbs_point(h: DiagonalHamiltonian, beta: float) -> GibbsPoint:
@@ -186,7 +186,7 @@ def gibbs_point(h: DiagonalHamiltonian, beta: float) -> GibbsPoint:
     return GibbsPoint(beta, sums.mean / beta, (sums.mean + sums.log_z) / LN2)
 
 
-def max_mean_energy(h: DiagonalHamiltonian) -> float:
+def _max_mean_energy(h: DiagonalHamiltonian) -> float:
     """Supremum of representable mean energies (inf with a tail model)."""
     if h.tail is not None:
         return math.inf
@@ -225,14 +225,14 @@ def beta_of_energy(h: DiagonalHamiltonian, energy: float,
             f"mean energy must be finite and non-negative, got {energy!r}")
     if energy == 0.0:
         return GibbsPoint(math.inf, 0.0, math.log2(h.ground_degeneracy()))
-    if energy >= max_mean_energy(h):
+    if energy >= _max_mean_energy(h):
         raise InvariantViolation(
             f"energy {energy!r} is not attained by any Gibbs state of this Hamiltonian")
     excited = h.energies[h.energies > 0.0]
     gap = float(excited[0]) if excited.size else h.tail.a
     beta = math.log1p(gap / energy) / gap
     if h.tail is None:
-        beta *= 1.0 - energy / max_mean_energy(h)
+        beta *= 1.0 - energy / _max_mean_energy(h)
     u = math.log(beta)
     lo, hi = -math.inf, math.inf  # f(lo) > 0 > f(hi)
     for _ in range(_MAX_NEWTON_STEPS):
@@ -263,7 +263,7 @@ def max_entropy_at_energy(h: DiagonalHamiltonian, energy: float) -> float:
     the constraint goes inactive; with a tail model every energy is
     attained.
     """
-    if h.tail is None and energy >= max_mean_energy(h):
+    if h.tail is None and energy >= _max_mean_energy(h):
         return math.log2(h.levels)
     return beta_of_energy(h, energy).entropy_bits
 
@@ -338,46 +338,13 @@ def _continuity_terms(h: DiagonalHamiltonian, energy: float,
             g_function(eps_prime))
 
 
-@dataclass(frozen=True)
-class SeriesWeights:
-    """Diverging weights b against a summable series a with sum(a*b) <= c*sum(a).
+def _series_weights(a) -> np.ndarray:
+    """Diverging weights b against a non-negative summable sequence a.
 
-    b is non-decreasing with b >= 1, built from the suffix sums of a:
-    b_n = 1 - log2(tail_n / total).  ``series_weights`` builds them at
-    slack factor c = 5.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: float
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float).reshape(-1)
-        b = np.asarray(self.b, dtype=float).reshape(-1)
-        if a.size != b.size or a.size == 0:
-            raise InvariantViolation("a and b must align and be non-empty")
-        if np.any(b < 1.0 - 1e-12):
-            raise InvariantViolation("weights must satisfy b >= 1")
-        if np.any(np.diff(b) < -1e-12):
-            raise InvariantViolation("weights must be non-decreasing")
-        total = float(np.sum(a))
-        weighted = float(np.sum(a * b))
-        if weighted > self.c * total * (1.0 + 1e-12):
-            raise InvariantViolation(
-                f"sum(a*b) = {weighted!r} exceeds c * sum(a) = {self.c * total!r}")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-
-def series_weights(a) -> SeriesWeights:
-    """Build diverging weights against a non-negative summable sequence.
-
-    Weights grow like 1 + log2(total / tail_n), so they diverge along the
-    truncated trend wherever the suffix mass keeps shrinking; indices past
-    the support continue the growth by one per step.  The slack factor is
-    c = 5: sum(a*b) <= 5 sum(a).
+    Weights grow like 1 + log2(total / tail_n), with tail_n the suffix sums
+    of a, so they diverge along the truncated trend wherever the suffix mass
+    keeps shrinking; indices past the support continue the growth by one per
+    step.  b is non-decreasing with b >= 1, and sum(a*b) <= 5 sum(a).
     """
     arr = np.asarray(a, dtype=float).reshape(-1)
     if arr.size == 0 or np.any(arr < 0.0):
@@ -391,7 +358,15 @@ def series_weights(a) -> SeriesWeights:
     b[:m] = 1.0 - np.log2(tails[:m] / total)
     # past the support: keep the divergence going, one per step
     b[m - 1:] = np.cumsum(np.concatenate(([b[m - 1]], np.ones(arr.size - m))))
-    return SeriesWeights(arr, b, 5.0)
+    if np.any(b < 1.0 - 1e-12):
+        raise InvariantViolation("weights must satisfy b >= 1")
+    if np.any(np.diff(b) < -1e-12):
+        raise InvariantViolation("weights must be non-decreasing")
+    weighted = float(np.sum(arr * b))
+    if weighted > 5.0 * total * (1.0 + 1e-12):
+        raise InvariantViolation(
+            f"sum(a*b) = {weighted!r} exceeds 5 * sum(a) = {5.0 * total!r}")
+    return b
 
 
 def hamiltonian_for_spectrum(spectrum: Spectrum) -> DiagonalHamiltonian:
@@ -409,7 +384,7 @@ def hamiltonian_for_spectrum(spectrum: Spectrum) -> DiagonalHamiltonian:
     p = sp.values
     if p.size == 1:
         return DiagonalHamiltonian(np.zeros(1), None)
-    b = series_weights(p).b
+    b = _series_weights(p)
     energies = np.concatenate(([0.0], b[1:] * np.log(1.0 / p[1:])))
     return DiagonalHamiltonian(energies, None)
 

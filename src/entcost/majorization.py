@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -69,15 +69,15 @@ class ProductKrausInstrument:
     (k, r_B, d_B): all L_k share one shape and all M_k share one shape, and
     every entry is finite.  ``outcomes[k]`` names the measurement record
     branch k feeds into (coarse-graining); the finest graining gives every
-    branch its own outcome.  ``completeness_defect`` is the operator-norm
-    distance of sum_k L_k'L_k (x) M_k'M_k from the identity, a sum that
-    must not overflow.
+    branch its own outcome.  ``completeness_defect`` is derived, not passed:
+    the operator-norm distance of sum_k L_k'L_k (x) M_k'M_k from the
+    identity, a sum that must not overflow.
     """
 
     ls: np.ndarray
     ms: np.ndarray
     outcomes: tuple
-    completeness_defect: float = math.nan
+    completeness_defect: float = field(init=False)
 
     def __post_init__(self) -> None:
         try:
@@ -342,8 +342,8 @@ class TailDominanceResult:
     min_tail_margin: float
 
 
-def tail_dominance_entropy_check(rho_spectrum: Spectrum, weights,
-                                 member_spectra) -> TailDominanceResult:
+def _tail_dominance_entropy_check(rho_spectrum: Spectrum, weights,
+                                  member_spectra) -> TailDominanceResult:
     """If tail sums of rho dominate the weighted member tail sums at every
     truncation point, the entropy of rho dominates the weighted mean entropy,
     within ``ENTROPY_ATOL``.
@@ -544,12 +544,13 @@ def majorization_sweep(trials: int, max_dim: int, seed: int,
     each (d_A, d_B) share one batched product, SVD and eigenvalue call per
     step, and every sum adds in the order a one-trial computation adds.  So
     a trial's margin and defect are the same bits whichever trials share
-    its block, and the report is reproducible bit for bit.  ``threads`` is
-    accepted for compatibility and unused.  ``trials`` must lie in
-    [1, MAX_TRIALS] and ``max_dim`` in [2, MAX_DIM].
+    its block, and the report is reproducible bit for bit.  ``threads``, an
+    integer >= 1, is accepted for compatibility and unused.  ``trials`` must
+    lie in [1, MAX_TRIALS] and ``max_dim`` in [2, MAX_DIM].
     """
     trials = _checked_int(trials, "trials", 1, MAX_TRIALS)
     max_dim = _checked_int(max_dim, "max_dim", 2, MAX_DIM)
+    _checked_int(threads, "threads", 1)
     margins, defects = _sweep_trials(seed, trials, max_dim)
     worst = int(np.argmin(margins))
     failures = int(np.sum(margins < -MARGIN_ATOL))

@@ -1,7 +1,7 @@
 """Core value types for finite-truncation bipartite states.
 
 Everything in this module is a dense double-precision truncation of an
-in-principle infinite-dimensional object: eigenvalue spectra with declared
+in-principle infinite-dimensional object: probability spectra with declared
 tail mass, bipartite density operators, pure states with cached Schmidt
 coefficients, and weighted ensembles.  Constructors validate their numeric
 invariants once; instances are immutable afterwards and safe to share
@@ -33,17 +33,15 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Non-increasing sequence of finite non-negative reals plus declared tail mass.
+    """Probability spectrum: a non-increasing sequence of finite non-negative
+    reals plus declared tail mass, together carrying total mass 1 within 1e-12.
 
     ``tail_mass`` records how much weight lives beyond the truncation point,
-    so downstream bounds can account for what was cut off.  A ``normalized``
-    spectrum must carry total mass 1 to within 1e-12; pass
-    ``normalized=False`` for spectra of general positive operators.
+    so downstream bounds can account for what was cut off.
     """
 
     values: np.ndarray
     tail_mass: float = 0.0
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float).reshape(-1)
@@ -57,15 +55,14 @@ class Spectrum:
             raise InvariantViolation("tail mass must be non-negative")
         object.__setattr__(self, "values", _readonly(v))
         object.__setattr__(self, "tail_mass", max(tail, 0.0))
-        if self.normalized and abs(self.total_mass - 1.0) > NORMALIZED_ATOL:
+        if abs(self.total_mass - 1.0) > NORMALIZED_ATOL:
             raise InvariantViolation(
                 f"normalized spectrum has total mass {self.total_mass!r}")
 
     @classmethod
-    def from_unsorted(cls, values, tail_mass: float = 0.0,
-                      normalized: bool = True) -> "Spectrum":
+    def from_unsorted(cls, values, tail_mass: float = 0.0) -> "Spectrum":
         v = np.sort(np.asarray(values, dtype=float).reshape(-1))[::-1]
-        return cls(v, tail_mass, normalized)
+        return cls(v, tail_mass)
 
     @property
     def total_mass(self) -> float:
@@ -78,8 +75,8 @@ class Spectrum:
         """Drop trailing zero values (tail mass is kept)."""
         nz = np.nonzero(self.values)[0]
         if nz.size == 0:
-            return Spectrum(self.values[:1], self.tail_mass, self.normalized)
-        return Spectrum(self.values[:nz[-1] + 1], self.tail_mass, self.normalized)
+            return Spectrum(self.values[:1], self.tail_mass)
+        return Spectrum(self.values[:nz[-1] + 1], self.tail_mass)
 
 
 def _checked_rows(v: np.ndarray, normalized: bool = False) -> np.ndarray:
@@ -163,7 +160,7 @@ class BipartiteState:
 
     def spectrum(self) -> Spectrum:
         eig = np.linalg.eigvalsh(self.matrix)[::-1]
-        return Spectrum(np.clip(eig, 0.0, None), 0.0, normalized=True)
+        return Spectrum(np.clip(eig, 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -181,7 +178,7 @@ class PureBipartite:
 
     def __post_init__(self) -> None:
         c = np.array(_checked_matrix(self.amplitudes, "amplitudes", (None, None)))
-        schmidt = Spectrum(_schmidt_rows(c), 0.0, normalized=True)
+        schmidt = Spectrum(_schmidt_rows(c))
         object.__setattr__(self, "amplitudes", _readonly(c))
         object.__setattr__(self, "schmidt", schmidt)
 
@@ -309,10 +306,6 @@ def trace_distance(x: np.ndarray, y: np.ndarray) -> float:
     d = (d + d.conj().T) / 2.0
     eig = np.linalg.eigvalsh(d)
     return float(np.sum(np.abs(eig)) / 2.0)
-
-
-def state_trace_distance(x: BipartiteState, y: BipartiteState) -> float:
-    return trace_distance(x.matrix, y.matrix)
 
 
 def ensemble_average(ensemble: Ensemble) -> BipartiteState:

@@ -12,6 +12,7 @@ import pytest
 
 from entcost import (
     BipartiteState,
+    DilutionTrace,
     Ensemble,
     InvariantViolation,
     SourceDistribution,
@@ -22,7 +23,6 @@ from entcost import (
     curtailed_binomial_pmf,
     curtailed_binomial_sample,
     dilution_sweep,
-    entropy_tail_uncertainty,
     eof_estimate,
     eof_surrogate_for_copies,
     harmonic_oscillator,
@@ -45,6 +45,7 @@ from entcost import (
     weak_typical_census,
     weak_typical_mass,
 )
+from entcost.entropy import _entropy_tail_uncertainty
 
 DIST = SourceDistribution([0.7, 0.3])
 SPEC = Spectrum(np.array([0.7, 0.3]))
@@ -113,7 +114,7 @@ INTEGERS = [
      1, -1),
     ("levels", lambda v: harmonic_oscillator(v).energies.tolist(), 3, 0),
     ("count", lambda v: tail_sums(SPEC, v).tolist(), 3, -1),
-    ("dim_bound", lambda v: entropy_tail_uncertainty(TAILED, v), 4, 0),
+    ("dim_bound", lambda v: _entropy_tail_uncertainty(TAILED, v), 4, 0),
     ("dim_a", lambda v: _state(v, 2, np.eye(4) / 4), 2, 0),
     ("dim_b", lambda v: _state(2, v, np.eye(4) / 4), 2, 0),
     ("dim_b", lambda v: random_pure_state(stream(1, 2), 2, v).amplitudes.tolist(), 2, 0),
@@ -121,6 +122,9 @@ INTEGERS = [
     ("rank", lambda v: random_density_state(stream(1, 2), 2, 2, v).matrix.tolist(), 2, 5),
     ("seed", lambda v: _draws(stream(v, 1)), 2, None),
     ("stream path entry", lambda v: _draws(stream(2, v)), 1, -1),
+    ("n", lambda v: DilutionTrace(v, 3, 0.1), 4, 0),
+    ("ebits", lambda v: DilutionTrace(4, v, 0.1), 3, -1),
+    ("threads", lambda v: majorization_sweep(2, 3, 1, threads=v), 1, 0),
 ]
 
 

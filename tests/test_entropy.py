@@ -11,13 +11,12 @@ from entcost import (
     binary_entropy,
     entropy_integral_closed_form,
     entropy_integral_quadrature,
-    entropy_tail_uncertainty,
     g_function,
     stream,
     tail_sums,
     von_neumann_entropy,
 )
-from entcost.entropy import _row_entropies, _suffix_sums
+from entcost.entropy import _entropy_tail_uncertainty, _row_entropies, _suffix_sums
 
 
 def test_binary_entropy_known_values():
@@ -89,10 +88,10 @@ def test_entropy_never_negative_zero():
 
 def test_tail_uncertainty_needs_dimension_bound():
     s = Spectrum(np.array([0.6, 0.3]), tail_mass=0.1)
-    assert entropy_tail_uncertainty(s) == math.inf
-    bounded = entropy_tail_uncertainty(s, dim_bound=16)
+    assert _entropy_tail_uncertainty(s) == math.inf
+    bounded = _entropy_tail_uncertainty(s, dim_bound=16)
     assert bounded == pytest.approx(0.1 * math.log2(16 / 0.1), abs=1e-12)
-    assert entropy_tail_uncertainty(Spectrum(np.array([1.0]))) == 0.0
+    assert _entropy_tail_uncertainty(Spectrum(np.array([1.0]))) == 0.0
 
 
 def test_tail_sum_table_telescopes_exactly():

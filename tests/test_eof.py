@@ -21,9 +21,9 @@ from entcost import (
     random_pure_state,
     regularized_probe,
     schmidt_decompose,
-    state_trace_distance,
     stream,
     tensor_state,
+    trace_distance,
     von_neumann_entropy,
     wootters_eof,
 )
@@ -166,7 +166,8 @@ def test_two_qubit_estimates_are_wootters_decomposition(anneals):
         c = _concurrence(rho)
         for m in est.decomposition.members:
             assert abs(2.0 * abs(np.linalg.det(m.amplitudes)) - c) <= 1e-9, label
-        assert state_trace_distance(ensemble_average(est.decomposition), rho) < 1e-9
+        avg = ensemble_average(est.decomposition)
+        assert trace_distance(avg.matrix, rho.matrix) < 1e-9
     for t, (label, da, db, rank, bits, _, _) in enumerate(_PINNED[:2]):
         rho = _pinned_state(t, label, da, db, rank)
         assert abs(float.fromhex(bits) - wootters_eof(rho)) <= 1e-12, label
@@ -203,7 +204,7 @@ def test_decomposition_reconstructs_state():
     rho = random_density_state(rng, 2, 3)
     est = eof_estimate(rho, restarts=2, iterations=800, seed=1)
     avg = ensemble_average(est.decomposition)
-    assert state_trace_distance(avg, rho) < 1e-8
+    assert trace_distance(avg.matrix, rho.matrix) < 1e-8
 
 
 def test_bound_never_exceeds_marginal_entropies():
@@ -466,7 +467,8 @@ def test_three_by_three_rank_three_estimate():
     rng = stream(31, 8)
     rho = random_density_state(rng, 3, 3, rank=3)
     est = eof_estimate(rho, restarts=2, iterations=800, seed=4)
-    assert state_trace_distance(ensemble_average(est.decomposition), rho) < 1e-8
+    avg = ensemble_average(est.decomposition)
+    assert trace_distance(avg.matrix, rho.matrix) < 1e-8
     s_a, s_b = _marginal_entropy(rho, "A"), _marginal_entropy(rho, "B")
     s_ab = von_neumann_entropy(rho.spectrum())
     hashing = max(0.0, s_b - s_ab, s_a - s_ab)

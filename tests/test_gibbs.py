@@ -22,13 +22,12 @@ from entcost import (
     hamiltonian_for_spectrum,
     harmonic_oscillator,
     max_entropy_at_energy,
-    max_mean_energy,
     mean_energy_density,
     one_sided_continuity_bound,
     schmidt_decompose,
-    series_weights,
     sublinearity_probe,
 )
+from entcost.gibbs import _max_mean_energy, _series_weights
 
 
 def _count_partition_sums(monkeypatch) -> list:
@@ -209,7 +208,7 @@ def test_inversion_residual_is_relative(monkeypatch):
     # within rtol * E of the target across nine decades, up to the top of a
     # bounded spectrum
     calls = _count_partition_sums(monkeypatch)
-    cases = [(h, float(max_mean_energy(h)) * frac) for h in _bounded_spectra()
+    cases = [(h, float(_max_mean_energy(h)) * frac) for h in _bounded_spectra()
              for frac in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-12)]
     cases += [(_offset_ladder(s), e) for s in (0.3, 2.0, 10.0)
               for e in (1e-9, 1e-3, 1.0, 1e3, 1e9)]
@@ -287,8 +286,8 @@ def test_gibbs_tail_mass_does_not_cancel(beta):
 
 
 def test_max_mean_energy_bounded_vs_tail():
-    assert max_mean_energy(DiagonalHamiltonian(np.array([0.0, 1.0]))) == 0.5
-    assert max_mean_energy(harmonic_oscillator()) == math.inf
+    assert _max_mean_energy(DiagonalHamiltonian(np.array([0.0, 1.0]))) == 0.5
+    assert _max_mean_energy(harmonic_oscillator()) == math.inf
 
 
 def test_bounded_hamiltonian_saturates_max_entropy():
@@ -354,8 +353,7 @@ def test_continuity_bound_zero_eps_is_zero():
 
 def test_series_weights_geometric():
     a = 0.5 ** np.arange(1, 30)
-    sw = series_weights(a)
-    b = sw.b
+    b = _series_weights(a)
     assert b[0] >= 1.0
     assert np.all(np.diff(b) >= -1e-12)
     assert b[-1] > b[0] + 10.0
@@ -366,7 +364,7 @@ def test_series_weights_past_the_support():
     # trailing zeros carry no suffix mass: the weights keep growing by one
     # per step from the last supported index
     a = np.array([0.5, 0.25, 0.25, 0.0, 0.0, 0.0])
-    b = series_weights(a).b
+    b = _series_weights(a)
     assert list(b[:3]) == [1.0, 2.0, 3.0]
     assert list(b[3:]) == [4.0, 5.0, 6.0]
 

@@ -21,7 +21,6 @@ from entcost import (
     schmidt_decompose,
     schur_horn_check,
     stream,
-    tail_dominance_entropy_check,
     tail_sum_operator_inequality,
     tail_sums,
 )
@@ -35,6 +34,7 @@ from entcost.majorization import (
     _outcome_spectra,
     _sweep_block,
     _sweep_trials,
+    _tail_dominance_entropy_check,
 )
 
 
@@ -65,6 +65,17 @@ def test_instrument_completeness_defect():
     assert inst.completeness_defect < 1e-14
     assert inst.is_channel()
     assert np.allclose(_completeness_matrix(inst.ls, inst.ms), np.eye(4), atol=1e-14)
+
+
+def test_completeness_defect_is_derived_not_passed():
+    # a fourth argument used to be accepted and silently replaced
+    half = np.sqrt(0.5) * np.eye(2)
+    ls, ms, outcomes = (half,), (np.eye(2),), (0,)
+    with pytest.raises(TypeError):
+        ProductKrausInstrument(ls, ms, outcomes, 0.25)
+    inst = ProductKrausInstrument(ls, ms, outcomes)
+    assert inst.completeness_defect == pytest.approx(0.5, abs=1e-15)
+    assert not inst.is_channel()
 
 
 def test_incomplete_instrument_detected():
@@ -189,7 +200,7 @@ def test_coarse_grained_outcomes_can_be_mixed():
 def test_tail_dominance_entropy_conversion():
     rho = Spectrum(np.array([0.5, 0.5]))
     members = [Spectrum(np.array([1.0])), Spectrum(np.array([0.75, 0.25]))]
-    res = tail_dominance_entropy_check(rho, [0.5, 0.5], members)
+    res = _tail_dominance_entropy_check(rho, [0.5, 0.5], members)
     assert res.conclusive and res.holds
     assert res.min_tail_margin >= 0.0
     assert res.entropy_margin > 0.0
@@ -200,7 +211,7 @@ def test_tail_dominance_inconclusive_not_failure():
     # check must report inconclusive rather than a violation
     rho = Spectrum(np.array([1.0]))
     members = [Spectrum(np.array([0.5, 0.5]))]
-    res = tail_dominance_entropy_check(rho, [1.0], members)
+    res = _tail_dominance_entropy_check(rho, [1.0], members)
     assert not res.conclusive
     assert res.min_tail_margin < 0.0
 
@@ -376,8 +387,8 @@ def test_every_margin_goes_through_one_routine(monkeypatch):
     psi, inst = _trial_inputs(31, 0, 4)
     majorization_condition_check(psi, apply_instrument(inst, psi))
     _sweep_trials(31, 1, 4)
-    tail_dominance_entropy_check(Spectrum(np.array([0.5, 0.5])), [1.0],
-                                 [Spectrum(np.array([0.75, 0.25]))])
+    _tail_dominance_entropy_check(Spectrum(np.array([0.5, 0.5])), [1.0],
+                                  [Spectrum(np.array([0.75, 0.25]))])
     assert len(calls) == 3
 
 
@@ -512,7 +523,7 @@ def test_tail_dominance_rejects_nan_weights(weights):
     # NaN margins
     members = [Spectrum(np.array([1.0])), Spectrum(np.array([0.75, 0.25]))]
     with pytest.raises(InvariantViolation):
-        tail_dominance_entropy_check(Spectrum(np.array([0.5, 0.5])), weights, members)
+        _tail_dominance_entropy_check(Spectrum(np.array([0.5, 0.5])), weights, members)
 
 
 def test_completeness_matrix_matches_kron_sum():

@@ -154,7 +154,6 @@ OPTIONAL_PARAMETERS = {
     "beta_of_energy": ["rtol"],
     "curtailed_binomial_sample": ["size", "seed"],
     "dilution_sweep": ["mode", "samples", "seed"],
-    "entropy_tail_uncertainty": ["dim_bound"],
     "eof_estimate": ["ensemble_size", "restarts", "iterations", "seed"],
     "harmonic_oscillator": ["levels"],
     "majorization_sweep": ["threads"],
