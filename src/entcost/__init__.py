@@ -41,8 +41,12 @@ Fixed limits and probe grids are module constants, not parameters:
 
 One argument rule, checked in ``spectra`` alone: an integer argument (size,
 count, cutoff, level, seed) is a Python or NumPy integer in its range, never
-a bool or a float, else ``ValueError``; a matrix is finite, non-empty and of
-its shape, else ``InvariantViolation``.
+a bool or a float, else ``ValueError``; a real argument (slack, error,
+energy, inverse temperature, tolerance) is a Python or NumPy real in its
+interval, never a bool or NaN, else the error its site raises:
+``ValueError``, or ``InvariantViolation`` for a Gibbs energy and an affine
+tail; a matrix is finite, non-empty and of its shape, else
+``InvariantViolation``.
 """
 
 from .dilution import (

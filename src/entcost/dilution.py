@@ -38,6 +38,7 @@ from .spectra import (
     PureBipartite,
     Spectrum,
     _checked_int,
+    _checked_real,
     partial_trace,
 )
 from .typicality import (
@@ -107,8 +108,7 @@ def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
     and books each n as it comes, with the bits each n gets alone.
     """
     # an infinite delta has no ebit cap ceil(n (S + delta))
-    if not 0.0 <= delta < math.inf:
-        raise ValueError("need a finite delta >= 0")
+    delta = _checked_real(delta, "delta", 0.0, math.inf, "[)")
     ns = [_checked_int(n, "n", 1) for n in n_grid]
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -174,8 +174,8 @@ def mixed_dilution_rate(decomposition: Ensemble, n_cut: int) -> MixedDilutionPoi
 
 
 def _curtailed_support(p0: float, xi: float, n: int) -> np.ndarray:
-    if not (0.0 < p0 < 1.0 and xi > 0.0):
-        raise ValueError("need 0 < p0 < 1 and xi > 0")
+    p0 = _checked_real(p0, "p0", 0.0, 1.0, "()")
+    xi = _checked_real(xi, "xi", 0.0, math.inf, "(]")
     n = _checked_int(n, "n", 1)
     ks = np.arange(n + 1)
     return ks[np.abs(ks / n - p0) <= xi]
@@ -273,12 +273,11 @@ def _converse(rho: BipartiteState, r: float, epsilons, hamiltonian: DiagonalHami
     terms depend on epsilon, so the A-energy and the formation term are
     taken once for the whole grid, even an empty one, so that the estimate
     options are checked whatever the grid's length."""
-    # r * n must be finite for floor(r n) to exist; NaN fails r >= 0
     n = _checked_int(n, "n", 1)
-    if not (r >= 0.0 and math.isfinite(r * n)):
-        raise ValueError("need r >= 0 and r * n finite")
-    if not all(0.0 < epsilon <= 1.0 for epsilon in epsilons):
-        raise ValueError("epsilon must lie in (0, 1]")
+    r = _checked_real(r, "r", 0.0, math.inf, "[)")
+    if not math.isfinite(r * n):  # floor(r n) must exist
+        raise ValueError("need r * n finite")
+    epsilons = [_checked_real(epsilon, "epsilon", 0.0, 1.0, "(]") for epsilon in epsilons]
     energy = mean_energy_density(hamiltonian, partial_trace(rho, "A"))
     # a state within PSD tolerance can have an A-energy a hair below 0
     terms = [_continuity_terms(hamiltonian, max(0.0, energy), epsilon)

@@ -17,15 +17,14 @@ import math
 
 import numpy as np
 
-from .spectra import InvariantViolation, Spectrum, _checked_int
+from .spectra import InvariantViolation, Spectrum, _checked_int, _checked_real
 
 LN2 = math.log(2.0)
 
 
 def binary_entropy(x: float) -> float:
     """Entropy in bits of a (x, 1-x) distribution."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary entropy argument {x!r} outside [0, 1]")
+    x = _checked_real(x, "x", 0.0, 1.0)
     if x == 0.0 or x == 1.0:
         return 0.0
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
@@ -35,13 +34,12 @@ def g_function(x: float) -> float:
     """Entropy in bits of a geometric distribution with mean x.
 
     g(x) = (x+1) log2(x+1) - x log2 x, with g(0) = 0 and g(inf) = inf, its
-    limit; NaN is rejected with the negative arguments.  Monotone increasing
-    and concave; grows like log2(x) + log2(e) for large x, so g(x)/x -> 0.
+    limit; x must be a real in [0, inf].  Monotone increasing and concave;
+    grows like log2(x) + log2(e) for large x, so g(x)/x -> 0.
     Evaluated as (ln(1+x) + x ln(1 + 1/x)) / ln 2, free of cancellation;
     ln(1 + 1/x) is log1p(1/x) for x >= 1, else ln(1+x) - ln x.
     """
-    if not x >= 0.0:
-        raise ValueError(f"g argument {x!r} is negative or NaN")
+    x = _checked_real(x, "x", 0.0, math.inf)
     if x == 0.0 or x == math.inf:
         return float(x)
     log_ratio = math.log1p(1.0 / x) if x >= 1.0 else math.log1p(x) - math.log(x)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .entropy import LN2, _suffix_sums, g_function
-from .spectra import InvariantViolation, Spectrum, _checked_int, _checked_matrix
+from .spectra import InvariantViolation, Spectrum, _checked_int, _checked_matrix, _checked_real
 
 ENERGY_RTOL = 1e-10
 _MAX_NEWTON_STEPS = 100
@@ -34,16 +34,17 @@ _UNDERFLOW_EXPONENT = 746.0
 
 @dataclass(frozen=True)
 class AffineTail:
-    """Energies e_n = a*n + b for every level n beyond the stored ones."""
+    """Energies e_n = a*n + b for every level n beyond the stored ones; a
+    slope a > 0 makes the tail converge, and b is finite."""
 
     a: float
     b: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise InvariantViolation("affine tail needs finite a and b")
-        if not (self.a > 0.0):
-            raise InvariantViolation("affine tail needs slope a > 0 for convergence")
+        a = _checked_real(self.a, "a", 0.0, math.inf, "()", InvariantViolation)
+        b = _checked_real(self.b, "b", -math.inf, math.inf, "()", InvariantViolation)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,7 @@ def _partition_sums(h: DiagonalHamiltonian, beta: float) -> _Sums:
     which could overflow.  ln Z of the stored levels is ln g + log1p(X / g),
     with g the number of levels of weight exactly 1 and X the rest: at low
     energy Z = g + X rounds X away, and ln Z with it."""
-    if not (beta > 0.0) or not math.isfinite(beta):
-        raise ValueError("beta must be positive and finite")
+    beta = _checked_real(beta, "beta", 0.0, math.inf, "()")
     weights = np.zeros(h.levels)
     reach = h.energies <= _UNDERFLOW_EXPONENT / beta
     t = beta * h.energies[reach]
@@ -218,11 +218,11 @@ def beta_of_energy(h: DiagonalHamiltonian, energy: float,
     Each evaluation narrows a bracket on u (``_newton_step``).  The start
     is the ladder value ln(1 + e_1/E) / e_1 (e_1 the first excited level),
     scaled by 1 - E/mean without a tail.  Stops at |<H> - E| <= rtol * E or a
-    step of a few ulps.  E = 0 gives beta = inf and the ground entropy.
+    step of a few ulps; rtol must be a real in (0, inf).  E = 0 gives
+    beta = inf and the ground entropy.
     """
-    if not (math.isfinite(energy) and energy >= 0.0):
-        raise InvariantViolation(
-            f"mean energy must be finite and non-negative, got {energy!r}")
+    energy = _checked_real(energy, "energy", 0.0, math.inf, "[)", InvariantViolation)
+    rtol = _checked_real(rtol, "rtol", 0.0, math.inf, "()")
     if energy == 0.0:
         return GibbsPoint(math.inf, 0.0, math.log2(h.ground_degeneracy()))
     if energy >= _max_mean_energy(h):
@@ -263,6 +263,7 @@ def max_entropy_at_energy(h: DiagonalHamiltonian, energy: float) -> float:
     the constraint goes inactive; with a tail model every energy is
     attained.
     """
+    energy = _checked_real(energy, "energy", 0.0, math.inf, "[]", InvariantViolation)
     if h.tail is None and energy >= _max_mean_energy(h):
         return math.log2(h.levels)
     return beta_of_energy(h, energy).entropy_bits
@@ -270,12 +271,13 @@ def max_entropy_at_energy(h: DiagonalHamiltonian, energy: float) -> float:
 
 def sublinearity_probe(h: DiagonalHamiltonian, energy_grid) -> list[tuple[float, float]]:
     """Table of (E, F(E)/E) across an increasing grid spanning >= 3 decades."""
-    grid = np.asarray(energy_grid, dtype=float).reshape(-1)
-    if grid.size < 2 or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("energy grid must be positive and strictly increasing")
+    grid = [_checked_real(e, "energy_grid entry", 0.0, math.inf, "()")
+            for e in np.asarray(energy_grid, dtype=object).reshape(-1)]
+    if len(grid) < 2 or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("energy grid must be strictly increasing")
     if grid[-1] / grid[0] < 1e3:
         raise ValueError("energy grid must span at least three decades")
-    return [(float(e), max_entropy_at_energy(h, float(e)) / float(e)) for e in grid]
+    return [(e, max_entropy_at_energy(h, e) / e) for e in grid]
 
 
 def one_sided_continuity_bound(h: DiagonalHamiltonian, energy: float,
@@ -321,8 +323,8 @@ def one_sided_continuity_bound(h: DiagonalHamiltonian, energy: float,
     If eps were the purified distance sqrt(1 - F) instead, step 1 would drop
     out and eps' = eps.  The package never uses that convention.
     """
-    if not (0.0 <= epsilon <= 1.0):
-        raise ValueError("epsilon must lie in [0, 1]")
+    energy = _checked_real(energy, "energy", 0.0, math.inf, "[]", InvariantViolation)
+    epsilon = _checked_real(epsilon, "epsilon", 0.0, 1.0)
     if epsilon == 0.0:
         return 0.0
     return sum(_continuity_terms(h, energy, epsilon))

@@ -28,7 +28,6 @@ import numpy as np
 from .entropy import _row_entropies, _suffix_sums, tail_sums, von_neumann_entropy
 from .rng import stream
 from .spectra import (
-    NORMALIZED_ATOL,
     BipartiteState,
     Ensemble,
     InvariantViolation,
@@ -187,14 +186,10 @@ def tail_sum_operator_inequality(a: np.ndarray, b: np.ndarray, k: np.ndarray,
 def _outcome_spectra(branches: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Schmidt spectrum of each branch in a stack (n, r_A, r_B), from one
     batched SVD of the branches divided by their Frobenius norms ``norms``.
-    Every row must come out finite and normalized."""
+    Every row must pass the checks of a normalized Spectrum."""
     sq = np.maximum(np.linalg.svd(branches / norms[:, None, None], compute_uv=False),
                     0.0) ** 2
-    rows = sq / sq.sum(axis=1, keepdims=True)
-    # a NaN or inf entry fails the comparison as well
-    if not (np.abs(rows.sum(axis=1) - 1.0) <= NORMALIZED_ATOL).all():
-        raise InvariantViolation("outcome Schmidt spectra must be finite and normalized")
-    return rows
+    return _checked_rows(sq / sq.sum(axis=1, keepdims=True), normalized=True)
 
 
 class _Outcomes(NamedTuple):

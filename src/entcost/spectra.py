@@ -12,6 +12,7 @@ taken of it, each a deterministic function of the state and its options.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +112,27 @@ def _checked_int(value, name: str, lo: int | None, hi: int | None = None) -> int
     span = (f" in [{lo}, {hi}]" if None not in (lo, hi) else
             f" >= {lo}" if lo is not None else f" <= {hi}" if hi is not None else "")
     raise ValueError(f"{name} must be an integer{span}, got {value!r}")
+
+
+def _checked_real(value, name: str, lo: float, hi: float, ends: str = "[]",
+                  error: type = ValueError) -> float:
+    """``value`` as a Python float, once checked to be a Python or NumPy real,
+    never a bool or NaN, in the interval from lo to hi whose ends ``ends``
+    marks closed ("[", "]") or open ("(", ")"); else ``error`` naming ``name``
+    and the interval.  An integer beyond the float range is out of range.
+    The one check of a real argument."""
+    v, shown = math.nan, None
+    # a plain float skips the abstract-class test, which costs about 0.5 us
+    if type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:  # and repr may refuse an integer of 4 300 digits
+            shown = "a number beyond the float range"
+    if (lo < v or lo == v and ends[0] == "[") and (v < hi or v == hi and ends[1] == "]"):
+        return v
+    span = f"{ends[0]}{lo!r}, {hi!r}{ends[1]}"
+    raise error(f"{name} = {shown or repr(value)} lies outside {span}: "
+                "it must be a real number, never a bool or NaN")
 
 
 def _checked_matrix(value, name: str, shape: tuple | None = None) -> np.ndarray:

@@ -38,7 +38,7 @@ import numpy as np
 from .entropy import _shannon_bits
 from .gibbs import _MAX_NEWTON_STEPS, _newton_step
 from .rng import stream
-from .spectra import InvariantViolation, _checked_int
+from .spectra import InvariantViolation, _checked_int, _checked_real
 
 MAX_TYPES = 2_000_000  # the largest type table exact mode enumerates
 MAX_SAMPLES = 10 ** 8  # the most blocks Monte Carlo mode draws
@@ -95,8 +95,7 @@ def is_weakly_typical(dist: SourceDistribution, x_seq, delta: float) -> bool:
     """True iff |rate(x^n) - H| <= delta; zero-probability symbols disqualify.
     The sequence's type is judged by the census's own rule, so a sequence is
     typical exactly when its type is a member of the census's weak set."""
-    if not delta >= 0.0:
-        raise ValueError("delta must be non-negative")
+    delta = _checked_real(delta, "delta", 0.0, math.inf)
     x = np.asarray(x_seq)
     if x.ndim != 1:
         raise ValueError("sequence must be one-dimensional")
@@ -187,8 +186,9 @@ def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float,
     built as one block of at most max(_BLOCK_ROWS, n + 1) rows, judged in
     one call with each row's own n, and handed out table by table as
     views; each of those tables is one block alone as well.  Any other
-    table is a run of its own, in the blocks it has alone.  Judging is
-    elementwise, so each row reads as it would in its table alone."""
+    table is a run of its own, in the blocks it has alone, judged with its
+    one n, not an array of it.  Judging is elementwise, so each row reads
+    as it would in its table alone."""
     k = len(dist)
     totals = [type_count(n, k) for n in ns]
     for total in totals:
@@ -206,6 +206,7 @@ def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float,
                 break
             stop += 1
         for rows, n_row in _prefix_blocks(np.array(ns[start:stop], dtype=np.int64), k - 1):
+            n_row = n_row if stop > start + 1 else ns[start]
             counts = np.column_stack([rows, n_row - rows.sum(axis=1)])
             log2_prob, ok = _judge(dist, n_row, delta, kind, counts)
             # a block holds its whole run, or one table's block
@@ -396,12 +397,12 @@ def _mc_mass(dist: SourceDistribution, n: int, delta: float, kind: str,
     return hits / samples, lo, hi
 
 
-def _check_block(n: int, delta: float) -> int:
-    """n as a Python int, once it is checked to be an integer >= 1 and
-    delta >= 0; a NumPy integer would overflow in the census's K^n."""
-    if not delta >= 0.0:
-        raise ValueError("delta must be non-negative")
-    return _checked_int(n, "n", 1)
+def _check_block(n: int, delta: float) -> tuple[int, float]:
+    """(n, delta) as a Python int and float, once checked to be an integer
+    >= 1 and a real in [0, inf]; a NumPy integer would overflow in the
+    census's K^n."""
+    delta = _checked_real(delta, "delta", 0.0, math.inf)
+    return _checked_int(n, "n", 1), delta
 
 
 def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
@@ -409,7 +410,7 @@ def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
     """The weak or strong report: exact census or Monte Carlo estimate.  In
     Monte Carlo mode the cardinality is the theoretical bound, n (H + delta)
     for the weak set and n log2 K for the strong one."""
-    n = _check_block(n, delta)
+    n, delta = _check_block(n, delta)
     if mode == "exact":
         (mass, card, _), = _census(dist, [n], delta, kind)
         return TypicalReport(n, delta, mass, _log2_bigint(card), kind,
@@ -446,7 +447,7 @@ def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
 
 def weak_typical_census(dist: SourceDistribution, n: int, delta: float) -> tuple[float, int]:
     """(exact mass, exact integer cardinality) of the weakly typical set."""
-    n = _check_block(n, delta)
+    n, delta = _check_block(n, delta)
     (mass, count, _), = _census(dist, [n], delta, "weak")
     return mass, count
 
@@ -460,11 +461,10 @@ def aep_bounds_check(dist: SourceDistribution, n: int, delta: float,
     bounds and should fail on non-degenerate sources.  Comparisons happen in
     log space with relative slack 1e-12.
     """
-    n = _check_block(n, delta)
+    n, delta = _check_block(n, delta)
     if bound_delta is None:
         bound_delta = delta
-    if not bound_delta >= 0.0:
-        raise ValueError("bound_delta must be non-negative")
+    bound_delta = _checked_real(bound_delta, "bound_delta", 0.0, math.inf)
     h = dist.entropy_bits
     slack = 1e-12 * max(1.0, n * (h + max(delta, bound_delta)))
     lo = -n * (h + bound_delta) - slack

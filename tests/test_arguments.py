@@ -1,8 +1,12 @@
 """The argument rule: every integer a public function takes is a Python or
-NumPy integer in its range, never a bool or a float, and every raw matrix is
-finite.  Each row below names one integer parameter; before the rule, 2.0
-and True ran as the integers they round to, 2.5 was truncated or ended in
-a raw TypeError, and a NaN matrix could read as an answer."""
+NumPy integer in its range, never a bool or a float; every real is a Python
+or NumPy real in its interval, never a bool or NaN; and every raw matrix is
+finite.  Each row of the first table names one integer parameter; before
+the rule, 2.0 and True ran as the integers they round to, 2.5 was
+truncated or ended in a raw TypeError, and a NaN matrix could read as an
+answer.  Each row of the second names one real parameter; before the rule,
+True ran as 1.0, a string ended in a raw TypeError, and NaN slipped past
+rtol and the energy grid."""
 
 import math
 import re
@@ -11,6 +15,7 @@ import numpy as np
 import pytest
 
 from entcost import (
+    AffineTail,
     BipartiteState,
     DilutionTrace,
     Ensemble,
@@ -18,6 +23,8 @@ from entcost import (
     SourceDistribution,
     Spectrum,
     aep_bounds_check,
+    beta_of_energy,
+    binary_entropy,
     binary_mixing_error,
     converse_bound,
     curtailed_binomial_pmf,
@@ -25,10 +32,16 @@ from entcost import (
     dilution_sweep,
     eof_estimate,
     eof_surrogate_for_copies,
+    g_function,
+    gibbs_point,
+    gibbs_state,
     harmonic_oscillator,
+    is_weakly_typical,
     majorization_sweep,
+    max_entropy_at_energy,
     mean_energy_density,
     mixed_dilution_rate,
+    one_sided_continuity_bound,
     pure_dilution,
     random_density_state,
     random_product_instrument,
@@ -38,6 +51,7 @@ from entcost import (
     schur_horn_check,
     stream,
     strong_typical_mass,
+    sublinearity_probe,
     tail_sum_operator_inequality,
     tail_sums,
     trace_distance,
@@ -46,6 +60,7 @@ from entcost import (
     weak_typical_mass,
 )
 from entcost.entropy import _entropy_tail_uncertainty
+from entcost.spectra import _checked_real
 
 DIST = SourceDistribution([0.7, 0.3])
 SPEC = Spectrum(np.array([0.7, 0.3]))
@@ -144,6 +159,77 @@ def test_each_integer_parameter_takes_only_integers_in_its_range(
 def test_a_seed_may_be_any_integer_and_negative_seeds_keep_their_64_bit_mapping():
     assert _draws(stream(-1, 3)) == _draws(stream(2 ** 64 - 1, 3))
     assert _draws(stream(2 ** 70 + 5, 3)) == _draws(stream(5, 3))
+
+
+LADDER = harmonic_oscillator(4)
+
+
+def _converse(r, epsilon):
+    return converse_bound(BipartiteState(2, 2, RHO_22), r, epsilon, LADDER, 2, **FAST)
+
+
+# (parameter name, call taking the value, a valid value, a value out of its
+# interval, the class of error the call raises)
+REALS = [
+    ("delta", lambda v: is_weakly_typical(DIST, [0, 1, 0], v), 0.5, -0.1, ValueError),
+    ("delta", lambda v: weak_typical_mass(DIST, 10, v), 0.1, -0.1, ValueError),
+    ("delta", lambda v: strong_typical_mass(DIST, 10, v), 0.1, -0.1, ValueError),
+    ("delta", lambda v: weak_typical_census(DIST, 10, v), 0.1, -0.1, ValueError),
+    ("delta", lambda v: aep_bounds_check(DIST, 10, v), 0.1, -0.1, ValueError),
+    ("bound_delta", lambda v: aep_bounds_check(DIST, 10, 0.1, v), 0.05, -0.05, ValueError),
+    ("delta", lambda v: dilution_sweep(SPEC, v, [5, 10]), 0.1, math.inf, ValueError),
+    ("delta", lambda v: pure_dilution(SPEC, v, 10), 0.1, -0.1, ValueError),
+    ("p0", lambda v: binary_mixing_error(v, 0.1, 10), 0.3, 1.0, ValueError),
+    ("xi", lambda v: curtailed_binomial_pmf(0.3, v, 10)[1].tolist(), 0.1, 0.0, ValueError),
+    ("r", lambda v: _converse(v, 0.01), 1.0, -1.0, ValueError),
+    ("epsilon", lambda v: _converse(1.0, v), 0.01, 0.0, ValueError),
+    ("x", binary_entropy, 0.3, 1.5, ValueError),
+    ("x", g_function, 0.5, -1.0, ValueError),
+    ("beta", lambda v: gibbs_point(LADDER, v), 1.0, 0.0, ValueError),
+    ("beta", lambda v: gibbs_state(LADDER, v).values.tolist(), 1.0, math.inf, ValueError),
+    ("epsilon", lambda v: one_sided_continuity_bound(LADDER, 1.0, v), 0.01, 1.5, ValueError),
+    ("energy", lambda v: beta_of_energy(LADDER, v), 1.0, -1.0, InvariantViolation),
+    ("energy", lambda v: max_entropy_at_energy(LADDER, v), 1.0, -1.0, InvariantViolation),
+    ("energy", lambda v: one_sided_continuity_bound(LADDER, v, 0.01), 1.0, -1.0,
+     InvariantViolation),
+    ("rtol", lambda v: beta_of_energy(LADDER, 1.0, rtol=v), 1e-10, 0.0, ValueError),
+    ("a", lambda v: AffineTail(v, 0.0), 1.0, 0.0, InvariantViolation),
+    ("b", lambda v: AffineTail(1.0, v), 0.0, math.inf, InvariantViolation),
+    ("energy_grid entry", lambda v: sublinearity_probe(LADDER, [1e-3, v, 10.0]), 0.1, -0.1,
+     ValueError),
+]
+
+
+@pytest.mark.parametrize("name, call, valid, out_of_range, error", REALS,
+                         ids=[f"{i}-{row[0]}" for i, row in enumerate(REALS)])
+def test_each_real_parameter_takes_only_reals_in_its_interval(
+        name, call, valid, out_of_range, error):
+    for value in [math.nan, True, str(valid), out_of_range]:
+        with pytest.raises(error, match=f"^{re.escape(name)} = ") as caught:
+            call(value)
+        # each site keeps its class: InvariantViolation where it raised one
+        assert isinstance(caught.value, InvariantViolation) == (error is InvariantViolation)
+    assert call(np.float64(valid)) == call(valid)
+
+
+def test_a_real_is_returned_as_a_float_and_its_interval_ends_are_open_or_closed():
+    assert type(_checked_real(np.float32(0.5), "x", 0.0, 1.0)) is float
+    assert _checked_real(np.int64(1), "x", 0.0, 1.0) == 1.0
+    assert _checked_real(0.0, "x", 0.0, 1.0, "[)") == 0.0
+    assert _checked_real(math.inf, "x", 0.0, math.inf) == math.inf
+    for value, hi, ends in [(1.0, 1.0, "[)"), (0.0, 1.0, "(]"), (math.inf, math.inf, "[)")]:
+        with pytest.raises(ValueError, match="^x = "):
+            _checked_real(value, "x", 0.0, hi, ends)
+    # an integer beyond the float range is out of range, not an OverflowError,
+    # even one too long for repr
+    with pytest.raises(ValueError, match="^x = "):
+        _checked_real(10 ** 400, "x", 0.0, math.inf)
+    with pytest.raises(InvariantViolation, match="^a = a number beyond the float range"):
+        AffineTail(10 ** 5000, 0.0)
+    with pytest.raises(InvariantViolation) as caught:
+        _checked_real(math.nan, "x", 0.0, 1.0, error=InvariantViolation)
+    assert str(caught.value) == ("x = nan lies outside [0.0, 1.0]: it must be a real number, "
+                                 "never a bool or NaN")
 
 
 NAN = np.array([[math.nan, 0.0], [0.0, 1.0]])

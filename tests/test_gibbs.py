@@ -245,6 +245,24 @@ def test_beta_of_energy_rejects_invalid_energy(energy):
         beta_of_energy(harmonic_oscillator(), energy)
 
 
+@pytest.mark.parametrize("rtol", [math.nan, -1.0, 0.0])
+def test_beta_of_energy_checks_rtol_before_any_partition_sum(monkeypatch, rtol):
+    # NaN and -1 ran 38 partition sums, then reported a misleading residual;
+    # 0 asks for an exact match, which the final check meets only by luck
+    calls = _count_partition_sums(monkeypatch)
+    with pytest.raises(ValueError, match="^rtol = "):
+        beta_of_energy(harmonic_oscillator(), 1.0, rtol=rtol)
+    assert calls == []
+
+
+def test_sublinearity_probe_checks_each_grid_entry(monkeypatch):
+    # a NaN entry passed the grid's own check and failed inside the inversion
+    calls = _count_partition_sums(monkeypatch)
+    with pytest.raises(ValueError, match="^energy_grid entry = nan"):
+        sublinearity_probe(harmonic_oscillator(), [1e-3, math.nan, 10.0])
+    assert calls == []
+
+
 def test_beta_of_energy_zero_energy_sentinel():
     h = DiagonalHamiltonian(np.array([0.0, 0.0, 1.0]))
     point = beta_of_energy(h, 0.0)

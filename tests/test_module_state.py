@@ -205,16 +205,17 @@ def test_only_the_formation_callers_take_keyword_options():
 INTEGER_TYPE_READERS = {"spectra._checked_int", "cli._jsonable", "cli._fmt"}
 
 
-def _readers(attr: str) -> set:
-    """The functions under src/entcost, by module, that name ``np.<attr>``
-    (the module itself for a use outside any function)."""
+def _readers(attr: str, modules=("np", "numpy")) -> set:
+    """The functions under src/entcost, by module, that name ``<attr>`` of
+    one of ``modules``, NumPy by default (the module itself for a use
+    outside any function)."""
     found = set()
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{where.split('.')[0]}.{node.name}"
         elif isinstance(node, ast.Attribute) and node.attr == attr \
-                and _name(node.value) in ("np", "numpy"):
+                and _name(node.value) in modules:
             found.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -226,3 +227,9 @@ def _readers(attr: str) -> set:
 
 def test_integer_arguments_are_checked_in_one_place():
     assert _readers("integer") == INTEGER_TYPE_READERS
+
+
+def test_real_arguments_are_checked_in_one_place():
+    # the one home of the real rule: only spectra._checked_real asks whether
+    # an argument is a real number
+    assert _readers("Real", ("numbers",)) == {"spectra._checked_real"}
