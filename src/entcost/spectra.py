@@ -105,13 +105,19 @@ def _checked_int(value, name: str, lo: int | None, hi: int | None = None) -> int
     """``value`` as a Python int, once checked to be a Python or NumPy integer,
     never a bool, in [lo, hi] (None leaves an end open); else ValueError naming
     ``name`` and its range.  The one check of an integer argument."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    # a plain int skips the abstract-class tests; a bool's type is not int
+    if type(value) is int or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         v = int(value)
         if (lo is None or lo <= v) and (hi is None or v <= hi):
             return v
     span = (f" in [{lo}, {hi}]" if None not in (lo, hi) else
             f" >= {lo}" if lo is not None else f" <= {hi}" if hi is not None else "")
-    raise ValueError(f"{name} must be an integer{span}, got {value!r}")
+    try:
+        shown = repr(value)
+    except ValueError:  # repr refuses an integer of more than 4 300 digits
+        shown = (f"an integer of {value.bit_length()} bits" if isinstance(value, int)
+                 else f"a {type(value).__name__} too long to print")
+    raise ValueError(f"{name} must be an integer{span}, got {shown}")
 
 
 def _checked_real(value, name: str, lo: float, hi: float, ends: str = "[]",

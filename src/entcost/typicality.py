@@ -5,9 +5,11 @@ Exact masses and cardinalities come from one census of the empirical types
 blocks.  One reader walks that table and judges each block of types; one
 sum over it serves the weak and strong masses, the AEP check and dilution.
 The census takes a grid of block lengths: a dilution sweep's tables are
-built and judged together, in blocks of the same bounded size, and each n
-is summed over the blocks its table has alone, so every n of a grid gets
-the bits it gets alone.
+built and judged together, in blocks of the same bounded size, each block
+holding whole tables.  A block is tallied at once: one walk over the member
+rows of all its tables that cut a type, one exp, and one sum per table over
+its own terms in its own order, so every n of a grid gets the bits it gets
+alone.
 Every sequence of a type has the same probability, so a set's mass is the
 sum over its types of multinomial(n; c) * prod_i p_i^c_i.  Each multinomial
 is one exact integer, walked along binomial rows: the integers sum to the
@@ -136,9 +138,9 @@ def _prefix_blocks(ns: np.ndarray, width: int) -> Iterator[tuple[np.ndarray, np.
         for lo in range(0, len(head), step):
             part, part_n = head[lo:lo + step], head_n[lo:lo + step]
             room = part_n + 1 - part.sum(axis=1)
-            starts = np.repeat(np.cumsum(room) - room, room)
-            yield (np.column_stack([np.repeat(part, room, axis=0),
-                                    np.arange(starts.size) - starts]),
+            # no row-sized local is held across the yield, while the block is summed
+            yield (np.column_stack([np.repeat(part, room, axis=0), np.arange(room.sum())
+                                    - np.repeat(np.cumsum(room) - room, room)]),
                    np.repeat(part_n, room))
 
 
@@ -175,22 +177,25 @@ def _judge(dist: SourceDistribution, n, delta: float, kind: str,
     return log2_prob, _members(dist, n, delta, kind, counts, log2_prob)
 
 
-def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float,
-                   kind: str) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """(position in ns, counts, log2 p(x^n) per sequence, membership mask)
-    per block of the type table of each n of ns, in order: the one reader
-    of the type table.
+def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float, kind: str
+                   ) -> Iterator[tuple[tuple[int, np.ndarray | None], np.ndarray, np.ndarray,
+                                       np.ndarray]]:
+    """((first, edges), counts, log2 p(x^n) per sequence, membership mask)
+    per block of the type tables of ns, in order: the one reader of the type
+    table.  ``first`` is the position in ns of the block's first table.  A
+    block holds whole tables, the i-th from row edges[i] to edges[i + 1];
+    only a table too large for one block comes in several, each with edges
+    None.
 
     A run of consecutive tables whose heads (the rows the last step of
     ``_prefix_blocks`` extends) fit one step of the run's largest n is
-    built as one block of at most max(_BLOCK_ROWS, n + 1) rows, judged in
-    one call with each row's own n, and handed out table by table as
-    views; each of those tables is one block alone as well.  Any other
-    table is a run of its own, in the blocks it has alone, judged with its
-    one n, not an array of it.  Judging is elementwise, so each row reads
-    as it would in its table alone."""
+    built as one block of at most max(_BLOCK_ROWS, n + 1) rows and judged
+    in one call: with each row's own n if it holds several tables, and with
+    its one n, not an array of it, if it holds one.  A table whose heads do
+    not fit is a run of its own, in the blocks it has alone.  Judging is
+    elementwise, so each row reads as it would in its table alone."""
     k = len(dist)
-    totals = [type_count(n, k) for n in ns]
+    totals = [math.comb(n + k - 1, k - 1) for n in ns]  # each n is checked already
     for total in totals:
         if total > MAX_TYPES:
             raise InvariantViolation(
@@ -200,88 +205,128 @@ def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float,
     start = 0
     while start < len(ns):
         stop, top, held = start + 1, ns[start], heads[start]
-        while stop < len(ns):
-            top, held = max(top, ns[stop]), held + heads[stop]
-            if held > max(1, _BLOCK_ROWS // (top + 1)):
-                break
-            stop += 1
+        while stop < len(ns) and (held + heads[stop]
+                                  <= max(1, _BLOCK_ROWS // (max(top, ns[stop]) + 1))):
+            top, held, stop = max(top, ns[stop]), held + heads[stop], stop + 1
+        # heads that fit one step make one block; a table alone may not fit
+        whole = held <= max(1, _BLOCK_ROWS // (top + 1))
+        edges = np.cumsum([0, *totals[start:stop]]) if whole else None
         for rows, n_row in _prefix_blocks(np.array(ns[start:stop], dtype=np.int64), k - 1):
             n_row = n_row if stop > start + 1 else ns[start]
             counts = np.column_stack([rows, n_row - rows.sum(axis=1)])
+            del rows  # counts holds a copy; hold no second while the block is summed
             log2_prob, ok = _judge(dist, n_row, delta, kind, counts)
-            # a block holds its whole run, or one table's block
-            edges = np.cumsum([0, *totals[start:stop]]) if stop > start + 1 else (0, len(rows))
-            for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
-                yield start + j, counts[lo:hi], log2_prob[lo:hi], ok[lo:hi]
+            yield (start, edges), counts, log2_prob, ok
         start = stop
 
 
-def _type_terms(n: int, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[np.ndarray, int]:
-    """(ln of each row's mass, exact total multiplicity) of the rows of one
-    block.  A run of rows sharing c_0..c_{K-3} walks one binomial row in
-    exact integer steps; each row's multiplicity is that exact integer, and
-    its ln mass is ln mult + log2 p ln 2, where ln of an int is accurate at
-    any size."""
-    total, head, ln_mult = 0, None, []
-    for row in counts.tolist():
-        if row[:-2] != head:
-            head, prefix, rem = row[:-2], 1, n
-            for c in head:
-                prefix *= math.comb(rem, c)
-                rem -= c
-            j, binom = row[-2], math.comb(rem, row[-2])
-        while j < row[-2]:
-            binom = binom * (rem - j) // (j + 1)
-            j += 1
-        mult = prefix * binom
-        total += mult
-        ln_mult.append(math.log(mult))
-    return np.array(ln_mult) + log2_prob * math.log(2.0), total
+def _type_terms(n, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """(ln of each row's mass, exact total multiplicity of each table) of
+    the rows of one table or of several: n is one block length, or a pair
+    (block lengths, row edges) whose i-th table is rows edges[i] to
+    edges[i + 1].  Within a table, a run of rows sharing c_0..c_{K-3} walks
+    one binomial row in exact integer steps, and the walk restarts at each
+    table edge; each row's multiplicity is that exact integer, and its ln
+    mass is ln mult + log2 p ln 2, where ln of an int is accurate at any
+    size."""
+    ns, edges = ([n], [0, len(counts)]) if isinstance(n, int) else n
+    rows, ln_mult, totals = iter(counts.tolist()), [], []
+    for n, lo, hi in zip(ns, edges, edges[1:]):
+        total, head = 0, None
+        for row in itertools.islice(rows, hi - lo):
+            if row[:-2] != head:
+                head, prefix, rem = row[:-2], 1, n
+                for c in head:
+                    prefix *= math.comb(rem, c)
+                    rem -= c
+                j, binom = row[-2], math.comb(rem, row[-2])
+            while j < row[-2]:
+                binom = binom * (rem - j) // (j + 1)
+                j += 1
+            mult = prefix * binom
+            total += mult
+            ln_mult.append(math.log(mult))
+        totals.append(total)
+    del rows  # islice leaves the row lists referenced; free them before the array
+    return np.array(ln_mult) + log2_prob * math.log(2.0), totals
 
 
 def _census(dist: SourceDistribution, ns: list[int], delta: float,
             kind: str) -> Iterator[tuple[float, int, object]]:
     """(mass, exact cardinality, root cut) of the weak or strong set at each
     n of ns, in order, from one read of the type tables of the whole grid.
-    A generator: each n's result is handed over as soon as its table is
-    read, so a block of tables is released once the caller drops the
-    results drawn from it, and memory does not grow with the grid."""
-    tables = itertools.groupby(_judged_blocks(dist, ns, delta, kind),
-                               key=lambda block: block[0])
-    for n, (_, blocks) in zip(ns, tables):
-        yield _tally(dist, n, delta, kind, blocks)
+    Each block of whole tables is tallied at once, by ``_tally``.  A table
+    of several blocks is scanned for a cut and, only if it has one, read
+    again alone, so each of its blocks is summed on its own, bit for bit as
+    n's census alone sums it.  A generator: each n's result is handed over
+    as soon as its table is read, so a block of tables is released once the
+    caller drops the results drawn from it, and memory does not grow with
+    the grid; a caller that draws nothing reads no table."""
+    blocks = itertools.groupby(_judged_blocks(dist, ns, delta, kind),
+                               key=lambda block: (block[0][0], block[0][1] is None))
+    for (first, split), table in blocks:
+        if not split:
+            yield from _tally(dist, ns, delta, kind, next(table))
+            continue
+        n, cut = ns[first], False
+        for _, _, log2_prob, ok in table:
+            cut = cut or bool(np.any(np.isfinite(log2_prob) & ~ok))
+        if not cut:
+            yield 1.0, int(np.count_nonzero(dist.probs)) ** n, lambda: 0.0
+            continue
+        mass, count = 0.0, 0
+        for _, counts, log2_prob, ok in _judged_blocks(dist, [n], delta, kind):
+            ln_mass, (block_count,) = _type_terms(n, counts[ok], log2_prob[ok])
+            mass, count = mass + float(np.sum(np.exp(ln_mass))), count + block_count
+        mass = min(mass, 1.0)
+        yield mass, count, _root_cut(dist, n, delta, kind, mass, None)
 
 
-def _tally(dist: SourceDistribution, n: int, delta: float, kind: str,
-           blocks) -> tuple[float, int, object]:
-    """(mass, exact cardinality, root cut) of one n from the judged blocks
-    of its table, the blocks it has alone.  A single block is held; a table
-    of several is read again, alone, so each block is summed on its own,
-    bit for bit as n's census alone sums it.
+def _tally(dist: SourceDistribution, ns: list[int], delta: float, kind: str,
+           block) -> Iterator[tuple[float, int, object]]:
+    """(mass, exact cardinality, root cut) of each table of one judged block
+    of whole tables of the grid ns.  One
+    ``np.logical_or.reduceat`` over the table edges finds the tables with a
+    cut, that is a type that carries mass but is no member.  A table with
+    none has mass 1 and count K_+^n exactly.  The member rows of all the cut
+    tables are walked in one ``_type_terms`` call, each table with its own
+    n and the walk restarting at each table edge, and exp is taken once;
+    each cut table's slice of terms is then summed in one reduction, as
+    ``np.sum`` sums it.  Those are the terms of the table alone, in its
+    order, so each table's mass, count and root cut have the bits of its
+    census alone."""
+    (first, edges), counts, log2_prob, ok = block
+    ns = ns[first:first + len(edges) - 1]
+    cut = np.logical_or.reduceat(np.isfinite(log2_prob) & ~ok, edges[:-1])
+    # the member rows of the cut tables; the i-th table's are walked[at[i]:at[i + 1]]
+    walked = np.flatnonzero(ok & np.repeat(cut, edges[1:] - edges[:-1]))
+    at, cut = walked.searchsorted(edges).tolist(), cut.tolist()
+    if any(cut):
+        ln_mass, totals = _type_terms((ns, at), counts[walked], log2_prob[walked])
+        terms = np.exp(ln_mass)
+    k_pos = int(np.count_nonzero(dist.probs))
+    for i, (n, is_cut) in enumerate(zip(ns, cut)):
+        if not is_cut:
+            yield 1.0, k_pos ** n, lambda: 0.0
+            continue
+        lo, hi = at[i], at[i + 1]
+        mass = min(float(terms[lo:hi].sum()), 1.0)
+        table = slice(edges[i], edges[i + 1])
+        held = [(None, counts[table], log2_prob[table], ok[table])]
+        yield mass, totals[i], _root_cut(dist, n, delta, kind, mass, held)
 
-    The root cut is a zero-argument callable, summed only when called, so
-    only dilution's ledger pays for it.  It returns dilution's exact
-    projection error, the square root of the mass of the types that carry
-    probability but are cut: 0.0 when there are none, and sqrt(1 - mass)
-    while 1 - mass > 1e-6.  Below that, sqrt(1 - mass) keeps fewer than
-    about 8 correct digits, so the cut types are summed directly, scaled by
-    the largest term so that the sum keeps its relative precision where it
-    would underflow, and floored at the smallest positive double."""
-    cut, n_blocks = False, 0
-    for block in blocks:
-        _, _, log2_prob, ok = block
-        cut = cut or bool(np.any(np.isfinite(log2_prob) & ~ok))
-        n_blocks += 1
-    if not cut:
-        # no type that carries mass was cut: mass 1 and count K_+^n, exactly
-        return 1.0, int(np.count_nonzero(dist.probs)) ** n, lambda: 0.0
-    held = [block] if n_blocks == 1 else None
-    mass, count = 0.0, 0
-    for _, counts, log2_prob, ok in held or _judged_blocks(dist, [n], delta, kind):
-        ln_mass, block_count = _type_terms(n, counts[ok], log2_prob[ok])
-        mass, count = mass + float(np.sum(np.exp(ln_mass))), count + block_count
-    mass = min(mass, 1.0)
 
+def _root_cut(dist: SourceDistribution, n: int, delta: float, kind: str, mass: float,
+              held) -> object:
+    """The root cut of n's table of set mass ``mass``: a zero-argument
+    callable, summed only when called, so only dilution's ledger pays for
+    it.  It returns dilution's exact projection error, the square root of
+    the mass of the types that carry probability but are cut: sqrt(1 -
+    mass) while 1 - mass > 1e-6.  Below that, sqrt(1 - mass) keeps fewer
+    than about 8 correct digits, so the cut types are summed directly from
+    the judged blocks ``held``, or from the table read again alone if None,
+    scaled by the largest term so that the sum keeps its relative precision
+    where it would underflow, and floored at the smallest positive double."""
     def root_cut() -> float:
         if 1.0 - mass > 1e-6:
             return math.sqrt(1.0 - mass)
@@ -295,7 +340,7 @@ def _tally(dist: SourceDistribution, n: int, delta: float, kind: str,
             scaled = scaled * math.exp(top - new_top) + float(np.sum(np.exp(ln_mass - new_top)))
             top = new_top
         return max(math.exp(0.5 * (top + math.log(scaled))), math.ulp(0.0))
-    return mass, count, root_cut
+    return root_cut
 
 
 def _expit(u: float) -> float:

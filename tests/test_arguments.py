@@ -10,6 +10,7 @@ rtol and the energy grid."""
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,6 +160,19 @@ def test_each_integer_parameter_takes_only_integers_in_its_range(
 def test_a_seed_may_be_any_integer_and_negative_seeds_keep_their_64_bit_mapping():
     assert _draws(stream(-1, 3)) == _draws(stream(2 ** 64 - 1, 3))
     assert _draws(stream(2 ** 70 + 5, 3)) == _draws(stream(5, 3))
+
+
+@pytest.mark.parametrize("name, call, value, shown", [
+    ("n", lambda v: type_count(v, 2), -10 ** 5000, "an integer of 16610 bits"),
+    ("levels", harmonic_oscillator, -10 ** 5000, "an integer of 16610 bits"),
+    ("trials", lambda v: majorization_sweep(v, 3, 1), 10 ** 5000, "an integer of 16610 bits"),
+    ("n", lambda v: type_count(v, 2), Fraction(10 ** 5000, 3), "a Fraction too long to print"),
+], ids=["type_count", "harmonic_oscillator", "majorization_sweep", "fraction"])
+def test_a_value_too_long_to_print_is_shown_by_a_stand_in(name, call, value, shown):
+    # repr refuses an integer of more than 4 300 digits, so the message once
+    # named no parameter
+    with pytest.raises(ValueError, match=f"^{name} must be an integer.*, got {shown}$"):
+        call(value)
 
 
 LADDER = harmonic_oscillator(4)

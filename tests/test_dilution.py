@@ -28,7 +28,7 @@ from entcost import (
     schmidt_decompose,
     stream,
 )
-from entcost import dilution
+from entcost import dilution, typicality
 from entcost.typicality import SourceDistribution, _log2_prob, _members
 
 
@@ -101,6 +101,22 @@ def test_dilution_rejects_a_block_length_that_is_not_a_positive_integer(monkeypa
         dilution_sweep(spec, 0.05, n_grid)
     with pytest.raises(ValueError, match="n must be an integer >= 1"):
         pure_dilution(spec, 0.05, n_grid[-1])
+
+
+def test_a_monte_carlo_ledger_reads_no_type_table(monkeypatch):
+    # dilution_sweep makes its census in every mode but draws from it only in
+    # exact mode; the census is a generator, so a Monte Carlo ledger, which
+    # the benchmark's sampling workload runs on every pass, builds no table
+    def no_table(*args):
+        raise RuntimeError("a type table was read")
+    monkeypatch.setattr(typicality, "_judged_blocks", no_table)
+    spec = Spectrum(np.array([0.8, 0.2]))
+    traces = dilution_sweep(spec, 0.05, [40, 7, 40], mode="mc", samples=2000, seed=3)
+    assert [(t.n, t.error_kind) for t in traces] == [(40, "mc-estimate"), (7, "mc-estimate"),
+                                                     (40, "mc-estimate")]
+    assert pure_dilution(spec, 0.05, 40, mode="mc", samples=2000, seed=3) == traces[0]
+    with pytest.raises(RuntimeError, match="a type table was read"):
+        pure_dilution(spec, 0.05, 40)
 
 
 def test_dilution_checks_the_mode_on_an_empty_grid():

@@ -675,6 +675,49 @@ def test_a_sweep_books_each_block_as_its_own_one_block_call(monkeypatch, block_r
              for t in alone], (probs, delta)
 
 
+@st.composite
+def _sweeps(draw):
+    """(probabilities, delta, unsorted grid with a repeated n, rows per block
+    or None for the default): K = 1 to 4, sometimes with a zero-probability
+    symbol.  The largest n still splits a K = 3 or 4 table over blocks, and
+    keeps each call quick: at 64 rows a block, K = 3 tables split from n = 8
+    and K = 4 from n = 4; at 4 096, from n = 64 and n = 19."""
+    k = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        weights[draw(st.integers(0, k - 1))] = 0
+    block_rows = draw(st.sampled_from([64, 4096, None]))
+    top = {1: 300, 2: 300, 3: 30, 4: 15} if block_rows == 64 else {1: 300, 2: 300, 3: 100, 4: 30}
+    ns = draw(st.lists(st.integers(1, top[k]), min_size=1, max_size=5))
+    ns = draw(st.permutations(ns + draw(st.lists(st.sampled_from(ns), min_size=1,
+                                                     max_size=3))))
+    # a narrow window cuts most tables, so half the draws take delta <= 0.1
+    delta = draw(st.one_of(st.floats(0.0, 0.1), st.floats(0.0, 1.0)))
+    return np.array(weights) / sum(weights), delta, ns, block_rows
+
+
+@given(_sweeps())
+@settings(max_examples=60, deadline=None)
+def test_any_sweep_books_each_block_as_its_own_one_block_call(sweep):
+    # a block of several tables is tallied at once; each table, and each
+    # dilution trace, keeps the bits of its census alone
+    probs, delta, ns, block_rows = sweep
+    dist = SourceDistribution(probs)
+    spec = Spectrum.from_unsorted(probs)
+    with pytest.MonkeyPatch.context() as patch:
+        if block_rows is not None:
+            patch.setattr(typicality, "_BLOCK_ROWS", block_rows)
+        for kind in ("weak", "strong"):
+            assert [_hexes(mass, count, cut()) for mass, count, cut in
+                    typicality._census(dist, ns, delta, kind)] == \
+                [_hexes(mass, count, cut()) for n in ns
+                 for mass, count, cut in typicality._census(dist, [n], delta, kind)], kind
+        assert [_hexes(t.n, t.ebits, t.error, t.error_high) for t in
+                dilution_sweep(spec, delta, ns)] == \
+            [_hexes(t.n, t.ebits, t.error, t.error_high) for t in
+             (pure_dilution(spec, delta, n) for n in ns)]
+
+
 def _reads(monkeypatch):
     """A list that records the block count of every read of the type table."""
     reader, reads = typicality._judged_blocks, []
@@ -748,8 +791,8 @@ def test_one_census_reads_the_type_table_as_often_as_its_regime_needs(
                 "direct": 0.0 < cut and 1.0 - mass <= 1e-6}[regime]
     assert (len(seen), sum(walked)) == (reads[1], rows[1])
     assert seen == [seen[0]] * len(seen)
-    # a read yields one item per block of each table
-    assert (seen[0] == len(ns)) == (block_rows == 1 << 15)
+    # a read yields one item per block it judges, of one or more tables
+    assert sum(seen) == len(judged)
     # the public mass callers walk no cut row; a dilution block is the ledger
     spec = Spectrum.from_unsorted(np.array(probs))
     calls = [(lambda: dilution_sweep(spec, delta, ns), 1)] if grid else [
@@ -766,3 +809,12 @@ def test_one_census_reads_the_type_table_as_often_as_its_regime_needs(
         aep_bounds_check(dist, n, delta, delta / 2)
         assert len(seen) == 1
     assert all(size <= max(block_rows, top + 1) for size, top in judged)
+
+
+def test_a_block_of_tables_is_judged_and_walked_in_one_call_each(monkeypatch):
+    # 30 binary tables of 272 to 301 types fit one block, and each has a cut:
+    # one judgement, and one walk over the member rows of all 30 tables
+    judged, walked = _judged_rows(monkeypatch), _walked_rows(monkeypatch)
+    traces = dilution_sweep(Spectrum(np.array([0.8, 0.2])), 0.05, list(range(271, 301)))
+    assert all(t.error > 1e-3 for t in traces)
+    assert (len(judged), len(walked)) == (1, 1)
