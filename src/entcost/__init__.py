@@ -13,8 +13,10 @@ Capabilities, by module:
 - ``entropy``: entropy in bits, the g function, the suffix sums (tail
   sums) of a spectrum, and an integral representation of entropy evaluated
   in closed form and by quadrature.
-- ``typicality``: weak and strong typical sets with exact type-class
-  census (at most ``MAX_TYPES`` types) or Monte Carlo mass estimates.
+- ``typicality``: weak and strong typical sets, exact (a type-class
+  census of at most ``MAX_TYPES`` types for the weak set, a program over
+  the symbols of at most ``MAX_TYPES`` terms for the strong one) or Monte
+  Carlo mass estimates.
 - ``dilution``: entanglement dilution traces (ebits, classical bits, error)
   for pure and mixed targets, curtailed binomial mixing, and a converse
   rate bound combining formation estimates with energy-constrained

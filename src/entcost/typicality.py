@@ -1,15 +1,15 @@
 """Weak and strong typical sets over finite alphabets.
 
-Exact masses and cardinalities come from one census of the empirical types
-(compositions of n into K parts), built as integer count matrices in bounded
-blocks.  One reader walks that table and judges each block of types; one
-sum over it serves the weak and strong masses, the AEP check and dilution.
+Exact weak masses and cardinalities come from one census of the empirical
+types (compositions of n into K parts), built as integer count matrices in
+bounded blocks.  One reader walks that table and judges each block of
+types; one sum over it serves the weak mass, the AEP check and dilution.
 The census takes a grid of block lengths: a dilution sweep's tables are
-built and judged together, in blocks of the same bounded size, each block
-holding whole tables.  A block is tallied at once: one walk over the member
-rows of all its tables that cut a type, one exp, and one sum per table over
-its own terms in its own order, so every n of a grid gets the bits it gets
-alone.
+built and judged together, in blocks of the same bounded size, and every
+run of tables that fits one block is built, judged and tallied as one
+block.  A block is tallied at once: one walk over the member rows of all
+its tables that cut a type, one exp, and one sum per table over its own
+terms in its own order, so every n of a grid gets the bits it gets alone.
 Every sequence of a type has the same probability, so a set's mass is the
 sum over its types of multinomial(n; c) * prod_i p_i^c_i.  Each multinomial
 is one exact integer, walked along binomial rows: the integers sum to the
@@ -18,20 +18,27 @@ The census also hands back dilution's error, the square root of the cut
 mass, unsummed: only dilution's ledger sums it, and below 1 - mass = 1e-6 it
 sums the cut types directly.  Block lengths must be integers.  A single
 one-dimensional sequence is judged by the census's rule, so it is weakly
-typical exactly when its type is a member of the census's weak set.  Where
-the types are too many to enumerate, a Monte Carlo mode draws the types of
-i.i.d. blocks directly (multinomial(n, p)), judges them by the same
-membership rule, and reports a 99% Clopper-Pearson interval.  Its bounds
-solve exact binomial tail equations by safeguarded Newton steps in logit p;
-each tail is a sum over the O(sqrt(samples)) terms near the mode, so memory
-does not grow with the sample count.  ``dilution``'s curtailed binomial uses
-the same terms.
+typical exactly when its type is a member of the census's weak set.
+The strong set is a box, each symbol's count judged alone by one
+per-symbol rule, so its exact mass and cardinality come from a dynamic
+program over the symbols, whose state is the number of positions filled:
+no type table is built, and the work grows with the box widths, not with
+the type count.  The reader still judges strong types by the same rule.
+Where the types or the program's terms are too many, a Monte Carlo mode
+draws the types of i.i.d. blocks directly (multinomial(n, p)), judges them
+by the same membership rule, and reports a 99% Clopper-Pearson interval.
+Its bounds solve exact binomial tail equations by safeguarded Newton steps
+in logit p; each tail is a sum over the O(sqrt(samples)) terms near the
+mode, so memory does not grow with the sample count.  ``dilution``'s
+curtailed binomial uses the same terms.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -42,7 +49,7 @@ from .gibbs import _MAX_NEWTON_STEPS, _newton_step
 from .rng import stream
 from .spectra import InvariantViolation, _checked_int, _checked_real
 
-MAX_TYPES = 2_000_000  # the largest type table exact mode enumerates
+MAX_TYPES = 2_000_000  # the largest weak type table, or strong program, exact mode takes
 MAX_SAMPLES = 10 ** 8  # the most blocks Monte Carlo mode draws
 _BLOCK_ROWS = 1 << 15  # rows per block of census types or Monte Carlo draws
 _ALPHA = 0.005  # each side of the 99% Clopper-Pearson interval
@@ -125,16 +132,17 @@ def _log2_bigint(m: int) -> float:
     return math.log2(m >> shift) + shift
 
 
-def _prefix_blocks(ns: np.ndarray, width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _prefix_blocks(ns: np.ndarray, width: int,
+                   step: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(tuples, n per tuple) in int64 blocks: for each n of ns in turn, every
     tuple of ``width`` non-negative ints summing to at most n, in
-    lexicographic order.  With n the largest of ns, a block holds at most
-    max(_BLOCK_ROWS, n + 1) rows, so memory does not grow with the count."""
+    lexicographic order.  Each block extends ``step`` tuples of the width
+    below, each to at most n + 1 rows; a step at least the rows of all the
+    tuples makes one block, since no width has more tuples than the next."""
     if width == 0:
         yield np.zeros((len(ns), 0), dtype=np.int64), ns
         return
-    step = max(1, _BLOCK_ROWS // (int(ns.max()) + 1))  # a row extends to at most n + 1 rows
-    for head, head_n in _prefix_blocks(ns, width - 1):
+    for head, head_n in _prefix_blocks(ns, width - 1, step):
         for lo in range(0, len(head), step):
             part, part_n = head[lo:lo + step], head_n[lo:lo + step]
             room = part_n + 1 - part.sum(axis=1)
@@ -157,6 +165,12 @@ def _log2_prob(dist: SourceDistribution, counts: np.ndarray) -> np.ndarray:
     return log2_prob
 
 
+def _near(count, n, p, delta: float):
+    """The strong rule for one symbol: its frequency count / n lies within
+    delta of its probability p.  Elementwise, on ints or arrays alike."""
+    return abs(count / n - p) <= delta
+
+
 def _members(dist: SourceDistribution, n, delta: float, kind: str,
              counts: np.ndarray, log2_prob: np.ndarray) -> np.ndarray:
     """Weak or strong membership mask; types of zero probability are never
@@ -165,8 +179,8 @@ def _members(dist: SourceDistribution, n, delta: float, kind: str,
     rows judged with it."""
     if kind == "weak":
         return np.isfinite(log2_prob) & (np.abs(-log2_prob / n - dist.entropy_bits) <= delta)
-    dev = np.abs(counts / np.reshape(n, (-1, 1)) - dist.probs)[:, dist.probs > 0.0]
-    return np.isfinite(log2_prob) & np.all(dev <= delta, axis=1)
+    near = _near(counts, np.reshape(n, (-1, 1)), dist.probs, delta)[:, dist.probs > 0.0]
+    return np.isfinite(log2_prob) & np.all(near, axis=1)
 
 
 def _judge(dist: SourceDistribution, n, delta: float, kind: str,
@@ -187,13 +201,13 @@ def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float, kind: 
     only a table too large for one block comes in several, each with edges
     None.
 
-    A run of consecutive tables whose heads (the rows the last step of
-    ``_prefix_blocks`` extends) fit one step of the run's largest n is
-    built as one block of at most max(_BLOCK_ROWS, n + 1) rows and judged
-    in one call: with each row's own n if it holds several tables, and with
-    its one n, not an array of it, if it holds one.  A table whose heads do
-    not fit is a run of its own, in the blocks it has alone.  Judging is
-    elementwise, so each row reads as it would in its table alone."""
+    A run of consecutive tables of at most _BLOCK_ROWS rows together is
+    built as one block and judged in one call: with each row's own n if it
+    holds several tables, and with its one n, not an array of it, if it
+    holds one.  A larger table is a run of its own, built in steps of heads
+    (the rows the last step of ``_prefix_blocks`` extends), each block of
+    at most max(_BLOCK_ROWS, n + 1) rows.  Judging is elementwise, so each
+    row reads as it would in its table alone."""
     k = len(dist)
     totals = [math.comb(n + k - 1, k - 1) for n in ns]  # each n is checked already
     for total in totals:
@@ -201,17 +215,15 @@ def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float, kind: 
             raise InvariantViolation(
                 f"{total} empirical types exceed the exact-mode limit {MAX_TYPES}; "
                 "use Monte Carlo mode")
-    heads = [math.comb(n + k - 2, k - 2) if k > 1 else 1 for n in ns]
     start = 0
     while start < len(ns):
-        stop, top, held = start + 1, ns[start], heads[start]
-        while stop < len(ns) and (held + heads[stop]
-                                  <= max(1, _BLOCK_ROWS // (max(top, ns[stop]) + 1))):
-            top, held, stop = max(top, ns[stop]), held + heads[stop], stop + 1
-        # heads that fit one step make one block; a table alone may not fit
-        whole = held <= max(1, _BLOCK_ROWS // (top + 1))
+        stop, held = start + 1, totals[start]
+        while stop < len(ns) and held + totals[stop] <= _BLOCK_ROWS:
+            held, stop = held + totals[stop], stop + 1
+        whole = held <= _BLOCK_ROWS  # a table alone may not fit
         edges = np.cumsum([0, *totals[start:stop]]) if whole else None
-        for rows, n_row in _prefix_blocks(np.array(ns[start:stop], dtype=np.int64), k - 1):
+        step = held if whole else max(1, _BLOCK_ROWS // (ns[start] + 1))
+        for rows, n_row in _prefix_blocks(np.array(ns[start:stop], dtype=np.int64), k - 1, step):
             n_row = n_row if stop > start + 1 else ns[start]
             counts = np.column_stack([rows, n_row - rows.sum(axis=1)])
             del rows  # counts holds a copy; hold no second while the block is summed
@@ -224,30 +236,34 @@ def _type_terms(n, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[np.ndarra
     """(ln of each row's mass, exact total multiplicity of each table) of
     the rows of one table or of several: n is one block length, or a pair
     (block lengths, row edges) whose i-th table is rows edges[i] to
-    edges[i + 1].  Within a table, a run of rows sharing c_0..c_{K-3} walks
-    one binomial row in exact integer steps, and the walk restarts at each
-    table edge; each row's multiplicity is that exact integer, and its ln
-    mass is ln mult + log2 p ln 2, where ln of an int is accurate at any
-    size."""
+    edges[i + 1].  A run of rows of one table that share c_0..c_{K-3} and
+    step c_{K-2} by one walks one binomial row in exact integer steps, from
+    a ``math.comb`` at its first row; a run starts at each table edge.
+    Each row's multiplicity is that exact integer, and its ln mass is
+    ln mult + log2 p ln 2, where ln of an int is accurate at any size."""
     ns, edges = ([n], [0, len(counts)]) if isinstance(n, int) else n
-    rows, ln_mult, totals = iter(counts.tolist()), [], []
-    for n, lo, hi in zip(ns, edges, edges[1:]):
-        total, head = 0, None
-        for row in itertools.islice(rows, hi - lo):
-            if row[:-2] != head:
-                head, prefix, rem = row[:-2], 1, n
-                for c in head:
-                    prefix *= math.comb(rem, c)
-                    rem -= c
-                j, binom = row[-2], math.comb(rem, row[-2])
-            while j < row[-2]:
-                binom = binom * (rem - j) // (j + 1)
-                j += 1
-            mult = prefix * binom
-            total += mult
-            ln_mult.append(math.log(mult))
+    fresh = np.ones(len(counts), dtype=bool)  # the first row of each run
+    fresh[1:] = (np.diff(counts[:, -2]) != 1) | np.any(np.diff(counts[:, :-2], axis=0), axis=1)
+    fresh[[lo for lo in edges[:-1] if lo < len(counts)]] = True
+    starts = np.flatnonzero(fresh).tolist()
+    heads = counts[starts].tolist()
+    ln_mult, totals, run = [], [], 0
+    for n, hi in zip(ns, edges[1:]):
+        total = 0
+        while run < len(starts) and starts[run] < hi:
+            stop = starts[run + 1] if run + 1 < len(starts) else len(counts)
+            *head, j, _ = heads[run]
+            prefix, rem = 1, n
+            for c in head:
+                prefix *= math.comb(rem, c)
+                rem -= c
+            mults = list(itertools.accumulate(
+                range(j, j + stop - starts[run] - 1), initial=prefix * math.comb(rem, j),
+                func=lambda mult, i: mult * (rem - i) // (i + 1)))
+            total += sum(mults)
+            ln_mult.extend(map(math.log, mults))
+            run += 1
         totals.append(total)
-    del rows  # islice leaves the row lists referenced; free them before the array
     return np.array(ln_mult) + log2_prob * math.log(2.0), totals
 
 
@@ -341,6 +357,120 @@ def _root_cut(dist: SourceDistribution, n: int, delta: float, kind: str, mass: f
             top = new_top
         return max(math.exp(0.5 * (top + math.log(scaled))), math.ulp(0.0))
     return root_cut
+
+
+def _box(n: int, p: float, delta: float) -> tuple[int, int]:
+    """(lo, hi): the run of counts c = 0..n that ``_near`` admits for a
+    symbol of probability p, lo > hi if none.  c / n - p rounds
+    monotonically in c, and it is at most 0 up to m = floor(p n) and above
+    0 after, so the rule admits a suffix of 0..m and a prefix of m + 1..n:
+    one bisection finds each, judging O(log n) counts."""
+    num, den = p.as_integer_ratio()
+    mid = min(n, num * n // den)  # the last c with c / n <= p exactly
+    lo = bisect.bisect_left(range(mid + 1), True, key=lambda c: _near(c, n, p, delta))
+    above = bisect.bisect_left(range(mid + 1, n + 1), True,
+                               key=lambda c: not _near(c, n, p, delta))
+    return lo, mid + above
+
+
+def _strong_program(dist: SourceDistribution, n: int, delta: float) -> tuple[float, int]:
+    """(mass, exact cardinality) of the strong set at n, by a dynamic
+    program over the symbols of positive probability, with no type table.
+
+    Strong membership is a box: each count c_i lies in its own run of
+    ``_box`` (the census's rule), and a zero-probability symbol is absent.
+    The state is the number m of positions filled by the symbols before
+    symbol i, kept to the m from which the boxes after it can still fill n.
+    With no type cut, the mass is 1 and the count K_+^n, as in the census.
+    Otherwise the count adds up C(n - m, c) times the state's count in
+    exact integers, each binomial walked from the one before it.  The mass
+    multiplies conditional binomial terms, C(r, c) q^c (1 - q)^(r - c) with
+    r = n - m and q = p_i / R_i, where R_i is the probability of symbol i
+    and the ones after it; each is exp of ln C(r, c), taken from the exact
+    integer, plus c ln p_i + (r - c) ln R_(i+1) - r ln R_i, so no term
+    overflows.  The last symbol takes the positions left, with term 1, and
+    the product over symbols is the type's mass over R_0^n.
+
+    The work, the (state, count) terms over all symbols, is refused above
+    ``MAX_TYPES``; it is at most about the type count.  So is an n at which
+    the census refuses a table of min(K_+, 3) symbols: with two symbols
+    each term is a binomial walk as in the census, and with three or more
+    it multiplies integers of up to n log2 K bits, so n stays within the
+    census's own reach.  Memory holds one count per state, at most
+    _BLOCK_ROWS pending terms and _BLOCK_ROWS words of binomials."""
+    probs = [float(p) for p in dist.probs if p > 0.0]
+    k = min(len(probs), 3)
+    if (reach := math.comb(n + k - 1, k - 1)) > MAX_TYPES:
+        raise InvariantViolation(f"{reach} empirical types of {k} symbols at n = {n} exceed the "
+                                 f"exact-mode limit {MAX_TYPES}; use Monte Carlo mode")
+    boxes = [_box(n, p, delta) for p in probs]
+    if all(lo <= (n if len(probs) == 1 else 0) and hi == n for lo, hi in boxes):
+        return 1.0, len(probs) ** n
+    low = list(itertools.accumulate((lo for lo, _ in boxes), initial=0))
+    high = list(itertools.accumulate((hi for _, hi in boxes), initial=0))
+    if low[-1] > n or high[-1] < n or any(lo > hi for lo, hi in boxes):
+        return 0.0, 0
+    # the states before each symbol: reachable by the boxes before it, and
+    # able to reach n by the boxes after it
+    states = [(max(low[i], n - high[-1] + high[i]), min(high[i], n - low[-1] + low[i]))
+              for i in range(len(probs))]
+    work = sum(min(hi, b_next - m) - max(lo, a_next - m) + 1
+               for (a, b), (lo, hi), (a_next, b_next) in zip(states, boxes, states[1:])
+               for m in range(a, b + 1))
+    if work > MAX_TYPES:
+        raise InvariantViolation(f"{work} strong-program terms exceed the exact-mode limit "
+                                 f"{MAX_TYPES}; use Monte Carlo mode")
+    ln_p = [math.log(p) for p in probs]
+    ln_rest = [math.log(r) for r in itertools.accumulate(reversed(probs))][::-1]
+    mass, count = np.ones(1), [1]
+    for i, ((a, b), (lo, hi), (a_next, b_next)) in enumerate(zip(states, boxes, states[1:])):
+        # the states after the last level are only summed, so they share one slot
+        keep = int(i < len(probs) - 2)
+        size = 1 + keep * (b_next - a_next)
+        next_mass, next_count = np.zeros(size), [0] * size
+        runs, ln_binom = [], []  # (state, first count, last count) and ln C(r, c), pending
+        step = max(1, (_BLOCK_ROWS << 6) // n)  # counts per part: _BLOCK_ROWS words of binomials
+
+        def flush() -> None:
+            state, first, last = np.array(runs).T
+            width = last - first + 1
+            c = np.repeat(first - np.cumsum(width) + width, width) + np.arange(width.sum())
+            m = np.repeat(state, width)
+            ln_term = (np.array(ln_binom) + c * ln_p[i] + (n - m - c) * ln_rest[i + 1]
+                       - (n - m) * ln_rest[i])
+            next_mass[:] += np.bincount(keep * (m + c - a_next), minlength=size,
+                                        weights=mass[m - a] * np.exp(ln_term))
+            runs.clear()
+            ln_binom.clear()
+
+        for m, held in zip(range(a, b + 1), count):
+            r, first, last = n - m, max(lo, a_next - m), min(hi, b_next - m)
+            if m == a:
+                start = math.comb(r, first)
+            else:  # walk the state before's C(r + 1, before), before = first or first + 1
+                start = start * (r + 1 - first if first == before else first + 1) // (r + 1)
+            before, binom = first, start
+            for part in range(first, last + 1, step):
+                top = min(last, part + step - 1)
+                row = list(itertools.accumulate(range(part, top + 1), initial=binom,
+                                                func=lambda v, c: v * (r - c) // (c + 1)))
+                binom = row.pop()  # C(r, top + 1), where the next part starts
+                if keep:
+                    at = slice(m + part - a_next, m + top + 1 - a_next)
+                    next_count[at] = map(operator.add, next_count[at],
+                                         map(operator.mul, itertools.repeat(held), row))
+                else:
+                    next_count[0] += held * sum(row)
+                ln_binom.extend(map(math.log, row))
+                runs.append((m, part, top))
+                if len(ln_binom) >= _BLOCK_ROWS:
+                    flush()
+        if runs:
+            flush()
+        mass, count = next_mass, next_count
+    # R_0 is 1 to within the distribution's tolerance, and n is bounded above
+    total = float(np.sum(mass)) * math.exp(n * ln_rest[0])
+    return min(total, 1.0), sum(count)
 
 
 def _expit(u: float) -> float:
@@ -457,7 +587,10 @@ def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
     for the weak set and n log2 K for the strong one."""
     n, delta = _check_block(n, delta)
     if mode == "exact":
-        (mass, card, _), = _census(dist, [n], delta, kind)
+        if kind == "strong":
+            mass, card = _strong_program(dist, n, delta)
+        else:
+            (mass, card, _), = _census(dist, [n], delta, kind)
         return TypicalReport(n, delta, mass, _log2_bigint(card), kind,
                              mode="exact", mass_low=mass, mass_high=mass)
     if mode == "mc":
@@ -474,10 +607,10 @@ def weak_typical_mass(dist: SourceDistribution, n: int, delta: float,
                       seed: int = 0) -> TypicalReport:
     """Probability mass of the weakly typical set W_delta at block length n.
 
-    Exact mode enumerates empirical types (at most ``MAX_TYPES``); the
-    reported cardinality is then an exact integer count in log2.  Monte
-    Carlo mode samples i.i.d. types (at most ``MAX_SAMPLES``) and reports a
-    99% confidence interval.
+    Exact mode enumerates empirical types (at most ``MAX_TYPES``, so
+    C(n + K - 1, K - 1) <= MAX_TYPES); the reported cardinality is then an
+    exact integer count in log2.  Monte Carlo mode samples i.i.d. types (at
+    most ``MAX_SAMPLES``) and reports a 99% confidence interval.
     """
     return _typical_report(dist, n, delta, "weak", mode, samples, seed)
 
@@ -486,7 +619,14 @@ def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
                         mode: str = "exact", samples: int = 100_000,
                         seed: int = 0) -> TypicalReport:
     """Mass of the strongly typical set: every empirical frequency within
-    delta of its probability, and zero-probability symbols absent."""
+    delta of its probability, and zero-probability symbols absent.
+
+    Exact mode runs a program over the symbols, not the type table: at
+    most ``MAX_TYPES`` (state, count) terms, about 2 delta n + 1 counts per
+    state, and n within the weak census's reach at min(K_+, 3) symbols
+    (n + 1 <= ``MAX_TYPES`` for two symbols of positive probability, n <=
+    1998 for more); the cardinality is an exact integer count in log2.
+    Monte Carlo mode is as for the weak set."""
     return _typical_report(dist, n, delta, "strong", mode, samples, seed)
 
 

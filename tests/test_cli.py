@@ -97,6 +97,19 @@ def test_non_finite_distribution_is_invariant_error(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["kind"] == "invariant"
 
 
+def test_strong_census_above_the_work_limit_is_invariant_error(tmp_path, capsys):
+    # 2 377 299 (state, count) terms of the strong program
+    cfg = _write(tmp_path, "c.json",
+                 {"command": "typicality",
+                  "params": {"dist": [0.25] * 4, "n": 1998, "delta": 0.3, "kind": "strong"}})
+    assert main(["--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["kind"], err["exit_code"]) == ("invariant", 3)
+    assert "use Monte Carlo mode" in err["message"]
+
+
 def test_non_finite_spectrum_is_invariant_error(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json",
                  {"command": "entropy",

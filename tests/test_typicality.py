@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entcost import typicality
@@ -605,11 +605,14 @@ def _census_pin_digests():
 
 def test_census_results_are_pinned_bit_for_bit():
     # digests taken from the census of four loops over the type table,
-    # before weak, strong, AEP and dilution shared one reader and one sum
+    # before weak, strong, AEP and dilution shared one reader and one sum;
+    # strong retaken from the program over symbols, and weak and census once
+    # a table of at most _BLOCK_ROWS types was tallied as one block (each
+    # moved mass within 1e-14 of its last pin)
     assert _census_pin_digests() == {
-        "weak": "dbfa58d3d4d2f964a97714a9cbb182fa3c32e005fc1e835e9d72c694f8f0c1e4",
-        "strong": "8860feaeddf89b28d5b1386a978d2bc99282f6ff6e6c61e3c6ca0a26a92bc4b4",
-        "census": "45507d22abef75fbff74049786468e37b0ce9e7f73be097203a6a811c21d5e39",
+        "weak": "e300890f6f8ce5f3b6e23814b2ca9260026697ea41cc8277438f303681b135b6",
+        "strong": "1304e30505744f7c5a6ac55bdb591ad6c55b51363296cfaf9e8c9ef4b9564120",
+        "census": "89fac1840e995cee493ab8a452e0b2a8a0894215cb66c5da51639a3ca57ecb63",
         "aep": "eb55c570b4f2dc33de61d38527121f4736e5b7b7f0cc4e868f327c29da5bbe23",
         "dilution": "00b3fb8576f1974f66bab540eae588a079c7593cb03ec3350dd3a53da5d1d75b",
         "mc": "abec93f3750202724dae63eec8f07b65e9b5feb3882e3e7b983327128448a55e"}
@@ -697,6 +700,9 @@ def _sweeps(draw):
 
 
 @given(_sweeps())
+# two strong tables whose member rows continue one binomial row across the
+# table edge: (0, 6, 4) ends n = 10, and (0, 7, 9) starts n = 16
+@example((np.array([0.0, 0.5, 0.5]), 0.1, [10, 16], None))
 @settings(max_examples=60, deadline=None)
 def test_any_sweep_books_each_block_as_its_own_one_block_call(sweep):
     # a block of several tables is tallied at once; each table, and each
@@ -761,8 +767,8 @@ def _judged_rows(monkeypatch):
     ([0.5, 0.3, 0.2], 40, 0.05, 64, "cut", (2, 2), (84, 84)),
     ([0.5, 0.3, 0.2], 150, 0.6, 4096, "direct", (2, 3), (10619, 11476)),
     # grids of tables that are each one block alone: 30 binary tables that
-    # need two blocks together (60 465 types), and K = 3 tables whose heads
-    # do not fit one step together
+    # need two blocks together (60 465 types), and K = 3 tables that need two
+    # (32 963 types)
     ([0.8, 0.2], list(range(1971, 2001)), 0.05, 1 << 15, "cut", (1, 1), (2978, 2978)),
     ([0.5, 0.3, 0.2], [150, 140, 150], 0.6, 1 << 15, "direct", (1, 1), (30499, 32963)),
 ])
@@ -783,8 +789,8 @@ def test_one_census_reads_the_type_table_as_often_as_its_regime_needs(
     censuses = list(typicality._census(dist, ns, delta, "weak"))
     assert (len(seen), sum(walked)) == (reads[0], rows[0])
     # a table alone is judged block by block; the 30 binary tables in two
-    # blocks, and the K = 3 tables in one block each
-    assert len(judged) == ({30: 2, 3: 3}[len(ns)] if grid else sum(seen))
+    # blocks, and the K = 3 tables in two: n = 150 and 140, then 150
+    assert len(judged) == ({30: 2, 3: 2}[len(ns)] if grid else sum(seen))
     for mass, _, root_cut in censuses:
         cut = root_cut()
         assert {"none": cut == 0.0, "cut": 1.0 - mass > 1e-6,
@@ -818,3 +824,86 @@ def test_a_block_of_tables_is_judged_and_walked_in_one_call_each(monkeypatch):
     traces = dilution_sweep(Spectrum(np.array([0.8, 0.2])), 0.05, list(range(271, 301)))
     assert all(t.error > 1e-3 for t in traces)
     assert (len(judged), len(walked)) == (1, 1)
+
+
+def test_a_table_that_fits_a_block_is_judged_once(monkeypatch):
+    # K = 4 at n = 45 has 17 296 types, fewer than _BLOCK_ROWS, and a cut:
+    # one judgement scans it and holds it for the sum
+    judged = _judged_rows(monkeypatch)
+    t = pure_dilution(Spectrum(np.array([0.4, 0.3, 0.2, 0.1])), 0.05, 45)
+    assert t.error > 1e-3
+    assert judged == [(17_296, 45)]
+
+
+def _exact_strong(probs, n, delta):
+    """(mass as a Fraction of the float probabilities, cardinality) of the
+    strong set, summed in exact integers over every tuple of counts that the
+    per-symbol rule admits, the last symbol taking the positions left."""
+    fractions = [Fraction(p) for p in probs]
+    den = max(f.denominator for f in fractions)
+    nums = [int(f * den) for f in fractions]
+    boxes = [[c for c in range(n + 1) if abs(c / n - p) <= delta] if p > 0.0 else [0]
+             for p in probs]
+
+    def terms(i, rem, mult, weight):
+        """(multiplicity, weight) of every admitted completion of a prefix."""
+        if i == len(probs) - 1:
+            if rem in boxes[i]:
+                yield mult, weight * nums[i] ** rem
+            return
+        for c in boxes[i]:
+            if c <= rem:
+                yield from terms(i + 1, rem - c, mult * math.comb(rem, c),
+                                 weight * nums[i] ** c)
+    mass = count = 0
+    for mult, weight in terms(0, n, 1, 1):
+        mass, count = mass + mult * weight, count + mult
+    return Fraction(mass, den ** n), count
+
+
+def test_strong_program_reaches_past_the_type_table_limit():
+    # (5, 3, 1, 1)/10 at n = 400 has C(403, 3) = 10.8 million types, more
+    # than MAX_TYPES, so no census can enumerate them
+    probs, n, delta = [0.5, 0.3, 0.1, 0.1], 400, 0.02
+    assert type_count(n, len(probs)) > typicality.MAX_TYPES
+    mass, count = _exact_strong(probs, n, delta)
+    rep = strong_typical_mass(SourceDistribution(np.array(probs)), n, delta)
+    assert 0 < mass < 1
+    assert abs(Fraction(rep.mass) / mass - 1) <= 1e-13
+    assert rep.log2_cardinality_bound == typicality._log2_bigint(count)
+
+
+@pytest.mark.parametrize("probs, n, delta", [
+    ([0.25] * 4, 1998, 0.3),                  # 2 377 299 (state, count) terms
+    ([0.5, 0.3, 0.2], 1999, 0.1),             # n where K = 3 tables exceed MAX_TYPES
+    ([0.5, 0.5], typicality.MAX_TYPES, 0.0),  # one term, but n where K = 2 tables do
+])
+def test_strong_program_refuses_work_above_the_limit(probs, n, delta):
+    with pytest.raises(InvariantViolation, match="use Monte Carlo mode"):
+        strong_typical_mass(SourceDistribution(np.array(probs)), n, delta)
+
+
+@st.composite
+def _strong_sources(draw):
+    """(probabilities, n, delta): K = 1 to 5, sometimes with a
+    zero-probability symbol; a K = 5 table at n = 60 has 635 376 types."""
+    k = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        weights[draw(st.integers(0, k - 1))] = 0
+    n = draw(st.integers(1, 60))
+    delta = draw(st.one_of(st.floats(0.0, 0.1), st.floats(0.0, 1.0)))
+    return np.array(weights) / sum(weights), n, delta
+
+
+@given(_strong_sources())
+@settings(max_examples=40, deadline=None)
+def test_strong_program_counts_the_census_members(source):
+    # the program judges each symbol by the census's own rule, so its count
+    # is the census's exact integer sum over the members the reader judges
+    probs, n, delta = source
+    dist = SourceDistribution(probs)
+    (census_mass, census_count, _), = typicality._census(dist, [n], delta, "strong")
+    mass, count = typicality._strong_program(dist, n, delta)
+    assert count == census_count
+    assert mass == pytest.approx(census_mass, rel=1e-13, abs=0.0)
