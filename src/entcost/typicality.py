@@ -132,24 +132,33 @@ def _log2_bigint(m: int) -> float:
     return math.log2(m >> shift) + shift
 
 
-def _prefix_blocks(ns: np.ndarray, width: int,
-                   step: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(tuples, n per tuple) in int64 blocks: for each n of ns in turn, every
-    tuple of ``width`` non-negative ints summing to at most n, in
-    lexicographic order.  Each block extends ``step`` tuples of the width
-    below, each to at most n + 1 rows; a step at least the rows of all the
-    tuples makes one block, since no width has more tuples than the next."""
+def _prefix_blocks(ns: np.ndarray, width: int, step: int
+                   ) -> Iterator[tuple[list[np.ndarray], np.ndarray, np.ndarray]]:
+    """(columns, n per tuple, sum per tuple) in int64 blocks: for each n of
+    ns in turn, every tuple of ``width`` non-negative ints summing to at
+    most n, in lexicographic order, one array per position.  Each block
+    extends ``step`` tuples of the width below, each to at most n + 1 rows;
+    a step at least the rows of all the tuples makes one block, since no
+    width has more tuples than the next."""
     if width == 0:
-        yield np.zeros((len(ns), 0), dtype=np.int64), ns
+        yield [], ns, np.zeros(len(ns), dtype=np.int64)
         return
-    for head, head_n in _prefix_blocks(ns, width - 1, step):
-        for lo in range(0, len(head), step):
-            part, part_n = head[lo:lo + step], head_n[lo:lo + step]
-            room = part_n + 1 - part.sum(axis=1)
+    for head, head_n, head_sum in _prefix_blocks(ns, width - 1, step):
+        for lo in range(0, len(head_n), step):
             # no row-sized local is held across the yield, while the block is summed
-            yield (np.column_stack([np.repeat(part, room, axis=0), np.arange(room.sum())
-                                    - np.repeat(np.cumsum(room) - room, room)]),
-                   np.repeat(part_n, room))
+            yield _extended([column[lo:lo + step] for column in head],
+                            head_n[lo:lo + step], head_sum[lo:lo + step])
+
+
+def _extended(head: list[np.ndarray], head_n: np.ndarray, head_sum: np.ndarray
+              ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """(columns, n per tuple, sum per tuple) of each tuple of ``head``
+    extended by every count from 0 to what its n leaves; one repeat per
+    column, since a repeat of a 2-D block along its rows is far slower."""
+    room = head_n + 1 - head_sum
+    last = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
+    return ([np.repeat(column, room) for column in head] + [last], np.repeat(head_n, room),
+            np.repeat(head_sum, room) + last)
 
 
 def _log2_prob(dist: SourceDistribution, counts: np.ndarray) -> np.ndarray:
@@ -223,10 +232,11 @@ def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float, kind: 
         whole = held <= _BLOCK_ROWS  # a table alone may not fit
         edges = np.cumsum([0, *totals[start:stop]]) if whole else None
         step = held if whole else max(1, _BLOCK_ROWS // (ns[start] + 1))
-        for rows, n_row in _prefix_blocks(np.array(ns[start:stop], dtype=np.int64), k - 1, step):
+        for columns, n_row, used in _prefix_blocks(np.array(ns[start:stop], dtype=np.int64),
+                                                   k - 1, step):
             n_row = n_row if stop > start + 1 else ns[start]
-            counts = np.column_stack([rows, n_row - rows.sum(axis=1)])
-            del rows  # counts holds a copy; hold no second while the block is summed
+            counts = np.column_stack([*columns, n_row - used])
+            del columns, used  # counts holds a copy; hold no second while the block is summed
             log2_prob, ok = _judge(dist, n_row, delta, kind, counts)
             yield (start, edges), counts, log2_prob, ok
         start = stop
