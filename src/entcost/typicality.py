@@ -305,7 +305,7 @@ def _census(dist: SourceDistribution, ns: list[int], delta: float,
             ln_mass, (block_count,) = _type_terms(n, counts[ok], log2_prob[ok])
             mass, count = mass + float(np.sum(np.exp(ln_mass))), count + block_count
         mass = min(mass, 1.0)
-        yield mass, count, _root_cut(dist, n, delta, kind, mass, None)
+        yield mass, count, _root_cut(n, mass, lambda n=n: _judged_blocks(dist, [n], delta, kind))
 
 
 def _tally(dist: SourceDistribution, ns: list[int], delta: float, kind: str,
@@ -338,26 +338,26 @@ def _tally(dist: SourceDistribution, ns: list[int], delta: float, kind: str,
         lo, hi = at[i], at[i + 1]
         mass = min(float(terms[lo:hi].sum()), 1.0)
         table = slice(edges[i], edges[i + 1])
-        held = [(None, counts[table], log2_prob[table], ok[table])]
-        yield mass, totals[i], _root_cut(dist, n, delta, kind, mass, held)
+        yield mass, totals[i], _root_cut(n, mass, lambda table=table: [
+            (None, counts[table], log2_prob[table], ok[table])])
 
 
-def _root_cut(dist: SourceDistribution, n: int, delta: float, kind: str, mass: float,
-              held) -> object:
+def _root_cut(n: int, mass: float, blocks) -> object:
     """The root cut of n's table of set mass ``mass``: a zero-argument
     callable, summed only when called, so only dilution's ledger pays for
     it.  It returns dilution's exact projection error, the square root of
     the mass of the types that carry probability but are cut: sqrt(1 -
     mass) while 1 - mass > 1e-6.  Below that, sqrt(1 - mass) keeps fewer
     than about 8 correct digits, so the cut types are summed directly from
-    the judged blocks ``held``, or from the table read again alone if None,
-    scaled by the largest term so that the sum keeps its relative precision
-    where it would underflow, and floored at the smallest positive double."""
+    ``blocks()``, the judged blocks of the table (sliced from the block
+    that holds it, or the table read again alone), scaled by the largest
+    term so that the sum keeps its relative precision where it would
+    underflow, and floored at the smallest positive double."""
     def root_cut() -> float:
         if 1.0 - mass > 1e-6:
             return math.sqrt(1.0 - mass)
         top, scaled = -math.inf, 0.0  # the cut mass is e^top * scaled
-        for _, counts, log2_prob, ok in held or _judged_blocks(dist, [n], delta, kind):
+        for _, counts, log2_prob, ok in blocks():
             rows = np.isfinite(log2_prob) & ~ok
             if not np.any(rows):
                 continue
