@@ -15,8 +15,8 @@ Capabilities, by module:
   in closed form and by quadrature.
 - ``typicality``: weak and strong typical sets, exact (a type-class
   census of at most ``MAX_TYPES`` types for the weak set, a program over
-  the symbols of at most ``MAX_TYPES`` terms for the strong one) or Monte
-  Carlo mass estimates.
+  the symbols for the strong one, of at most ``MAX_TYPES`` terms where the
+  types are more) or Monte Carlo mass estimates.
 - ``dilution``: entanglement dilution traces (ebits, classical bits, error)
   for pure and mixed targets, curtailed binomial mixing, and a converse
   rate bound combining formation estimates with energy-constrained

@@ -49,7 +49,7 @@ from .gibbs import _MAX_NEWTON_STEPS, _newton_step
 from .rng import stream
 from .spectra import InvariantViolation, _checked_int, _checked_real
 
-MAX_TYPES = 2_000_000  # the largest weak type table, or strong program, exact mode takes
+MAX_TYPES = 2_000_000  # exact mode refuses more types, or a strong program of more terms and types
 MAX_SAMPLES = 10 ** 8  # the most blocks Monte Carlo mode draws
 _BLOCK_ROWS = 1 << 15  # rows per block of census types or Monte Carlo draws
 _ALPHA = 0.005  # each side of the 99% Clopper-Pearson interval
@@ -267,11 +267,11 @@ def _type_terms(n, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[np.ndarra
             for c in head:
                 prefix *= math.comb(rem, c)
                 rem -= c
-            mults = list(itertools.accumulate(
-                range(j, j + stop - starts[run] - 1), initial=prefix * math.comb(rem, j),
-                func=lambda mult, i: mult * (rem - i) // (i + 1)))
-            total += sum(mults)
-            ln_mult.extend(map(math.log, mults))
+            for mult in itertools.accumulate(  # one multiplicity held at a time
+                    range(j, j + stop - starts[run] - 1), initial=prefix * math.comb(rem, j),
+                    func=lambda mult, i: mult * (rem - i) // (i + 1)):
+                total += mult
+                ln_mult.append(math.log(mult))
             run += 1
         totals.append(total)
     return np.array(ln_mult) + log2_prob * math.log(2.0), totals
@@ -401,13 +401,16 @@ def _strong_program(dist: SourceDistribution, n: int, delta: float) -> tuple[flo
     overflows.  The last symbol takes the positions left, with term 1, and
     the product over symbols is the type's mass over R_0^n.
 
-    The work, the (state, count) terms over all symbols, is refused above
-    ``MAX_TYPES``; it is at most about the type count.  So is an n at which
-    the census refuses a table of min(K_+, 3) symbols: with two symbols
-    each term is a binomial walk as in the census, and with three or more
-    it multiplies integers of up to n log2 K bits, so n stays within the
-    census's own reach.  Memory holds one count per state, at most
-    _BLOCK_ROWS pending terms and _BLOCK_ROWS words of binomials."""
+    The work, the (state, count) terms over all symbols, is refused where
+    it and the type count C(n + K - 1, K - 1) both exceed ``MAX_TYPES``:
+    the terms may outnumber the types, by up to n + 1 at three symbols, so
+    the program takes every table the census takes.  An n at which the
+    census refuses a table of min(K_+, 3) symbols is refused too: with two
+    symbols each term is a binomial walk as in the census, and with three
+    or more it multiplies integers of up to n log2 K bits, so n stays
+    within the census's own reach.  Memory holds one count and one mass per
+    state, and one part of at most _BLOCK_ROWS words of binomials, whose
+    terms are added to the next states' masses at once."""
     probs = [float(p) for p in dist.probs if p > 0.0]
     k = min(len(probs), 3)
     if (reach := math.comb(n + k - 1, k - 1)) > MAX_TYPES:
@@ -427,7 +430,7 @@ def _strong_program(dist: SourceDistribution, n: int, delta: float) -> tuple[flo
     work = sum(min(hi, b_next - m) - max(lo, a_next - m) + 1
                for (a, b), (lo, hi), (a_next, b_next) in zip(states, boxes, states[1:])
                for m in range(a, b + 1))
-    if work > MAX_TYPES:
+    if work > MAX_TYPES and type_count(n, len(dist)) > MAX_TYPES:
         raise InvariantViolation(f"{work} strong-program terms exceed the exact-mode limit "
                                  f"{MAX_TYPES}; use Monte Carlo mode")
     ln_p = [math.log(p) for p in probs]
@@ -438,21 +441,7 @@ def _strong_program(dist: SourceDistribution, n: int, delta: float) -> tuple[flo
         keep = int(i < len(probs) - 2)
         size = 1 + keep * (b_next - a_next)
         next_mass, next_count = np.zeros(size), [0] * size
-        runs, ln_binom = [], []  # (state, first count, last count) and ln C(r, c), pending
         step = max(1, (_BLOCK_ROWS << 6) // n)  # counts per part: _BLOCK_ROWS words of binomials
-
-        def flush() -> None:
-            state, first, last = np.array(runs).T
-            width = last - first + 1
-            c = np.repeat(first - np.cumsum(width) + width, width) + np.arange(width.sum())
-            m = np.repeat(state, width)
-            ln_term = (np.array(ln_binom) + c * ln_p[i] + (n - m - c) * ln_rest[i + 1]
-                       - (n - m) * ln_rest[i])
-            next_mass[:] += np.bincount(keep * (m + c - a_next), minlength=size,
-                                        weights=mass[m - a] * np.exp(ln_term))
-            runs.clear()
-            ln_binom.clear()
-
         for m, held in zip(range(a, b + 1), count):
             r, first, last = n - m, max(lo, a_next - m), min(hi, b_next - m)
             if m == a:
@@ -465,18 +454,18 @@ def _strong_program(dist: SourceDistribution, n: int, delta: float) -> tuple[flo
                 row = list(itertools.accumulate(range(part, top + 1), initial=binom,
                                                 func=lambda v, c: v * (r - c) // (c + 1)))
                 binom = row.pop()  # C(r, top + 1), where the next part starts
+                c = np.arange(part, top + 1)
+                ln_term = (np.fromiter(map(math.log, row), float, len(row)) + c * ln_p[i]
+                           + (r - c) * ln_rest[i + 1] - r * ln_rest[i])
+                terms = mass[m - a] * np.exp(ln_term)
                 if keep:
                     at = slice(m + part - a_next, m + top + 1 - a_next)
                     next_count[at] = map(operator.add, next_count[at],
                                          map(operator.mul, itertools.repeat(held), row))
+                    next_mass[at] += terms
                 else:
                     next_count[0] += held * sum(row)
-                ln_binom.extend(map(math.log, row))
-                runs.append((m, part, top))
-                if len(ln_binom) >= _BLOCK_ROWS:
-                    flush()
-        if runs:
-            flush()
+                    next_mass[0] += terms.sum()
         mass, count = next_mass, next_count
     # R_0 is 1 to within the distribution's tolerance, and n is bounded above
     total = float(np.sum(mass)) * math.exp(n * ln_rest[0])
@@ -633,7 +622,8 @@ def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
 
     Exact mode runs a program over the symbols, not the type table: at
     most ``MAX_TYPES`` (state, count) terms, about 2 delta n + 1 counts per
-    state, and n within the weak census's reach at min(K_+, 3) symbols
+    state, or more where the type count is at most ``MAX_TYPES``, so every
+    table the census takes; and n within its reach at min(K_+, 3) symbols
     (n + 1 <= ``MAX_TYPES`` for two symbols of positive probability, n <=
     1998 for more); the cardinality is an exact integer count in log2.
     Monte Carlo mode is as for the weak set."""

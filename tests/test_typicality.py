@@ -498,6 +498,20 @@ def test_census_memory_is_bounded_by_blocks():
     assert peak < 12 * 2 ** 20
 
 
+def test_binary_census_holds_one_multiplicity_at_a_time():
+    # at n = 20 000 and delta = 0.4, 8 001 binary types are members; their
+    # exact multiplicities, of up to 20 000 bits each, take about 12 MB
+    # together, while the table of 20 001 rows takes well under 1 MB
+    tracemalloc.start()
+    try:
+        rep = weak_typical_mass(SourceDistribution(np.array([0.8, 0.2])), 20_000, 0.4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.mass == 1.0
+    assert peak < 4 * 2 ** 20
+
+
 def _census_member_types(dist, n, delta, kind):
     """Count rows of the types the census itself counts as members."""
     return [row for _, counts, _, member in typicality._judged_blocks(dist, [n], delta, kind)
@@ -611,7 +625,7 @@ def test_census_results_are_pinned_bit_for_bit():
     # moved mass within 1e-14 of its last pin)
     assert _census_pin_digests() == {
         "weak": "e300890f6f8ce5f3b6e23814b2ca9260026697ea41cc8277438f303681b135b6",
-        "strong": "1304e30505744f7c5a6ac55bdb591ad6c55b51363296cfaf9e8c9ef4b9564120",
+        "strong": "c26e32a2382a9dc17190c01a1dc45f7f34d4985545303a80f59b140dbd2ad3ab",
         "census": "89fac1840e995cee493ab8a452e0b2a8a0894215cb66c5da51639a3ca57ecb63",
         "aep": "eb55c570b4f2dc33de61d38527121f4736e5b7b7f0cc4e868f327c29da5bbe23",
         "dilution": "00b3fb8576f1974f66bab540eae588a079c7593cb03ec3350dd3a53da5d1d75b",
@@ -881,6 +895,16 @@ def test_strong_program_reaches_past_the_type_table_limit():
 def test_strong_program_refuses_work_above_the_limit(probs, n, delta):
     with pytest.raises(InvariantViolation, match="use Monte Carlo mode"):
         strong_typical_mass(SourceDistribution(np.array(probs)), n, delta)
+
+
+def test_strong_program_takes_every_table_the_census_takes():
+    # uniform K = 3 at n = 1998 has C(2000, 2) = 1 999 000 types, within
+    # MAX_TYPES, but the program visits 1998 + 1 998 997 = 2 000 995 terms.
+    # Every box is [0, 1997], so the set is every type but the three
+    # constant ones: 3^1998 - 3 sequences, of mass 1 - 3^-1997
+    rep = strong_typical_mass(SourceDistribution(np.full(3, 1.0 / 3.0)), 1998, 0.6666)
+    assert rep.log2_cardinality_bound == typicality._log2_bigint(3 ** 1998 - 3)
+    assert rep.mass == pytest.approx(1.0, abs=1e-12)
 
 
 @st.composite
