@@ -4,8 +4,8 @@ Each subcommand reads a JSON config, runs one computation, and emits a JSON
 summary (or CSV rows plus a JSON sidecar with ``--format csv``).  Artifacts
 are reproducible: given the same config, seed, and version, reruns are
 byte-identical apart from the top-level ``timestamp`` field.  ``--threads``
-(or ``ENTCOST_THREADS``) is still accepted and validated (>= 1) but no longer
-used: every command runs serially, so no output depends on it.
+is still accepted and validated (>= 1) but not used: every command runs
+serially, so no output depends on it.
 
 Exit codes: 0 success, 2 invalid config schema, 3 numeric invariant
 violation, 4 I/O failure.  Failures write a machine-readable JSON record to
@@ -20,7 +20,6 @@ import datetime
 import functools
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -318,9 +317,8 @@ def main(argv=None) -> int:
                         help="artifact path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         dest="fmt", help="artifact format")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility and unused; must be"
-                             " >= 1 (default: ENTCOST_THREADS or 1)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility and unused; must be >= 1")
     parser.add_argument("--version", action="version", version=version)
 
     try:
@@ -340,13 +338,7 @@ def main(argv=None) -> int:
         if seed is None:
             seed = read(config, "seed", "config", int, 0)
 
-        threads = args.threads
-        if threads is None:
-            try:
-                threads = int(os.environ.get("ENTCOST_THREADS", "1"))
-            except ValueError:
-                threads = os.environ["ENTCOST_THREADS"]  # not an integer: reported below
-        _checked_int(threads, "--threads and ENTCOST_THREADS", 1)
+        _checked_int(args.threads, "--threads", 1)
 
         out_path = args.out or read(config, "output_path", "config", str, None)
         result, header, reports = _HANDLERS[command](params, seed)

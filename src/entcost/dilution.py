@@ -44,6 +44,7 @@ from .spectra import (
 from .typicality import (
     SourceDistribution,
     _binomial_weights,
+    _box,
     _census,
     weak_typical_mass,
 )
@@ -103,19 +104,20 @@ def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
     exact; below 1 - mass = 1e-6 it is the square root of the cut types'
     mass, summed directly.  Monte Carlo mode estimates the mass and books
     the theoretical ceil(n(S + delta)) ebits instead.  Every input is
-    checked before any census; each n must be a Python or NumPy integer.
-    Exact mode reads the type tables of the whole grid in one census pass
-    and books each n as it comes, with the bits each n gets alone.
+    checked before any census; each n must be a Python or NumPy integer
+    below 2^63.  Exact mode reads the type tables of the whole grid in one
+    census pass and books each n as it comes, with the bits it gets alone.
     """
     # an infinite delta has no ebit cap ceil(n (S + delta))
     delta = _checked_real(delta, "delta", 0.0, math.inf, "[)")
     ns = [_checked_int(n, "n", 1) for n in n_grid]
+    _checked_int(max(ns, default=1), "n", 1, np.iinfo(np.int64).max)  # the census's int64 table
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
     schmidt = target if isinstance(target, Spectrum) else target.schmidt
     dist = SourceDistribution(schmidt.stripped().values)
     h = dist.entropy_bits
-    censuses = _census(dist, ns, delta, "weak")  # drawn from in exact mode only
+    censuses = _census(dist, ns, delta)  # drawn from in exact mode only
     traces = []
     for n in ns:
         cap = math.ceil(n * (h + delta)) if h + delta > 0.0 else 0
@@ -174,11 +176,13 @@ def mixed_dilution_rate(decomposition: Ensemble, n_cut: int) -> MixedDilutionPoi
 
 
 def _curtailed_support(p0: float, xi: float, n: int) -> np.ndarray:
+    """The mixing counts k = 0..n kept by the curtailed binomial, those with
+    |k / n - p0| <= xi: the strong rule's ``_box`` for one symbol of
+    probability p0."""
     p0 = _checked_real(p0, "p0", 0.0, 1.0, "()")
     xi = _checked_real(xi, "xi", 0.0, math.inf, "(]")
-    n = _checked_int(n, "n", 1)
-    ks = np.arange(n + 1)
-    return ks[np.abs(ks / n - p0) <= xi]
+    lo, hi = _box(_checked_int(n, "n", 1), p0, xi)
+    return np.arange(lo, hi + 1)
 
 
 def binary_mixing_error(p0: float, xi: float, n: int) -> float:

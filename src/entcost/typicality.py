@@ -20,17 +20,17 @@ sums the cut types directly.  Block lengths must be integers.  A single
 one-dimensional sequence is judged by the census's rule, so it is weakly
 typical exactly when its type is a member of the census's weak set.
 The strong set is a box, each symbol's count judged alone by one
-per-symbol rule, so its exact mass and cardinality come from a dynamic
-program over the symbols, whose state is the number of positions filled:
-no type table is built, and the work grows with the box widths, not with
-the type count.  The reader still judges strong types by the same rule.
+per-symbol rule, ``_near``, whose run of admitted counts ``_box`` finds.
+So its exact mass and cardinality come from a dynamic program over the
+symbols, whose state is the number of positions filled: no type table is
+built, and the work grows with the box widths, not with the type count.
 Where the types or the program's terms are too many, a Monte Carlo mode
 draws the types of i.i.d. blocks directly (multinomial(n, p)), judges them
-by the same membership rule, and reports a 99% Clopper-Pearson interval.
+by the same membership rules, and reports a 99% Clopper-Pearson interval.
 Its bounds solve exact binomial tail equations by safeguarded Newton steps
 in logit p; each tail is a sum over the O(sqrt(samples)) terms near the
 mode, so memory does not grow with the sample count.  ``dilution``'s
-curtailed binomial uses the same terms.
+curtailed binomial uses the same terms, on the counts ``_box`` admits.
 """
 
 from __future__ import annotations
@@ -183,12 +183,13 @@ def _near(count, n, p, delta: float):
 def _members(dist: SourceDistribution, n, delta: float, kind: str,
              counts: np.ndarray, log2_prob: np.ndarray) -> np.ndarray:
     """Weak or strong membership mask; types of zero probability are never
-    members.  n is one block length or one per row; either way each row is
-    divided by its own n alone, so a row's verdict does not depend on the
-    rows judged with it."""
+    members.  For the weak rule n is one block length or one per row; either
+    way each row is divided by its own n alone, so a row's verdict does not
+    depend on the rows judged with it.  The strong rule judges only Monte
+    Carlo draws, at one block length."""
     if kind == "weak":
         return np.isfinite(log2_prob) & (np.abs(-log2_prob / n - dist.entropy_bits) <= delta)
-    near = _near(counts, np.reshape(n, (-1, 1)), dist.probs, delta)[:, dist.probs > 0.0]
+    near = _near(counts, n, dist.probs, delta)[:, dist.probs > 0.0]
     return np.isfinite(log2_prob) & np.all(near, axis=1)
 
 
@@ -200,15 +201,15 @@ def _judge(dist: SourceDistribution, n, delta: float, kind: str,
     return log2_prob, _members(dist, n, delta, kind, counts, log2_prob)
 
 
-def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float, kind: str
+def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float
                    ) -> Iterator[tuple[tuple[int, np.ndarray | None], np.ndarray, np.ndarray,
                                        np.ndarray]]:
-    """((first, edges), counts, log2 p(x^n) per sequence, membership mask)
-    per block of the type tables of ns, in order: the one reader of the type
-    table.  ``first`` is the position in ns of the block's first table.  A
-    block holds whole tables, the i-th from row edges[i] to edges[i + 1];
-    only a table too large for one block comes in several, each with edges
-    None.
+    """((first, edges), counts, log2 p(x^n) per sequence, weak membership
+    mask) per block of the type tables of ns, in order: the one reader of
+    the type table, which serves the weak set, the AEP check and dilution.
+    ``first`` is the position in ns of the block's first table.  A block
+    holds whole tables, the i-th from row edges[i] to edges[i + 1]; only a
+    table too large for one block comes in several, each with edges None.
 
     A run of consecutive tables of at most _BLOCK_ROWS rows together is
     built as one block and judged in one call: with each row's own n if it
@@ -237,7 +238,7 @@ def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float, kind: 
             n_row = n_row if stop > start + 1 else ns[start]
             counts = np.column_stack([*columns, n_row - used])
             del columns, used  # counts holds a copy; hold no second while the block is summed
-            log2_prob, ok = _judge(dist, n_row, delta, kind, counts)
+            log2_prob, ok = _judge(dist, n_row, delta, "weak", counts)
             yield (start, edges), counts, log2_prob, ok
         start = stop
 
@@ -277,22 +278,22 @@ def _type_terms(n, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[np.ndarra
     return np.array(ln_mult) + log2_prob * math.log(2.0), totals
 
 
-def _census(dist: SourceDistribution, ns: list[int], delta: float,
-            kind: str) -> Iterator[tuple[float, int, object]]:
-    """(mass, exact cardinality, root cut) of the weak or strong set at each
-    n of ns, in order, from one read of the type tables of the whole grid.
-    Each block of whole tables is tallied at once, by ``_tally``.  A table
-    of several blocks is scanned for a cut and, only if it has one, read
+def _census(dist: SourceDistribution, ns: list[int], delta: float
+            ) -> Iterator[tuple[float, int, object]]:
+    """(mass, exact cardinality, root cut) of the weak set at each n of ns,
+    in order, from one read of the type tables of the whole grid.  Each
+    block of whole tables is tallied at once, by ``_tally``.  A table of
+    several blocks is scanned for a cut and, only if it has one, read
     again alone, so each of its blocks is summed on its own, bit for bit as
     n's census alone sums it.  A generator: each n's result is handed over
     as soon as its table is read, so a block of tables is released once the
     caller drops the results drawn from it, and memory does not grow with
     the grid; a caller that draws nothing reads no table."""
-    blocks = itertools.groupby(_judged_blocks(dist, ns, delta, kind),
+    blocks = itertools.groupby(_judged_blocks(dist, ns, delta),
                                key=lambda block: (block[0][0], block[0][1] is None))
     for (first, split), table in blocks:
         if not split:
-            yield from _tally(dist, ns, delta, kind, next(table))
+            yield from _tally(dist, ns, next(table))
             continue
         n, cut = ns[first], False
         for _, _, log2_prob, ok in table:
@@ -301,17 +302,16 @@ def _census(dist: SourceDistribution, ns: list[int], delta: float,
             yield 1.0, int(np.count_nonzero(dist.probs)) ** n, lambda: 0.0
             continue
         mass, count = 0.0, 0
-        for _, counts, log2_prob, ok in _judged_blocks(dist, [n], delta, kind):
+        for _, counts, log2_prob, ok in _judged_blocks(dist, [n], delta):
             ln_mass, (block_count,) = _type_terms(n, counts[ok], log2_prob[ok])
             mass, count = mass + float(np.sum(np.exp(ln_mass))), count + block_count
         mass = min(mass, 1.0)
-        yield mass, count, _root_cut(n, mass, lambda n=n: _judged_blocks(dist, [n], delta, kind))
+        yield mass, count, _root_cut(n, mass, lambda n=n: _judged_blocks(dist, [n], delta))
 
 
-def _tally(dist: SourceDistribution, ns: list[int], delta: float, kind: str,
-           block) -> Iterator[tuple[float, int, object]]:
-    """(mass, exact cardinality, root cut) of each table of one judged block
-    of whole tables of the grid ns.  One
+def _tally(dist: SourceDistribution, ns: list[int], block) -> Iterator[tuple[float, int, object]]:
+    """(mass, exact cardinality, root cut) of the weak set of each table of
+    one judged block of whole tables of the grid ns.  One
     ``np.logical_or.reduceat`` over the table edges finds the tables with a
     cut, that is a type that carries mass but is no member.  A table with
     none has mass 1 and count K_+^n exactly.  The member rows of all the cut
@@ -371,7 +371,8 @@ def _root_cut(n: int, mass: float, blocks) -> object:
 
 def _box(n: int, p: float, delta: float) -> tuple[int, int]:
     """(lo, hi): the run of counts c = 0..n that ``_near`` admits for a
-    symbol of probability p, lo > hi if none.  c / n - p rounds
+    symbol of probability p, lo > hi if none; the strong program's boxes and
+    ``dilution``'s curtailed binomial both come from it.  c / n - p rounds
     monotonically in c, and it is at most 0 up to m = floor(p n) and above
     0 after, so the rule admits a suffix of 0..m and a prefix of m + 1..n:
     one bisection finds each, judging O(log n) counts."""
@@ -388,7 +389,7 @@ def _strong_program(dist: SourceDistribution, n: int, delta: float) -> tuple[flo
     program over the symbols of positive probability, with no type table.
 
     Strong membership is a box: each count c_i lies in its own run of
-    ``_box`` (the census's rule), and a zero-probability symbol is absent.
+    ``_box`` (the one strong rule), and a zero-probability symbol is absent.
     The state is the number m of positions filled by the symbols before
     symbol i, kept to the m from which the boxes after it can still fill n.
     With no type cut, the mass is 1 and the count K_+^n, as in the census.
@@ -412,6 +413,7 @@ def _strong_program(dist: SourceDistribution, n: int, delta: float) -> tuple[flo
     state, and one part of at most _BLOCK_ROWS words of binomials, whose
     terms are added to the next states' masses at once."""
     probs = [float(p) for p in dist.probs if p > 0.0]
+    n = n if len(probs) > 1 else 1  # one symbol's one type, c = n, has c / n = 1 at any n
     k = min(len(probs), 3)
     if (reach := math.comb(n + k - 1, k - 1)) > MAX_TYPES:
         raise InvariantViolation(f"{reach} empirical types of {k} symbols at n = {n} exceed the "
@@ -559,8 +561,8 @@ def _mc_mass(dist: SourceDistribution, n: int, delta: float, kind: str,
              samples: int, seed: int) -> tuple[float, float, float]:
     """Fraction of ``samples`` i.i.d. length-n blocks inside the set, with its
     99% interval.  A block's type has the law multinomial(n, p), so types are
-    drawn directly and judged by the census's own membership rule; the draws
-    do not depend on the chunk size."""
+    drawn directly and judged by exact mode's own rule; the draws do not
+    depend on the chunk size."""
     samples = _checked_int(samples, "samples", 1, MAX_SAMPLES)
     rng = stream(seed, 0)
     hits = 0
@@ -573,10 +575,10 @@ def _mc_mass(dist: SourceDistribution, n: int, delta: float, kind: str,
 
 def _check_block(n: int, delta: float) -> tuple[int, float]:
     """(n, delta) as a Python int and float, once checked to be an integer
-    >= 1 and a real in [0, inf]; a NumPy integer would overflow in the
-    census's K^n."""
+    in [1, 2^63 - 1] and a real in [0, inf]; a NumPy integer would overflow
+    in the census's K^n, and the census builds its table in int64."""
     delta = _checked_real(delta, "delta", 0.0, math.inf)
-    return _checked_int(n, "n", 1), delta
+    return _checked_int(n, "n", 1, np.iinfo(np.int64).max), delta
 
 
 def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
@@ -589,7 +591,7 @@ def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
         if kind == "strong":
             mass, card = _strong_program(dist, n, delta)
         else:
-            (mass, card, _), = _census(dist, [n], delta, kind)
+            (mass, card, _), = _census(dist, [n], delta)
         return TypicalReport(n, delta, mass, _log2_bigint(card), kind,
                              mode="exact", mass_low=mass, mass_high=mass)
     if mode == "mc":
@@ -633,7 +635,7 @@ def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
 def weak_typical_census(dist: SourceDistribution, n: int, delta: float) -> tuple[float, int]:
     """(exact mass, exact integer cardinality) of the weakly typical set."""
     n, delta = _check_block(n, delta)
-    (mass, count, _), = _census(dist, [n], delta, "weak")
+    (mass, count, _), = _census(dist, [n], delta)
     return mass, count
 
 
@@ -654,7 +656,7 @@ def aep_bounds_check(dist: SourceDistribution, n: int, delta: float,
     slack = 1e-12 * max(1.0, n * (h + max(delta, bound_delta)))
     lo = -n * (h + bound_delta) - slack
     hi = -n * (h - bound_delta) + slack
-    for _, _, log2_prob, ok in _judged_blocks(dist, [n], delta, "weak"):
+    for _, _, log2_prob, ok in _judged_blocks(dist, [n], delta):
         typical = log2_prob[ok]
         if not np.all((lo <= typical) & (typical <= hi)):
             return False

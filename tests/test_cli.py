@@ -110,6 +110,17 @@ def test_strong_census_above_the_work_limit_is_invariant_error(tmp_path, capsys)
     assert "use Monte Carlo mode" in err["message"]
 
 
+def test_a_one_symbol_strong_census_at_the_largest_block_length(tmp_path, capsys):
+    # the schema takes n up to 2^63 - 1; the strong program raised a raw
+    # OverflowError there, bisecting a range of 2^63 counts
+    cfg = _write(tmp_path, "c.json",
+                 {"command": "typicality",
+                  "params": {"dist": [1.0], "n": 2 ** 63 - 1, "delta": 0.1, "kind": "strong"}})
+    assert main(["--config", cfg]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["mass"], result["log2_cardinality_bound"]) == (1.0, 0.0)
+
+
 def test_non_finite_spectrum_is_invariant_error(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json",
                  {"command": "entropy",
@@ -433,23 +444,18 @@ def test_majorization_violation_exits_3_and_writes_no_artifact(tmp_path, monkeyp
     assert not out_path.exists()
 
 
-def test_env_thread_default(tmp_path, monkeypatch, capsys):
+def test_the_threads_environment_variable_is_ignored(tmp_path, monkeypatch):
+    # ENTCOST_THREADS once set the default of the unused --threads
     cfg = _write(tmp_path, "c.json",
                  {"command": "majorization-check", "seed": 3,
                   "params": {"trials": 4, "max_dim": 3}})
-    monkeypatch.setenv("ENTCOST_THREADS", "2")
-    assert main(["--config", cfg]) == 0
-    monkeypatch.setenv("ENTCOST_THREADS", "0")
-    assert main(["--config", cfg]) == 2
-
-
-def test_non_integer_env_threads_is_schema_error(tmp_path, monkeypatch, capsys):
-    cfg = _write(tmp_path, "c.json",
-                 {"command": "majorization-check", "seed": 3,
-                  "params": {"trials": 2, "max_dim": 3}})
-    monkeypatch.setenv("ENTCOST_THREADS", "two")
-    assert main(["--config", cfg]) == 2
-    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "schema"
+    outs = []
+    for value in ("0", "two"):
+        monkeypatch.setenv("ENTCOST_THREADS", value)
+        path = tmp_path / f"{value}.json"
+        assert main(["--config", cfg, "--out", str(path)]) == 0
+        outs.append(_strip_timestamp(path.read_text()))
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("argv", [

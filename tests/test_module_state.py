@@ -147,6 +147,16 @@ def test_each_census_step_has_one_caller():
     assert found == {name: {caller} for name, caller in ONE_CALLER.items()}
 
 
+# the one strong rule: _near judges a count, and _box finds the run of counts
+# it admits, for the strong program's boxes and the curtailed binomial
+STRONG_RULE = {"_near": {"typicality._members", "typicality._box"},
+               "_box": {"typicality._strong_program", "dilution._curtailed_support"}}
+
+
+def test_the_strong_rule_has_one_home():
+    assert {name: _callers(name) for name in STRONG_RULE} == STRONG_RULE
+
+
 # every exported function that takes an optional parameter, with those
 # parameters in signature order; fixed limits are module constants instead
 OPTIONAL_PARAMETERS = {

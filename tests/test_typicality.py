@@ -1,5 +1,6 @@
 """Typical-set masses: exact type census, Monte Carlo, and rate bounds."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -512,9 +513,9 @@ def test_binary_census_holds_one_multiplicity_at_a_time():
     assert peak < 4 * 2 ** 20
 
 
-def _census_member_types(dist, n, delta, kind):
-    """Count rows of the types the census itself counts as members."""
-    return [row for _, counts, _, member in typicality._judged_blocks(dist, [n], delta, kind)
+def _census_member_types(dist, n, delta):
+    """Count rows of the types the census itself counts as weak members."""
+    return [row for _, counts, _, member in typicality._judged_blocks(dist, [n], delta)
             for row in counts[member].tolist()]
 
 
@@ -524,20 +525,22 @@ def _census_member_types(dist, n, delta, kind):
 def test_census_masses_match_exact_integer_sums(numerators, n, delta):
     # dyadic p_i = a_i / d: a type's mass is multinomial(n; c) prod a_i^c_i
     # over d^n, so a set's mass is one integer over d^n, summed over the
-    # census's own members
+    # census's own weak members, and by _exact_strong over the strong box
     d = sum(numerators)
     dist = SourceDistribution(np.array(numerators) / d)
-    for kind, fn in (("weak", weak_typical_mass), ("strong", strong_typical_mass)):
-        exact = 0
-        for c in _census_member_types(dist, n, delta, kind):
-            term, rem = 1, n
-            for a, ci in zip(numerators, c):
-                term *= math.comb(rem, ci) * a ** ci
-                rem -= ci
-            exact += term
-        assert 0 < exact < d ** n, (kind, "the window must cut the set")
+    weak = 0
+    for c in _census_member_types(dist, n, delta):
+        term, rem = 1, n
+        for a, ci in zip(numerators, c):
+            term *= math.comb(rem, ci) * a ** ci
+            rem -= ci
+        weak += term
+    strong = _exact_strong(dist.probs, n, delta)[0]
+    for kind, fn, exact in (("weak", weak_typical_mass, Fraction(weak, d ** n)),
+                            ("strong", strong_typical_mass, strong)):
+        assert 0 < exact < 1, (kind, "the window must cut the set")
         got = fn(dist, n, delta).mass
-        assert abs(Fraction(got) / Fraction(exact, d ** n) - 1) <= 1e-13, kind
+        assert abs(Fraction(got) / exact - 1) <= 1e-13, kind
 
 
 def test_sequence_membership_is_the_census_membership():
@@ -553,7 +556,7 @@ def test_sequence_membership_is_the_census_membership():
     for probs, n in grid:
         dist = SourceDistribution(np.array(probs))
         for delta in (0.05, 0.1):
-            (_, counts, _, member), = typicality._judged_blocks(dist, [n], delta, "weak")
+            (_, counts, _, member), = typicality._judged_blocks(dist, [n], delta)
             rows = range(len(counts))
             if len(probs) == 2:
                 edges = np.flatnonzero(member[1:] != member[:-1])
@@ -714,9 +717,9 @@ def _sweeps(draw):
 
 
 @given(_sweeps())
-# two strong tables whose member rows continue one binomial row across the
-# table edge: (0, 6, 4) ends n = 10, and (0, 7, 9) starts n = 16
-@example((np.array([0.0, 0.5, 0.5]), 0.1, [10, 16], None))
+# two tables whose member rows continue one binomial run across the table
+# edge: c_0 = 7 is the one member of n = 9, and c_0 = 8 the one of n = 10
+@example((np.array([0.8, 0.2]), 0.05, [9, 10], None))
 @settings(max_examples=60, deadline=None)
 def test_any_sweep_books_each_block_as_its_own_one_block_call(sweep):
     # a block of several tables is tallied at once; each table, and each
@@ -727,11 +730,10 @@ def test_any_sweep_books_each_block_as_its_own_one_block_call(sweep):
     with pytest.MonkeyPatch.context() as patch:
         if block_rows is not None:
             patch.setattr(typicality, "_BLOCK_ROWS", block_rows)
-        for kind in ("weak", "strong"):
-            assert [_hexes(mass, count, cut()) for mass, count, cut in
-                    typicality._census(dist, ns, delta, kind)] == \
-                [_hexes(mass, count, cut()) for n in ns
-                 for mass, count, cut in typicality._census(dist, [n], delta, kind)], kind
+        assert [_hexes(mass, count, cut()) for mass, count, cut in
+                typicality._census(dist, ns, delta)] == \
+            [_hexes(mass, count, cut()) for n in ns
+             for mass, count, cut in typicality._census(dist, [n], delta)]
         assert [_hexes(t.n, t.ebits, t.error, t.error_high) for t in
                 dilution_sweep(spec, delta, ns)] == \
             [_hexes(t.n, t.ebits, t.error, t.error_high) for t in
@@ -800,7 +802,7 @@ def test_one_census_reads_the_type_table_as_often_as_its_regime_needs(
     ns = n if grid else [n]
     seen, walked = _reads(monkeypatch), _walked_rows(monkeypatch)
     judged = _judged_rows(monkeypatch)
-    censuses = list(typicality._census(dist, ns, delta, "weak"))
+    censuses = list(typicality._census(dist, ns, delta))
     assert (len(seen), sum(walked)) == (reads[0], rows[0])
     # a table alone is judged block by block; the 30 binary tables in two
     # blocks, and the K = 3 tables in two: n = 150 and 140, then 150
@@ -851,28 +853,32 @@ def test_a_table_that_fits_a_block_is_judged_once(monkeypatch):
 
 def _exact_strong(probs, n, delta):
     """(mass as a Fraction of the float probabilities, cardinality) of the
-    strong set, summed in exact integers over every tuple of counts that the
-    per-symbol rule admits, the last symbol taking the positions left."""
+    strong set, in exact integers: a memoized recursion over (symbol,
+    positions left) sums, over each count the per-symbol rule admits, the
+    binomial ways to place it times the completions by the symbols after
+    it, the last symbol taking the positions left."""
     fractions = [Fraction(p) for p in probs]
     den = max(f.denominator for f in fractions)
     nums = [int(f * den) for f in fractions]
     boxes = [[c for c in range(n + 1) if abs(c / n - p) <= delta] if p > 0.0 else [0]
              for p in probs]
 
-    def terms(i, rem, mult, weight):
-        """(multiplicity, weight) of every admitted completion of a prefix."""
+    @functools.cache
+    def completions(i, rem):
+        """(weight, count) of the admitted completions of rem positions by
+        symbols i and after, each weighed by prod nums^c."""
         if i == len(probs) - 1:
-            if rem in boxes[i]:
-                yield mult, weight * nums[i] ** rem
-            return
+            return (nums[i] ** rem, 1) if rem in boxes[i] else (0, 0)
+        weight = count = 0
         for c in boxes[i]:
             if c <= rem:
-                yield from terms(i + 1, rem - c, mult * math.comb(rem, c),
-                                 weight * nums[i] ** c)
-    mass = count = 0
-    for mult, weight in terms(0, n, 1, 1):
-        mass, count = mass + mult * weight, count + mult
-    return Fraction(mass, den ** n), count
+                rest_weight, rest_count = completions(i + 1, rem - c)
+                ways = math.comb(rem, c)
+                weight += ways * nums[i] ** c * rest_weight
+                count += ways * rest_count
+        return weight, count
+    weight, count = completions(0, n)
+    return Fraction(weight, den ** n), count
 
 
 def test_strong_program_reaches_past_the_type_table_limit():
@@ -907,6 +913,26 @@ def test_strong_program_takes_every_table_the_census_takes():
     assert rep.mass == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("probs", [[1.0], [1.0, 0.0]])
+def test_block_lengths_stop_below_2_63(probs):
+    # the census builds its table in int64 and the strong program bisected a
+    # range of n + 1 counts, so n = 2^63 raised a raw OverflowError, and the
+    # strong program did at 2^63 - 1 too
+    dist, spec, top = SourceDistribution(np.array(probs)), Spectrum(np.array(probs)), 2 ** 63 - 1
+    calls = [lambda n: weak_typical_mass(dist, n, 0.1), lambda n: strong_typical_mass(dist, n, 0.1),
+             lambda n: weak_typical_census(dist, n, 0.1), lambda n: aep_bounds_check(dist, n, 0.1),
+             lambda n: pure_dilution(spec, 0.1, n)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"n must be an integer in \[1, 9223372036854775807\]"):
+            call(top + 1)
+    reports = [strong_typical_mass(dist, top, 0.1)]
+    if len(probs) == 1:  # the census refuses the n + 1 types of two symbols
+        reports.append(weak_typical_mass(dist, top, 0.1))
+    assert [(r.mass, r.log2_cardinality_bound) for r in reports] == [(1.0, 0.0)] * len(reports)
+    assert strong_typical_mass(dist, top, 0.0).mass == 1.0
+    assert pure_dilution(spec, 0.1, top).ebits == 0
+
+
 @st.composite
 def _strong_sources(draw):
     """(probabilities, n, delta): K = 1 to 5, sometimes with a
@@ -923,11 +949,10 @@ def _strong_sources(draw):
 @given(_strong_sources())
 @settings(max_examples=40, deadline=None)
 def test_strong_program_counts_the_census_members(source):
-    # the program judges each symbol by the census's own rule, so its count
-    # is the census's exact integer sum over the members the reader judges
+    # the program judges each symbol by the per-symbol rule, so its count is
+    # the exact integer sum over the tuples of counts the rule admits
     probs, n, delta = source
-    dist = SourceDistribution(probs)
-    (census_mass, census_count, _), = typicality._census(dist, [n], delta, "strong")
-    mass, count = typicality._strong_program(dist, n, delta)
-    assert count == census_count
-    assert mass == pytest.approx(census_mass, rel=1e-13, abs=0.0)
+    exact_mass, exact_count = _exact_strong(probs, n, delta)
+    mass, count = typicality._strong_program(SourceDistribution(probs), n, delta)
+    assert count == exact_count
+    assert mass == pytest.approx(float(exact_mass), rel=1e-13, abs=0.0)
