@@ -1,8 +1,11 @@
 """Weak and strong typical sets over finite alphabets.
 
+Every exact and Monte Carlo entry passes one door, ``_check_block``, that
+drops the symbols of zero probability: past it, the census, the strong
+program and the sampler see only the K_+ symbols of positive probability.
 Exact weak masses and cardinalities come from one census of the empirical
-types (compositions of n into K parts), built as integer count matrices in
-bounded blocks.  One reader walks that table and judges each block of
+types (compositions of n into K_+ parts), built as integer count matrices
+in bounded blocks.  One reader walks that table and judges each block of
 types; one sum over it serves the weak mass, the AEP check and dilution.
 The census takes a grid of block lengths: a dilution sweep's tables are
 built and judged together, in blocks of the same bounded size, and every
@@ -102,9 +105,9 @@ class TypicalReport:
 
 def is_weakly_typical(dist: SourceDistribution, x_seq, delta: float) -> bool:
     """True iff |rate(x^n) - H| <= delta; zero-probability symbols disqualify.
-    The sequence's type is judged by the census's own rule, so a sequence is
-    typical exactly when its type is a member of the census's weak set."""
-    delta = _checked_real(delta, "delta", 0.0, math.inf)
+    The counts of the other symbols are judged on the support by the
+    census's own rule, so a sequence is typical exactly when its type is a
+    member of the census's weak set."""
     x = np.asarray(x_seq)
     if x.ndim != 1:
         raise ValueError("sequence must be one-dimensional")
@@ -116,8 +119,11 @@ def is_weakly_typical(dist: SourceDistribution, x_seq, delta: float) -> bool:
         raise ValueError("sequence must be non-empty")
     if np.any(x < 0) or np.any(x >= len(dist)):
         raise ValueError("sequence contains out-of-alphabet symbols")
-    counts = np.bincount(x, minlength=len(dist))[None, :]
-    return bool(_judge(dist, x.size, delta, "weak", counts)[1][0])
+    support, n, delta = _check_block(dist, x.size, delta)
+    counts, pos = np.bincount(x, minlength=len(dist)), dist.probs > 0.0
+    if np.any(counts[~pos]):
+        return False
+    return bool(_judge(support, n, delta, counts[pos][None, :])[1][0])
 
 
 def type_count(n: int, k: int) -> int:
@@ -162,43 +168,28 @@ def _extended(head: list[np.ndarray], head_n: np.ndarray, head_sum: np.ndarray
 
 
 def _log2_prob(dist: SourceDistribution, counts: np.ndarray) -> np.ndarray:
-    """log2 p(x^n) of one sequence per type row, summed symbol by symbol (a
-    matrix product rounds differently and moves types on the window edge);
-    -inf on types that use a zero-probability symbol."""
-    pos = dist.probs > 0.0
-    log2p = np.log2(np.where(pos, dist.probs, 1.0))
+    """log2 p(x^n) of one sequence per type row of the support, summed
+    symbol by symbol (a matrix product rounds differently and moves types on
+    the window edge)."""
     log2_prob = np.zeros(len(counts))
-    for i in np.flatnonzero(pos):
-        log2_prob += counts[:, i] * log2p[i]
-    log2_prob[np.any(counts[:, ~pos] > 0, axis=1)] = -math.inf
+    for column, log2p in zip(counts.T, np.log2(dist.probs)):
+        log2_prob += column * log2p
     return log2_prob
 
 
 def _near(count, n, p, delta: float):
     """The strong rule for one symbol: its frequency count / n lies within
-    delta of its probability p.  Elementwise, on ints or arrays alike."""
+    delta of its probability p."""
     return abs(count / n - p) <= delta
 
 
-def _members(dist: SourceDistribution, n, delta: float, kind: str,
-             counts: np.ndarray, log2_prob: np.ndarray) -> np.ndarray:
-    """Weak or strong membership mask; types of zero probability are never
-    members.  For the weak rule n is one block length or one per row; either
-    way each row is divided by its own n alone, so a row's verdict does not
-    depend on the rows judged with it.  The strong rule judges only Monte
-    Carlo draws, at one block length."""
-    if kind == "weak":
-        return np.isfinite(log2_prob) & (np.abs(-log2_prob / n - dist.entropy_bits) <= delta)
-    near = _near(counts, n, dist.probs, delta)[:, dist.probs > 0.0]
-    return np.isfinite(log2_prob) & np.all(near, axis=1)
-
-
-def _judge(dist: SourceDistribution, n, delta: float, kind: str,
+def _judge(dist: SourceDistribution, n, delta: float,
            counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log2 p(x^n), membership mask) of type rows: the one rule by which the
-    census, a single sequence and a Monte Carlo draw are judged."""
+    """(log2 p(x^n), weak membership mask) of type rows of the support: the
+    one weak rule.  n is one block length or one per row, so a row's verdict
+    does not depend on the rows judged with it."""
     log2_prob = _log2_prob(dist, counts)
-    return log2_prob, _members(dist, n, delta, kind, counts, log2_prob)
+    return log2_prob, np.abs(-log2_prob / n - dist.entropy_bits) <= delta
 
 
 def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float
@@ -238,7 +229,7 @@ def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float
             n_row = n_row if stop > start + 1 else ns[start]
             counts = np.column_stack([*columns, n_row - used])
             del columns, used  # counts holds a copy; hold no second while the block is summed
-            log2_prob, ok = _judge(dist, n_row, delta, "weak", counts)
+            log2_prob, ok = _judge(dist, n_row, delta, counts)
             yield (start, edges), counts, log2_prob, ok
         start = stop
 
@@ -295,11 +286,9 @@ def _census(dist: SourceDistribution, ns: list[int], delta: float
         if not split:
             yield from _tally(dist, ns, next(table))
             continue
-        n, cut = ns[first], False
-        for _, _, log2_prob, ok in table:
-            cut = cut or bool(np.any(np.isfinite(log2_prob) & ~ok))
-        if not cut:
-            yield 1.0, int(np.count_nonzero(dist.probs)) ** n, lambda: 0.0
+        n = ns[first]
+        if all([np.all(ok) for *_, ok in table]):  # a list: the whole table is read first
+            yield 1.0, len(dist) ** n, lambda: 0.0
             continue
         mass, count = 0.0, 0
         for _, counts, log2_prob, ok in _judged_blocks(dist, [n], delta):
@@ -323,17 +312,16 @@ def _tally(dist: SourceDistribution, ns: list[int], block) -> Iterator[tuple[flo
     census alone."""
     (first, edges), counts, log2_prob, ok = block
     ns = ns[first:first + len(edges) - 1]
-    cut = np.logical_or.reduceat(np.isfinite(log2_prob) & ~ok, edges[:-1])
+    cut = np.logical_or.reduceat(~ok, edges[:-1])
     # the member rows of the cut tables; the i-th table's are walked[at[i]:at[i + 1]]
     walked = np.flatnonzero(ok & np.repeat(cut, edges[1:] - edges[:-1]))
     at, cut = walked.searchsorted(edges).tolist(), cut.tolist()
     if any(cut):
         ln_mass, totals = _type_terms((ns, at), counts[walked], log2_prob[walked])
         terms = np.exp(ln_mass)
-    k_pos = int(np.count_nonzero(dist.probs))
     for i, (n, is_cut) in enumerate(zip(ns, cut)):
         if not is_cut:
-            yield 1.0, k_pos ** n, lambda: 0.0
+            yield 1.0, len(dist) ** n, lambda: 0.0
             continue
         lo, hi = at[i], at[i + 1]
         mass = min(float(terms[lo:hi].sum()), 1.0)
@@ -358,10 +346,9 @@ def _root_cut(n: int, mass: float, blocks) -> object:
             return math.sqrt(1.0 - mass)
         top, scaled = -math.inf, 0.0  # the cut mass is e^top * scaled
         for _, counts, log2_prob, ok in blocks():
-            rows = np.isfinite(log2_prob) & ~ok
-            if not np.any(rows):
+            if np.all(ok):
                 continue
-            ln_mass = _type_terms(n, counts[rows], log2_prob[rows])[0]
+            ln_mass = _type_terms(n, counts[~ok], log2_prob[~ok])[0]
             new_top = max(top, float(np.max(ln_mass)))
             scaled = scaled * math.exp(top - new_top) + float(np.sum(np.exp(ln_mass - new_top)))
             top = new_top
@@ -371,14 +358,18 @@ def _root_cut(n: int, mass: float, blocks) -> object:
 
 def _box(n: int, p: float, delta: float) -> tuple[int, int]:
     """(lo, hi): the run of counts c = 0..n that ``_near`` admits for a
-    symbol of probability p, lo > hi if none; the strong program's boxes and
-    ``dilution``'s curtailed binomial both come from it.  c / n - p rounds
-    monotonically in c, and it is at most 0 up to m = floor(p n) and above
-    0 after, so the rule admits a suffix of 0..m and a prefix of m + 1..n:
-    one bisection finds each, judging O(log n) counts."""
+    symbol of probability p, lo > hi if none: the strong program, the strong
+    Monte Carlo draws and ``dilution``'s curtailed binomial all judge by it.
+    c / n - p rounds monotonically in c, and it is at most 0 up to
+    m = floor(p n) and above 0 after, so the rule admits a suffix of 0..m
+    and a prefix of m + 1..n: one bisection finds each, judging O(log n)
+    counts."""
     num, den = p.as_integer_ratio()
     mid = min(n, num * n // den)  # the last c with c / n <= p exactly
-    lo = bisect.bisect_left(range(mid + 1), True, key=lambda c: _near(c, n, p, delta))
+    # mid itself apart: at p = 1 and n = 2^63 - 1, 0..mid is too long for a len
+    lo = bisect.bisect_left(range(mid), True, key=lambda c: _near(c, n, p, delta))
+    if lo == mid and not _near(mid, n, p, delta):
+        lo = mid + 1
     above = bisect.bisect_left(range(mid + 1, n + 1), True,
                                key=lambda c: not _near(c, n, p, delta))
     return lo, mid + above
@@ -386,12 +377,12 @@ def _box(n: int, p: float, delta: float) -> tuple[int, int]:
 
 def _strong_program(dist: SourceDistribution, n: int, delta: float) -> tuple[float, int]:
     """(mass, exact cardinality) of the strong set at n, by a dynamic
-    program over the symbols of positive probability, with no type table.
+    program over the symbols of the support, with no type table.
 
     Strong membership is a box: each count c_i lies in its own run of
-    ``_box`` (the one strong rule), and a zero-probability symbol is absent.
-    The state is the number m of positions filled by the symbols before
-    symbol i, kept to the m from which the boxes after it can still fill n.
+    ``_box`` (the one strong rule).  The state is the number m of positions
+    filled by the symbols before symbol i, kept to the m from which the
+    boxes after it can still fill n.
     With no type cut, the mass is 1 and the count K_+^n, as in the census.
     Otherwise the count adds up C(n - m, c) times the state's count in
     exact integers, each binomial walked from the one before it.  The mass
@@ -403,7 +394,7 @@ def _strong_program(dist: SourceDistribution, n: int, delta: float) -> tuple[flo
     the product over symbols is the type's mass over R_0^n.
 
     The work, the (state, count) terms over all symbols, is refused where
-    it and the type count C(n + K - 1, K - 1) both exceed ``MAX_TYPES``:
+    it and the type count C(n + K_+ - 1, K_+ - 1) both exceed ``MAX_TYPES``:
     the terms may outnumber the types, by up to n + 1 at three symbols, so
     the program takes every table the census takes.  An n at which the
     census refuses a table of min(K_+, 3) symbols is refused too: with two
@@ -412,7 +403,7 @@ def _strong_program(dist: SourceDistribution, n: int, delta: float) -> tuple[flo
     within the census's own reach.  Memory holds one count and one mass per
     state, and one part of at most _BLOCK_ROWS words of binomials, whose
     terms are added to the next states' masses at once."""
-    probs = [float(p) for p in dist.probs if p > 0.0]
+    probs = dist.probs.tolist()
     n = n if len(probs) > 1 else 1  # one symbol's one type, c = n, has c / n = 1 at any n
     k = min(len(probs), 3)
     if (reach := math.comb(n + k - 1, k - 1)) > MAX_TYPES:
@@ -561,41 +552,49 @@ def _mc_mass(dist: SourceDistribution, n: int, delta: float, kind: str,
              samples: int, seed: int) -> tuple[float, float, float]:
     """Fraction of ``samples`` i.i.d. length-n blocks inside the set, with its
     99% interval.  A block's type has the law multinomial(n, p), so types are
-    drawn directly and judged by exact mode's own rule; the draws do not
-    depend on the chunk size."""
+    drawn directly and judged by exact mode's own rule, the weak one or each
+    count in its ``_box``; the draws do not depend on the chunk size."""
     samples = _checked_int(samples, "samples", 1, MAX_SAMPLES)
+    if kind == "strong":
+        low, high = np.array([_box(n, p, delta) for p in dist.probs.tolist()]).T
     rng = stream(seed, 0)
     hits = 0
     for done in range(0, samples, _BLOCK_ROWS):
         counts = rng.multinomial(n, dist.probs, size=min(_BLOCK_ROWS, samples - done))
-        hits += int(np.count_nonzero(_judge(dist, n, delta, kind, counts)[1]))
+        member = (np.all((low <= counts) & (counts <= high), axis=1) if kind == "strong"
+                  else _judge(dist, n, delta, counts)[1])
+        hits += int(np.count_nonzero(member))
     lo, hi = _clopper_pearson_99(hits, samples)
     return hits / samples, lo, hi
 
 
-def _check_block(n: int, delta: float) -> tuple[int, float]:
-    """(n, delta) as a Python int and float, once checked to be an integer
-    in [1, 2^63 - 1] and a real in [0, inf]; a NumPy integer would overflow
-    in the census's K^n, and the census builds its table in int64."""
+def _check_block(dist: SourceDistribution, n: int, delta: float
+                 ) -> tuple[SourceDistribution, int, float]:
+    """(support, n, delta): the one door of every exact and Monte Carlo
+    entry.  n is a Python int in [1, 2^63 - 1] (for K_+^n and the census's
+    int64 table), delta a float in [0, inf], and the support dist over its
+    symbols of positive probability, in order (dist itself if none is 0)."""
     delta = _checked_real(delta, "delta", 0.0, math.inf)
-    return _checked_int(n, "n", 1, np.iinfo(np.int64).max), delta
+    pos = dist.probs > 0.0
+    support = dist if pos.all() else SourceDistribution(dist.probs[pos])
+    return support, _checked_int(n, "n", 1, np.iinfo(np.int64).max), delta
 
 
 def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
                     mode: str, samples: int, seed: int) -> TypicalReport:
-    """The weak or strong report: exact census or Monte Carlo estimate.  In
+    """The weak or strong report of the support: exact or Monte Carlo.  In
     Monte Carlo mode the cardinality is the theoretical bound, n (H + delta)
-    for the weak set and n log2 K for the strong one."""
-    n, delta = _check_block(n, delta)
+    for the weak set and n log2 K, K the size of dist, for the strong one."""
+    support, n, delta = _check_block(dist, n, delta)
     if mode == "exact":
         if kind == "strong":
-            mass, card = _strong_program(dist, n, delta)
+            mass, card = _strong_program(support, n, delta)
         else:
-            (mass, card, _), = _census(dist, [n], delta)
+            (mass, card, _), = _census(support, [n], delta)
         return TypicalReport(n, delta, mass, _log2_bigint(card), kind,
                              mode="exact", mass_low=mass, mass_high=mass)
     if mode == "mc":
-        mass, lo, hi = _mc_mass(dist, n, delta, kind, samples, seed)
+        mass, lo, hi = _mc_mass(support, n, delta, kind, samples, seed)
         bound = (n * (dist.entropy_bits + delta) if kind == "weak"
                  else n * math.log2(len(dist)))
         return TypicalReport(n, delta, mass, bound, kind, mode="mc",
@@ -608,10 +607,10 @@ def weak_typical_mass(dist: SourceDistribution, n: int, delta: float,
                       seed: int = 0) -> TypicalReport:
     """Probability mass of the weakly typical set W_delta at block length n.
 
-    Exact mode enumerates empirical types (at most ``MAX_TYPES``, so
-    C(n + K - 1, K - 1) <= MAX_TYPES); the reported cardinality is then an
-    exact integer count in log2.  Monte Carlo mode samples i.i.d. types (at
-    most ``MAX_SAMPLES``) and reports a 99% confidence interval.
+    Exact mode enumerates empirical types of the K_+ symbols of positive
+    probability (C(n + K_+ - 1, K_+ - 1) <= ``MAX_TYPES``); the cardinality
+    is then an exact integer count in log2.  Monte Carlo mode samples
+    i.i.d. types (at most ``MAX_SAMPLES``) and reports a 99% interval.
     """
     return _typical_report(dist, n, delta, "weak", mode, samples, seed)
 
@@ -622,20 +621,20 @@ def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
     """Mass of the strongly typical set: every empirical frequency within
     delta of its probability, and zero-probability symbols absent.
 
-    Exact mode runs a program over the symbols, not the type table: at
-    most ``MAX_TYPES`` (state, count) terms, about 2 delta n + 1 counts per
-    state, or more where the type count is at most ``MAX_TYPES``, so every
-    table the census takes; and n within its reach at min(K_+, 3) symbols
-    (n + 1 <= ``MAX_TYPES`` for two symbols of positive probability, n <=
-    1998 for more); the cardinality is an exact integer count in log2.
+    Exact mode runs a program over the K_+ symbols of positive probability,
+    not the type table: at most ``MAX_TYPES`` (state, count) terms, about
+    2 delta n + 1 counts per state, or more where their type count is at
+    most ``MAX_TYPES``, so every table the census takes; and n within its
+    reach at min(K_+, 3) symbols (n + 1 <= ``MAX_TYPES`` for two, n <= 1998
+    for more); the cardinality is an exact integer count in log2.
     Monte Carlo mode is as for the weak set."""
     return _typical_report(dist, n, delta, "strong", mode, samples, seed)
 
 
 def weak_typical_census(dist: SourceDistribution, n: int, delta: float) -> tuple[float, int]:
     """(exact mass, exact integer cardinality) of the weakly typical set."""
-    n, delta = _check_block(n, delta)
-    (mass, count, _), = _census(dist, [n], delta)
+    support, n, delta = _check_block(dist, n, delta)
+    (mass, count, _), = _census(support, [n], delta)
     return mass, count
 
 
@@ -648,7 +647,7 @@ def aep_bounds_check(dist: SourceDistribution, n: int, delta: float,
     bounds and should fail on non-degenerate sources.  Comparisons happen in
     log space with relative slack 1e-12.
     """
-    n, delta = _check_block(n, delta)
+    support, n, delta = _check_block(dist, n, delta)
     if bound_delta is None:
         bound_delta = delta
     bound_delta = _checked_real(bound_delta, "bound_delta", 0.0, math.inf)
@@ -656,7 +655,7 @@ def aep_bounds_check(dist: SourceDistribution, n: int, delta: float,
     slack = 1e-12 * max(1.0, n * (h + max(delta, bound_delta)))
     lo = -n * (h + bound_delta) - slack
     hi = -n * (h - bound_delta) + slack
-    for _, _, log2_prob, ok in _judged_blocks(dist, [n], delta):
+    for _, _, log2_prob, ok in _judged_blocks(support, [n], delta):
         typical = log2_prob[ok]
         if not np.all((lo <= typical) & (typical <= hi)):
             return False

@@ -117,10 +117,10 @@ def test_export_list_is_sorted_complete_and_resolves():
 
 
 # the census engine's steps, each with one caller: one reader of the type
-# table, and one judge for the census, a single sequence and a Monte Carlo draw
+# table, and one weak judge for the census, a single sequence and a Monte
+# Carlo draw
 ONE_CALLER = {"_prefix_blocks": "typicality._judged_blocks",
-              "_log2_prob": "typicality._judge",
-              "_members": "typicality._judge"}
+              "_log2_prob": "typicality._judge"}
 
 
 def _callers(name: str) -> set:
@@ -148,9 +148,11 @@ def test_each_census_step_has_one_caller():
 
 
 # the one strong rule: _near judges a count, and _box finds the run of counts
-# it admits, for the strong program's boxes and the curtailed binomial
-STRONG_RULE = {"_near": {"typicality._members", "typicality._box"},
-               "_box": {"typicality._strong_program", "dilution._curtailed_support"}}
+# it admits, for the strong program, the strong Monte Carlo draws and the
+# curtailed binomial
+STRONG_RULE = {"_near": {"typicality._box"},
+               "_box": {"typicality._strong_program", "typicality._mc_mass",
+                        "dilution._curtailed_support"}}
 
 
 def test_the_strong_rule_has_one_home():
