@@ -42,6 +42,7 @@ from .spectra import (
     partial_trace,
 )
 from .typicality import (
+    _MAX_N,
     SourceDistribution,
     _binomial_weights,
     _box,
@@ -110,7 +111,7 @@ def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
     """
     # an infinite delta has no ebit cap ceil(n (S + delta))
     delta = _checked_real(delta, "delta", 0.0, math.inf, "[)")
-    ns = [_checked_int(n, "n", 1, np.iinfo(np.int64).max) for n in n_grid]
+    ns = [_checked_int(n, "n", 1, _MAX_N) for n in n_grid]
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
     schmidt = target if isinstance(target, Spectrum) else target.schmidt
@@ -210,10 +211,28 @@ def curtailed_binomial_pmf(p0: float, xi: float, n: int) -> tuple[np.ndarray, np
 
 def curtailed_binomial_sample(p0: float, xi: float, n: int, size: int = 1,
                               seed: int = 0) -> np.ndarray:
-    """Draw mixing counts K with |K/n - p0| <= xi from the curtailed binomial."""
+    """Draw mixing counts K with |K/n - p0| <= xi from the curtailed binomial.
+
+    The draws are those of ``stream(seed, 0).choice(ks, size, p=probs)`` over
+    the support and probabilities of ``curtailed_binomial_pmf``: uniforms u
+    from ``random(size)``, each drawing ks[#{cdf entries <= u}].  The count is
+    found by a binary search that moves every u one step at a time, down
+    the CDF padded to a power of two with 1.0, which no u reaches; NumPy's
+    ``searchsorted`` costs more on unsorted draws.
+    """
     size, rng = _checked_int(size, "size", 0), stream(seed, 0)
     ks, probs = curtailed_binomial_pmf(p0, xi, n)
-    return rng.choice(ks, size=size, p=probs)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    step = 1 << (len(cdf) - 1).bit_length()
+    padded = np.ones(step)
+    padded[:len(cdf)] = cdf
+    k = np.zeros(size, dtype=np.intp)
+    while step > 1:
+        step //= 2
+        k += (padded[step - 1:].take(k) <= u) * step
+    return ks[k]
 
 
 @dataclass(frozen=True)

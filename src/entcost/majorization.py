@@ -11,9 +11,13 @@ which consumes nothing but those suffix sums.
 Outcomes are laid out two ways.  One instrument on one state
 (``apply_instrument``, ``entropy_monotonicity_check``) is read by outcome
 label, with no trial axis, so branches may be coarse-grained into mixed
-outcomes.  A sweep stacks trials on a fixed 3 x 3 branch grid, where every
-branch is its own outcome and a branch a trial does not have is exactly
-zero, so its outcome has probability 0 and is dropped.
+outcomes; an outcome that one branch feeds is pure, with that branch's
+squared norm as its probability, and needs no grouping arithmetic.  A sweep
+stacks trials on a fixed 3 x 3 branch grid, where every branch is its own
+outcome and a branch a trial does not have is exactly zero, so its outcome
+has probability 0 and is dropped.  A sweep solves the local instruments of
+a block of trials once per local dimension, and takes one SVD per
+(d_A, d_B) for its inputs and outcomes together.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from .spectra import (
     _checked_int,
     _checked_matrix,
     _checked_rows,
-    _schmidt_rows,
     _unit_amplitudes,
+    _unit_checked,
     schmidt_decompose,
 )
 
@@ -217,7 +221,8 @@ def _instrument_outcomes(inst: ProductKrausInstrument, psi: PureBipartite) -> _O
 
     Branch k maps the amplitude matrix C to L_k C M_k^T and feeds outcome
     ``inst.outcomes[k]``; one batched product forms every branch.  An outcome
-    is pure when every branch is parallel to its largest one.  The
+    is pure when every branch is parallel to its largest one, so one that a
+    single branch feeds is pure, with that branch as its top.  The
     instrument's completeness defect must be within ``COMPLETENESS_ATOL``.
     """
     if (inst.dim_a, inst.dim_b) != (psi.dim_a, psi.dim_b):
@@ -232,12 +237,18 @@ def _instrument_outcomes(inst: ProductKrausInstrument, psi: PureBipartite) -> _O
     vecs = branches.reshape(len(branches), -1)
     norms = np.linalg.norm(vecs, axis=-1)
     norms2 = norms ** 2
-    probs = np.where(groups, norms2, 0.0).sum(axis=-1)
-    tops = np.where(groups, norms2, -1.0).argmax(axis=-1)
-    head = tops[labels]
-    overlaps = np.abs(np.einsum("ki,ki->k", vecs, vecs[head].conj())) ** 2
-    parallel = overlaps >= (1.0 - 1e-10) * norms2[head] * norms2
-    pure = ~(groups & ~parallel).any(axis=-1)
+    if len(index) == len(labels):
+        # one branch per outcome: it is the outcome's top, and the outcome
+        # is pure with that branch's squared norm as its probability
+        tops = np.argsort(labels)
+        probs, pure = norms2[tops], np.ones(len(tops), dtype=bool)
+    else:
+        probs = np.where(groups, norms2, 0.0).sum(axis=-1)
+        tops = np.where(groups, norms2, -1.0).argmax(axis=-1)
+        head = tops[labels]
+        overlaps = np.abs(np.einsum("ki,ki->k", vecs, vecs[head].conj())) ** 2
+        parallel = overlaps >= (1.0 - 1e-10) * norms2[head] * norms2
+        pure = ~(groups & ~parallel).any(axis=-1)
     keep = probs > OUTCOME_PROB_FLOOR
     return _Outcomes(probs[keep], pure[keep], tops[keep], groups[keep], branches, norms,
                      len(keep) - int(np.count_nonzero(keep)))
@@ -385,17 +396,19 @@ def _inverse_sqrt_psd(m: np.ndarray) -> np.ndarray:
 
 def _draw_kraus(rng: np.random.Generator, dim_a: int, dim_b: int, branches_a: int,
                 branches_b: int, conditioned: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian draws of a random product instrument, A side first, zero-padded
-    to the branch grid: shapes (1, 3, 2, d_A, d_A) and (3, 3, 2, d_B, d_B).
+    """Gaussian draws of a random product instrument, A side first, each copy
+    zero-padded to the branch grid: shapes (1, 3, 2, d_A, d_A) and
+    (copies, 3, 2, d_B, d_B), with one B copy per A branch when
+    ``conditioned``, else one.
 
     The draws fill (1, branches_a, 2, d_A, d_A) and (copies, branches_b, 2,
-    d_B, d_B), with one B copy per A branch when ``conditioned``, else one.
+    d_B, d_B), in that order.
     """
     z_a = np.zeros((1, _GRID, 2, dim_a, dim_a))
     z_a[:, :branches_a] = rng.standard_normal((1, branches_a, 2, dim_a, dim_a))
     copies = branches_a if conditioned else 1
-    z_b = np.zeros((_GRID, _GRID, 2, dim_b, dim_b))
-    z_b[:copies, :branches_b] = rng.standard_normal((copies, branches_b, 2, dim_b, dim_b))
+    z_b = np.zeros((copies, _GRID, 2, dim_b, dim_b))
+    z_b[:, :branches_b] = rng.standard_normal((copies, branches_b, 2, dim_b, dim_b))
     return z_a, z_b
 
 
@@ -410,18 +423,21 @@ def _local_kraus(z: np.ndarray) -> np.ndarray:
     return gs @ corr[..., None, :, :]
 
 
-def _grid(ka: np.ndarray, kb: np.ndarray,
-          conditioned: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grid(ka: np.ndarray, kb: np.ndarray, first_a: np.ndarray, first_b: np.ndarray,
+          copies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Product Kraus pairs of a stack of T trials on the 3 x 3 branch grid.
 
-    ``ka`` (T, 1, 3, d_A, d_A) and ``kb`` (T, 3, 3, d_B, d_B) hold each
-    trial's local operators.  Branch k pairs A operator k // 3 with B
-    operator k % 3 of copy (k // 3) * conditioned[t], giving stacks
+    ``ka`` (n_A, 3, d_A, d_A) and ``kb`` (n_B, 3, d_B, d_B) stack solved
+    local copies: trial t owns A copy ``first_a[t]`` and the ``copies[t]``
+    B copies from ``first_b[t]`` on.  Branch k pairs A operator k // 3 with
+    B operator k % 3 of copy min(k // 3, copies[t] - 1), its A branch's own
+    copy when conditioned, else the one copy; an A branch past the drawn
+    ones is exactly zero, whichever copy it meets.  The stacks are
     (T, 9, d_A, d_A) and (T, 9, d_B, d_B).
     """
     k = np.arange(_GRID * _GRID)
-    copies = (k // _GRID) * conditioned[:, None]
-    return ka[:, 0, k // _GRID], kb[np.arange(len(kb))[:, None], copies, k % _GRID]
+    b_copies = first_b[:, None] + np.minimum(k // _GRID, copies[:, None] - 1)
+    return ka[first_a[:, None], k // _GRID], kb[b_copies, k % _GRID]
 
 
 def random_product_instrument(rng: np.random.Generator, dim_a: int, dim_b: int,
@@ -441,7 +457,8 @@ def random_product_instrument(rng: np.random.Generator, dim_a: int, dim_b: int,
     branches_a = _checked_int(branches_a, "branches_a", 1, _GRID)
     branches_b = _checked_int(branches_b, "branches_b", 1, _GRID)
     z_a, z_b = _draw_kraus(rng, dim_a, dim_b, branches_a, branches_b, conditioned)
-    ls, ms = _grid(_local_kraus(z_a[None]), _local_kraus(z_b[None]), np.array([conditioned]))
+    first = np.zeros(1, dtype=np.intp)
+    ls, ms = _grid(_local_kraus(z_a), _local_kraus(z_b), first, first, np.array([len(z_b)]))
     k = np.arange(_GRID * _GRID)
     real = (k // _GRID < branches_a) & (k % _GRID < branches_b)
     return ProductKrausInstrument(ls[0, real], ms[0, real], tuple(range(branches_a * branches_b)))
@@ -465,7 +482,10 @@ class SweepReport:
 
 def _draw(seed: int, trial: int, max_dim: int) -> tuple:
     """Raw arrays of one sweep trial from stream (seed, trial): its amplitude
-    matrix, its instrument's Gaussian stacks on the grid and ``conditioned``.
+    matrix and its instrument's Gaussian copies, (1, 3, 2, d_A, d_A) on A and
+    (copies, 3, 2, d_B, d_B) on B, as ``_draw_kraus`` draws them.  A
+    conditioned trial draws one B copy per A branch, 2 or 3, an
+    unconditioned one draws 1, and only drawn copies are kept.
 
     The order is that of ``random_pure_state`` followed by
     ``random_product_instrument``: d_A, d_B, the amplitude matrix (real part
@@ -478,37 +498,55 @@ def _draw(seed: int, trial: int, max_dim: int) -> tuple:
     ba = int(rng.integers(2, 4))
     bb = int(rng.integers(2, 4))
     conditioned = bool(rng.integers(0, 2))
-    return (amplitudes, *_draw_kraus(rng, da, db, ba, bb, conditioned), conditioned)
+    return (amplitudes, *_draw_kraus(rng, da, db, ba, bb, conditioned))
 
 
 def _sweep_block(draws: list) -> tuple[np.ndarray, np.ndarray]:
     """Smallest tail-sum margin and completeness defect of each drawn trial.
 
-    Trials sharing (d_A, d_B) run as one stack on the branch grid, each
-    branch its own outcome.  Completeness matrices are formed, and their
-    eigenvalues taken, in one batched call each.
+    Every trial's local instruments, A and B sides together, are solved in
+    one ``_local_kraus`` call per local dimension.  Trials sharing
+    (d_A, d_B) then run as one stack on the branch grid, each branch its own
+    outcome: their completeness matrices are formed, and their eigenvalues
+    taken, in one batched call each, and one SVD gives the inputs' Schmidt
+    rows and the kept outcomes' spectra, checked together.
     """
     margins = np.empty(len(draws))
     defects = np.empty(len(draws))
-    by_dims = {}
-    for i, d in enumerate(draws):
-        by_dims.setdefault(d[0].shape, []).append(i)
-    for trials in by_dims.values():
-        amplitudes, z_a, z_b, conditioned = map(np.stack, zip(*(draws[i] for i in trials)))
-        ls, ms = _grid(_local_kraus(z_a), _local_kraus(z_b), conditioned)
+    # each trial's first A and first B copy in its dimension's stack
+    first = np.empty((len(draws), 2), dtype=np.intp)
+    copies = np.empty(len(draws), dtype=np.intp)
+    stacks, sizes, by_dims = {}, {}, {}
+    for i, (amplitudes, *zs) in enumerate(draws):
+        by_dims.setdefault(amplitudes.shape, []).append(i)
+        for side, z in enumerate(zs):
+            dim = z.shape[-1]
+            first[i, side] = sizes.get(dim, 0)
+            sizes[dim] = first[i, side] + len(z)
+            stacks.setdefault(dim, []).append(z)
+        copies[i] = len(zs[1])
+    solved = {dim: _local_kraus(np.concatenate(stack)) for dim, stack in stacks.items()}
+    for (da, db), trials in by_dims.items():
+        ls, ms = _grid(solved[da], solved[db], first[trials, 0], first[trials, 1],
+                       copies[trials])
         group_defects = _completeness_defects(_completeness_matrix(ls, ms))
         if not (group_defects <= COMPLETENESS_ATOL).all():
             raise InvariantViolation(
                 f"completeness defect {float(np.max(group_defects))!r} exceeds tolerance")
-        amplitudes = _unit_amplitudes(amplitudes)
-        lhs = _checked_rows(_schmidt_rows(amplitudes), normalized=True)
+        amplitudes = _unit_amplitudes(np.stack([draws[i][0] for i in trials]))
         branches = ls @ amplitudes[:, None] @ ms.swapaxes(-1, -2)
         norms = np.linalg.norm(branches.reshape(branches.shape[:2] + (-1,)), axis=-1)
         probs = norms ** 2
         keep = probs > OUTCOME_PROB_FLOOR
+        # the inputs' Schmidt rows and the kept outcomes' spectra, from one
+        # SVD: an input enters as a branch of norm 1
+        spectra = _outcome_spectra(
+            np.concatenate([_unit_checked(amplitudes), branches[keep]]),
+            np.concatenate([np.ones(len(trials)), norms[keep]]))
+        lhs = spectra[:len(trials)]
         # the instruments are square, so every spectrum has min(d_A, d_B) values
         rows = np.zeros(keep.shape + lhs.shape[1:])
-        rows[keep] = _outcome_spectra(branches[keep], norms[keep])
+        rows[keep] = spectra[len(trials):]
         margins[trials] = _margins(_suffix_sums(lhs), _trial_weights(probs, keep),
                                    rows).min(axis=1)
         defects[trials] = group_defects
@@ -535,13 +573,16 @@ def majorization_sweep(trials: int, max_dim: int, seed: int,
     is laid out on a 3 x 3 branch grid, 3 A branches by 3 B branches, whose
     branches it does not draw are exactly zero and feed probability-0
     outcomes, which are dropped.  Trials are computed ``_BLOCK`` at a time,
-    so memory does not grow with ``trials``.  Within a block, the trials of
-    each (d_A, d_B) share one batched product, SVD and eigenvalue call per
-    step, and every sum adds in the order a one-trial computation adds.  So
-    a trial's margin and defect are the same bits whichever trials share
-    its block, and the report is reproducible bit for bit.  ``threads``, an
-    integer >= 1, is accepted for compatibility and unused.  ``trials`` must
-    lie in [1, MAX_TRIALS] and ``max_dim`` in [2, MAX_DIM].
+    so memory does not grow with ``trials``.  Within a block, the local
+    instruments of every trial are solved in one call per local dimension,
+    the trials of each (d_A, d_B) share one batched product, SVD and
+    eigenvalue call per step, and every sum adds in the order a one-trial
+    computation adds.  Each matrix is solved, multiplied and decomposed
+    alone whatever stack holds it, so a trial's margin and defect are the
+    same bits whichever trials share its block, and the report is
+    reproducible bit for bit.  ``threads``, an integer >= 1, is accepted for
+    compatibility and unused.  ``trials`` must lie in [1, MAX_TRIALS] and
+    ``max_dim`` in [2, MAX_DIM].
     """
     trials = _checked_int(trials, "trials", 1, MAX_TRIALS)
     max_dim = _checked_int(max_dim, "max_dim", 2, MAX_DIM)

@@ -254,15 +254,21 @@ def _unit_amplitudes(c: np.ndarray) -> np.ndarray:
     return c / norms[..., None, None]
 
 
-def _schmidt_rows(c: np.ndarray) -> np.ndarray:
-    """Schmidt coefficients of each unit-norm amplitude matrix in a stack
-    (..., d_A, d_B): the squared singular values, non-increasing and
-    normalized to sum 1.  Every norm must be 1 within 1e-9."""
+def _unit_checked(c: np.ndarray) -> np.ndarray:
+    """The stack of amplitude matrices ``c`` (..., d_A, d_B), once every
+    Frobenius norm is 1 within 1e-9."""
     norms = _norms(c)
     off = ~(np.abs(norms - 1.0) <= 1e-9)
     if off.any():
         raise InvariantViolation(f"amplitude matrix has norm {float(norms[off].flat[0])!r}")
-    sq = np.clip(np.linalg.svd(c, compute_uv=False), 0.0, None) ** 2
+    return c
+
+
+def _schmidt_rows(c: np.ndarray) -> np.ndarray:
+    """Schmidt coefficients of each unit-norm amplitude matrix in a stack
+    (..., d_A, d_B): the squared singular values, non-increasing and
+    normalized to sum 1.  Every norm must be 1 within 1e-9."""
+    sq = np.clip(np.linalg.svd(_unit_checked(c), compute_uv=False), 0.0, None) ** 2
     return sq / sq.sum(axis=-1, keepdims=True)
 
 

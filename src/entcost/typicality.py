@@ -54,6 +54,7 @@ from .spectra import InvariantViolation, _checked_int, _checked_real
 
 MAX_TYPES = 2_000_000  # exact mode refuses more types, or a strong program of more terms and types
 MAX_SAMPLES = 10 ** 8  # the most blocks Monte Carlo mode draws
+_MAX_N = int(np.iinfo(np.int64).max)  # the longest block: the census's tables are int64
 _BLOCK_ROWS = 1 << 15  # rows per block of census types or Monte Carlo draws
 _ALPHA = 0.005  # each side of the 99% Clopper-Pearson interval
 _LN_ALPHA = math.log(_ALPHA)
@@ -577,7 +578,7 @@ def _check_block(dist: SourceDistribution, n: int, delta: float
     delta = _checked_real(delta, "delta", 0.0, math.inf)
     pos = dist.probs > 0.0
     support = dist if pos.all() else SourceDistribution(dist.probs[pos])
-    return support, _checked_int(n, "n", 1, np.iinfo(np.int64).max), delta
+    return support, _checked_int(n, "n", 1, _MAX_N), delta
 
 
 def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,

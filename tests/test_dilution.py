@@ -379,6 +379,23 @@ def test_curtailed_sampler_singleton_support():
     assert np.all(draws == 1)
 
 
+@pytest.mark.parametrize("p0, xi, n", [
+    (0.5, 1e-9, 2),  # a support of one count
+    (0.3, 0.05, 100), (0.3, 0.1, 100), (0.05, 0.2, 7), (0.9, 0.1, 1), (0.5, 1.0, 1),
+    # 2 001 counts, whose tails underflow: runs of equal CDF entries at 0 and 1
+    (0.5, 1.0, 2000), (0.77, 0.2, 333),
+])
+@pytest.mark.parametrize("seed", [0, 9, 2 ** 40])
+def test_curtailed_sampler_draws_what_generator_choice_draws(p0, xi, n, seed):
+    # the sampler inverts the CDF itself; its draws are choice's, bit for bit
+    ks, probs = curtailed_binomial_pmf(p0, xi, n)
+    for size in (0, 1, 10 ** 5):
+        want = stream(seed, 0).choice(ks, size=size, p=probs)
+        got = curtailed_binomial_sample(p0, xi, n, size=size, seed=seed)
+        assert got.dtype == want.dtype and got.shape == want.shape == (size,)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_converse_terms_decrease_with_epsilon():
     bell = schmidt_decompose(np.eye(2) / np.sqrt(2.0))
     rho = bell.to_density()

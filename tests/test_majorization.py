@@ -1,6 +1,7 @@
 """Suffix-sum dominance under product-Kraus instruments."""
 
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -437,6 +438,92 @@ def test_apply_instrument_matches_per_branch_loop():
     assert kinds == {"pure", "mixed"}
 
 
+def _one_branch_instruments():
+    """Instruments that feed every outcome from one branch, under labels that
+    are sorted, permuted (3- and 4-cycles among them) or not integers, each
+    with a pure input."""
+    rng = stream(21, 14)
+    for labels in [(0, 1, 2, 3), (2, 0, 3, 1), ("b", "a", "d", "c"), ("c", "a", "b", "d"),
+                   (0.5, -1.0, 2.5, 0.25), (5, 4, 3, 2, 1, 0), ("f", "a", "e", "b", "d", "c")]:
+        da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        psi = random_pure_state(rng, da, db)
+        inst = random_product_instrument(rng, da, db, 2, len(labels) // 2,
+                                         conditioned=len(labels) % 4 == 0)
+        yield psi, ProductKrausInstrument(inst.ls, inst.ms, labels)
+    # the probability-zero outcome's label sorts first
+    p0, p1, eye = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)
+    product = schmidt_decompose(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    yield product, ProductKrausInstrument((p0, p1), (eye, eye), ("y", "x"))
+
+
+def test_one_branch_outcomes_match_the_reference_and_the_grouped_path():
+    for psi, inst in _one_branch_instruments():
+        ens = apply_instrument(inst, psi)
+        want = _reference_outcomes(inst, psi)
+        assert len(ens.members) == len(want)
+        for w, member, (p, schmidt, _) in zip(ens.weights, ens.members, want):
+            assert abs(w - p) <= 1e-15
+            assert np.max(np.abs(member.schmidt.values - schmidt)) <= 1e-14
+        # a zero branch sharing the first branch's label sends the same
+        # outcomes through the grouped arithmetic, which must give the same bits
+        grouped = ProductKrausInstrument(np.concatenate([inst.ls, 0.0 * inst.ls[:1]]),
+                                         np.concatenate([inst.ms, 0.0 * inst.ms[:1]]),
+                                         inst.outcomes + inst.outcomes[:1])
+        one, many = _instrument_outcomes(inst, psi), _instrument_outcomes(grouped, psi)
+        assert one.probs.tobytes() == many.probs.tobytes()
+        assert one.tops.tolist() == many.tops.tolist()
+        assert one.pure.all() and many.pure.all()
+        assert one.dropped == many.dropped
+        again = apply_instrument(grouped, psi)
+        assert ens.weights.tobytes() == again.weights.tobytes()
+        assert [m.amplitudes.tobytes() for m in ens.members] == \
+            [m.amplitudes.tobytes() for m in again.members]
+        assert entropy_monotonicity_check(psi, inst) is entropy_monotonicity_check(psi, grouped)
+
+
+def test_draw_keeps_only_the_copies_a_trial_draws():
+    kinds = set()
+    for t in range(80):
+        rng = stream(3, t)
+        da, db = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        rng.standard_normal((da, db))
+        rng.standard_normal((da, db))
+        ba, bb, conditioned = int(rng.integers(2, 4)), int(rng.integers(2, 4)), \
+            bool(rng.integers(0, 2))
+        amplitudes, z_a, z_b = _draw(3, t, 6)
+        copies = ba if conditioned else 1
+        kinds.add(copies)
+        assert amplitudes.shape == (da, db)
+        assert z_a.shape == (1, 3, 2, da, da)
+        assert z_b.shape == (copies, 3, 2, db, db)
+        # the drawn branches are Gaussian, the grid's other branches zero
+        assert z_a[:, :ba].all() and not z_a[:, ba:].any()
+        assert z_b[:, :bb].all() and not z_b[:, bb:].any()
+    assert kinds == {1, 2, 3}
+
+
+def test_a_block_of_every_dimension_pair_gives_each_trial_its_own_bits():
+    # one trial per (d_A, d_B) in 2..MAX_DIM, conditioned where d_A + d_B is
+    # odd: one block stacks every local dimension and every shape
+    dims = range(2, majorization.MAX_DIM + 1)
+    wanted = {(da, db): bool((da + db) % 2) for da in dims for db in dims}
+    draws = {}
+    for t in range(20_000):
+        draw = _draw(5, t, majorization.MAX_DIM)
+        shape = draw[0].shape
+        if shape not in draws and (len(draw[2]) > 1) == wanted[shape]:
+            draws[shape] = draw
+            if len(draws) == len(wanted):
+                break
+    assert draws.keys() == wanted.keys()
+    draws = list(draws.values())
+    together = _sweep_block(draws)
+    alone = np.array([_sweep_block([draw]) for draw in draws])[:, :, 0].T
+    assert together[0].tobytes() == alone[0].tobytes()
+    assert together[1].tobytes() == alone[1].tobytes()
+    assert (together[1] <= majorization.COMPLETENESS_ATOL).all()
+
+
 # reports of the trial-by-trial sweep that built PureBipartite and
 # ProductKrausInstrument objects, as its repr printed them
 _PINNED_SWEEPS = [
@@ -600,3 +687,22 @@ def test_one_trial_results_are_pinned_bit_for_bit(monkeypatch):
         "336345a4bf204f72f4eeecf99585433ceeacf1478ae598a33acca271c204140b",
         "ef03c488bf00e11b9805275375bfbc545ef3695841997f5252b2dffcb86e46ee",
         "6cf98c2b71906352de3e9753993c6c8bc316f3a11db5316b5ded1bae0e35a4e0")
+
+
+def test_random_instruments_of_every_small_shape_are_pinned_bit_for_bit():
+    # every dimension 1..4, branch count 1..3 and conditioning: a stack laid
+    # out in another order takes another matmul path, which moved the last
+    # bits of d_A = 1 outcomes while every other pin held; the digest was
+    # taken before the local instruments were solved once per dimension
+    h = hashlib.sha256()
+    rng = stream(21, 15)
+    for da, db, ba, bb, conditioned in itertools.product(range(1, 5), range(1, 5), range(1, 4),
+                                                         range(1, 4), (False, True)):
+        inst = random_product_instrument(rng, da, db, ba, bb, conditioned)
+        psi = random_pure_state(rng, da, db)
+        ens = apply_instrument(inst, psi)
+        h.update(inst.ls.tobytes() + inst.ms.tobytes() + inst.completeness_defect.hex().encode()
+                 + ens.weights.tobytes())
+        for member in ens.members:
+            h.update(member.amplitudes.tobytes() + member.schmidt.values.tobytes())
+    assert h.hexdigest() == "5e421fd1df3b2ef93320663873921ae70f2b65f641c269dc58851c610eb92e26"
