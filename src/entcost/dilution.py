@@ -10,7 +10,10 @@ sqrt(1 - mass(W_delta)) in trace distance; the count and the error come
 from one ``typicality`` census, which sums the mass outside W_delta over
 its types directly where 1 - mass is small, not subtracted from 1.
 ``dilution_sweep`` drives every block, and ``pure_dilution`` is its
-one-block call.
+one-block call.  The source, the target's Schmidt spectrum as given, passes
+``typicality``'s one door once per sweep: the door drops its zero
+coefficients and checks every block length, and the census reads the
+door's record.
 
 Mixed targets are diluted member-by-member from a pure decomposition; the
 rare part beyond a cutoff is prepared wastefully and only contributes
@@ -42,11 +45,11 @@ from .spectra import (
     partial_trace,
 )
 from .typicality import (
-    _MAX_N,
     SourceDistribution,
     _binomial_weights,
     _box,
     _census,
+    _check_block,
     weak_typical_mass,
 )
 
@@ -96,8 +99,9 @@ def pure_dilution(target: PureBipartite | Spectrum, delta: float, n: int,
 def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
                    mode: str = "exact", samples: int = 100_000,
                    seed: int = 0) -> list[DilutionTrace]:
-    """Dilution traces at each block length in ``n_grid``; the source
-    distribution of the target is built once for all of them.
+    """Dilution traces at each block length in ``n_grid``.  The source, the
+    target's Schmidt spectrum, passes ``typicality``'s one door once for the
+    whole grid: the door reads its support and checks every n.
 
     The target may be the state itself or just its Schmidt spectrum.  Exact
     mode enumerates the Schmidt-coefficient types: the subspace dimension
@@ -111,13 +115,13 @@ def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
     """
     # an infinite delta has no ebit cap ceil(n (S + delta))
     delta = _checked_real(delta, "delta", 0.0, math.inf, "[)")
-    ns = [_checked_int(n, "n", 1, _MAX_N) for n in n_grid]
+    schmidt = target if isinstance(target, Spectrum) else target.schmidt
+    dist = SourceDistribution(schmidt.values)
+    source, ns, delta = _check_block(dist, n_grid, delta)
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
-    schmidt = target if isinstance(target, Spectrum) else target.schmidt
-    dist = SourceDistribution(schmidt.stripped().values)
-    h = dist.entropy_bits
-    censuses = _census(dist, ns, delta)  # drawn from in exact mode only
+    h = source.entropy_bits
+    censuses = _census(source, ns, delta)  # drawn from in exact mode only
     traces = []
     for n in ns:
         cap = math.ceil(n * (h + delta)) if h + delta > 0.0 else 0

@@ -1,8 +1,12 @@
 """Weak and strong typical sets over finite alphabets.
 
-Every exact and Monte Carlo entry passes one door, ``_check_block``, that
-drops the symbols of zero probability: past it, the census, the strong
-program and the sampler see only the K_+ symbols of positive probability.
+Every exact and Monte Carlo entry, and dilution, passes one door,
+``_check_block``, that reads the source once into one record, ``_Source``:
+the K_+ symbols of positive probability, their probabilities and log2
+probabilities, and the entropy.  Past it, the census, the strong program
+and the sampler read only that record, so none of them sees a symbol of
+zero probability; the weak judge takes its log2 probabilities from it, and
+the strong program takes its own natural logs.
 Exact weak masses and cardinalities come from one census of the empirical
 types (compositions of n into K_+ parts), built as integer count matrices
 in bounded blocks.  One reader walks that table and judges each block of
@@ -84,6 +88,20 @@ class SourceDistribution:
 
 
 @dataclass(frozen=True)
+class _Source:
+    """The support of a source, as ``_check_block`` reads it once per call
+    for every engine: ``symbols`` are the positions of the symbols of
+    positive probability in the caller's alphabet, in order, ``probs`` their
+    probabilities and ``log2_probs`` their log2.  ``entropy_bits`` is the
+    source's own, which its zero-probability symbols do not change."""
+
+    symbols: np.ndarray
+    probs: np.ndarray
+    log2_probs: np.ndarray
+    entropy_bits: float
+
+
+@dataclass(frozen=True)
 class TypicalReport:
     """Mass and size of a typical set at block length n and slack delta.
 
@@ -112,7 +130,7 @@ def is_weakly_typical(dist: SourceDistribution, x_seq, delta: float) -> bool:
     x = np.asarray(x_seq)
     if x.ndim != 1:
         raise ValueError("sequence must be one-dimensional")
-    if x.dtype.kind not in "biu":
+    if x.dtype.kind not in "iu":  # a bool is never an integer
         if x.dtype.kind != "f" or not np.all(np.isfinite(x) & (x == np.trunc(x))):
             raise ValueError("sequence symbols must be integers")
         x = x.astype(int)
@@ -120,11 +138,10 @@ def is_weakly_typical(dist: SourceDistribution, x_seq, delta: float) -> bool:
         raise ValueError("sequence must be non-empty")
     if np.any(x < 0) or np.any(x >= len(dist)):
         raise ValueError("sequence contains out-of-alphabet symbols")
-    support, n, delta = _check_block(dist, x.size, delta)
-    counts, pos = np.bincount(x, minlength=len(dist)), dist.probs > 0.0
-    if np.any(counts[~pos]):
-        return False
-    return bool(_judge(support, n, delta, counts[pos][None, :])[1][0])
+    source, (n,), delta = _check_block(dist, [x.size], delta)
+    counts = np.bincount(x, minlength=len(dist))[source.symbols]
+    # the support's counts fall short of n where a zero-probability symbol occurs
+    return bool(counts.sum() == n and _judge(source, n, delta, counts[None, :])[1][0])
 
 
 def type_count(n: int, k: int) -> int:
@@ -168,12 +185,12 @@ def _extended(head: list[np.ndarray], head_n: np.ndarray, head_sum: np.ndarray
             np.repeat(head_sum, room) + last)
 
 
-def _log2_prob(dist: SourceDistribution, counts: np.ndarray) -> np.ndarray:
+def _log2_prob(source: _Source, counts: np.ndarray) -> np.ndarray:
     """log2 p(x^n) of one sequence per type row of the support, summed
     symbol by symbol (a matrix product rounds differently and moves types on
     the window edge)."""
     log2_prob = np.zeros(len(counts))
-    for column, log2p in zip(counts.T, np.log2(dist.probs)):
+    for column, log2p in zip(counts.T, source.log2_probs):
         log2_prob += column * log2p
     return log2_prob
 
@@ -184,16 +201,16 @@ def _near(count, n, p, delta: float):
     return abs(count / n - p) <= delta
 
 
-def _judge(dist: SourceDistribution, n, delta: float,
+def _judge(source: _Source, n, delta: float,
            counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log2 p(x^n), weak membership mask) of type rows of the support: the
     one weak rule.  n is one block length or one per row, so a row's verdict
     does not depend on the rows judged with it."""
-    log2_prob = _log2_prob(dist, counts)
-    return log2_prob, np.abs(-log2_prob / n - dist.entropy_bits) <= delta
+    log2_prob = _log2_prob(source, counts)
+    return log2_prob, np.abs(-log2_prob / n - source.entropy_bits) <= delta
 
 
-def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float
+def _judged_blocks(source: _Source, ns: list[int], delta: float
                    ) -> Iterator[tuple[tuple[int, np.ndarray | None], np.ndarray, np.ndarray,
                                        np.ndarray]]:
     """((first, edges), counts, log2 p(x^n) per sequence, weak membership
@@ -210,7 +227,7 @@ def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float
     (the rows the last step of ``_prefix_blocks`` extends), each block of
     at most max(_BLOCK_ROWS, n + 1) rows.  Judging is elementwise, so each
     row reads as it would in its table alone."""
-    k = len(dist)
+    k = len(source.probs)
     totals = [math.comb(n + k - 1, k - 1) for n in ns]  # each n is checked already
     for total in totals:
         if total > MAX_TYPES:
@@ -230,7 +247,7 @@ def _judged_blocks(dist: SourceDistribution, ns: list[int], delta: float
             n_row = n_row if stop > start + 1 else ns[start]
             counts = np.column_stack([*columns, n_row - used])
             del columns, used  # counts holds a copy; hold no second while the block is summed
-            log2_prob, ok = _judge(dist, n_row, delta, counts)
+            log2_prob, ok = _judge(source, n_row, delta, counts)
             yield (start, edges), counts, log2_prob, ok
         start = stop
 
@@ -270,7 +287,7 @@ def _type_terms(n, counts: np.ndarray, log2_prob: np.ndarray) -> tuple[np.ndarra
     return np.array(ln_mult) + log2_prob * math.log(2.0), totals
 
 
-def _census(dist: SourceDistribution, ns: list[int], delta: float
+def _census(source: _Source, ns: list[int], delta: float
             ) -> Iterator[tuple[float, int, object]]:
     """(mass, exact cardinality, root cut) of the weak set at each n of ns,
     in order, from one read of the type tables of the whole grid.  Each
@@ -281,25 +298,25 @@ def _census(dist: SourceDistribution, ns: list[int], delta: float
     as soon as its table is read, so a block of tables is released once the
     caller drops the results drawn from it, and memory does not grow with
     the grid; a caller that draws nothing reads no table."""
-    blocks = itertools.groupby(_judged_blocks(dist, ns, delta),
+    blocks = itertools.groupby(_judged_blocks(source, ns, delta),
                                key=lambda block: (block[0][0], block[0][1] is None))
     for (first, split), table in blocks:
         if not split:
-            yield from _tally(dist, ns, next(table))
+            yield from _tally(source, ns, next(table))
             continue
         n = ns[first]
         if all([np.all(ok) for *_, ok in table]):  # a list: the whole table is read first
-            yield 1.0, len(dist) ** n, lambda: 0.0
+            yield 1.0, len(source.probs) ** n, lambda: 0.0
             continue
         mass, count = 0.0, 0
-        for _, counts, log2_prob, ok in _judged_blocks(dist, [n], delta):
+        for _, counts, log2_prob, ok in _judged_blocks(source, [n], delta):
             ln_mass, (block_count,) = _type_terms(n, counts[ok], log2_prob[ok])
             mass, count = mass + float(np.sum(np.exp(ln_mass))), count + block_count
         mass = min(mass, 1.0)
-        yield mass, count, _root_cut(n, mass, lambda n=n: _judged_blocks(dist, [n], delta))
+        yield mass, count, _root_cut(n, mass, lambda n=n: _judged_blocks(source, [n], delta))
 
 
-def _tally(dist: SourceDistribution, ns: list[int], block) -> Iterator[tuple[float, int, object]]:
+def _tally(source: _Source, ns: list[int], block) -> Iterator[tuple[float, int, object]]:
     """(mass, exact cardinality, root cut) of the weak set of each table of
     one judged block of whole tables of the grid ns.  One
     ``np.logical_or.reduceat`` over the table edges finds the tables with a
@@ -322,7 +339,7 @@ def _tally(dist: SourceDistribution, ns: list[int], block) -> Iterator[tuple[flo
         terms = np.exp(ln_mass)
     for i, (n, is_cut) in enumerate(zip(ns, cut)):
         if not is_cut:
-            yield 1.0, len(dist) ** n, lambda: 0.0
+            yield 1.0, len(source.probs) ** n, lambda: 0.0
             continue
         lo, hi = at[i], at[i + 1]
         mass = min(float(terms[lo:hi].sum()), 1.0)
@@ -376,7 +393,7 @@ def _box(n: int, p: float, delta: float) -> tuple[int, int]:
     return lo, mid + above
 
 
-def _strong_program(dist: SourceDistribution, n: int, delta: float) -> tuple[float, int]:
+def _strong_program(source: _Source, n: int, delta: float) -> tuple[float, int]:
     """(mass, exact cardinality) of the strong set at n, by a dynamic
     program over the symbols of the support, with no type table.
 
@@ -404,7 +421,7 @@ def _strong_program(dist: SourceDistribution, n: int, delta: float) -> tuple[flo
     within the census's own reach.  Memory holds one count and one mass per
     state, and one part of at most _BLOCK_ROWS words of binomials, whose
     terms are added to the next states' masses at once."""
-    probs = dist.probs.tolist()
+    probs = source.probs.tolist()
     n = n if len(probs) > 1 else 1  # one symbol's one type, c = n, has c / n = 1 at any n
     k = min(len(probs), 3)
     if (reach := math.comb(n + k - 1, k - 1)) > MAX_TYPES:
@@ -424,7 +441,7 @@ def _strong_program(dist: SourceDistribution, n: int, delta: float) -> tuple[flo
     work = sum(min(hi, b_next - m) - max(lo, a_next - m) + 1
                for (a, b), (lo, hi), (a_next, b_next) in zip(states, boxes, states[1:])
                for m in range(a, b + 1))
-    if work > MAX_TYPES and type_count(n, len(dist)) > MAX_TYPES:
+    if work > MAX_TYPES and type_count(n, len(probs)) > MAX_TYPES:
         raise InvariantViolation(f"{work} strong-program terms exceed the exact-mode limit "
                                  f"{MAX_TYPES}; use Monte Carlo mode")
     ln_p = [math.log(p) for p in probs]
@@ -549,7 +566,7 @@ def _clopper_pearson_99(hits: int, n: int) -> tuple[float, float]:
     return _expit(_lower_logit(hits, n)), _expit(-_lower_logit(n - hits, n))
 
 
-def _mc_mass(dist: SourceDistribution, n: int, delta: float, kind: str,
+def _mc_mass(source: _Source, n: int, delta: float, kind: str,
              samples: int, seed: int) -> tuple[float, float, float]:
     """Fraction of ``samples`` i.i.d. length-n blocks inside the set, with its
     99% interval.  A block's type has the law multinomial(n, p), so types are
@@ -557,28 +574,31 @@ def _mc_mass(dist: SourceDistribution, n: int, delta: float, kind: str,
     count in its ``_box``; the draws do not depend on the chunk size."""
     samples = _checked_int(samples, "samples", 1, MAX_SAMPLES)
     if kind == "strong":
-        low, high = np.array([_box(n, p, delta) for p in dist.probs.tolist()]).T
+        low, high = np.array([_box(n, p, delta) for p in source.probs.tolist()]).T
     rng = stream(seed, 0)
     hits = 0
     for done in range(0, samples, _BLOCK_ROWS):
-        counts = rng.multinomial(n, dist.probs, size=min(_BLOCK_ROWS, samples - done))
+        counts = rng.multinomial(n, source.probs, size=min(_BLOCK_ROWS, samples - done))
         member = (np.all((low <= counts) & (counts <= high), axis=1) if kind == "strong"
-                  else _judge(dist, n, delta, counts)[1])
+                  else _judge(source, n, delta, counts)[1])
         hits += int(np.count_nonzero(member))
     lo, hi = _clopper_pearson_99(hits, samples)
     return hits / samples, lo, hi
 
 
-def _check_block(dist: SourceDistribution, n: int, delta: float
-                 ) -> tuple[SourceDistribution, int, float]:
-    """(support, n, delta): the one door of every exact and Monte Carlo
-    entry.  n is a Python int in [1, 2^63 - 1] (for K_+^n and the census's
-    int64 table), delta a float in [0, inf], and the support dist over its
-    symbols of positive probability, in order (dist itself if none is 0)."""
+def _check_block(dist: SourceDistribution, ns, delta: float
+                 ) -> tuple[_Source, list[int], float]:
+    """(source, ns, delta): the one door; every exact and Monte Carlo
+    entry, and dilution, passes it.  delta is a float in [0, inf], each n
+    of the grid ns a Python int in [1, 2^63 - 1] (for K_+^n and the
+    census's int64 table), and source the one record of dist that the
+    engines read: its symbols of positive probability, in order, with their
+    log2 probabilities taken once, and its entropy."""
     delta = _checked_real(delta, "delta", 0.0, math.inf)
-    pos = dist.probs > 0.0
-    support = dist if pos.all() else SourceDistribution(dist.probs[pos])
-    return support, _checked_int(n, "n", 1, _MAX_N), delta
+    ns = [_checked_int(n, "n", 1, _MAX_N) for n in ns]
+    symbols = np.flatnonzero(dist.probs > 0.0)
+    probs = dist.probs[symbols]
+    return _Source(symbols, probs, np.log2(probs), dist.entropy_bits), ns, delta
 
 
 def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
@@ -586,16 +606,16 @@ def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
     """The weak or strong report of the support: exact or Monte Carlo.  In
     Monte Carlo mode the cardinality is the theoretical bound, n (H + delta)
     for the weak set and n log2 K, K the size of dist, for the strong one."""
-    support, n, delta = _check_block(dist, n, delta)
+    source, (n,), delta = _check_block(dist, [n], delta)
     if mode == "exact":
         if kind == "strong":
-            mass, card = _strong_program(support, n, delta)
+            mass, card = _strong_program(source, n, delta)
         else:
-            (mass, card, _), = _census(support, [n], delta)
+            (mass, card, _), = _census(source, [n], delta)
         return TypicalReport(n, delta, mass, _log2_bigint(card), kind,
                              mode="exact", mass_low=mass, mass_high=mass)
     if mode == "mc":
-        mass, lo, hi = _mc_mass(support, n, delta, kind, samples, seed)
+        mass, lo, hi = _mc_mass(source, n, delta, kind, samples, seed)
         bound = (n * (dist.entropy_bits + delta) if kind == "weak"
                  else n * math.log2(len(dist)))
         return TypicalReport(n, delta, mass, bound, kind, mode="mc",
@@ -634,8 +654,8 @@ def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
 
 def weak_typical_census(dist: SourceDistribution, n: int, delta: float) -> tuple[float, int]:
     """(exact mass, exact integer cardinality) of the weakly typical set."""
-    support, n, delta = _check_block(dist, n, delta)
-    (mass, count, _), = _census(support, [n], delta)
+    source, (n,), delta = _check_block(dist, [n], delta)
+    (mass, count, _), = _census(source, [n], delta)
     return mass, count
 
 
@@ -648,15 +668,15 @@ def aep_bounds_check(dist: SourceDistribution, n: int, delta: float,
     bounds and should fail on non-degenerate sources.  Comparisons happen in
     log space with relative slack 1e-12.
     """
-    support, n, delta = _check_block(dist, n, delta)
+    source, (n,), delta = _check_block(dist, [n], delta)
     if bound_delta is None:
         bound_delta = delta
     bound_delta = _checked_real(bound_delta, "bound_delta", 0.0, math.inf)
-    h = dist.entropy_bits
+    h = source.entropy_bits
     slack = 1e-12 * max(1.0, n * (h + max(delta, bound_delta)))
     lo = -n * (h + bound_delta) - slack
     hi = -n * (h - bound_delta) + slack
-    for _, _, log2_prob, ok in _judged_blocks(support, [n], delta):
+    for _, _, log2_prob, ok in _judged_blocks(source, [n], delta):
         typical = log2_prob[ok]
         if not np.all((lo <= typical) & (typical <= hi)):
             return False

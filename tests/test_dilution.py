@@ -29,7 +29,7 @@ from entcost import (
     stream,
 )
 from entcost import dilution, typicality
-from entcost.typicality import SourceDistribution, _judge
+from entcost.typicality import SourceDistribution, _check_block, _judge
 
 
 def _geometric_pure_ensemble(members: int = 24) -> Ensemble:
@@ -133,6 +133,46 @@ def test_numpy_integer_block_lengths_dilute_as_python_ints():
     assert pure_dilution(spec, 0.05, np.int64(300)) == traces[1]
 
 
+def test_a_sweep_passes_the_one_door_once(monkeypatch):
+    # dilution checked every n and stripped its spectrum itself, beside the
+    # door that every typicality entry passes; now the door reads its source
+    # once per sweep, in both modes
+    door, passes = dilution._check_block, []
+
+    def counted(*args):
+        passes.append(args)
+        return door(*args)
+    monkeypatch.setattr(dilution, "_check_block", counted)
+    spec = Spectrum(np.array([0.6, 0.3, 0.1, 0.0]))
+    for kwargs in ({}, {"mode": "mc", "samples": 2_000, "seed": 3}):
+        passes.clear()
+        assert len(dilution_sweep(spec, 0.05, [1, 7, 40], **kwargs)) == 3
+        assert len(passes) == 1
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"mode": "mc", "samples": 2_000, "seed": 3}])
+def test_zero_schmidt_coefficients_dilute_as_the_stripped_target(kwargs):
+    # the door drops the zero coefficients, so a padded spectrum and a
+    # rank-deficient state book the stripped target's ledgers bit for bit
+    def ledgers(target):
+        return [(t.n, t.ebits, t.error.hex(), t.error_high.hex(), t.error_kind)
+                for t in dilution_sweep(target, 0.05, [1, 7, 40, 120], **kwargs)]
+    padded = Spectrum(np.array([0.7, 0.3, 0.0, 0.0]))
+    assert ledgers(padded) == ledgers(padded.stripped())
+    state = schmidt_decompose(np.diag([0.6, 0.4, 0.0, 0.0])[:3] ** 0.5)  # 3 x 4, rank 2
+    assert state.schmidt.values.tolist()[2:] == [0.0]
+    assert ledgers(state) == ledgers(state.schmidt.stripped())
+
+
+def test_a_declared_tail_is_refused_before_the_block_lengths_and_the_mode():
+    # the spectrum passes the door before any n or the mode is read, so a
+    # declared tail is refused, as it always was, whatever else is wrong
+    tailed = Spectrum(np.array([0.5, 0.4]), tail_mass=0.1)
+    for n_grid, mode in (([5], "exact"), ([5], "mc"), ([0], "exact"), ([5], "bogus")):
+        with pytest.raises(InvariantViolation, match="probabilities sum to 0.9"):
+            dilution_sweep(tailed, 0.1, n_grid, mode=mode)
+
+
 def test_product_state_needs_no_entanglement():
     t = pure_dilution(Spectrum(np.array([1.0])), 0.05, 20)
     assert t.ebits == 0
@@ -169,7 +209,7 @@ def test_exact_error_sums_the_cut_types_when_the_mass_rounds_near_one():
     dist = SourceDistribution([0.75, 0.25])
     c0 = np.arange(n + 1)
     counts = np.column_stack([c0, n - c0])
-    member = _judge(dist, n, delta, counts)[1]
+    member = _judge(_check_block(dist, [n], delta)[0], n, delta, counts)[1]
     cut = Fraction(sum(math.comb(n, int(c)) * 3 ** int(c) for c in c0[~member]), 4 ** n)
     error = pure_dilution(Spectrum(np.array([0.75, 0.25])), delta, n).error
     assert error ** 2 == pytest.approx(float(cut), rel=1e-12, abs=0.0)

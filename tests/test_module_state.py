@@ -159,6 +159,19 @@ def test_the_strong_rule_has_one_home():
     assert {name: _callers(name) for name in STRONG_RULE} == STRONG_RULE
 
 
+# the one door: only it builds the source record the engines read, and
+# every typicality entry (the mass reports through _typical_report) and
+# dilution's sweep pass it
+ONE_DOOR = {"_Source": {"typicality._check_block"},
+            "_check_block": {"typicality.is_weakly_typical", "typicality._typical_report",
+                             "typicality.weak_typical_census", "typicality.aep_bounds_check",
+                             "dilution.dilution_sweep"}}
+
+
+def test_every_source_passes_one_door():
+    assert {name: _callers(name) for name in ONE_DOOR} == ONE_DOOR
+
+
 # every exported function that takes an optional parameter, with those
 # parameters in signature order; fixed limits are module constants instead
 OPTIONAL_PARAMETERS = {

@@ -20,6 +20,7 @@ from entcost import (
     tensor_state,
     trace_distance,
 )
+from entcost.spectra import NORMALIZED_ATOL, PSD_ATOL, _checked_rows
 
 
 def test_spectrum_sorted_and_normalized():
@@ -209,3 +210,54 @@ def test_schmidt_decompose_takes_one_svd(monkeypatch):
     assert calls == [(2, 3)]
     sv = svd(c / np.linalg.norm(c), compute_uv=False)
     assert np.allclose(psi.schmidt.values, sv ** 2, atol=1e-15)
+
+
+def _reference_rows(v, normalized=False):
+    """The checks of a Spectrum's values, one reduction each, clipped by
+    ``np.clip``: the oracle for ``_checked_rows``'s verdicts and bytes."""
+    if not np.isfinite(v).all():
+        raise InvariantViolation("spectrum values and tail mass must be finite")
+    if (v < -PSD_ATOL).any():
+        raise InvariantViolation("spectrum values must be non-negative")
+    if (v[..., :-1] - v[..., 1:] < -1e-12).any():
+        raise InvariantViolation("spectrum values must be non-increasing")
+    v = np.clip(v, 0.0, None)
+    if normalized:
+        total = v.sum(axis=-1)
+        off = np.abs(total - 1.0) > NORMALIZED_ATOL
+        if off.any():
+            raise InvariantViolation(
+                f"normalized spectrum has total mass {float(total[off].flat[0])!r}")
+    return v
+
+
+_EDGE_ROWS = [
+    [1.0], [-0.0], [1.0, -0.0], [1.0, 0.0, -0.0], [1.0, -1e-13], [1.0 + 1e-13, -1e-13],
+    [1.0, -1e-12], [1.0, -2e-12], [0.5, 0.5], [0.25, 0.25, 0.25, 0.25],
+    [0.5, 0.5 + 1e-12, -1e-12], [0.5, 0.5 + 2e-12], [0.5 - 1e-12, 0.5 + 1e-12],
+    [1.0 + 2e-12], [1.0 - 1e-12], [0.6, 0.4 + 1e-12], [0.6, 0.4 + 2e-12], [0.3, 0.3 + 1.3e-12],
+    [1.0, math.nan], [math.inf, 0.0], [0.5, -math.inf], [-1.0, math.nan], [0.5, 0.6, -1.0],
+    [1e300, 1e300], [1e-320, 0.0], [5e-324, -5e-324],
+]
+
+
+def _verdict(check, v, normalized):
+    try:
+        out = check(v, normalized)
+    except InvariantViolation as exc:
+        return str(exc)
+    return out.dtype.str, out.shape, out.tobytes()
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_checked_rows_keep_the_verdicts_and_bytes_of_one_check_each(normalized):
+    # the checks take two extremes and one maximum of the steps, and clip by
+    # np.maximum; -0.0 must come out +0.0, as np.clip gives it
+    rows = [np.array(row) for row in _EDGE_ROWS]
+    width = [row for row in rows if len(row) == 2]
+    stacks = [np.array(width), np.array(width[:3]).reshape(3, 1, 2), np.zeros((0, 3)),
+              np.array([[1.0], [-0.0], [1.0 - 1e-13]]),
+              np.array([[0.5, 0.5, -0.0], [0.7, 0.3, -1e-13], [0.4, 0.4, 0.2]])]
+    for v in rows + stacks + [np.stack([row, row]) for row in rows]:
+        assert _verdict(_checked_rows, v, normalized) == _verdict(_reference_rows, v, normalized), v
+    assert _checked_rows(np.array([1.0, -0.0])).tobytes() == np.array([1.0, 0.0]).tobytes()

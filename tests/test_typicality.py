@@ -69,9 +69,11 @@ def test_sequence_rate_and_membership():
 
 
 @pytest.mark.parametrize("seq", [[0.9, 1.7, 0.2], [0, 1.5], [0.0, math.nan],
-                                 [1.0, math.inf], ["0", "1"]])
+                                 [1.0, math.inf], ["0", "1"], [True, False, True],
+                                 np.array([False, True, False])])
 def test_sequence_of_non_integer_symbols_is_rejected(seq):
-    # [0.9, 1.7, 0.2] was read as [0, 1, 0] and judged typical
+    # [0.9, 1.7, 0.2] was read as [0, 1, 0] and judged typical, and
+    # [True, False, True] as [1, 0, 1]: a bool is never an integer
     with pytest.raises(ValueError, match="integers"):
         is_weakly_typical(SourceDistribution([0.7, 0.3]), seq, 0.5)
 
@@ -79,7 +81,7 @@ def test_sequence_of_non_integer_symbols_is_rejected(seq):
 def test_integral_sequences_of_any_numeric_type_are_read_as_symbols():
     d = SourceDistribution([0.7, 0.3])
     for seq in ([0, 1, 0], np.array([0, 1, 0]), np.array([0, 1, 0], dtype=np.uint8),
-                [0.0, 1.0, 0.0], [False, True, False]):
+                [0.0, 1.0, 0.0]):
         assert is_weakly_typical(d, seq, 0.5)
     assert not is_weakly_typical(d, [1.0, 1.0, 1.0], 0.5)
 
@@ -536,7 +538,8 @@ def test_binary_census_holds_one_multiplicity_at_a_time():
 
 def _census_member_types(dist, n, delta):
     """Count rows of the types the census itself counts as weak members."""
-    return [row for _, counts, _, member in typicality._judged_blocks(dist, [n], delta)
+    source, _, delta = typicality._check_block(dist, [n], delta)
+    return [row for _, counts, _, member in typicality._judged_blocks(source, [n], delta)
             for row in counts[member].tolist()]
 
 
@@ -577,10 +580,10 @@ def test_sequence_membership_is_the_census_membership():
     for probs, n in grid:
         dist = SourceDistribution(np.array(probs))
         # the census reads the support; its columns are these symbols
-        symbols = np.flatnonzero(dist.probs > 0.0)
-        support = SourceDistribution(dist.probs[symbols])
+        source, _, _ = typicality._check_block(dist, [n], 0.0)
+        symbols = source.symbols
         for delta in (0.05, 0.1):
-            (_, counts, _, member), = typicality._judged_blocks(support, [n], delta)
+            (_, counts, _, member), = typicality._judged_blocks(source, [n], delta)
             rows = range(len(counts))
             if len(probs) == 2:
                 edges = np.flatnonzero(member[1:] != member[:-1])
@@ -749,7 +752,8 @@ def test_any_sweep_books_each_block_as_its_own_one_block_call(sweep):
     # a block of several tables is tallied at once; each table, and each
     # dilution trace, keeps the bits of its census alone
     probs, delta, ns, block_rows = sweep
-    dist = SourceDistribution(probs[probs > 0.0])  # the census reads the support
+    # the census reads the support, as the door hands it over
+    dist, _, _ = typicality._check_block(SourceDistribution(probs), ns, delta)
     spec = Spectrum.from_unsorted(probs)
     with pytest.MonkeyPatch.context() as patch:
         if block_rows is not None:
@@ -826,7 +830,8 @@ def test_one_census_reads_the_type_table_as_often_as_its_regime_needs(
     ns = n if grid else [n]
     seen, walked = _reads(monkeypatch), _walked_rows(monkeypatch)
     judged = _judged_rows(monkeypatch)
-    censuses = list(typicality._census(dist, ns, delta))
+    source, _, _ = typicality._check_block(dist, ns, delta)
+    censuses = list(typicality._census(source, ns, delta))
     assert (len(seen), sum(walked)) == (reads[0], rows[0])
     # a table alone is judged block by block; the 30 binary tables in two
     # blocks, and the K = 3 tables in two: n = 150 and 140, then 150
@@ -979,6 +984,7 @@ def test_strong_program_counts_the_census_members(source):
     # the exact integer sum over the tuples of counts the rule admits
     probs, n, delta = source
     exact_mass, exact_count = _exact_strong(probs, n, delta)
-    mass, count = typicality._strong_program(SourceDistribution(probs[probs > 0.0]), n, delta)
+    source, _, _ = typicality._check_block(SourceDistribution(probs), [n], delta)
+    mass, count = typicality._strong_program(source, n, delta)
     assert count == exact_count
     assert mass == pytest.approx(float(exact_mass), rel=1e-13, abs=0.0)
