@@ -49,7 +49,15 @@ energy, inverse temperature, tolerance) is a Python or NumPy real in its
 interval, never a bool or NaN, else the error its site raises:
 ``ValueError``, or ``InvariantViolation`` for a Gibbs energy and an affine
 tail; a matrix is finite, non-empty and of its shape, else
-``InvariantViolation``.
+``InvariantViolation``; an unordered probability vector (a source's
+probabilities within 1e-12, an ensemble's weights within 1e-10) is
+non-empty and finite, non-negative within its tolerance, where a negative
+reads 0, and of total 1 within it, else ``InvariantViolation``.  No total
+warns on overflow: finite values summing past the float range give a total
+of inf, which is refused.  Beside it, one tail rule: a consumer that needs
+the full spectrum (dilution, the entropy integrals,
+``hamiltonian_for_spectrum``) refuses any declared tail mass, however
+small, with ``InvariantViolation``, and never drops it.
 """
 
 from .dilution import (

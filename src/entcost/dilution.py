@@ -10,8 +10,10 @@ sqrt(1 - mass(W_delta)) in trace distance; the count and the error come
 from one ``typicality`` census, which sums the mass outside W_delta over
 its types directly where 1 - mass is small, not subtracted from 1.
 ``dilution_sweep`` drives every block, and ``pure_dilution`` is its
-one-block call.  The source, the target's Schmidt spectrum as given, passes
-``typicality``'s one door once per sweep: the door drops its zero
+one-block call.  The source, the target's Schmidt spectrum, must declare no
+tail mass: ``spectra``'s tail rule refuses a declared tail, however small,
+and never drops it.  Its values up to the last nonzero one pass
+``typicality``'s one door once per sweep: the door drops the remaining zero
 coefficients and checks every block length, and the census reads the
 door's record.
 
@@ -42,6 +44,7 @@ from .spectra import (
     Spectrum,
     _checked_int,
     _checked_real,
+    _untailed,
     partial_trace,
 )
 from .typicality import (
@@ -100,8 +103,10 @@ def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
                    mode: str = "exact", samples: int = 100_000,
                    seed: int = 0) -> list[DilutionTrace]:
     """Dilution traces at each block length in ``n_grid``.  The source, the
-    target's Schmidt spectrum, passes ``typicality``'s one door once for the
-    whole grid: the door reads its support and checks every n.
+    target's Schmidt spectrum, passes ``spectra``'s tail rule, which refuses
+    any declared tail mass before n and the mode are read, and then
+    ``typicality``'s one door once for the whole grid: the door reads its
+    support and checks every n.
 
     The target may be the state itself or just its Schmidt spectrum.  Exact
     mode enumerates the Schmidt-coefficient types: the subspace dimension
@@ -116,7 +121,7 @@ def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
     # an infinite delta has no ebit cap ceil(n (S + delta))
     delta = _checked_real(delta, "delta", 0.0, math.inf, "[)")
     schmidt = target if isinstance(target, Spectrum) else target.schmidt
-    dist = SourceDistribution(schmidt.values)
+    dist = SourceDistribution(_untailed(schmidt, "dilution"))
     source, ns, delta = _check_block(dist, n_grid, delta)
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")

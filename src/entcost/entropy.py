@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .spectra import InvariantViolation, Spectrum, _checked_int, _checked_real
+from .spectra import Spectrum, _checked_int, _checked_real, _untailed
 
 LN2 = math.log(2.0)
 
@@ -109,17 +109,6 @@ def tail_sums(spectrum: Spectrum, count: int) -> np.ndarray:
     return out
 
 
-def _require_finite_normalized(spectrum: Spectrum) -> Spectrum:
-    """The spectrum stripped of trailing zeros, once checked to declare no tail
-    mass; every Spectrum carries total mass 1."""
-    if spectrum.tail_mass > 0.0:
-        # a positive tail puts mass below the smallest stored value, where the
-        # last cell's log(p_L / 0) diverges
-        raise InvariantViolation(
-            "integral representation needs the full spectrum (tail mass 0)")
-    return spectrum.stripped()
-
-
 def entropy_integral_closed_form(spectrum: Spectrum) -> float:
     """Entropy in bits from suffix sums, splitting the integral exactly.
 
@@ -130,11 +119,13 @@ def entropy_integral_closed_form(spectrum: Spectrum) -> float:
         sum_n [ n*(p_n - p_{n+1}) + tails[n]*ln(p_n / p_{n+1}) ]
 
     and S = (sum - 1)/ln 2.  Terms with tails[n] = 0 contribute only their
-    linear part by the 0*log convention.
+    linear part by the 0*log convention.  A declared tail mass is refused by
+    the tail rule, ``spectra._untailed``: it puts mass below the smallest
+    stored value, where the last cell's log(p_L / 0) diverges.
     """
-    sp = _require_finite_normalized(spectrum)
-    tails = _suffix_sums(sp.values)
-    q = np.concatenate(([1.0], sp.values, [0.0]))  # q[n] = p_n with the two pads
+    v = _untailed(spectrum, "the entropy integral")
+    tails = _suffix_sums(v)
+    q = np.concatenate(([1.0], v, [0.0]))  # q[n] = p_n with the two pads
     hi, lo = q[:-1], q[1:]
     ratio = np.divide(hi, lo, out=np.ones(hi.size), where=(tails > 0.0) & (hi > lo))
     total = float(np.sum(np.arange(hi.size) * (hi - lo) + tails * np.log(ratio)))
@@ -154,11 +145,11 @@ def entropy_integral_quadrature(spectrum: Spectrum) -> float:
     domain is split exactly at the eigenvalues; each cell above the smallest
     eigenvalue is integrated in log coordinates (which absorbs the 1/mu
     weight) in chunks of at most one e-fold, so 24 Gauss-Legendre nodes see a
-    smooth integrand and the result matches the closed form to ~1e-12.
+    smooth integrand and the result matches the closed form to ~1e-12.  A
+    declared tail mass is refused, as by the closed form.
     """
-    sp = _require_finite_normalized(spectrum)
-    v = sp.values
-    tails = _suffix_sums(sp.values)
+    v = _untailed(spectrum, "the entropy integral")
+    tails = _suffix_sums(v)
     nodes, weights = np.polynomial.legendre.leggauss(24)
 
     edges = np.concatenate(([1.0], v))  # cell boundaries from 1 down to p_L

@@ -23,7 +23,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .entropy import LN2, _suffix_sums, g_function
-from .spectra import InvariantViolation, Spectrum, _checked_int, _checked_matrix, _checked_real
+from .spectra import (
+    InvariantViolation,
+    Spectrum,
+    _checked_int,
+    _checked_matrix,
+    _checked_real,
+    _untailed,
+)
 
 ENERGY_RTOL = 1e-10
 _MAX_NEWTON_STEPS = 100
@@ -340,31 +347,27 @@ def _continuity_terms(h: DiagonalHamiltonian, energy: float,
             g_function(eps_prime))
 
 
-def _series_weights(a) -> np.ndarray:
-    """Diverging weights b against a non-negative summable sequence a.
+def _series_weights(a: np.ndarray) -> np.ndarray:
+    """Diverging weights b against a non-empty 1-D float array a of
+    non-negative values with a positive sum, such as the tail rule returns.
 
     Weights grow like 1 + log2(total / tail_n), with tail_n the suffix sums
     of a, so they diverge along the truncated trend wherever the suffix mass
     keeps shrinking; indices past the support continue the growth by one per
     step.  b is non-decreasing with b >= 1, and sum(a*b) <= 5 sum(a).
     """
-    arr = np.asarray(a, dtype=float).reshape(-1)
-    if arr.size == 0 or np.any(arr < 0.0):
-        raise InvariantViolation("series must be non-negative and non-empty")
-    total = float(np.sum(arr))
-    if total <= 0.0:
-        raise InvariantViolation("series must carry positive mass")
-    tails = _suffix_sums(arr)[:-1]
+    total = float(np.sum(a))
+    tails = _suffix_sums(a)[:-1]
     m = int(np.count_nonzero(tails > 0.0))  # the zero tails trail the support
-    b = np.empty(arr.size)
+    b = np.empty(a.size)
     b[:m] = 1.0 - np.log2(tails[:m] / total)
     # past the support: keep the divergence going, one per step
-    b[m - 1:] = np.cumsum(np.concatenate(([b[m - 1]], np.ones(arr.size - m))))
+    b[m - 1:] = np.cumsum(np.concatenate(([b[m - 1]], np.ones(a.size - m))))
     if np.any(b < 1.0 - 1e-12):
         raise InvariantViolation("weights must satisfy b >= 1")
     if np.any(np.diff(b) < -1e-12):
         raise InvariantViolation("weights must be non-decreasing")
-    weighted = float(np.sum(arr * b))
+    weighted = float(np.sum(a * b))
     if weighted > 5.0 * total * (1.0 + 1e-12):
         raise InvariantViolation(
             f"sum(a*b) = {weighted!r} exceeds 5 * sum(a) = {5.0 * total!r}")
@@ -378,14 +381,10 @@ def hamiltonian_for_spectrum(spectrum: Spectrum) -> DiagonalHamiltonian:
     the probability sequence itself; the largest eigenvalue sits at energy 0.
     Weights diverge while sum p_n b_n ln(1/p_n) stays within 5 times the
     entropy in nats, so the state's mean energy is finite while the
-    Hamiltonian still forces Gibbs normalizability.
+    Hamiltonian still forces Gibbs normalizability.  A declared tail mass is
+    refused by the tail rule, ``spectra._untailed``.
     """
-    sp = spectrum.stripped()
-    if sp.tail_mass > 1e-12:
-        raise InvariantViolation("need the full spectrum (tail mass 0)")
-    p = sp.values
-    if p.size == 1:
-        return DiagonalHamiltonian(np.zeros(1), None)
+    p = _untailed(spectrum, "hamiltonian_for_spectrum")
     b = _series_weights(p)
     energies = np.concatenate(([0.0], b[1:] * np.log(1.0 / p[1:])))
     return DiagonalHamiltonian(energies, None)

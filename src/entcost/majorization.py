@@ -32,6 +32,7 @@ import numpy as np
 from .entropy import _row_entropies, _suffix_sums, tail_sums, von_neumann_entropy
 from .rng import stream
 from .spectra import (
+    WEIGHT_ATOL,
     BipartiteState,
     Ensemble,
     InvariantViolation,
@@ -39,9 +40,10 @@ from .spectra import (
     Spectrum,
     _checked_int,
     _checked_matrix,
+    _checked_probs,
     _checked_rows,
+    _schmidt_rows,
     _unit_amplitudes,
-    _unit_checked,
     schmidt_decompose,
 )
 
@@ -189,11 +191,9 @@ def tail_sum_operator_inequality(a: np.ndarray, b: np.ndarray, k: np.ndarray,
 
 def _outcome_spectra(branches: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Schmidt spectrum of each branch in a stack (n, r_A, r_B), from one
-    batched SVD of the branches divided by their Frobenius norms ``norms``.
-    Every row must pass the checks of a normalized Spectrum."""
-    sq = np.maximum(np.linalg.svd(branches / norms[:, None, None], compute_uv=False),
-                    0.0) ** 2
-    return _checked_rows(sq / sq.sum(axis=1, keepdims=True), normalized=True)
+    batched ``_schmidt_rows`` of the branches divided by their Frobenius
+    norms ``norms``.  Every row must pass the checks of a normalized Spectrum."""
+    return _checked_rows(_schmidt_rows(branches / norms[:, None, None]), normalized=True)
 
 
 class _Outcomes(NamedTuple):
@@ -357,13 +357,10 @@ def _tail_dominance_entropy_check(rho_spectrum: Spectrum, weights,
     A violated precondition yields an inconclusive result (the implication
     is silent there), never a failure.
     """
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    w = _checked_probs(weights, "weights", WEIGHT_ATOL)
     members = list(member_spectra)
-    if w.size != len(members) or w.size == 0:
-        raise InvariantViolation("weights and spectra must align and be non-empty")
-    # written to reject NaN weights, which fail every comparison
-    if not abs(float(np.sum(w)) - 1.0) <= 1e-10 or not (w >= 0.0).all():
-        raise InvariantViolation("weights must be a probability vector")
+    if w.size != len(members):
+        raise InvariantViolation("weights and spectra must align")
     n_max = max(len(rho_spectrum), max(len(s) for s in members))
     min_tail_margin = float(np.min(_margins(
         tail_sums(rho_spectrum, n_max + 1), w, _padded([s.values for s in members], n_max),
@@ -540,9 +537,8 @@ def _sweep_block(draws: list) -> tuple[np.ndarray, np.ndarray]:
         keep = probs > OUTCOME_PROB_FLOOR
         # the inputs' Schmidt rows and the kept outcomes' spectra, from one
         # SVD: an input enters as a branch of norm 1
-        spectra = _outcome_spectra(
-            np.concatenate([_unit_checked(amplitudes), branches[keep]]),
-            np.concatenate([np.ones(len(trials)), norms[keep]]))
+        spectra = _outcome_spectra(np.concatenate([amplitudes, branches[keep]]),
+                                   np.concatenate([np.ones(len(trials)), norms[keep]]))
         lhs = spectra[:len(trials)]
         # the instruments are square, so every spectrum has min(d_A, d_B) values
         rows = np.zeros(keep.shape + lhs.shape[1:])

@@ -2,9 +2,9 @@
 
 Every stochastic routine in this package draws from a Philox generator keyed
 by a 64-bit experiment seed plus an integer path (trial index, restart index,
-and so on).  The same (seed, path) pair always yields the same stream, no
-matter how work is scheduled across threads, so sweeps reduce to the same
-result at any worker count.
+and so on).  The same (seed, path) pair always yields the same stream
+whatever was drawn before it, so a result does not depend on the order in
+which trials, restarts or blocks are computed.
 """
 
 from __future__ import annotations

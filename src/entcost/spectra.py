@@ -67,17 +67,34 @@ class Spectrum:
 
     @property
     def total_mass(self) -> float:
-        return float(np.sum(self.values)) + self.tail_mass
+        return float(_total(self.values)) + self.tail_mass
 
     def __len__(self) -> int:
         return int(self.values.size)
 
     def stripped(self) -> "Spectrum":
-        """Drop trailing zero values (tail mass is kept)."""
-        nz = np.nonzero(self.values)[0]
-        if nz.size == 0:
-            return Spectrum(self.values[:1], self.tail_mass)
-        return Spectrum(self.values[:nz[-1] + 1], self.tail_mass)
+        """Drop trailing zero values, keeping at least one (tail mass is kept)."""
+        nz = np.flatnonzero(self.values)
+        return Spectrum(self.values[:nz[-1] + 1 if nz.size else 1], self.tail_mass)
+
+
+def _untailed(spectrum: Spectrum, consumer: str) -> np.ndarray:
+    """The values of ``spectrum`` up to its last nonzero one, once it declares
+    no tail mass; else InvariantViolation naming ``consumer``.  The one tail
+    rule: a consumer that needs the whole distribution refuses a declared
+    tail, however small, and never drops it, since nothing says where the
+    tail's mass lies."""
+    if spectrum.tail_mass > 0.0:
+        raise InvariantViolation(f"{consumer} refuses a tail mass of {spectrum.tail_mass!r}")
+    # with no tail the values sum to 1, so one of them is nonzero
+    return spectrum.values[:np.flatnonzero(spectrum.values)[-1] + 1]
+
+
+def _total(v: np.ndarray) -> np.ndarray:
+    """The sum over the last axis of ``v``: inf, with no warning, where
+    finite values sum past the float range."""
+    with np.errstate(over="ignore"):
+        return v.sum(axis=-1)
 
 
 def _checked_rows(v: np.ndarray, normalized: bool = False) -> np.ndarray:
@@ -94,7 +111,7 @@ def _checked_rows(v: np.ndarray, normalized: bool = False) -> np.ndarray:
         raise InvariantViolation("spectrum values must be non-increasing")
     v = np.maximum(v, 0.0)
     if normalized:
-        total = v.sum(axis=-1)
+        total = _total(v)
         off = np.abs(total - 1.0) > NORMALIZED_ATOL
         if off.any():
             raise InvariantViolation(
@@ -155,6 +172,22 @@ def _checked_matrix(value, name: str, shape: tuple | None = None) -> np.ndarray:
     return m
 
 
+def _checked_probs(values, name: str, atol: float) -> np.ndarray:
+    """``values`` as a new read-only flat float array, once checked to be a
+    non-empty finite probability vector: non-negative within ``atol``, then
+    clipped at 0 (-0.0 to +0.0, as ``np.clip`` clips it), and of total 1
+    within ``atol``; else InvariantViolation naming ``name``.  The one check
+    of an unordered probability vector."""
+    p = np.asarray(values, dtype=float).reshape(-1)
+    if p.size == 0 or not np.isfinite(p).all() or p.min() < -atol:
+        raise InvariantViolation(f"{name} must be finite, non-negative and non-empty")
+    p = np.maximum(p, 0.0)
+    total = float(_total(p))
+    if not abs(total - 1.0) <= atol:
+        raise InvariantViolation(f"{name} sum to {total!r}")
+    return _readonly(p)
+
+
 @dataclass(frozen=True)
 class BipartiteState:
     """Density operator on a (dim_a x dim_b)-dimensional bipartite space.
@@ -188,8 +221,9 @@ class BipartiteState:
         object.__setattr__(self, "_estimates", {})
 
     def spectrum(self) -> Spectrum:
-        eig = np.linalg.eigvalsh(self.matrix)[::-1]
-        return Spectrum(np.clip(eig, 0.0, None))
+        # the constructor refused an eigenvalue below -PSD_ATOL, and Spectrum
+        # clips the others at 0 as np.clip does
+        return Spectrum(np.linalg.eigvalsh(self.matrix)[::-1])
 
 
 @dataclass(frozen=True)
@@ -207,7 +241,7 @@ class PureBipartite:
 
     def __post_init__(self) -> None:
         c = np.array(_checked_matrix(self.amplitudes, "amplitudes", (None, None)))
-        schmidt = Spectrum(_schmidt_rows(c))
+        schmidt = Spectrum(_schmidt_rows(_unit_checked(c)))
         object.__setattr__(self, "amplitudes", _readonly(c))
         object.__setattr__(self, "schmidt", schmidt)
 
@@ -266,10 +300,11 @@ def _unit_checked(c: np.ndarray) -> np.ndarray:
 
 
 def _schmidt_rows(c: np.ndarray) -> np.ndarray:
-    """Schmidt coefficients of each unit-norm amplitude matrix in a stack
-    (..., d_A, d_B): the squared singular values, non-increasing and
-    normalized to sum 1.  Every norm must be 1 within 1e-9."""
-    sq = np.clip(np.linalg.svd(_unit_checked(c), compute_uv=False), 0.0, None) ** 2
+    """Schmidt coefficients of each amplitude matrix in a stack
+    (..., d_A, d_B): its squared singular values, non-increasing and
+    normalized to sum 1.  The one Schmidt routine; callers check or set the
+    norms."""
+    sq = np.linalg.svd(c, compute_uv=False) ** 2
     return sq / sq.sum(axis=-1, keepdims=True)
 
 
@@ -287,28 +322,25 @@ def schmidt_decompose(amplitudes) -> PureBipartite:
 class Ensemble:
     """Finite weighted list of bipartite states on common dimensions.
 
-    Members may be PureBipartite or BipartiteState.  Weights must be
-    non-negative and sum to 1 within 1e-10.  Only finitely many members are
-    representable here; a countable preparation has to be truncated before
-    it can be stored, with the cut accounted for by the caller.
+    Members may be PureBipartite or BipartiteState.  Weights pass the
+    probability rule, ``_checked_probs``, within 1e-10.  Only finitely many
+    members are representable here; a countable preparation has to be
+    truncated before it can be stored, with the cut accounted for by the
+    caller.
     """
 
     weights: np.ndarray
     members: tuple
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        w = _checked_probs(self.weights, "weights", WEIGHT_ATOL)
         members = tuple(self.members)
-        if w.size != len(members) or w.size == 0:
-            raise InvariantViolation("weights and members must align and be non-empty")
-        if not np.all(np.isfinite(w)) or np.any(w < -WEIGHT_ATOL):
-            raise InvariantViolation("weights must be finite and non-negative")
-        if abs(float(np.sum(w)) - 1.0) > WEIGHT_ATOL:
-            raise InvariantViolation(f"weights sum to {float(np.sum(w))!r}")
+        if w.size != len(members):
+            raise InvariantViolation("weights and members must align")
         dims = {(m.dim_a, m.dim_b) for m in members}
         if len(dims) != 1:
             raise InvariantViolation(f"members live on mixed dimensions {dims}")
-        object.__setattr__(self, "weights", _readonly(np.clip(w, 0.0, None)))
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "members", members)
 
     @property

@@ -54,7 +54,13 @@ import numpy as np
 from .entropy import _shannon_bits
 from .gibbs import _MAX_NEWTON_STEPS, _newton_step
 from .rng import stream
-from .spectra import InvariantViolation, _checked_int, _checked_real
+from .spectra import (
+    NORMALIZED_ATOL,
+    InvariantViolation,
+    _checked_int,
+    _checked_probs,
+    _checked_real,
+)
 
 MAX_TYPES = 2_000_000  # exact mode refuses more types, or a strong program of more terms and types
 MAX_SAMPLES = 10 ** 8  # the most blocks Monte Carlo mode draws
@@ -68,18 +74,14 @@ _Z99 = 2.5758293035489004  # the standard normal 0.995 quantile
 @dataclass(frozen=True)
 class SourceDistribution:
     """Probability vector over a finite alphabet with its entropy, computed
-    once from the probabilities."""
+    once from the probabilities, which pass the probability rule,
+    ``spectra._checked_probs``, within 1e-12."""
 
     probs: np.ndarray
     entropy_bits: float = field(init=False)
 
     def __post_init__(self) -> None:
-        p = np.array(self.probs, dtype=float).reshape(-1)
-        if p.size == 0 or not np.all(np.isfinite(p)) or np.any(p < 0.0):
-            raise InvariantViolation("probabilities must be finite, non-negative and non-empty")
-        if abs(float(np.sum(p)) - 1.0) > 1e-12:
-            raise InvariantViolation(f"probabilities sum to {float(np.sum(p))!r}")
-        p.setflags(write=False)
+        p = _checked_probs(self.probs, "probabilities", NORMALIZED_ATOL)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "entropy_bits", _shannon_bits(p))
 

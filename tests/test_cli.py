@@ -214,6 +214,64 @@ def test_optional_integers_must_be_json_integers(tmp_path, capsys, command, para
     assert (err["kind"], err["exit_code"]) == ("schema", 2)
 
 
+def _one_record(captured, code: int) -> dict:
+    """The failure record: nothing on stdout, and one strict-JSON line on stderr."""
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    record = json.loads(captured.err, parse_constant=lambda token: pytest.fail(token))
+    assert record["error"]["exit_code"] == code
+    return record["error"]
+
+
+@pytest.mark.parametrize("config, code", [
+    ([{"command": "entropy", "params": {"spectrum": {"values": [1.0]}}}], 2),
+    ({"command": "dilute-pure", "params": {"delta": 0.05, "n_grid": [5]}}, 2),
+    ({"command": "typicality",
+      "params": {"dist": [0.5, 0.5], "n": 5, "delta": 0.1, "kind": "medium"}}, 2),
+    # a declared tail within the total-mass tolerance: dilution refuses it
+    ({"command": "dilute-pure", "params": {"schmidt": [0.7, 0.3 - 5e-13], "tail_mass": 5e-13,
+                                           "delta": 2.0, "n_grid": [10, 50, 200]}}, 3),
+])
+def test_a_refused_config_writes_one_record(tmp_path, capsys, config, code):
+    assert main(["--config", _write(tmp_path, "c.json", config)]) == code
+    _one_record(capsys.readouterr(), code)
+
+
+def test_an_unwritable_artifact_is_an_io_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json",
+                 {"command": "entropy", "params": {"spectrum": {"values": [1.0]}}})
+    out = tmp_path / "no-such-directory" / "a.json"
+    assert main(["--config", cfg, "--out", str(out)]) == 4
+    assert _one_record(capsys.readouterr(), 4)["kind"] == "io"
+    assert not out.parent.exists()
+
+
+def test_csv_without_an_out_path_goes_to_stdout(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json",
+                 {"command": "dilute-pure",
+                  "params": {"schmidt": [0.8, 0.2], "delta": 0.05, "n_grid": [5, 10]}})
+    assert main(["--config", cfg, "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == "n,ebits,cbits,error,rate"
+    assert [line.split(",")[0] for line in lines[1:]] == ["5", "10"]
+    assert [path.name for path in tmp_path.iterdir()] == ["c.json"]  # no sidecar
+
+
+def test_a_distribution_summing_past_the_float_range_prints_only_its_record(tmp_path):
+    # NumPy's "overflow encountered in reduce" warning reached stderr before
+    # the record
+    cfg = _write(tmp_path, "c.json", {"command": "typicality",
+                                      "params": {"dist": [1e308, 1e308], "n": 5, "delta": 0.1}})
+    proc = subprocess.run(RUN + ["--config", cfg], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    err = json.loads(proc.stderr)["error"]
+    assert (err["kind"], err["message"]) == ("invariant", "probabilities sum to inf")
+
+
 def test_csv_requires_tabular_command(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json",
                  {"command": "entropy",

@@ -169,7 +169,7 @@ def test_a_declared_tail_is_refused_before_the_block_lengths_and_the_mode():
     # declared tail is refused, as it always was, whatever else is wrong
     tailed = Spectrum(np.array([0.5, 0.4]), tail_mass=0.1)
     for n_grid, mode in (([5], "exact"), ([5], "mc"), ([0], "exact"), ([5], "bogus")):
-        with pytest.raises(InvariantViolation, match="probabilities sum to 0.9"):
+        with pytest.raises(InvariantViolation, match="dilution refuses a tail mass of 0.1"):
             dilution_sweep(tailed, 0.1, n_grid, mode=mode)
 
 

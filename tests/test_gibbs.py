@@ -387,6 +387,13 @@ def test_series_weights_past_the_support():
     assert list(b[3:]) == [4.0, 5.0, 6.0]
 
 
+@pytest.mark.parametrize("values", [[1.0], [1.0, 0.0]])
+def test_associated_hamiltonian_of_a_point_mass_is_one_ground_level(values):
+    h = hamiltonian_for_spectrum(Spectrum(np.array(values)))
+    assert h.energies.tobytes() == np.zeros(1).tobytes()
+    assert h.tail is None
+
+
 def test_associated_hamiltonian_second_level():
     # spectrum (0.8, 0.2): level 1 carries weight (1 - log2 0.2) * ln 5
     spec = Spectrum(np.array([0.8, 0.2]))

@@ -172,6 +172,64 @@ def test_every_source_passes_one_door():
     assert {name: _callers(name) for name in ONE_DOOR} == ONE_DOOR
 
 
+# the one probability rule and the one tail rule, both in spectra: only the
+# probability rule decides the sign and total of an unordered probability
+# vector (the two __post_init__ are Ensemble's and SourceDistribution's), and
+# only the tail rule refuses a spectrum for its declared tail mass
+ONE_RULE = {"_checked_probs": {"spectra.__post_init__", "typicality.__post_init__",
+                               "majorization._tail_dominance_entropy_check"},
+            "_untailed": {"dilution.dilution_sweep", "entropy.entropy_integral_closed_form",
+                          "entropy.entropy_integral_quadrature",
+                          "gibbs.hamiltonian_for_spectrum"}}
+
+
+def test_probabilities_and_tails_each_have_one_rule():
+    assert {name: _callers(name) for name in ONE_RULE} == ONE_RULE
+
+
+def _tail_refusers(tree: ast.Module, module: str) -> set:
+    """The functions of a module with an ``if`` on a tail mass, read as the
+    attribute or through a name bound to it, whose body raises."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        tails = {"tail_mass"} | {
+            target.id for node in ast.walk(func) if isinstance(node, ast.Assign)
+            and any(_name(read) == "tail_mass" for read in ast.walk(node.value))
+            for target in node.targets if isinstance(target, ast.Name)}
+        if any(isinstance(node, ast.If)
+               and any(_name(read) in tails for read in ast.walk(node.test))
+               and any(isinstance(raised, ast.Raise) for raised in ast.walk(node))
+               for node in ast.walk(func)):
+            found.add(f"{module}.{func.name}")
+    return found
+
+
+def test_the_tail_check_sees_each_form():
+    source = """
+def direct(spectrum):
+    if spectrum.tail_mass > 1e-12:
+        raise ValueError
+def aliased(spectrum):
+    t = float(spectrum.tail_mass)
+    if t > 0.0:
+        raise ValueError
+def carried(spectrum):
+    return spectrum.values, spectrum.tail_mass if spectrum.tail_mass > 0.0 else 0.0
+"""
+    assert _tail_refusers(ast.parse(source), "m") == {"m.direct", "m.aliased"}
+
+
+def test_only_the_tail_rule_refuses_a_declared_tail():
+    # Spectrum's constructor checks its own tail mass: finite, non-negative
+    found = set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        module = ".".join(path.relative_to(SOURCE).with_suffix("").parts)
+        found |= _tail_refusers(ast.parse(path.read_text(), filename=str(path)), module)
+    assert found == {"spectra._untailed", "spectra.__post_init__"}
+
+
 # every exported function that takes an optional parameter, with those
 # parameters in signature order; fixed limits are module constants instead
 OPTIONAL_PARAMETERS = {

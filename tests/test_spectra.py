@@ -1,6 +1,7 @@
 """State containers: ordering, normalization, Schmidt data, partial traces."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,15 @@ from entcost import (
     Ensemble,
     InvariantViolation,
     PureBipartite,
+    SourceDistribution,
     Spectrum,
+    dilution_sweep,
     ensemble_average,
+    entropy_integral_closed_form,
+    entropy_integral_quadrature,
+    hamiltonian_for_spectrum,
     partial_trace,
+    pure_dilution,
     random_density_state,
     random_pure_state,
     schmidt_decompose,
@@ -20,7 +27,15 @@ from entcost import (
     tensor_state,
     trace_distance,
 )
-from entcost.spectra import NORMALIZED_ATOL, PSD_ATOL, _checked_rows
+from entcost.majorization import _tail_dominance_entropy_check
+from entcost.spectra import (
+    NORMALIZED_ATOL,
+    PSD_ATOL,
+    WEIGHT_ATOL,
+    _checked_probs,
+    _checked_rows,
+    _untailed,
+)
 
 
 def test_spectrum_sorted_and_normalized():
@@ -261,3 +276,81 @@ def test_checked_rows_keep_the_verdicts_and_bytes_of_one_check_each(normalized):
     for v in rows + stacks + [np.stack([row, row]) for row in rows]:
         assert _verdict(_checked_rows, v, normalized) == _verdict(_reference_rows, v, normalized), v
     assert _checked_rows(np.array([1.0, -0.0])).tobytes() == np.array([1.0, 0.0]).tobytes()
+
+
+@pytest.mark.parametrize("atol", [NORMALIZED_ATOL, WEIGHT_ATOL])
+def test_the_probability_rule_clips_within_its_tolerance_and_refuses_beyond(atol):
+    # a negative within atol reads 0, and -0.0 reads +0.0, as np.clip gives them
+    values = np.array([0.5, 0.5 + atol / 2, -atol / 2, -0.0])
+    got = _checked_probs(values, "p", atol)
+    assert got.tobytes() == np.array([0.5, 0.5 + atol / 2, 0.0, 0.0]).tobytes()
+    assert not got.flags.writeable
+    values[0] = 0.0  # the rule returns a new array
+    assert got[0] == 0.5
+    assert _checked_probs(np.array([[0.25, 0.75]]), "p", atol).shape == (2,)
+    for bad in ([], [math.nan, 1.0], [1.0, math.inf], [1.0 + 2 * atol, -2 * atol]):
+        with pytest.raises(InvariantViolation,
+                           match="^p must be finite, non-negative and non-empty$"):
+            _checked_probs(bad, "p", atol)
+    for bad, total in (([0.5, 0.4], "0.9"), ([0.5, 0.5 + 2 * atol], repr(1.0 + 2 * atol))):
+        with pytest.raises(InvariantViolation, match=f"^p sum to {total}$"):
+            _checked_probs(bad, "p", atol)
+
+
+def test_sources_and_tail_dominance_weights_clip_negatives_within_their_tolerance():
+    # both refused even -1e-300 before they took the probability rule
+    dist = SourceDistribution([0.5, 0.5 + 1e-13, -1e-13])
+    assert dist.probs.tolist() == [0.5, 0.5 + 1e-13, 0.0]
+    assert dist.entropy_bits == SourceDistribution([0.5, 0.5 + 1e-13, 0.0]).entropy_bits
+    rho, members = Spectrum(np.array([0.5, 0.5])), [Spectrum(np.array([1.0]))] * 2
+    assert (_tail_dominance_entropy_check(rho, [1.0 + 1e-11, -1e-11], members)
+            == _tail_dominance_entropy_check(rho, [1.0 + 1e-11, 0.0], members))
+    with pytest.raises(InvariantViolation, match="^weights must be finite"):
+        _tail_dominance_entropy_check(rho, [1.0 + 2e-10, -2e-10], members)
+
+
+_PSI = random_pure_state(stream(7, 6), 2, 2)
+
+
+@pytest.mark.parametrize("build", [
+    SourceDistribution,
+    lambda v: Spectrum(np.array(v)),
+    lambda v: _checked_rows(np.array([v]), normalized=True),
+    lambda v: Ensemble(np.array(v), (_PSI, _PSI)),
+    lambda v: _tail_dominance_entropy_check(Spectrum(np.array([0.5, 0.5])), v,
+                                            [Spectrum(np.array([1.0]))] * 2),
+])
+def test_a_total_past_the_float_range_is_refused_with_no_warning(build):
+    # NumPy warned "overflow encountered in reduce" before each refusal, and
+    # under -W error the warning escaped in place of the InvariantViolation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match="(sum to|total mass) inf$"):
+            build([1e308, 1e308])
+
+
+# within the total-mass tolerance, so only the tail rule can refuse it
+_TAILED = Spectrum(np.array([0.7, 0.3 - 5e-13]), tail_mass=5e-13)
+
+
+@pytest.mark.parametrize("consumer, consume", [
+    ("dilution", lambda s: dilution_sweep(s, 2.0, [10, 50, 200])),
+    ("dilution", lambda s: pure_dilution(s, 2.0, 10, mode="mc", samples=100)),
+    # refused before the block lengths and the mode are read
+    ("dilution", lambda s: dilution_sweep(s, 2.0, [0])),
+    ("dilution", lambda s: dilution_sweep(s, 2.0, [10], mode="bogus")),
+    ("the entropy integral", entropy_integral_closed_form),
+    ("the entropy integral", entropy_integral_quadrature),
+    ("hamiltonian_for_spectrum", hamiltonian_for_spectrum),
+])
+def test_every_consumer_of_the_full_spectrum_refuses_a_declared_tail(consumer, consume):
+    # dilution booked error 0.0 of kind exact on this spectrum, and
+    # hamiltonian_for_spectrum let any tail up to 1e-12 through
+    with pytest.raises(InvariantViolation, match=f"^{consumer} refuses a tail mass of 5e-13$"):
+        consume(_TAILED)
+
+
+@pytest.mark.parametrize("values", [[1.0], [1.0, 0.0], [0.5, 0.5], [0.6, 0.4, 0.0, 0.0]])
+def test_the_tail_rule_reads_the_values_up_to_the_last_nonzero_one(values):
+    s = Spectrum(np.array(values))
+    assert _untailed(s, "x").tobytes() == s.stripped().values.tobytes()
