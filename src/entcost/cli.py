@@ -181,8 +181,7 @@ def _run_eof(params, seed):
 def _run_dilute_pure(params, seed):
     what = "dilute-pure"
     if "schmidt" in params:
-        schmidt = Spectrum(read_list(params, "schmidt", what, float),
-                           read(params, "tail_mass", what, float, 0.0))
+        schmidt = Spectrum(read_list(params, "schmidt", what, float))
     elif "amplitudes" in params:
         schmidt = pure_from_json(params).schmidt
     else:

@@ -73,9 +73,11 @@ class Spectrum:
         return int(self.values.size)
 
     def stripped(self) -> "Spectrum":
-        """Drop trailing zero values, keeping at least one (tail mass is kept)."""
-        nz = np.flatnonzero(self.values)
-        return Spectrum(self.values[:nz[-1] + 1 if nz.size else 1], self.tail_mass)
+        """Drop trailing zero values (tail mass is kept)."""
+        nz = np.nonzero(self.values)[0]
+        if nz.size == 0:
+            return Spectrum(self.values[:1], self.tail_mass)
+        return Spectrum(self.values[:nz[-1] + 1], self.tail_mass)
 
 
 def _untailed(spectrum: Spectrum, consumer: str) -> np.ndarray:
@@ -174,18 +176,17 @@ def _checked_matrix(value, name: str, shape: tuple | None = None) -> np.ndarray:
 
 def _checked_probs(values, name: str, atol: float) -> np.ndarray:
     """``values`` as a new read-only flat float array, once checked to be a
-    non-empty finite probability vector: non-negative within ``atol``, then
-    clipped at 0 (-0.0 to +0.0, as ``np.clip`` clips it), and of total 1
-    within ``atol``; else InvariantViolation naming ``name``.  The one check
-    of an unordered probability vector."""
+    non-empty finite probability vector: non-negative within ``atol`` and of
+    total 1 within ``atol``, then clipped at 0 (-0.0 to +0.0, as ``np.clip``
+    clips it); else InvariantViolation naming ``name``.  The one check of an
+    unordered probability vector."""
     p = np.asarray(values, dtype=float).reshape(-1)
     if p.size == 0 or not np.isfinite(p).all() or p.min() < -atol:
         raise InvariantViolation(f"{name} must be finite, non-negative and non-empty")
-    p = np.maximum(p, 0.0)
     total = float(_total(p))
     if not abs(total - 1.0) <= atol:
         raise InvariantViolation(f"{name} sum to {total!r}")
-    return _readonly(p)
+    return _readonly(np.maximum(p, 0.0))
 
 
 @dataclass(frozen=True)

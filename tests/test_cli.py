@@ -228,9 +228,6 @@ def _one_record(captured, code: int) -> dict:
     ({"command": "dilute-pure", "params": {"delta": 0.05, "n_grid": [5]}}, 2),
     ({"command": "typicality",
       "params": {"dist": [0.5, 0.5], "n": 5, "delta": 0.1, "kind": "medium"}}, 2),
-    # a declared tail within the total-mass tolerance: dilution refuses it
-    ({"command": "dilute-pure", "params": {"schmidt": [0.7, 0.3 - 5e-13], "tail_mass": 5e-13,
-                                           "delta": 2.0, "n_grid": [10, 50, 200]}}, 3),
 ])
 def test_a_refused_config_writes_one_record(tmp_path, capsys, config, code):
     assert main(["--config", _write(tmp_path, "c.json", config)]) == code

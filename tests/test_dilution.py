@@ -166,11 +166,14 @@ def test_zero_schmidt_coefficients_dilute_as_the_stripped_target(kwargs):
 
 def test_a_declared_tail_is_refused_before_the_block_lengths_and_the_mode():
     # the spectrum passes the door before any n or the mode is read, so a
-    # declared tail is refused, as it always was, whatever else is wrong
-    tailed = Spectrum(np.array([0.5, 0.4]), tail_mass=0.1)
-    for n_grid, mode in (([5], "exact"), ([5], "mc"), ([0], "exact"), ([5], "bogus")):
-        with pytest.raises(InvariantViolation, match="dilution refuses a tail mass of 0.1"):
-            dilution_sweep(tailed, 0.1, n_grid, mode=mode)
+    # declared tail is refused whatever else is wrong; the second tail lies
+    # within the total-mass tolerance, so only the tail rule refuses it
+    for values, tail in (([0.5, 0.4], 0.1), ([0.7, 0.3 - 5e-13], 5e-13)):
+        tailed = Spectrum(np.array(values), tail_mass=tail)
+        for n_grid, mode in (([5], "exact"), ([5], "mc"), ([0], "exact"), ([5], "bogus")):
+            with pytest.raises(InvariantViolation,
+                               match=f"^dilution refuses a tail mass of {tail!r}$"):
+                dilution_sweep(tailed, 0.1, n_grid, mode=mode)
 
 
 def test_product_state_needs_no_entanglement():

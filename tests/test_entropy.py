@@ -212,8 +212,10 @@ def test_integral_requires_normalized_no_tail():
                                       entropy_integral_quadrature])
 def test_integral_rejects_any_positive_tail(integral):
     # within the total-mass tolerance, yet log(p_L / 0) would diverge
-    with pytest.raises(InvariantViolation):
-        integral(Spectrum(np.array([0.6, 0.4]), tail_mass=1e-13))
+    for values, tail in (([0.6, 0.4], 1e-13), ([0.7, 0.3 - 5e-13], 5e-13)):
+        with pytest.raises(InvariantViolation,
+                           match=f"^the entropy integral refuses a tail mass of {tail!r}$"):
+            integral(Spectrum(np.array(values), tail_mass=tail))
 
 
 def test_pointwise_min_convention():

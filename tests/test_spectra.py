@@ -15,11 +15,8 @@ from entcost import (
     Spectrum,
     dilution_sweep,
     ensemble_average,
-    entropy_integral_closed_form,
-    entropy_integral_quadrature,
     hamiltonian_for_spectrum,
     partial_trace,
-    pure_dilution,
     random_density_state,
     random_pure_state,
     schmidt_decompose,
@@ -335,17 +332,13 @@ _TAILED = Spectrum(np.array([0.7, 0.3 - 5e-13]), tail_mass=5e-13)
 
 @pytest.mark.parametrize("consumer, consume", [
     ("dilution", lambda s: dilution_sweep(s, 2.0, [10, 50, 200])),
-    ("dilution", lambda s: pure_dilution(s, 2.0, 10, mode="mc", samples=100)),
-    # refused before the block lengths and the mode are read
-    ("dilution", lambda s: dilution_sweep(s, 2.0, [0])),
-    ("dilution", lambda s: dilution_sweep(s, 2.0, [10], mode="bogus")),
-    ("the entropy integral", entropy_integral_closed_form),
-    ("the entropy integral", entropy_integral_quadrature),
     ("hamiltonian_for_spectrum", hamiltonian_for_spectrum),
 ])
-def test_every_consumer_of_the_full_spectrum_refuses_a_declared_tail(consumer, consume):
-    # dilution booked error 0.0 of kind exact on this spectrum, and
-    # hamiltonian_for_spectrum let any tail up to 1e-12 through
+def test_a_tail_within_the_total_tolerance_is_refused_not_dropped(consumer, consume):
+    # dilution booked error 0.0 of kind exact on this spectrum at every n,
+    # and hamiltonian_for_spectrum let any tail up to 1e-12 through; the
+    # entropy integrals and the other dilution paths are checked with it in
+    # test_entropy.py and test_dilution.py
     with pytest.raises(InvariantViolation, match=f"^{consumer} refuses a tail mass of 5e-13$"):
         consume(_TAILED)
 
