@@ -14,8 +14,9 @@ one-block call.  The source, the target's Schmidt spectrum, must declare no
 tail mass: ``spectra``'s tail rule refuses a declared tail, however small,
 and never drops it.  Its values up to the last nonzero one pass
 ``typicality``'s one door once per sweep: the door drops the remaining zero
-coefficients and checks every block length, and the census reads the
-door's record.
+coefficients and checks every block length, and the census or, in Monte
+Carlo mode, the sampler reads the door's record.  ``samples`` and ``seed``
+are checked once per sweep in either mode.
 
 Mixed targets are diluted member-by-member from a pure decomposition; the
 rare part beyond a cutoff is prepared wastefully and only contributes
@@ -48,12 +49,13 @@ from .spectra import (
     partial_trace,
 )
 from .typicality import (
+    MAX_SAMPLES,
     SourceDistribution,
     _binomial_weights,
     _box,
     _census,
     _check_block,
-    weak_typical_mass,
+    _mc_mass,
 )
 
 
@@ -106,23 +108,27 @@ def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
     target's Schmidt spectrum, passes ``spectra``'s tail rule, which refuses
     any declared tail mass before n and the mode are read, and then
     ``typicality``'s one door once for the whole grid: the door reads its
-    support and checks every n.
+    support and checks every n.  ``samples`` (an integer in [1,
+    ``typicality.MAX_SAMPLES``]) and ``seed`` (any integer) are checked
+    next, in both modes and even for an empty grid, and then the mode.
 
     The target may be the state itself or just its Schmidt spectrum.  Exact
     mode enumerates the Schmidt-coefficient types: the subspace dimension
     |W_delta| is an exact integer and the error sqrt(1 - mass(W_delta)) is
     exact; below 1 - mass = 1e-6 it is the square root of the cut types'
-    mass, summed directly.  Monte Carlo mode estimates the mass and books
-    the theoretical ceil(n(S + delta)) ebits instead.  Every input is
-    checked before any census; each n must be a Python or NumPy integer
-    below 2^63.  Exact mode reads the type tables of the whole grid in one
-    census pass and books each n as it comes, with the bits it gets alone.
+    mass, summed directly.  Monte Carlo mode estimates the mass, sampling
+    each n from the door's one record, and books the theoretical
+    ceil(n(S + delta)) ebits instead.  Every input is checked before any
+    census or draw; each n must be a Python or NumPy integer below 2^63.
+    Exact mode reads the type tables of the whole grid in one census pass
+    and books each n as it comes, with the bits it gets alone.
     """
     # an infinite delta has no ebit cap ceil(n (S + delta))
     delta = _checked_real(delta, "delta", 0.0, math.inf, "[)")
-    schmidt = target if isinstance(target, Spectrum) else target.schmidt
-    dist = SourceDistribution(_untailed(schmidt, "dilution"))
-    source, ns, delta = _check_block(dist, n_grid, delta)
+    schmidt = _untailed(target if isinstance(target, Spectrum) else target.schmidt, "dilution")
+    source, ns, delta = _check_block(SourceDistribution(schmidt), n_grid, delta)
+    samples = _checked_int(samples, "samples", 1, MAX_SAMPLES)
+    seed = _checked_int(seed, "seed", None)
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
     h = source.entropy_bits
@@ -136,11 +142,9 @@ def dilution_sweep(target: PureBipartite | Spectrum, delta: float, n_grid,
             error = root_cut()
             error_high, kind = error, "exact"
         else:
-            report = weak_typical_mass(dist, n, delta, mode="mc",
-                                       samples=samples, seed=seed)
-            ebits = cap
-            error = math.sqrt(max(0.0, 1.0 - report.mass))
-            error_high, kind = math.sqrt(1.0 - report.mass_low), "mc-estimate"
+            mass, mass_low, _ = _mc_mass(source, n, delta, "weak", samples, seed)
+            ebits, error = cap, math.sqrt(max(0.0, 1.0 - mass))
+            error_high, kind = math.sqrt(1.0 - mass_low), "mc-estimate"
         traces.append(DilutionTrace(n, ebits, min(1.0, error), kind,
                                     min(1.0, error_high)))
     return traces

@@ -6,7 +6,11 @@ the K_+ symbols of positive probability, their probabilities and log2
 probabilities, and the entropy.  Past it, the census, the strong program
 and the sampler read only that record, so none of them sees a symbol of
 zero probability; the weak judge takes its log2 probabilities from it, and
-the strong program takes its own natural logs.
+the strong program takes the natural logs of its probabilities and of their
+suffix sums, which ``entropy._suffix_sums`` adds.  The two entries that can
+sample, the mass reports and dilution's sweep, check ``samples`` and
+``seed`` once per call in either mode, before any census or draw, and pass
+the door once; the sampler reads the record that pass made.
 Exact weak masses and cardinalities come from one census of the empirical
 types (compositions of n into K_+ parts), built as integer count matrices
 in bounded blocks.  One reader walks that table and judges each block of
@@ -51,7 +55,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .entropy import _shannon_bits
+from .entropy import _shannon_bits, _suffix_sums
 from .gibbs import _MAX_NEWTON_STEPS, _newton_step
 from .rng import stream
 from .spectra import (
@@ -408,10 +412,11 @@ def _strong_program(source: _Source, n: int, delta: float) -> tuple[float, int]:
     exact integers, each binomial walked from the one before it.  The mass
     multiplies conditional binomial terms, C(r, c) q^c (1 - q)^(r - c) with
     r = n - m and q = p_i / R_i, where R_i is the probability of symbol i
-    and the ones after it; each is exp of ln C(r, c), taken from the exact
-    integer, plus c ln p_i + (r - c) ln R_(i+1) - r ln R_i, so no term
-    overflows.  The last symbol takes the positions left, with term 1, and
-    the product over symbols is the type's mass over R_0^n.
+    and the ones after it, the suffix sums of ``entropy._suffix_sums``;
+    each is exp of ln C(r, c), taken from the exact integer, plus
+    c ln p_i + (r - c) ln R_(i+1) - r ln R_i, so no term overflows.  The
+    last symbol takes the positions left, with term 1, and the product over
+    symbols is the type's mass over R_0^n.
 
     The work, the (state, count) terms over all symbols, is refused where
     it and the type count C(n + K_+ - 1, K_+ - 1) both exceed ``MAX_TYPES``:
@@ -447,7 +452,7 @@ def _strong_program(source: _Source, n: int, delta: float) -> tuple[float, int]:
         raise InvariantViolation(f"{work} strong-program terms exceed the exact-mode limit "
                                  f"{MAX_TYPES}; use Monte Carlo mode")
     ln_p = [math.log(p) for p in probs]
-    ln_rest = [math.log(r) for r in itertools.accumulate(reversed(probs))][::-1]
+    ln_rest = [math.log(r) for r in _suffix_sums(source.probs)[:-1].tolist()]
     mass, count = np.ones(1), [1]
     for i, ((a, b), (lo, hi), (a_next, b_next)) in enumerate(zip(states, boxes, states[1:])):
         # the states after the last level are only summed, so they share one slot
@@ -573,8 +578,9 @@ def _mc_mass(source: _Source, n: int, delta: float, kind: str,
     """Fraction of ``samples`` i.i.d. length-n blocks inside the set, with its
     99% interval.  A block's type has the law multinomial(n, p), so types are
     drawn directly and judged by exact mode's own rule, the weak one or each
-    count in its ``_box``; the draws do not depend on the chunk size."""
-    samples = _checked_int(samples, "samples", 1, MAX_SAMPLES)
+    count in its ``_box``; the draws do not depend on the chunk size.  Its
+    two callers have checked ``samples`` (in [1, ``MAX_SAMPLES``]) and
+    ``seed``, and ``source`` is the record of their one pass of the door."""
     if kind == "strong":
         low, high = np.array([_box(n, p, delta) for p in source.probs.tolist()]).T
     rng = stream(seed, 0)
@@ -605,10 +611,15 @@ def _check_block(dist: SourceDistribution, ns, delta: float
 
 def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
                     mode: str, samples: int, seed: int) -> TypicalReport:
-    """The weak or strong report of the support: exact or Monte Carlo.  In
+    """The weak or strong report of the support: exact or Monte Carlo.
+    ``samples`` and ``seed`` are checked in either mode, after the door and
+    before the mode is read.  Past the door only its record is read: in
     Monte Carlo mode the cardinality is the theoretical bound, n (H + delta)
-    for the weak set and n log2 K, K the size of dist, for the strong one."""
+    for the weak set and n log2 K_+, K_+ the size of the support, for the
+    strong one."""
     source, (n,), delta = _check_block(dist, [n], delta)
+    samples = _checked_int(samples, "samples", 1, MAX_SAMPLES)
+    seed = _checked_int(seed, "seed", None)
     if mode == "exact":
         if kind == "strong":
             mass, card = _strong_program(source, n, delta)
@@ -618,9 +629,8 @@ def _typical_report(dist: SourceDistribution, n: int, delta: float, kind: str,
                              mode="exact", mass_low=mass, mass_high=mass)
     if mode == "mc":
         mass, lo, hi = _mc_mass(source, n, delta, kind, samples, seed)
-        bound = (n * (dist.entropy_bits + delta) if kind == "weak"
-                 else n * math.log2(len(dist)))
-        return TypicalReport(n, delta, mass, bound, kind, mode="mc",
+        bits = source.entropy_bits + delta if kind == "weak" else math.log2(len(source.probs))
+        return TypicalReport(n, delta, mass, n * bits, kind, mode="mc",
                              samples=samples, mass_low=lo, mass_high=hi)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -634,6 +644,9 @@ def weak_typical_mass(dist: SourceDistribution, n: int, delta: float,
     probability (C(n + K_+ - 1, K_+ - 1) <= ``MAX_TYPES``); the cardinality
     is then an exact integer count in log2.  Monte Carlo mode samples
     i.i.d. types (at most ``MAX_SAMPLES``) and reports a 99% interval.
+    ``samples`` (an integer in [1, ``MAX_SAMPLES``]) and ``seed`` (any
+    integer) are checked in both modes, though only Monte Carlo mode reads
+    them.
     """
     return _typical_report(dist, n, delta, "weak", mode, samples, seed)
 
@@ -650,7 +663,8 @@ def strong_typical_mass(dist: SourceDistribution, n: int, delta: float,
     most ``MAX_TYPES``, so every table the census takes; and n within its
     reach at min(K_+, 3) symbols (n + 1 <= ``MAX_TYPES`` for two, n <= 1998
     for more); the cardinality is an exact integer count in log2.
-    Monte Carlo mode is as for the weak set."""
+    Monte Carlo mode is as for the weak set, with the bound n log2 K_+;
+    ``samples`` and ``seed`` are checked in both modes, as there."""
     return _typical_report(dist, n, delta, "strong", mode, samples, seed)
 
 

@@ -141,6 +141,17 @@ INTEGERS = [
     ("n", lambda v: DilutionTrace(v, 3, 0.1), 4, 0),
     ("ebits", lambda v: DilutionTrace(4, v, 0.1), 3, -1),
     ("threads", lambda v: majorization_sweep(2, 3, 1, threads=v), 1, 0),
+    # samples and seed are checked in exact mode too, and by a Monte Carlo
+    # sweep of an empty grid, which draws nothing
+    ("samples", lambda v: weak_typical_mass(DIST, 10, 0.1, samples=v), 50, 0),
+    ("seed", lambda v: weak_typical_mass(DIST, 10, 0.1, seed=v), 3, None),
+    ("samples", lambda v: strong_typical_mass(DIST, 10, 0.1, samples=v), 50, 0),
+    ("seed", lambda v: strong_typical_mass(DIST, 10, 0.1, seed=v), 3, None),
+    ("samples", lambda v: dilution_sweep(SPEC, 0.1, [5, 10], samples=v), 50, 0),
+    ("seed", lambda v: dilution_sweep(SPEC, 0.1, [5, 10], seed=v), 3, None),
+    ("samples", lambda v: dilution_sweep(SPEC, 0.1, [], mode="mc", samples=v), 50, 0),
+    ("seed", lambda v: dilution_sweep(SPEC, 0.1, [], mode="mc", seed=v), 3, None),
+    ("samples", lambda v: pure_dilution(SPEC, 0.1, 10, samples=v), 50, 0),
 ]
 
 

@@ -228,6 +228,11 @@ def _one_record(captured, code: int) -> dict:
     ({"command": "dilute-pure", "params": {"delta": 0.05, "n_grid": [5]}}, 2),
     ({"command": "typicality",
       "params": {"dist": [0.5, 0.5], "n": 5, "delta": 0.1, "kind": "medium"}}, 2),
+    # exact mode never reads samples, but checks it as Monte Carlo mode does
+    ({"command": "typicality",
+      "params": {"dist": [0.5, 0.5], "n": 5, "delta": 0.1, "samples": 0}}, 2),
+    ({"command": "dilute-pure",
+      "params": {"schmidt": [0.8, 0.2], "delta": 0.05, "n_grid": [5], "samples": 0}}, 2),
 ])
 def test_a_refused_config_writes_one_record(tmp_path, capsys, config, code):
     assert main(["--config", _write(tmp_path, "c.json", config)]) == code

@@ -150,6 +150,22 @@ def test_a_sweep_passes_the_one_door_once(monkeypatch):
         assert len(passes) == 1
 
 
+def test_a_monte_carlo_sweep_samples_from_its_own_door_pass(monkeypatch):
+    # the Monte Carlo sweep called weak_typical_mass for each n, which passed
+    # the door again: four passes for three block lengths
+    door, passes = typicality._check_block, []
+
+    def counted(*args):
+        passes.append(args)
+        return door(*args)
+    monkeypatch.setattr(typicality, "_check_block", counted)
+    monkeypatch.setattr(dilution, "_check_block", counted)
+    spec = Spectrum(np.array([0.6, 0.3, 0.1, 0.0]))
+    traces = dilution_sweep(spec, 0.05, [1, 7, 40], mode="mc", samples=2_000, seed=3)
+    assert [t.error_kind for t in traces] == ["mc-estimate"] * 3
+    assert len(passes) == 1
+
+
 @pytest.mark.parametrize("kwargs", [{}, {"mode": "mc", "samples": 2_000, "seed": 3}])
 def test_zero_schmidt_coefficients_dilute_as_the_stripped_target(kwargs):
     # the door drops the zero coefficients, so a padded spectrum and a

@@ -172,6 +172,15 @@ def test_every_source_passes_one_door():
     assert {name: _callers(name) for name in ONE_DOOR} == ONE_DOOR
 
 
+# the one sampler: only the two entries that check samples and seed draw,
+# each from the record of its own pass of the door
+ONE_SAMPLER = {"_mc_mass": {"typicality._typical_report", "dilution.dilution_sweep"}}
+
+
+def test_only_the_two_checked_entries_sample():
+    assert {name: _callers(name) for name in ONE_SAMPLER} == ONE_SAMPLER
+
+
 # the one probability rule and the one tail rule, both in spectra: only the
 # probability rule decides the sign and total of an unordered probability
 # vector (the two __post_init__ are Ensemble's and SourceDistribution's), and

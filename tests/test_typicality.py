@@ -175,6 +175,20 @@ def test_strong_typicality_excludes_impossible_symbols():
         (rep2.mass.hex(), rep2.log2_cardinality_bound.hex())
 
 
+def test_the_monte_carlo_strong_bound_counts_only_the_support():
+    # the bound was n log2 of the alphabet's size, zero-probability symbols
+    # included: 10 log2 3 = 15.85 for the padded source; the exact log2 size
+    # of both sets is 9.39
+    padded, bare = (SourceDistribution(np.array(p)) for p in ([0.5, 0.5, 0.0], [0.5, 0.5]))
+    reports = [strong_typical_mass(d, 10, 0.1, mode="mc", samples=2_000, seed=4)
+               for d in (padded, bare)]
+    assert [r.log2_cardinality_bound for r in reports] == [10.0, 10.0]
+    assert reports[0] == reports[1]
+    exact = strong_typical_mass(padded, 10, 0.1).log2_cardinality_bound
+    assert exact == strong_typical_mass(bare, 10, 0.1).log2_cardinality_bound
+    assert exact == pytest.approx(math.log2(252 + 2 * 210), abs=1e-12)
+
+
 def test_census_matches_report_and_integer_count():
     d = SourceDistribution(np.array([0.8, 0.2]))
     mass, count = weak_typical_census(d, 60, 0.08)
